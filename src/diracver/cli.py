@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -57,6 +58,10 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 3
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+# Longest accepted rational literal.  It keeps every numerator and
+# denominator far below Python's int-conversion limit and bounds the common
+# denominator char_poly clears.
+_MAX_LITERAL_LENGTH = 1000
 
 
 class UsageError(Exception):
@@ -77,6 +82,10 @@ class MatrixFileError(ValueError):
 
 
 def _parse_rational(text: object, location: str) -> Fraction:
+    if isinstance(text, str) and len(text) > _MAX_LITERAL_LENGTH:
+        raise MatrixFileError(
+            f"rational literal of {len(text)} characters exceeds {_MAX_LITERAL_LENGTH}", location
+        )
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise MatrixFileError(f"not a rational literal: {text!r}", location)
     return Fraction(text)
@@ -106,12 +115,16 @@ def parse_matrix_file(path: str | Path) -> MatrixSet:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path} is not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise MatrixFileError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise MatrixFileError("top level must be a JSON object")
     n = data.get("n")
@@ -418,9 +431,12 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
         if count < 1:
             raise UsageError(f"bad grid axis {part!r}: count must be at least 1")
         if count == 1:
-            axes.append([lo])
+            axis = [lo]
         else:
-            axes.append([lo + (hi - lo) * k / (count - 1) for k in range(count)])
+            axis = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+        if not all(math.isfinite(v) for v in (lo, hi, *axis)):
+            raise UsageError(f"bad grid axis {part!r}: values must be finite")
+        axes.append(axis)
     return [
         MomentumSample((x, y, z), mass) for x in axes[0] for y in axes[1] for z in axes[2]
     ]
@@ -428,13 +444,16 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     mset = parse_matrix_file(args.file)
-    if args.mass < 0:
-        raise UsageError("mass must be nonnegative")
+    if not math.isfinite(args.mass) or args.mass < 0:
+        raise UsageError(f"mass must be finite and nonnegative, got {args.mass:g}")
     grid = parse_grid_spec(args.grid, args.mass)
     result = sweep(mset, grid)
     out_path = Path(args.out)
-    with out_path.open("w", encoding="utf-8", newline="") as stream:
-        write_csv(result.rows, stream)
+    try:
+        with out_path.open("w", encoding="utf-8", newline="") as stream:
+            write_csv(result.rows, stream)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
     print(f"spectrum sweep: {mset.label or '(unlabeled)'} (n = {mset.n}), mass = {args.mass:g}, samples = {len(grid)}")
     if result.flagged:
         shown = ", ".join(str(k) for k in result.flagged[:5])
@@ -453,7 +472,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     text = serialize_matrix_set(mset)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {args.out}")
     else:
         print(text, end="")

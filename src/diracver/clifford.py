@@ -33,6 +33,7 @@ import numpy as np
 
 from .algebra import ComplexRational, Scalar, as_scalar
 from .dispersion import DispersionReport, check_dispersion
+from .spectrum import matrix_to_array
 from .symmat import (
     Matrix,
     MatrixSet,
@@ -41,7 +42,6 @@ from .symmat import (
     char_poly,
     mat_add,
     mat_dagger,
-    mat_det,
     mat_identity,
     mat_is_zero,
     mat_mul,
@@ -49,6 +49,7 @@ from .symmat import (
     mat_sub,
     mat_trace,
     mat_zero,
+    trace_and_det,
 )
 
 __all__ = [
@@ -193,7 +194,7 @@ def check_trace_det(mset: MatrixSet) -> TraceDetReport:
         raise ValueError("trace/determinant conditions apply to n = 4 sets")
     zero = ComplexRational(0)
     one = ComplexRational(1)
-    values = {name: (mat_trace(m), mat_det(m)) for name, m in mset.matrices()}
+    values = trace_and_det(mset)
     passed = all(tr == zero and det == one for tr, det in values.values())
     return TraceDetReport(values, passed)
 
@@ -221,10 +222,6 @@ def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # beta canonicalization and alpha structure
 # ---------------------------------------------------------------------------
-
-
-def _to_array(matrix: Matrix) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in matrix], dtype=np.complex128)
 
 
 def _inner(u: Sequence[ComplexRational], v: Sequence[ComplexRational]) -> ComplexRational:
@@ -328,22 +325,22 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
             exact=True,
             matrix_set=new_set,
             transform_exact=transform,
-            transform=_to_array(transform),
-            alphas=tuple(_to_array(a) for a in new_set.alphas),
-            beta=_to_array(new_set.beta),
+            transform=matrix_to_array(transform),
+            alphas=tuple(matrix_to_array(a) for a in new_set.alphas),
+            beta=matrix_to_array(new_set.beta),
             tolerance=0.0,
             description=description,
         )
 
     cols_f = [np.array([complex(x) for x in v]) for v in columns]
     transform_f = np.column_stack([c / np.linalg.norm(c) for c in cols_f])
-    beta_f = transform_f.conj().T @ _to_array(beta) @ transform_f
+    beta_f = transform_f.conj().T @ matrix_to_array(beta) @ transform_f
     target_f = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
     defect = float(np.max(np.abs(beta_f - target_f)))
     if defect > NUMERIC_TOLERANCE:
         raise RuntimeError(f"numeric canonicalization defect {defect:.3e} exceeds tolerance")
     alphas_f = tuple(
-        transform_f.conj().T @ _to_array(a) @ transform_f for a in mset.alphas
+        transform_f.conj().T @ matrix_to_array(a) @ transform_f for a in mset.alphas
     )
     return CanonicalizationResult(
         exact=False,

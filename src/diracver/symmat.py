@@ -5,15 +5,26 @@ exact Gaussian-rational entries; Hermiticity is enforced at construction so
 every downstream check may assume it.  ``build_hamiltonian`` assembles the
 momentum-space matrix ``h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m``
 over :class:`~diracver.algebra.MultiPoly` entries, and ``char_poly`` computes
-``det(E*I - h)`` by the Faddeev-LeVerrier recurrence, which stays exact over
-rationals (the only divisions are by the integers 2..n) and produces every
-coefficient in one pass.
+``det(E*I - h)`` by the Faddeev-LeVerrier recurrence, every coefficient in
+one pass.
+
+``char_poly`` runs on Gaussian integers.  It multiplies the matrix by D, the
+lcm of all its coefficient denominators, once.  The characteristic
+polynomial of a matrix whose entries have Gaussian-integer coefficients has
+Gaussian-integer coefficients itself, so the recurrence's only divisions,
+by k = 1..n, are exact integer divisions, checked to leave no remainder.
+Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
+input, and it is divided back out when the result is converted to
+``MultiPoly`` values.  No gcd is taken inside the recurrence.
+``trace_and_det`` reads each determinant off the constant term,
+``det(A) = (-1)^n c_0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -44,7 +55,6 @@ __all__ = [
     "mat_mul",
     "mat_dagger",
     "mat_trace",
-    "mat_det",
     "mat_is_zero",
     "hermiticity_defect",
     "build_hamiltonian",
@@ -120,21 +130,6 @@ def mat_dagger(a: Matrix) -> Matrix:
 
 def mat_trace(a: Matrix) -> ComplexRational:
     return sum((a[i][i] for i in range(len(a))), ComplexRational(0))
-
-
-def mat_det(a: Matrix) -> ComplexRational:
-    """Exact determinant by cofactor expansion along the first row."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = ComplexRational(0)
-    sign = ComplexRational(1)
-    for j in range(n):
-        if a[0][j]:
-            minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in a[1:])
-            total = total + sign * a[0][j] * mat_det(minor)
-        sign = -sign
-    return total
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -241,52 +236,138 @@ def poly_matrix_of_scalars(matrix: Matrix) -> PolyMatrix:
     )
 
 
-def _pm_mul(a: Sequence[Sequence[MultiPoly]], b: Sequence[Sequence[MultiPoly]], n: int):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MultiPoly.zero()
-            for k in range(n):
-                if not a[i][k].is_zero and not b[k][j].is_zero:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+# The char_poly kernel works on polynomials with Gaussian-integer
+# coefficients, stored as dicts from a packed monomial key to an (re, im)
+# pair of ints.  A key holds the exponents of (p1, p2, p3, m) in fields of
+# ``width`` bits, so multiplying two monomials is adding their keys.
+
+
+def _gi_prune(a: dict) -> dict:
+    return {key: value for key, value in a.items() if value[0] or value[1]}
+
+
+def _gi_sum(polys) -> dict:
+    acc: dict = {}
+    get = acc.get
+    for a in polys:
+        for key, (re, im) in a.items():
+            prev = get(key)
+            acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return _gi_prune(acc)
+
+
+def _gi_row_col(row: list, mat: list, j: int) -> dict:
+    """Dot product of ``row`` with column j of ``mat``."""
+    acc: dict = {}
+    get = acc.get
+    for a, b in zip(row, mat):
+        b = b[j]
+        if not a or not b:
+            continue
+        for ka, (ar, ai) in a.items():
+            for kb, (br, bi) in b.items():
+                key = ka + kb
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                prev = get(key)
+                acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return _gi_prune(acc)
+
+
+def _gi_neg_div(a: dict, k: int) -> dict:
+    """-a/k; the division must be exact."""
+    out = {}
+    for key, (re, im) in a.items():
+        q_re, r_re = divmod(-re, k)
+        q_im, r_im = divmod(-im, k)
+        if r_re or r_im:
+            raise RuntimeError(f"internal error: Faddeev-LeVerrier trace not divisible by {k}")
+        out[key] = (q_re, q_im)
     return out
 
 
 def char_poly(M: PolyMatrix) -> CharPoly:
-    """Characteristic polynomial of M by the Faddeev-LeVerrier recurrence.
+    """Characteristic polynomial det(E*I - M) by the Faddeev-LeVerrier recurrence.
 
-    Returns the monic EPoly det(E*I - M); by construction the coefficient of
-    E^(n-1) is -trace(M) and the constant term is (-1)^n det(M).
+    With M_1 = M the recurrence runs
+
+        c_n = 1,  c_{n-k} = -trace(M_k)/k,  M_{k+1} = M (M_k + c_{n-k} I),
+
+    so the coefficient of E^(n-1) is -trace(M) and the constant term is
+    (-1)^n det(M).
+
+    It runs in Gaussian integers.  With D the lcm of every coefficient
+    denominator in M, B = D*M has entries with Gaussian-integer
+    coefficients.  Each coefficient c'_j of det(E*I - B) is a polynomial in
+    the entries of B with integer coefficients, so it has Gaussian-integer
+    coefficients as well, and the step c'_{n-k} = -trace(B_k)/k is an exact
+    integer division; a remainder is an internal error, never rounded.
+    Because det(E*I - D*M) = D^n det((E/D)*I - M), c'_j = D^(n-j) c_j, and
+    each c_j is rebuilt exactly as c'_j over the denominator D^(n-j).
     """
     n = M.n
     if not 1 <= n <= 4:
         raise UnsupportedDimensionError(f"char_poly supports 1 <= n <= 4, got {n}")
-    A = M.entries
-    coeffs: list[MultiPoly] = [MultiPoly.zero()] * (n + 1)
-    coeffs[n] = MultiPoly.constant(1)
+    terms = [[tuple(entry.terms()) for entry in row] for row in M.entries]
+    flat = [term for row in terms for entry in row for term in entry]
+    denom = lcm(1, *(part.denominator for _, c in flat for part in (c.re, c.im)))
+    # exponents in the recurrence never exceed n times the largest input one
+    width = (n * max((e for mono, _ in flat for e in mono), default=0)).bit_length()
+    mask = (1 << width) - 1
 
-    def trace(mat) -> MultiPoly:
-        acc = MultiPoly.zero()
-        for i in range(n):
-            acc = acc + mat[i][i]
-        return acc
+    def scaled(part: Fraction) -> int:
+        return part.numerator * (denom // part.denominator)
 
-    Mk = [list(row) for row in A]
-    coeffs[n - 1] = -trace(Mk)
-    for k in range(2, n + 1):
-        # M_k = A (M_{k-1} + c_{n-k+1} I); c_{n-k} = -trace(M_k)/k
-        shift = coeffs[n - k + 1]
-        shifted = [
-            [Mk[i][j] + shift if i == j else Mk[i][j] for j in range(n)] for i in range(n)
+    A = [
+        [
+            {
+                mono[0] | mono[1] << width | mono[2] << 2 * width | mono[3] << 3 * width:
+                (scaled(c.re), scaled(c.im))
+                for mono, c in entry
+            }
+            for entry in row
         ]
-        Mk = _pm_mul(A, shifted, n)
-        coeffs[n - k] = -(trace(Mk) * Fraction(1, k))
-    return CharPoly(n, EPoly(coeffs))
+        for row in terms
+    ]
+    coeffs: list[dict] = [{}] * n + [{0: (1, 0)}]
+    coeffs[n - 1] = _gi_neg_div(_gi_sum(A[i][i] for i in range(n)), 1)
+    Mk = A
+    for k in range(2, n + 1):
+        # M_k = A (M_{k-1} + c_{n-k+1} I); of M_n only the diagonal is needed
+        shifted = [list(row) for row in Mk]
+        for i in range(n):
+            shifted[i][i] = _gi_sum((Mk[i][i], coeffs[n - k + 1]))
+        if k < n:
+            Mk = [[_gi_row_col(A[i], shifted, j) for j in range(n)] for i in range(n)]
+            diagonal = [Mk[i][i] for i in range(n)]
+        else:
+            diagonal = [_gi_row_col(A[i], shifted, i) for i in range(n)]
+        coeffs[n - k] = _gi_neg_div(_gi_sum(diagonal), k)
+
+    polys = []
+    for j, c in enumerate(coeffs):
+        scale = denom ** (n - j)
+        polys.append(
+            MultiPoly._make(
+                {
+                    (key & mask, key >> width & mask, key >> 2 * width & mask, key >> 3 * width):
+                    ComplexRational._from_ints(re, im, scale)
+                    for key, (re, im) in c.items()
+                }
+            )
+        )
+    return CharPoly(n, EPoly(polys))
 
 
 def trace_and_det(mset: MatrixSet) -> dict[str, tuple[ComplexRational, ComplexRational]]:
-    """Exact (trace, determinant) for each matrix of the set, keyed by name."""
-    return {name: (mat_trace(m), mat_det(m)) for name, m in mset.matrices()}
+    """Exact (trace, determinant) for each matrix of the set, keyed by name.
+
+    The determinant is (-1)^n times the constant term of the characteristic
+    polynomial.
+    """
+    return {name: (mat_trace(m), _det(m)) for name, m in mset.matrices()}
+
+
+def _det(matrix: Matrix) -> ComplexRational:
+    c0 = char_poly(poly_matrix_of_scalars(matrix)).c(0).coefficient((0, 0, 0, 0))
+    return -c0 if len(matrix) % 2 else c0

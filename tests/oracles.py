@@ -14,6 +14,20 @@ from diracver.algebra import ComplexRational, EPoly, MultiPoly
 from diracver.symmat import Matrix, PolyMatrix
 
 
+def det_cofactor(matrix: Matrix) -> ComplexRational:
+    """Determinant of a scalar matrix by Laplace expansion along the first row."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = ComplexRational(0)
+    for j in range(n):
+        if matrix[0][j]:
+            minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in matrix[1:])
+            term = matrix[0][j] * det_cofactor(minor)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def epoly_cofactor_det(matrix: list[list[EPoly]]) -> EPoly:
     """Determinant by Laplace expansion along the first row, in EPoly arithmetic."""
     n = len(matrix)

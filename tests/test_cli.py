@@ -7,6 +7,7 @@ import pytest
 
 from diracver.cli import (
     MatrixFileError,
+    UsageError,
     main,
     parse_grid_spec,
     parse_matrix_file,
@@ -19,6 +20,14 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "diracver", *args], capture_output=True, text=True
     )
+
+
+def assert_usage_error(result):
+    """Exit code 3 with one `error:` line on stderr and no traceback."""
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
 
 
 @pytest.fixture
@@ -131,6 +140,33 @@ def test_parse_rejects_malformed_json(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_parse_rejects_overlong_literal(tmp_path):
+    zero2 = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    beta = [[["1" * 5000, "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "alpha": [zero2] * 3, "beta": beta}))
+    with pytest.raises(MatrixFileError, match="exceeds") as err:
+        parse_matrix_file(path)
+    assert "beta[0][0].re" in str(err.value)
+    assert_usage_error(run_cli("verify", str(path)))
+
+
+def test_parse_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 4, "label": "caf\xe9"}')
+    with pytest.raises(MatrixFileError, match="not UTF-8"):
+        parse_matrix_file(path)
+    assert_usage_error(run_cli("verify", str(path)))
+
+
+def test_parse_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(MatrixFileError, match="nested too deeply"):
+        parse_matrix_file(path)
+    assert_usage_error(run_cli("verify", str(path)))
+
+
 def test_parse_rejects_structural_problems(tmp_path):
     zero2 = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
 
@@ -229,6 +265,38 @@ def test_spectrum_cli(dirac_pauli_file, perturbed_file, tmp_path):
     )
     assert result.returncode == 1
     assert "flagged rows: 0" not in result.stdout
+
+
+def test_spectrum_rejects_non_finite_mass(dirac_pauli_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = run_cli(
+        "spectrum", str(dirac_pauli_file), "--mass", "nan", "--grid", "lin:-2:2:3", "--out", str(out)
+    )
+    assert_usage_error(result)
+    assert not out.exists()
+
+
+def test_spectrum_rejects_non_finite_grid_bound(dirac_pauli_file, tmp_path):
+    for axis in ("lin:-inf:2:3", "lin:-1e308:1e308:3"):
+        with pytest.raises(UsageError, match="finite"):
+            parse_grid_spec(axis, 1.0)
+    result = run_cli(
+        "spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:0:inf:3", "--out", str(tmp_path / "o.csv")
+    )
+    assert_usage_error(result)
+
+
+def test_spectrum_unwritable_out(dirac_pauli_file, tmp_path):
+    out = tmp_path / "missing" / "sweep.csv"
+    result = run_cli("spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-2:2:3", "--out", str(out))
+    assert_usage_error(result)
+    assert "cannot write" in result.stderr
+
+
+def test_catalog_unwritable_out(tmp_path):
+    result = run_cli("catalog", "dirac-pauli", "--out", str(tmp_path / "missing" / "dp.json"))
+    assert_usage_error(result)
+    assert "cannot write" in result.stderr
 
 
 def test_grid_spec_parsing():

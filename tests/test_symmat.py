@@ -1,9 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracver.algebra import MASS, P1, P2, P3, ComplexRational, EPoly, MultiPoly, render_epoly
-from diracver.clifford import pauli_set, random_hermitian_set
+from diracver.clifford import (
+    CATALOG_NAMES,
+    catalog,
+    pauli_set,
+    random_exact_unitary,
+    random_hermitian_set,
+)
 from diracver.symmat import (
     CharPoly,
     HermiticityError,
@@ -13,16 +22,29 @@ from diracver.symmat import (
     as_matrix,
     build_hamiltonian,
     char_poly,
-    mat_det,
     mat_identity,
     mat_trace,
     mat_zero,
     poly_matrix_of_scalars,
     trace_and_det,
 )
-from oracles import char_poly_cofactor, char_poly_cofactor_pm, random_hermitian_matrix
+from oracles import char_poly_cofactor, char_poly_cofactor_pm, det_cofactor, random_hermitian_matrix
 
 I = ComplexRational(0, 1)
+
+mixed_fractions = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7, 12, 35, 1001))
+)
+mixed_scalars = st.builds(ComplexRational, mixed_fractions, mixed_fractions)
+monomials = st.tuples(*(st.integers(0, 3) for _ in range(4)))
+mixed_polys = st.dictionaries(monomials, mixed_scalars, max_size=3).map(MultiPoly)
+
+
+@st.composite
+def poly_matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(mixed_polys, min_size=n, max_size=n), min_size=n, max_size=n))
+    return PolyMatrix(n, tuple(tuple(row) for row in rows))
 
 
 def test_hermiticity_enforced_at_construction(dirac_pauli):
@@ -106,7 +128,34 @@ def test_faddeev_leverrier_matches_cofactor_oracle(n, rng):
         assert cp.poly == char_poly_cofactor(matrix)
         # byproducts: c_{n-1} = -trace and c_0 = (-1)^n det
         assert cp.c(n - 1) == MultiPoly.constant(-mat_trace(matrix))
-        assert cp.c(0) == MultiPoly.constant(mat_det(matrix) * (-1) ** n)
+        assert cp.c(0) == MultiPoly.constant(det_cofactor(matrix) * (-1) ** n)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    steps=st.integers(10, 60),
+    base=st.sampled_from(CATALOG_NAMES + ("random",)),
+)
+@settings(max_examples=20, deadline=None)
+def test_char_poly_of_long_conjugates_matches_cofactor_oracle(rng, steps, base):
+    # denominators reach about 50 digits at 60 steps
+    mset = random_hermitian_set(rng) if base == "random" else catalog(base)
+    h = build_hamiltonian(random_exact_unitary(rng, steps=steps).conjugate_set(mset))
+    assert char_poly(h).poly == char_poly_cofactor_pm(h)
+
+
+@given(poly_matrices())
+@settings(max_examples=60, deadline=None)
+def test_char_poly_of_mixed_denominator_polymatrix_matches_cofactor_oracle(pm):
+    assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
+
+
+def test_char_poly_large_exponents_do_not_collide():
+    big = 2**40
+    a = MultiPoly({(big, 0, 0, 1): Fraction(1, 3)})
+    b = MultiPoly({(0, big, 1, 0): ComplexRational(2, Fraction(-1, 7))})
+    pm = PolyMatrix(2, ((a, b), (b.conj(), a + MASS)))
+    assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
 
 
 def test_char_poly_coefficients_real_and_homogeneous(all_catalog_sets, rng):
