@@ -585,19 +585,18 @@ def render_scalar(z: ComplexRational) -> str:
     return f"{render_fraction(re)}{sign}{render_fraction(abs(im))}*i"
 
 
+def _power(name: str, e: int) -> list[str]:
+    """The factor list of name^e: empty for e = 0."""
+    return [] if e == 0 else [name if e == 1 else f"{name}^{e}"]
+
+
 def _monomial_factors(mono: Monomial) -> list[str]:
-    parts = []
-    for name, e in zip(VARIABLES, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return parts
+    return [factor for name, e in zip(VARIABLES, mono) for factor in _power(name, e)]
 
 
-def _term_sign_body(mono: Monomial, coeff: ComplexRational) -> tuple[bool, str]:
-    """Render one term as (is_negative, body) with any extractable sign removed."""
-    factors = _monomial_factors(mono)
+def _term_sign_body(coeff: Scalar, factors: list[str]) -> tuple[bool, str]:
+    """Render coeff times the factors as (is_negative, body), any extractable sign removed."""
+    coeff = as_scalar(coeff)
     re, im = coeff.re, coeff.im
     if im == 0:
         negative = re < 0
@@ -624,27 +623,25 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return out
 
 
+def _times_factors(terms: list[tuple[Scalar, list[str]]], factors: list[str]) -> list[tuple[bool, str]]:
+    """Signed terms of (sum of coeff*term_factors) times factors.
+
+    A single term absorbs the factors; a longer sum is parenthesized.  With
+    no factors these are just the signed terms.
+    """
+    if len(terms) <= 1 or not factors:
+        return [_term_sign_body(coeff, term + factors) for coeff, term in terms]
+    sum_body = _join_terms([_term_sign_body(coeff, term) for coeff, term in terms])
+    return [(False, "*".join([f"({sum_body})"] + factors))]
+
+
 def render_multipoly(p: MultiPoly) -> str:
-    return _join_terms([_term_sign_body(mono, coeff) for mono, coeff in p.terms()])
+    return _join_terms([_term_sign_body(coeff, _monomial_factors(mono)) for mono, coeff in p.terms()])
 
 
 def render_epoly(q: EPoly) -> str:
-    if q.is_zero:
-        return "0"
     rendered: list[tuple[bool, str]] = []
     for k in range(q.degree, -1, -1):
-        c = q.coeff(k)
-        if c.is_zero:
-            continue
-        e_factor = "" if k == 0 else ("E" if k == 1 else f"E^{k}")
-        if c.num_terms() == 1:
-            mono, coeff = next(c.terms())
-            negative, body = _term_sign_body(mono, coeff)
-            if e_factor:
-                body = e_factor if body == "1" else f"{body}*{e_factor}"
-            rendered.append((negative, body))
-        elif e_factor:
-            rendered.append((False, f"({render_multipoly(c)})*{e_factor}"))
-        else:
-            rendered.extend(_term_sign_body(mono, coeff) for mono, coeff in c.terms())
+        terms = [(coeff, _monomial_factors(mono)) for mono, coeff in q.coeff(k).terms()]
+        rendered.extend(_times_factors(terms, _power("E", k)))
     return _join_terms(rendered)

@@ -22,13 +22,16 @@ from typing import Sequence
 
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
 from .clifford import (
+    CanonicalizationResult,
+    CliffordReport,
     StructuralViolationError,
+    StructureReport,
     beta_spectrum,
     canonicalize_beta,
     catalog,
     check_alpha_structure,
     check_anticommutation,
-    check_trace_det,
+    check_trace_det,  # unused here; perfbench patches it on this module
 )
 from .dispersion import (
     DegeneracyRequirement,
@@ -39,7 +42,7 @@ from .dispersion import (
     solve_forced_coefficients,
 )
 from .spectrum import MomentumSample, sweep, write_csv
-from .symmat import HermiticityError, Matrix, MatrixSet, trace_and_det
+from .symmat import HermiticityError, Matrix, MatrixSet, mat_is_zero, trace_and_det
 
 __all__ = [
     "MatrixFileError",
@@ -62,6 +65,8 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 # denominator far below Python's int-conversion limit and bounds the common
 # denominator char_poly clears.
 _MAX_LITERAL_LENGTH = 1000
+# Most points a spectrum grid may have, checked from the counts alone.
+_MAX_GRID_POINTS = 10**6
 
 
 class UsageError(Exception):
@@ -167,12 +172,11 @@ def serialize_matrix_set(mset: MatrixSet) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Rendered findings of one command, with the exit-code verdict."""
+    """Rendered findings of one command, with the pass/fail verdict."""
 
-    command: str
-    verdict: str  # pass | fail | infeasible | error
     header: str
     sections: tuple[tuple[str, tuple[str, ...]], ...]
+    passed: bool
 
     def render(self) -> str:
         lines = [self.header, ""]
@@ -180,14 +184,16 @@ class RunReport:
             lines.append(title)
             lines.extend(f"  {line}" for line in body)
             lines.append("")
-        lines.append(f"verdict: {self.verdict.upper()}")
+        lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
     @property
     def exit_code(self) -> int:
-        return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "infeasible": EXIT_INFEASIBLE}.get(
-            self.verdict, EXIT_USAGE
-        )
+        return EXIT_PASS if self.passed else EXIT_FAIL
+
+
+def _section(title: str, lines: Sequence[str], passed: bool) -> tuple[str, tuple[str, ...]]:
+    return title, (*lines, f"result: {'PASS' if passed else 'FAIL'}")
 
 
 def _matrix_summary(matrix: Matrix) -> str:
@@ -198,70 +204,80 @@ def _matrix_summary(matrix: Matrix) -> str:
     return "0"
 
 
-def _result_line(passed: bool) -> str:
-    return f"result: {'PASS' if passed else 'FAIL'}"
-
-
 def _norm_str(value) -> str:
     if isinstance(value, Fraction):
         return render_fraction(value)
     return f"{value:.12g}"
 
 
-def _dispersion_section(mset: MatrixSet, r: int) -> tuple[tuple[str, tuple[str, ...]], bool]:
-    report = check_dispersion(mset, r)
-    lines = [f"characteristic polynomial: {render_epoly(report.char.poly)}"]
-    for label, residual in zip(report.labels, report.residuals):
-        lines.append(f"{label}: {render_multipoly(residual)}")
-    lines.append(_result_line(report.passed))
-    return (f"[dispersion] multiplicity {r}", tuple(lines)), report.passed
+@dataclass(frozen=True)
+class _Audit:
+    """The n = 4 consequence chain, each stage run once.
+
+    A stage that raised keeps its exception in place of its result; the
+    alpha structure is checked only when a canonical form exists.
+    """
+
+    values: dict[str, tuple[ComplexRational, ComplexRational]]
+    spectrum: tuple[int, ...] | StructuralViolationError
+    canonical: CanonicalizationResult | ValueError
+    structure: StructureReport | None
+    anti: CliffordReport
+
+    @property
+    def traces_vanish(self) -> bool:
+        return all(tr.is_zero for tr, _ in self.values.values())
+
+    @property
+    def dets_unit(self) -> bool:
+        return all(det == 1 for _, det in self.values.values())
+
+    @property
+    def spectrum_passed(self) -> bool:
+        return self.spectrum == (1, 1, -1, -1)
+
+    @property
+    def structure_passed(self) -> bool:
+        return self.structure is not None and self.structure.passed
+
+    @property
+    def passed(self) -> bool:
+        stages = (self.traces_vanish, self.dets_unit, self.spectrum_passed, self.structure_passed)
+        return all(stages) and self.anti.passed
+
+    def spectrum_line(self) -> str:
+        if isinstance(self.spectrum, Exception):
+            return f"violation: {self.spectrum}"
+        return "eigenvalues: " + ", ".join(f"{v:+d}" for v in self.spectrum)
+
+    def canonical_line(self) -> str:
+        if isinstance(self.canonical, Exception):
+            return f"violation: {self.canonical}"
+        return f"transform: {self.canonical.description}"
+
+    def alpha_lines(self, blocks: str, norm: str) -> list[str]:
+        """One line per alpha; empty without a canonical form."""
+        if self.structure is None:
+            return []
+        pairs = zip(self.structure.alpha_blocks, self.structure.norm_values)
+        return [
+            f"alpha{k}: {blocks} = {'yes' if ok else 'no'}, {norm} = {_norm_str(value)}"
+            for k, (ok, value) in enumerate(pairs, start=1)
+        ]
 
 
-def _anticommutation_section(mset: MatrixSet) -> tuple[tuple[str, tuple[str, ...]], bool]:
-    report = check_anticommutation(mset)
-    lines = []
-    for (a, b), defect in report.pairwise.items():
-        lines.append(f"{{{a},{b}}}: {_matrix_summary(defect)}")
-    for name, defect in report.squares.items():
-        lines.append(f"{name}^2 - 1: {_matrix_summary(defect)}")
-    lines.append(_result_line(report.passed))
-    return ("[anticommutation]", tuple(lines)), report.passed
-
-
-def _trace_det_section(mset: MatrixSet) -> tuple[tuple[str, tuple[str, ...]], bool]:
-    report = check_trace_det(mset)
-    lines = [
-        f"{name}: trace = {render_scalar(tr)}, det = {render_scalar(det)}"
-        for name, (tr, det) in report.values.items()
-    ]
-    lines.append(_result_line(report.passed))
-    return ("[trace-det]", tuple(lines)), report.passed
-
-
-def _beta_spectrum_section(mset: MatrixSet) -> tuple[tuple[str, tuple[str, ...]], bool]:
+def _audit(mset: MatrixSet, anti: CliffordReport) -> _Audit:
+    """Run each structural stage of an n = 4 set once."""
     try:
         spectrum = beta_spectrum(mset)
     except StructuralViolationError as exc:
-        return ("[beta-spectrum]", (f"violation: {exc}", _result_line(False))), False
-    passed = spectrum == (1, 1, -1, -1)
-    lines = ("eigenvalues: " + ", ".join(f"{v:+d}" for v in spectrum), _result_line(passed))
-    return ("[beta-spectrum]", lines), passed
-
-
-def _structure_section(mset: MatrixSet) -> tuple[tuple[str, tuple[str, ...]], bool]:
+        spectrum = exc
     try:
         canonical = canonicalize_beta(mset)
     except (ValueError, StructuralViolationError) as exc:
-        return ("[alpha-structure]", (f"violation: {exc}", _result_line(False))), False
-    report = check_alpha_structure(canonical)
-    lines = [f"transform: {canonical.description}"]
-    for k, (blocks_ok, norm) in enumerate(zip(report.alpha_blocks, report.norm_values), start=1):
-        lines.append(
-            f"alpha{k}: diagonal blocks vanish = {'yes' if blocks_ok else 'no'}, "
-            f"norm condition = {_norm_str(norm)}"
-        )
-    lines.append(_result_line(report.passed))
-    return ("[alpha-structure]", tuple(lines)), report.passed
+        canonical = exc
+    structure = None if isinstance(canonical, Exception) else check_alpha_structure(canonical)
+    return _Audit(trace_and_det(mset), spectrum, canonical, structure, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +290,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     r = args.multiplicity
     if not 1 <= r <= mset.n:
         raise UsageError(f"multiplicity {r} outside 1..{mset.n}")
-    sections = []
-    verdicts = []
-    section, passed = _dispersion_section(mset, r)
-    sections.append(section)
-    verdicts.append(passed)
-    section, passed = _anticommutation_section(mset)
-    sections.append(section)
-    verdicts.append(passed)
+    disp = check_dispersion(mset, r)
+    anti = check_anticommutation(mset)
+    disp_lines = [f"characteristic polynomial: {render_epoly(disp.char.poly)}"]
+    disp_lines += [f"{label}: {render_multipoly(res)}" for label, res in zip(disp.labels, disp.residuals)]
+    anti_lines = [f"{{{a},{b}}}: {_matrix_summary(d)}" for (a, b), d in anti.pairwise.items()]
+    anti_lines += [f"{name}^2 - 1: {_matrix_summary(d)}" for name, d in anti.squares.items()]
+    sections = [
+        _section(f"[dispersion] multiplicity {r}", disp_lines, disp.passed),
+        _section("[anticommutation]", anti_lines, anti.passed),
+    ]
     if mset.n == 4:
-        for builder in (_trace_det_section, _beta_spectrum_section, _structure_section):
-            section, passed = builder(mset)
-            sections.append(section)
-            verdicts.append(passed)
+        audit = _audit(mset, anti)
+        trace_det_lines = [
+            f"{name}: trace = {render_scalar(tr)}, det = {render_scalar(det)}"
+            for name, (tr, det) in audit.values.items()
+        ]
+        structure_lines = audit.alpha_lines("diagonal blocks vanish", "norm condition")
+        sections += [
+            _section("[trace-det]", trace_det_lines, audit.traces_vanish and audit.dets_unit),
+            _section("[beta-spectrum]", [audit.spectrum_line()], audit.spectrum_passed),
+            _section("[alpha-structure]", [audit.canonical_line(), *structure_lines], audit.structure_passed),
+        ]
+        passed = audit.passed
     else:
-        sections.append(("[trace-det]", ("skipped (requires n = 4)",)))
-        sections.append(("[beta-spectrum]", ("skipped (requires n = 4)",)))
-        sections.append(("[alpha-structure]", ("skipped (requires n = 4)",)))
+        for title in ("[trace-det]", "[beta-spectrum]", "[alpha-structure]"):
+            sections.append((title, ("skipped (requires n = 4)",)))
+        passed = anti.passed
     report = RunReport(
-        "verify",
-        "pass" if all(verdicts) else "fail",
-        f"matrix set: {mset.label or '(unlabeled)'} (n = {mset.n})",
-        tuple(sections),
+        f"matrix set: {mset.label or '(unlabeled)'} (n = {mset.n})", tuple(sections), disp.passed and passed
     )
     print(report.render(), end="")
     return report.exit_code
@@ -316,92 +339,58 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE
 
 
-_DERIVE_STEPS = (
-    (
-        "trace",
-        "the coefficient of E^3 must vanish identically, forcing every trace to zero",
-    ),
-    (
-        "det",
-        "the pure p1^4, p2^4, p3^4, m^4 terms of the constant coefficient force unit determinants",
-    ),
-    (
-        "beta-spectrum",
-        "beta must square to the identity with eigenvalues +1, +1, -1, -1",
-    ),
-    (
-        "canonical-form",
-        "a unitary change of basis brings beta to diag(+1, +1, -1, -1)",
-    ),
-    (
-        "alpha-structure",
-        "in the canonical basis each alpha keeps only its off-diagonal 2x2 block, with squared norm 2",
-    ),
-    (
-        "anticommutators",
-        "the matrices pairwise anticommute and square to the identity",
-    ),
-)
-
-
 def cmd_derive(args: argparse.Namespace) -> int:
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
-    values = trace_and_det(mset)
-    zero = ComplexRational(0)
-    one = ComplexRational(1)
-
-    sections = []
-    verdicts = []
-
-    def add(step: int, lines: Sequence[str], passed: bool) -> None:
-        tag, text = _DERIVE_STEPS[step]
-        sections.append((f"step {step + 1} [{tag}]: {text}", tuple(list(lines) + [_result_line(passed)])))
-        verdicts.append(passed)
-
-    trace_lines = [", ".join(f"Tr({name}) = {render_scalar(tr)}" for name, (tr, _) in values.items())]
-    add(0, trace_lines, all(tr == zero for tr, _ in values.values()))
-
-    det_lines = [", ".join(f"det({name}) = {render_scalar(det)}" for name, (_, det) in values.items())]
-    add(1, det_lines, all(det == one for _, det in values.values()))
-
-    try:
-        spectrum = beta_spectrum(mset)
-        add(2, ["eigenvalues: " + ", ".join(f"{v:+d}" for v in spectrum)], spectrum == (1, 1, -1, -1))
-    except StructuralViolationError as exc:
-        add(2, [f"violation: {exc}"], False)
-
-    canonical = None
-    try:
-        canonical = canonicalize_beta(mset)
-        add(3, [f"transform: {canonical.description}"], True)
-    except (ValueError, StructuralViolationError) as exc:
-        add(3, [f"violation: {exc}"], False)
-
-    if canonical is not None:
-        report = check_alpha_structure(canonical)
-        lines = [
-            f"alpha{k}: blocks vanish = {'yes' if ok else 'no'}, norm = {_norm_str(norm)}"
-            for k, (ok, norm) in enumerate(zip(report.alpha_blocks, report.norm_values), start=1)
-        ]
-        add(4, lines, report.passed)
-    else:
-        add(4, ["skipped: no canonical form"], False)
-
-    anti = check_anticommutation(mset)
-    defects = sum(
-        0 if _matrix_summary(d) == "0" else 1
-        for d in list(anti.pairwise.values()) + list(anti.squares.values())
+    audit = _audit(mset, check_anticommutation(mset))
+    values = audit.values.items()
+    defects = [*audit.anti.pairwise.values(), *audit.anti.squares.values()]
+    dirty = sum(not mat_is_zero(d) for d in defects)
+    steps = (
+        (
+            "trace",
+            "the coefficient of E^3 must vanish identically, forcing every trace to zero",
+            [", ".join(f"Tr({name}) = {render_scalar(tr)}" for name, (tr, _) in values)],
+            audit.traces_vanish,
+        ),
+        (
+            "det",
+            "the pure p1^4, p2^4, p3^4, m^4 terms of the constant coefficient force unit determinants",
+            [", ".join(f"det({name}) = {render_scalar(det)}" for name, (_, det) in values)],
+            audit.dets_unit,
+        ),
+        (
+            "beta-spectrum",
+            "beta must square to the identity with eigenvalues +1, +1, -1, -1",
+            [audit.spectrum_line()],
+            audit.spectrum_passed,
+        ),
+        (
+            "canonical-form",
+            "a unitary change of basis brings beta to diag(+1, +1, -1, -1)",
+            [audit.canonical_line()],
+            not isinstance(audit.canonical, Exception),
+        ),
+        (
+            "alpha-structure",
+            "in the canonical basis each alpha keeps only its off-diagonal 2x2 block, with squared norm 2",
+            audit.alpha_lines("blocks vanish", "norm") or ["skipped: no canonical form"],
+            audit.structure_passed,
+        ),
+        (
+            "anticommutators",
+            "the matrices pairwise anticommute and square to the identity",
+            [f"{len(defects)} relations checked, {len(defects) - dirty} clean, {dirty} with nonzero defects"],
+            audit.anti.passed,
+        ),
     )
-    total = len(anti.pairwise) + len(anti.squares)
-    add(5, [f"{total} relations checked, {total - defects} clean, {defects} with nonzero defects"], anti.passed)
-
+    sections = tuple(
+        _section(f"step {k} [{tag}]: {claim}", lines, passed)
+        for k, (tag, claim, lines, passed) in enumerate(steps, start=1)
+    )
     report = RunReport(
-        "derive",
-        "pass" if all(verdicts) else "fail",
-        f"derivation audit: {mset.label or '(unlabeled)'} (n = {mset.n})",
-        tuple(sections),
+        f"derivation audit: {mset.label or '(unlabeled)'} (n = {mset.n})", sections, audit.passed
     )
     print(report.render(), end="")
     return report.exit_code
@@ -411,14 +400,16 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
     """Build momentum samples from per-axis `lin:lo:hi:count` specs.
 
     A single spec applies to all three axes; otherwise give three,
-    comma-separated.  Rows are ordered with px outermost.
+    comma-separated.  Rows are ordered with px outermost.  The point count
+    is capped before any axis is built, and p.p + m^2 must stay a finite
+    float at every point.
     """
     parts = spec.split(",")
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
         raise UsageError(f"grid spec needs 1 or 3 comma-separated axes, got {len(parts)}")
-    axes = []
+    ranges = []
     for part in parts:
         fields = part.split(":")
         if len(fields) != 4 or fields[0] != "lin":
@@ -430,6 +421,11 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
             raise UsageError(f"bad grid axis {part!r}: {exc}") from exc
         if count < 1:
             raise UsageError(f"bad grid axis {part!r}: count must be at least 1")
+        ranges.append((part, lo, hi, count))
+    if math.prod(count for *_, count in ranges) > _MAX_GRID_POINTS:
+        raise UsageError(f"grid spec {spec!r} has more than {_MAX_GRID_POINTS} points")
+    axes = []
+    for part, lo, hi, count in ranges:
         if count == 1:
             axis = [lo]
         else:
@@ -437,6 +433,9 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
         if not all(math.isfinite(v) for v in (lo, hi, *axis)):
             raise UsageError(f"bad grid axis {part!r}: values must be finite")
         axes.append(axis)
+    # the largest p.p + m^2 on the grid; products overflow to inf rather than raising
+    if not math.isfinite(sum(max(v * v for v in axis) for axis in axes) + mass * mass):
+        raise UsageError(f"grid {spec!r} with mass {mass:g}: p.p + m^2 overflows a float")
     return [
         MomentumSample((x, y, z), mass) for x in axes[0] for y in axes[1] for z in axes[2]
     ]
@@ -447,10 +446,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if not math.isfinite(args.mass) or args.mass < 0:
         raise UsageError(f"mass must be finite and nonnegative, got {args.mass:g}")
     grid = parse_grid_spec(args.grid, args.mass)
-    result = sweep(mset, grid)
     out_path = Path(args.out)
+    # open before the sweep, so an unwritable path fails before any eigensolve
     try:
         with out_path.open("w", encoding="utf-8", newline="") as stream:
+            result = sweep(mset, grid)
             write_csv(result.rows, stream)
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc

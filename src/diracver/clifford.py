@@ -192,10 +192,8 @@ def check_trace_det(mset: MatrixSet) -> TraceDetReport:
     """All four traces must vanish and all four determinants must equal one."""
     if mset.n != 4:
         raise ValueError("trace/determinant conditions apply to n = 4 sets")
-    zero = ComplexRational(0)
-    one = ComplexRational(1)
     values = trace_and_det(mset)
-    passed = all(tr == zero and det == one for tr, det in values.values())
+    passed = all(tr.is_zero and det == 1 for tr, det in values.values())
     return TraceDetReport(values, passed)
 
 
@@ -247,6 +245,9 @@ def _gram_schmidt_columns(matrix: Matrix) -> list[tuple[ComplexRational, ...]]:
         if any(x for x in v):
             basis.append(v)
     return basis
+
+
+_CANONICAL_BETA = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -305,7 +306,6 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     columns = plus + minus
     norms = [_inner(v, v).re for v in columns]
     roots = [_exact_sqrt(norm) for norm in norms]
-    target = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
 
     if all(root is not None for root in roots):
         unit_cols = [
@@ -314,7 +314,7 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
         transform = tuple(tuple(unit_cols[j][i] for j in range(4)) for i in range(4))
         unitary = ExactUnitary(transform)
         new_set = unitary.conjugate_by_inverse(mset, label=f"{mset.label} [beta-canonical]")
-        if new_set.beta != target:
+        if new_set.beta != _CANONICAL_BETA:
             raise RuntimeError("internal error: exact canonicalization missed the target beta")
         description = (
             "identity (beta already canonical)"
@@ -335,8 +335,7 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     cols_f = [np.array([complex(x) for x in v]) for v in columns]
     transform_f = np.column_stack([c / np.linalg.norm(c) for c in cols_f])
     beta_f = transform_f.conj().T @ matrix_to_array(beta) @ transform_f
-    target_f = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
-    defect = float(np.max(np.abs(beta_f - target_f)))
+    defect = float(np.max(np.abs(beta_f - matrix_to_array(_CANONICAL_BETA))))
     if defect > NUMERIC_TOLERANCE:
         raise RuntimeError(f"numeric canonicalization defect {defect:.3e} exceeds tolerance")
     alphas_f = tuple(
@@ -391,8 +390,7 @@ def check_alpha_structure(target: "MatrixSet | CanonicalizationResult") -> Struc
     mset = target
     if mset.n != 4:
         raise ValueError("alpha structure check applies to n = 4 sets")
-    canonical = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-    if mset.beta != canonical:
+    if mset.beta != _CANONICAL_BETA:
         raise ValueError("beta is not diag(+1, +1, -1, -1); canonicalize first")
     blocks = []
     norms = []

@@ -27,9 +27,12 @@ from typing import Sequence, Union
 from .algebra import (
     EPoly,
     MultiPoly,
+    _join_terms,
+    _power,
+    _term_sign_body,
+    _times_factors,
     dispersion_modulus,
     reduce_at_dispersion,
-    render_fraction,
 )
 from .symmat import CharPoly, MatrixSet, build_hamiltonian, char_poly
 
@@ -331,19 +334,10 @@ class Assignment:
         return not self.linear
 
     def render(self) -> str:
-        pieces: list[tuple[bool, str]] = []
-        if not self.constant.is_zero:
-            pieces.extend(_spoly_sign_terms(self.constant))
+        pieces = [_term_sign_body(coeff, factors) for coeff, factors in _spoly_terms(self.constant)]
         for j, poly in self.linear:
-            negative, body = _spoly_factor_body(poly)
-            pieces.append((negative, f"{body}c{j}"))
-        if not pieces:
-            return "0"
-        negative, body = pieces[0]
-        out = f"-{body}" if negative else body
-        for negative, body in pieces[1:]:
-            out += f" - {body}" if negative else f" + {body}"
-        return out
+            pieces.extend(_times_factors(_spoly_terms(poly), [f"c{j}"]))
+        return _join_terms(pieces)
 
 
 @dataclass(frozen=True)
@@ -574,43 +568,13 @@ def check_dispersion(mset: MatrixSet, r: int, massless: bool = False) -> Dispers
 # ---------------------------------------------------------------------------
 
 
-def _spoly_sign_terms(p: SPoly) -> list[tuple[bool, str]]:
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        negative = c < 0
-        mag = abs(c)
-        s_factor = "" if k == 0 else ("s" if k == 1 else f"s^{k}")
-        if s_factor and mag == 1:
-            body = s_factor
-        elif s_factor:
-            body = f"{render_fraction(mag)}*{s_factor}"
-        else:
-            body = render_fraction(mag)
-        terms.append((negative, body))
-    return terms
-
-
-def _spoly_factor_body(p: SPoly) -> tuple[bool, str]:
-    """Render p as a multiplicative prefix for a symbol (e.g. '-s*' for -s)."""
-    terms = _spoly_sign_terms(p)
-    if len(terms) == 1:
-        negative, body = terms[0]
-        return negative, "" if body == "1" else f"{body}*"
-    return False, f"({render_spoly(p)})*"
+def _spoly_terms(p: SPoly) -> list[tuple[Fraction, list[str]]]:
+    """(coefficient, factors) pairs of p, highest power of s first."""
+    return [(p.coeff(k), _power("s", k)) for k in range(p.degree, -1, -1) if p.coeff(k)]
 
 
 def render_spoly(p: SPoly) -> str:
-    terms = _spoly_sign_terms(p)
-    if not terms:
-        return "0"
-    negative, body = terms[0]
-    out = f"-{body}" if negative else body
-    for negative, body in terms[1:]:
-        out += f" - {body}" if negative else f" + {body}"
-    return out
+    return _join_terms([_term_sign_body(coeff, factors) for coeff, factors in _spoly_terms(p)])
 
 
 def render_solution(sol: ForcedCoefficientSolution) -> list[str]:

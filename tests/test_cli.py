@@ -2,9 +2,11 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from diracver import cli
 from diracver.cli import (
     MatrixFileError,
     UsageError,
@@ -291,6 +293,51 @@ def test_spectrum_unwritable_out(dirac_pauli_file, tmp_path):
     result = run_cli("spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-2:2:3", "--out", str(out))
     assert_usage_error(result)
     assert "cannot write" in result.stderr
+
+
+def test_spectrum_opens_out_before_the_sweep(dirac_pauli_file, tmp_path, monkeypatch, capsys):
+    def no_sweep(*args):
+        raise AssertionError("sweep ran before --out was opened")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-2:2:3", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
+def test_grid_rejects_overflowing_energy(dirac_pauli_file, tmp_path):
+    # a huge coordinate, a huge mass, and three squares that overflow only when summed
+    for spec, mass in (("lin:1e300:1e300:1", 1.0), ("lin:0:0:1", 1e200), ("lin:1e154:1e154:1", 0.0)):
+        with pytest.raises(UsageError, match="overflows"):
+            parse_grid_spec(spec, mass)
+    assert parse_grid_spec("lin:1e150:1e150:1", 1e150)[0].energy > 0
+    out = tmp_path / "o.csv"
+    result = run_cli(
+        "spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:1e300:1e300:1", "--out", str(out)
+    )
+    assert_usage_error(result)
+    assert not out.exists()
+
+
+def test_grid_point_cap_is_checked_before_any_allocation(dirac_pauli_file, tmp_path):
+    specs = ("lin:0:1:101", "lin:0:1:10000000000000", "lin:0:1:2,lin:0:1:1000001,lin:0:0:1")
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            with pytest.raises(UsageError, match="more than 1000000 points"):
+                parse_grid_spec(spec, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    out = tmp_path / "o.csv"
+    result = run_cli(
+        "spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:0:1:10000000000000", "--out", str(out)
+    )
+    assert_usage_error(result)
+    assert not out.exists()
 
 
 def test_catalog_unwritable_out(tmp_path):

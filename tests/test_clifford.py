@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracver.algebra import ComplexRational, MultiPoly
 from diracver.clifford import (
@@ -229,6 +232,16 @@ def test_equivalence_on_generic_and_perturbed_sets(dirac_pauli, rng):
     for _ in range(12):
         verdict = equivalence_audit(perturbed_set(rng, catalog(rng.choice(CATALOG_NAMES))))
         assert verdict.consistent
+
+
+@given(st.sampled_from(CATALOG_NAMES), st.integers(0, 2**32 - 1), st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_equivalence_theorem_under_exact_unitaries(name, seed, steps):
+    rng = random.Random(seed)
+    conjugate = random_exact_unitary(rng, steps=steps).conjugate_set(catalog(name))
+    verdict = equivalence_audit(conjugate)
+    assert verdict.consistent and verdict.passed
+    assert equivalence_audit(perturbed_set(rng, conjugate)).consistent
 
 
 def test_dispersion_pass_forces_even_char_poly(all_catalog_sets, rng):
