@@ -1,4 +1,4 @@
-"""Golden CLI reports: `verify`, `derive` and `solve` stdout, stderr and exit codes.
+"""Golden CLI reports: `verify`, `derive`, `solve` and `spectrum` outputs and exit codes.
 
 `tests/golden/cases.json` names each run: the command, its input file under
 `tests/golden/inputs/` (if any), the exit code and the stderr text.  The
@@ -11,6 +11,14 @@ by `random_exact_unitary(Random(4), steps=10)` (an exact, non-identity
 canonical transform), the n = 2 Pauli triple and the dirac-pauli alphas with
 beta = diag(1, 1, 1, -1) (eigenspaces of dimension 3 and 1).  Between them
 they reach every branch of the `verify` and `derive` reports.
+
+A `spectrum` case also writes its CSV, `--out` under the test's temporary
+directory, and compares it byte for byte with
+`tests/golden/expected/<case>.csv`; its stdout names that path, which is
+replaced by `OUT.csv` before the comparison.  The cases sweep the catalog
+sets, the conjugate and the n = 2 Pauli triple over `lin:-2:2:5` with mass
+1, the perturbed-alpha set (flagged rows, exit 1) over the same grid, and
+dirac-pauli over the massless `lin:-1:1:3`, whose origin has E = 0.
 """
 
 import json
@@ -25,13 +33,19 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, capsys):
+def test_report_matches_golden(case, capsys, tmp_path):
     spec = CASES[case]
     argv = list(spec["command"])
     if spec["input"] is not None:
         argv.append(str(GOLDEN / "inputs" / f"{spec['input']}.json"))
+    csv = tmp_path / "out.csv"
+    if argv[0] == "spectrum":
+        argv += ["--out", str(csv)]
     code = main(argv)
     captured = capsys.readouterr()
-    assert captured.out.encode("utf-8") == (GOLDEN / "expected" / f"{case}.out").read_bytes()
+    out = captured.out.replace(str(csv), "OUT.csv")
+    assert out.encode("utf-8") == (GOLDEN / "expected" / f"{case}.out").read_bytes()
+    if argv[0] == "spectrum":
+        assert csv.read_bytes() == (GOLDEN / "expected" / f"{case}.csv").read_bytes()
     assert captured.err == spec["stderr"]
     assert code == spec["exit"]
