@@ -454,6 +454,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             write_csv(result.rows, stream)
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
+    except (ValueError, RuntimeError) as exc:
+        # an entry beyond the float range, or residuals beyond the eigensolver's bound
+        raise UsageError(f"{args.file}: {exc}; no numeric sweep is possible") from exc
     print(f"spectrum sweep: {mset.label or '(unlabeled)'} (n = {mset.n}), mass = {args.mass:g}, samples = {len(grid)}")
     if result.flagged:
         shown = ", ".join(str(k) for k in result.flagged[:5])

@@ -248,6 +248,8 @@ def _gram_schmidt_columns(matrix: Matrix) -> list[tuple[ComplexRational, ...]]:
 
 
 _CANONICAL_BETA = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+_CANONICAL_BETA_ARRAY = matrix_to_array(_CANONICAL_BETA)
+_CANONICAL_BETA_ARRAY.flags.writeable = False
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -334,13 +336,12 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
 
     cols_f = [np.array([complex(x) for x in v]) for v in columns]
     transform_f = np.column_stack([c / np.linalg.norm(c) for c in cols_f])
-    beta_f = transform_f.conj().T @ matrix_to_array(beta) @ transform_f
-    defect = float(np.max(np.abs(beta_f - matrix_to_array(_CANONICAL_BETA))))
+    *alphas, beta_array = mset._complex_stack
+    beta_f = transform_f.conj().T @ beta_array @ transform_f
+    defect = float(np.max(np.abs(beta_f - _CANONICAL_BETA_ARRAY)))
     if defect > NUMERIC_TOLERANCE:
         raise RuntimeError(f"numeric canonicalization defect {defect:.3e} exceeds tolerance")
-    alphas_f = tuple(
-        transform_f.conj().T @ matrix_to_array(a) @ transform_f for a in mset.alphas
-    )
+    alphas_f = tuple(transform_f.conj().T @ a @ transform_f for a in alphas)
     return CanonicalizationResult(
         exact=False,
         matrix_set=None,

@@ -7,6 +7,16 @@ positive-energy eigenspace.  Tolerances are split deliberately: 1e-10 for
 eigenpair residuals, 1e-9 for eigenvalue agreement, and a loud 1e-6 flag
 for broken degeneracy or broken +/- symmetry, so physics violations stand
 out far above numerical noise.
+
+Each ``MatrixSet`` is converted to complex once: its four matrices become
+one read-only ``(4, n, n)`` stack, kept on the instance.  ``sweep`` builds
+the Hamiltonians of a whole grid from that stack and solves them with
+batched ``np.linalg.eigh`` calls of at most ``_CHUNK`` points each, so
+memory stays bounded on the largest grids.  ``eigensolve`` is the same
+solve on a grid of one point.  The Hamiltonian is summed in the order
+``p1*alpha1 + p2*alpha2 + p3*alpha3 + m*beta`` on every path, and each
+matrix of a batch goes through the same LAPACK routine as a single one, so
+the eigenvalues do not depend on how the grid was chunked.
 """
 
 from __future__ import annotations
@@ -86,21 +96,40 @@ def matrix_to_array(matrix: Matrix) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in matrix], dtype=np.complex128)
 
 
+# Most points per eigh call: a (4096, 4, 4) complex array is 1 MB.
+_CHUNK = 4096
+
+
+def _combine(stack: np.ndarray, p1, p2, p3, m) -> np.ndarray:
+    """p1*alpha1 + p2*alpha2 + p3*alpha3 + m*beta, for floats or (k, 1, 1) arrays."""
+    return p1 * stack[0] + p2 * stack[1] + p3 * stack[2] + m * stack[3]
+
+
 def hamiltonian_at(mset: MatrixSet, sample: MomentumSample) -> np.ndarray:
-    arrays = [matrix_to_array(a) for a in mset.alphas]
-    beta = matrix_to_array(mset.beta)
-    h = sample.p[0] * arrays[0] + sample.p[1] * arrays[1] + sample.p[2] * arrays[2] + sample.m * beta
-    return h
+    return _combine(mset._complex_stack, *sample.p, sample.m)
+
+
+def _solve(mset: MatrixSet, grid: Sequence[MomentumSample]) -> tuple[SpectrumRow, ...]:
+    """Ascending real eigenvalues of h(p) at every sample, residual-checked, in order."""
+    stack = mset._complex_stack
+    rows: list[SpectrumRow] = []
+    for start in range(0, len(grid), _CHUNK):
+        chunk = grid[start : start + _CHUNK]
+        coefficients = np.array([(*sample.p, sample.m) for sample in chunk]).T
+        h = _combine(stack, *coefficients[:, :, None, None])
+        values, vectors = np.linalg.eigh(h)
+        residuals = np.max(np.abs(h @ vectors - vectors * values[:, None, :]), axis=(1, 2))
+        bounds = EIGENVALUE_TOLERANCE * np.array([sample.scale for sample in chunk])
+        failed = np.flatnonzero(residuals > bounds)
+        if failed.size:
+            raise RuntimeError(f"eigensolver residual {residuals[failed[0]]:.3e} out of tolerance")
+        rows.extend(SpectrumRow(sample, tuple(v)) for sample, v in zip(chunk, values.tolist()))
+    return tuple(rows)
 
 
 def eigensolve(mset: MatrixSet, sample: MomentumSample) -> SpectrumRow:
     """Ascending real eigenvalues of h(p), residual-checked."""
-    h = hamiltonian_at(mset, sample)
-    values, vectors = np.linalg.eigh(h)
-    residual = float(np.max(np.abs(h @ vectors - vectors * values)))
-    if residual > EIGENVALUE_TOLERANCE * sample.scale:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} out of tolerance")
-    return SpectrumRow(sample, tuple(float(v) for v in values))
+    return _solve(mset, (sample,))[0]
 
 
 def _fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -149,7 +178,7 @@ def _row_defect(row: SpectrumRow) -> float:
 
 def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
     """Eigensolve every sample in order, flagging rows beyond the 1e-6 threshold."""
-    rows = tuple(eigensolve(mset, sample) for sample in grid)
+    rows = _solve(mset, tuple(grid))
     flagged = tuple(k for k, row in enumerate(rows) if _row_defect(row) > DEGENERACY_FLAG)
     return SweepResult(rows, flagged)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -171,6 +172,30 @@ class MatrixSet:
         for k, alpha in enumerate(self.alphas, start=1):
             yield f"alpha{k}", alpha
         yield "beta", self.beta
+
+    @cached_property
+    def _complex_stack(self):
+        """alpha1, alpha2, alpha3, beta as one read-only complex (4, n, n) array.
+
+        Built on first use and kept on the instance, so the float lane
+        converts each exact entry once per set.  It is not a dataclass
+        field: equality, hash and repr ignore it.  numpy is imported here,
+        not at module level, so importing this module does not load it.  An
+        entry beyond the float range raises ``ValueError`` naming its matrix.
+        """
+        import numpy as np
+
+        from .spectrum import matrix_to_array
+
+        arrays = []
+        for name, matrix in self.matrices():
+            try:
+                arrays.append(matrix_to_array(matrix))
+            except OverflowError as exc:
+                raise ValueError(f"{name} has an entry beyond the float range") from exc
+        stack = np.stack(arrays)
+        stack.flags.writeable = False
+        return stack
 
 
 @dataclass(frozen=True)

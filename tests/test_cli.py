@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diracver import cli
 from diracver.cli import (
@@ -340,6 +345,33 @@ def test_grid_point_cap_is_checked_before_any_allocation(dirac_pauli_file, tmp_p
     assert not out.exists()
 
 
+def _with_entry(name, matrix, value, path):
+    """A catalog set with one diagonal entry of `matrix` replaced, written to `path`."""
+    payload = json.loads(serialize_matrix_set(catalog(name)))
+    target = payload["beta"] if matrix == "beta" else payload["alpha"][0]
+    target[0][0] = [value, "0"]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_spectrum_rejects_entries_outside_the_float_lane(tmp_path):
+    out = tmp_path / "o.csv"
+    for value, message in (("1" + "0" * 400, "beyond the float range"), ("100000000", "eigensolver residual")):
+        path = _with_entry("dirac-pauli", "beta", value, tmp_path / "big.json")
+        result = run_cli("spectrum", str(path), "--mass", "1", "--grid", "lin:0:1:2", "--out", str(out))
+        assert_usage_error(result)
+        assert message in result.stderr
+
+
+def test_verify_reports_an_entry_beyond_the_float_range(tmp_path):
+    # weyl-chiral's beta takes the float canonicalisation branch, which reads the alphas as floats
+    path = _with_entry("weyl-chiral", "alpha", "1" + "0" * 400, tmp_path / "big.json")
+    for command in ("verify", "derive"):
+        result = run_cli(command, str(path))
+        assert result.returncode == 1 and result.stderr == ""
+        assert "violation: alpha1 has an entry beyond the float range" in result.stdout
+
+
 def test_catalog_unwritable_out(tmp_path):
     result = run_cli("catalog", "dirac-pauli", "--out", str(tmp_path / "missing" / "dp.json"))
     assert_usage_error(result)
@@ -390,3 +422,133 @@ def test_main_callable_directly(dirac_pauli_file, capsys):
     assert main(["solve", "--n", "2", "--multiplicity", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "c1 = 0\nc0 = -s\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed exit-code contract
+# ---------------------------------------------------------------------------
+
+
+def _safe(text):
+    """Keep argparse's -h/--help (and its prefixes, such as --he) out of fuzzed values."""
+    return not (text.startswith("-") and "h" in text)
+
+
+def _mostly(good, bad):
+    """Draw from `good` four times in five, so fuzzed runs also get past validation."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 0 else good)
+
+
+_WORD = st.text(max_size=10).filter(_safe)
+_NUMBER = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr).filter(_safe),
+    st.sampled_from(["1e200", "1e308", "-0", "nan", "inf", "1/2", "", "x"]),
+    _WORD,
+)
+_LITERAL = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/7"])
+# 10^400 is an exact literal beyond the float range; at 10^8 the eigensolver
+# residuals exceed their bound
+_ODD_LITERAL = st.sampled_from(
+    ["1" + "0" * 400, "100000000", "1/0", "0.5", "x", "", None, 3, ["1", "0"]]
+)
+
+
+@st.composite
+def _hermitian(draw, n):
+    """An n x n Hermitian matrix of real drawn literals."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = [draw(_LITERAL), "0"]
+    return rows
+
+
+@st.composite
+def _matrix_file(draw):
+    """File bytes: arbitrary, a catalog set (intact or mutated), or a set of drawn literals."""
+    kind = draw(st.sampled_from(["bytes", "catalog", "mutated", "drawn", "drawn"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    text = serialize_matrix_set(catalog(draw(st.sampled_from(CATALOG_NAMES)))).encode()
+    if kind == "catalog":
+        return text
+    if kind == "mutated":
+        k = draw(st.integers(0, len(text) - 1))
+        return text[:k] + draw(st.binary(max_size=3)) + text[k + draw(st.integers(0, 3)):]
+    n = draw(_mostly(st.integers(2, 4), st.sampled_from([1, 5])))
+    matrices = [draw(_hermitian(n)) for _ in range(draw(_mostly(st.just(4), st.sampled_from([3, 5]))))]
+    if draw(st.booleans()):
+        # one entry, without its mirror image, replaced by a valid or an odd literal
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrices[draw(st.integers(0, len(matrices) - 1))][i][j] = [
+            draw(st.one_of(_LITERAL, _ODD_LITERAL)), draw(st.sampled_from(["0", "1"]))
+        ]
+    payload = {
+        "n": draw(_mostly(st.just(n), st.one_of(_LITERAL, _ODD_LITERAL))),
+        "label": draw(_mostly(st.text(max_size=5), _ODD_LITERAL)),
+        "alpha": matrices[:-1],
+        "beta": matrices[-1],
+    }
+    return json.dumps(payload).encode()
+
+
+@st.composite
+def _grid(draw):
+    """`lin:lo:hi:count` axes with counts of at most 5, or junk without digits."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(alphabet="lin:,-.ex ", max_size=12))
+    bound = _mostly(st.floats(-3, 3).map(repr), _NUMBER)
+    count = _mostly(st.integers(1, 5).map(str), st.sampled_from(["0", "-1", "", "x", "2.5"]))
+    axes = draw(_mostly(st.sampled_from([1, 3]), st.sampled_from([2, 4])))
+    return ",".join(f"lin:{draw(bound)}:{draw(bound)}:{draw(count)}" for _ in range(axes))
+
+
+@st.composite
+def _argv(draw, folder):
+    """A subcommand with fuzzed option values; every path written lies under `folder`."""
+    data = folder / "input.json"
+    data.write_bytes(draw(_matrix_file()))
+    path = str(draw(_mostly(st.just(data), st.sampled_from([folder / "missing.json", folder]))))
+    command = draw(st.sampled_from(["verify", "derive", "solve", "spectrum", "catalog", "bogus"]))
+    if command == "verify":
+        multiplicity = draw(_mostly(st.integers(1, 4).map(str), _NUMBER))
+        argv = ["verify", path] + draw(st.sampled_from([[], ["--multiplicity", multiplicity]]))
+    elif command == "derive":
+        argv = ["derive", path]
+    elif command == "solve":
+        small = _mostly(st.integers(1, 4).map(str), _NUMBER)
+        argv = ["solve", "--n", draw(small), "--multiplicity", draw(small)]
+    elif command == "spectrum":
+        mass = draw(_mostly(st.floats(0, 3).map(repr), _NUMBER))
+        argv = ["spectrum", path, "--mass", mass, "--grid", draw(_grid()),
+                "--out", str(folder / "out.csv")]
+    elif command == "catalog":
+        argv = ["catalog", draw(st.one_of(st.sampled_from(CATALOG_NAMES), _WORD))]
+        argv += draw(st.sampled_from([[], ["--out", str(folder / "set.json")]]))
+    else:
+        argv = [command, path]
+    # drop or repeat an argument now and then
+    if draw(st.integers(0, 3)) == 0 and len(argv) > 1:
+        k = draw(st.integers(0, len(argv) - 1))
+        argv = argv[:k] + argv[k + 1:] if draw(st.booleans()) else argv + [argv[k]]
+    return argv
+
+
+def _run_captured(argv):
+    # numpy's overflow warnings are shown once per location, which would make
+    # the second run's stderr differ from the first; they are not the CLI's output
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path, data):
+    argv = data.draw(_argv(tmp_path), label="argv")
+    first = _run_captured(argv)
+    assert first[0] in (0, 1, 2, 3)
+    assert _run_captured(argv) == first

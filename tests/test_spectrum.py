@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from diracver import spectrum
 from diracver.clifford import perturbed_set, random_exact_unitary
 from diracver.spectrum import (
     DEGENERACY_FLAG,
@@ -14,7 +16,7 @@ from diracver.spectrum import (
     sweep,
     write_csv,
 )
-from diracver.symmat import build_hamiltonian, char_poly
+from diracver.symmat import MatrixSet, build_hamiltonian, char_poly
 
 
 def grid_samples(lo, hi, count, mass):
@@ -170,3 +172,105 @@ def test_csv_format(dirac_pauli, tmp_path):
     first = lines[1].split(",")
     assert first[:4] == ["0", "0", "0", "1"]
     assert float(first[4]) == pytest.approx(-1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched lane: one conversion per set, chunked eigh
+# ---------------------------------------------------------------------------
+
+
+def fresh_copy(mset):
+    """An equal set with no complex stack built yet."""
+    return dataclasses.replace(mset)
+
+
+def test_each_matrix_is_converted_once_per_set(dirac_pauli, monkeypatch):
+    calls = []
+    convert = spectrum.matrix_to_array
+
+    def counting(matrix):
+        calls.append(matrix)
+        return convert(matrix)
+
+    monkeypatch.setattr(spectrum, "matrix_to_array", counting)
+    mset = fresh_copy(dirac_pauli)
+    grid = grid_samples(-2.0, 2.0, 5, 1.0)
+    sweep(mset, grid)
+    for sample in grid[:20]:
+        positive_energy_spinors(mset, sample)
+    assert len(calls) == 4
+
+
+def test_complex_stack_is_read_only(dirac_pauli):
+    stack = fresh_copy(dirac_pauli)._complex_stack
+    assert stack.shape == (4, 4, 4)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0
+
+
+def test_complex_stack_leaves_equality_hash_and_repr_alone(dirac_pauli):
+    mset = fresh_copy(dirac_pauli)
+    before = (hash(mset), repr(mset))
+    mset._complex_stack
+    assert (hash(mset), repr(mset)) == before
+    assert mset == dirac_pauli and dirac_pauli == mset
+    assert "_complex_stack" not in {field.name for field in dataclasses.fields(MatrixSet)}
+
+
+def test_sweep_rows_equal_single_point_solves(dirac_pauli, rng):
+    grid = grid_samples(-2.0, 2.0, 5, 1.0)
+    for mset in (dirac_pauli, perturbed_set(rng, dirac_pauli)):
+        result = sweep(mset, grid)
+        for k, sample in enumerate(grid):
+            assert result.rows[k].eigenvalues == eigensolve(mset, sample).eigenvalues
+
+
+def test_eigh_calls_are_chunked(dirac_pauli, monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(h):
+        sizes.append(1 if h.ndim == 2 else h.shape[0])
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    chunk = spectrum._CHUNK
+    grid = [MomentumSample((0.001 * k, 0.5, -0.25), 1.0) for k in range(chunk + 1)]
+    result = sweep(dirac_pauli, grid)
+    assert sizes == [chunk, 1]
+    assert len(result.rows) == chunk + 1 and result.flagged == ()
+
+
+def single_point_residual(mset, sample):
+    """The per-point residual max |h v - v lambda| of one eigh call."""
+    h = hamiltonian_at(mset, sample)
+    values, vectors = np.linalg.eigh(h)
+    return float(np.max(np.abs(h @ vectors - vectors * values)))
+
+
+def test_first_failing_point_in_grid_order_raises(dirac_pauli, monkeypatch):
+    # with tolerance 0, h = 0 at the massless origin passes and points with a
+    # rounding residual fail; the error must name the first of those in order
+    origin = MomentumSample((0.0, 0.0, 0.0), 0.0)
+    residuals = {}
+    for sample in grid_samples(-2.0, 2.0, 5, 0.7):
+        residuals.setdefault(f"{single_point_residual(dirac_pauli, sample):.3e}", sample)
+    residuals.pop("0.000e+00", None)
+    (text_a, a), (text_b, b) = list(residuals.items())[:2]
+    monkeypatch.setattr(spectrum, "EIGENVALUE_TOLERANCE", 0.0)
+    for grid, text in (([origin, a, b], text_a), ([origin, b, a], text_b)):
+        with pytest.raises(RuntimeError) as info:
+            sweep(dirac_pauli, grid)
+        assert str(info.value) == f"eigensolver residual {text} out of tolerance"
+    assert eigensolve(dirac_pauli, origin).eigenvalues == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_each_point_keeps_its_own_residual_bound(dirac_pauli, monkeypatch):
+    # a tolerance that point b meets only at its own, larger scale
+    origin = MomentumSample((0.0, 0.0, 0.0), 0.0)
+    b = next(s for s in grid_samples(-2.0, 2.0, 5, 0.7) if single_point_residual(dirac_pauli, s) > 0)
+    assert b.scale > 3 * origin.scale
+    monkeypatch.setattr(spectrum, "EIGENVALUE_TOLERANCE", 1.5 * single_point_residual(dirac_pauli, b) / b.scale)
+    rows = sweep(dirac_pauli, [origin, b, origin]).rows
+    assert [row.sample for row in rows] == [origin, b, origin]
