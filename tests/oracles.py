@@ -1,14 +1,16 @@
 """Independent reference implementations used only to cross-check the package.
 
 These deliberately avoid the code paths they validate: determinants are
-expanded by cofactors instead of the Faddeev-LeVerrier recurrence, and
-polynomial reduction is redone with generic long division.
+expanded by cofactors instead of the Faddeev-LeVerrier recurrence,
+polynomial reduction is redone with generic long division, and the
+multiplicity conditions are rebuilt at a concrete energy instead of over s.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import perm
 
 from diracver.algebra import ComplexRational, EPoly, MultiPoly
 from diracver.symmat import Matrix, PolyMatrix
@@ -81,6 +83,37 @@ def epoly_long_division(q: EPoly, divisor: EPoly) -> tuple[EPoly, EPoly]:
         for i in range(d + 1):
             rem[k - d + i] = rem[k - d + i] - t * divisor.coeff(i)
     return EPoly(quot), EPoly(rem)
+
+
+def multiplicity_system(n: int, r: int, energy: Fraction) -> list[list[Fraction]]:
+    """Augmented rows [A | b] of P^(j)(+-energy) = 0, j < r, in c_0..c_{n-1}.
+
+    P(E) = E^n + sum_k c_k E^k, so in P^(j)(E) = 0 the coefficient of c_k
+    is perm(k, j)*E^(k-j) and the right-hand side is -perm(n, j)*E^(n-j).
+    Both signs of the energy are roots, so the system has 2r rows.
+    """
+    rows = []
+    for j in range(r):
+        for e in (Fraction(energy), -Fraction(energy)):
+            coeffs = [perm(k, j) * e ** (k - j) if k >= j else Fraction(0) for k in range(n)]
+            rows.append(coeffs + [-perm(n, j) * e ** (n - j)])
+    return rows
+
+
+def fraction_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a Fraction matrix by plain row reduction."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def random_fraction(rng: random.Random, span: int = 2, denominators=(1, 2)) -> Fraction:

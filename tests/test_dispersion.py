@@ -25,6 +25,7 @@ from diracver.dispersion import (
     verify_solution,
 )
 from diracver.symmat import MatrixSet, build_hamiltonian, char_poly, mat_identity
+from oracles import fraction_rank, multiplicity_system
 
 
 def solve(n, r):
@@ -116,6 +117,28 @@ def test_feasible_solutions_round_trip():
             result = solve(n, r)
             if isinstance(result, ForcedCoefficientSolution):
                 assert verify_solution(result.requirement, result) == []
+
+
+@pytest.mark.parametrize("e0", [2, 3])
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 5) for r in range(1, n + 1)])
+def test_solver_agrees_with_the_concrete_energy_oracle(n, r, e0):
+    # at s0 = E0^2, both +E0 and -E0 must be roots of multiplicity r
+    s0 = Fraction(e0 * e0)
+    system = multiplicity_system(n, r, Fraction(e0))
+    consistent = fraction_rank([row[:-1] for row in system]) == fraction_rank(system)
+    result = solve(n, r)
+    assert isinstance(result, ForcedCoefficientSolution) == consistent
+    if isinstance(result, InfeasibilityCertificate):
+        assert result.witness.substitute(s0) != 0
+        return
+    for free_value in (Fraction(0), Fraction(5, 7)):
+        c = {j: free_value for j in result.free}
+        for k, a in result.assignments.items():
+            c[k] = a.constant.substitute(s0) + sum(
+                lin.substitute(s0) * free_value for _, lin in a.linear
+            )
+        for row in system:
+            assert sum(row[k] * c[k] for k in range(n)) == row[-1]
 
 
 def test_certificate_witness_nonzero_invariant():

@@ -19,8 +19,13 @@ replaced by `OUT.csv` before the comparison.  The cases sweep the catalog
 sets, the conjugate and the n = 2 Pauli triple over `lin:-2:2:5` with mass
 1, the perturbed-alpha set (flagged rows, exit 1) over the same grid, and
 dirac-pauli over the massless `lin:-1:1:3`, whose origin has E = 0.
+
+The stdout of `scripts/solve_requirements.py`, the feasibility table for
+every n <= 4 and r <= n with its `eigenvalue equation:` lines, is pinned in
+`tests/golden/expected/solve_requirements.out`.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -49,3 +54,13 @@ def test_report_matches_golden(case, capsys, tmp_path):
         assert csv.read_bytes() == (GOLDEN / "expected" / f"{case}.csv").read_bytes()
     assert captured.err == spec["stderr"]
     assert code == spec["exit"]
+
+
+def test_feasibility_table_script_matches_golden(capsys):
+    script = Path(__file__).parents[1] / "scripts" / "solve_requirements.py"
+    spec = importlib.util.spec_from_file_location("solve_requirements", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / "expected" / "solve_requirements.out").read_bytes()
