@@ -4,24 +4,29 @@ For a monic degree-n energy polynomial with unknown coefficients
 ``c_0 .. c_{n-1}``, demanding that ``E_p = +sqrt(s)`` (``s = p.p + m^2``)
 be a root of multiplicity r for every momentum splits each derivative
 condition into an even and an odd part in ``E_p``, giving ``2r`` linear
-equations over the field of rational functions of s.  Exact Gaussian
-elimination then either
+equations in the c_k.  Each equation carries one energy dimension: c_k has
+dimension n - k and s has dimension 2, so every coefficient and constant is
+a single monomial in s.  Scaling the unknowns and equations by those powers
+of s turns the system into one with rational entries, and exact
+Gauss-Jordan elimination over the rationals then either
 
-* solves them, with every forced coefficient verified to be a genuine
-  polynomial in s (:class:`ForcedCoefficientSolution`), or
-* exhibits a nonzero polynomial in s that the system forces to vanish
+* solves them, each forced coefficient getting its power of s back from
+  its dimension (:class:`ForcedCoefficientSolution`), or
+* exhibits a nonzero monomial in s that the system forces to vanish
   identically (:class:`InfeasibilityCertificate`), an impossibility proof
   for that (n, r) pair.
 
-``check_dispersion`` applies the same even/odd reduction to the concrete
-characteristic polynomial of a matrix set and reports the residuals.
+Every solution is substituted back into the conditions in exact Q[s]
+arithmetic before it is returned.  ``check_dispersion`` applies the same
+even/odd reduction to the concrete characteristic polynomial of a matrix
+set and reports the residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import perm
 from typing import Sequence, Union
 
 from .algebra import (
@@ -38,7 +43,6 @@ from .symmat import CharPoly, MatrixSet, build_hamiltonian, char_poly
 
 __all__ = [
     "SPoly",
-    "RatFunc",
     "DegeneracyRequirement",
     "Assignment",
     "ForcedCoefficientSolution",
@@ -98,11 +102,6 @@ class SPoly:
     def coeff(self, k: int) -> Fraction:
         return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
 
-    def leading(self) -> Fraction:
-        if not self._c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
-
     def __add__(self, other: "SPoly") -> "SPoly":
         size = max(len(self._c), len(other._c))
         return SPoly([self.coeff(k) + other.coeff(k) for k in range(size)])
@@ -139,40 +138,6 @@ class SPoly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def divmod(self, other: "SPoly") -> tuple["SPoly", "SPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(0, len(self._c) - len(other._c) + 1)
-        rem = list(self._c)
-        dlc = other.leading()
-        dd = other.degree
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if rem[k] == 0:
-                continue
-            factor = rem[k] / dlc
-            quot[k - dd] = factor
-            for i, b in enumerate(other._c):
-                rem[k - dd + i] -= factor * b
-        return SPoly(quot), SPoly(rem)
-
-    @staticmethod
-    def gcd(a: "SPoly", b: "SPoly") -> "SPoly":
-        """Monic greatest common divisor."""
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a * (1 / a.leading())
-
-    def normalized_integer(self) -> "SPoly":
-        """Scale by the lcm of coefficient denominators; make the leading coefficient positive."""
-        if self.is_zero:
-            return self
-        scale = Fraction(lcm(*(x.denominator for x in self._c)))
-        if self.leading() < 0:
-            scale = -scale
-        return self * scale
-
     def substitute(self, value: Fraction) -> Fraction:
         total = Fraction(0)
         for c in reversed(self._c):
@@ -195,72 +160,6 @@ class SPoly:
 
     def __repr__(self) -> str:
         return f"SPoly({render_spoly(self)!r})"
-
-
-class RatFunc:
-    """Rational function in s: num/den with monic, coprime denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SPoly, den: SPoly | None = None):
-        if den is None:
-            den = SPoly.one()
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = SPoly.one()
-        else:
-            g = SPoly.gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            scale = 1 / den.leading()
-            num = num * scale
-            den = den * scale
-        self.num = num
-        self.den = den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == SPoly.one()
-
-    def as_spoly(self) -> SPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not a polynomial in s")
-        return self.num
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __str__(self) -> str:
-        if self.is_polynomial:
-            return render_spoly(self.num)
-        return f"({render_spoly(self.num)})/({render_spoly(self.den)})"
-
-    __repr__ = __str__
 
 
 @dataclass(frozen=True)
@@ -382,74 +281,54 @@ SolveResult = Union[ForcedCoefficientSolution, InfeasibilityCertificate]
 def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     """Solve the 2r multiplicity conditions for c_0..c_{n-1}, or certify failure.
 
-    Elimination runs over the field of rational functions in s with pivots
-    chosen lowest-index unknown first, so results are reproducible; any
-    coefficient whose solution is not a polynomial in s is reported as
-    infeasible with the offending expression.
+    Every term of a condition has one energy dimension: c_k has dimension
+    n - k and s has dimension 2.  Substituting c_k = s^((n-k)/2)*y_k and
+    dividing each condition by s to half its dimension leaves a system in
+    y with rational entries and the zero pattern of the original, so
+    Gauss-Jordan elimination over the rationals (s = 1), pivots chosen
+    lowest-index unknown first, takes the same pivots and reaches the same
+    reduced form as elimination over the rational functions of s.  Each
+    result then gets its power of s back from its dimension.  A condition
+    term that is not a single monomial of its dimension, or a nonzero
+    result of odd or negative dimension, raises ``RuntimeError``.
     """
-    conditions = multiplicity_conditions(req)
     n = req.n
+    conditions = multiplicity_conditions(req)
+    dims = [n - cond.derivative_order - (cond.parity == "odd") for cond in conditions]
+    # row i: the coefficients of y_0..y_{n-1}, then the right-hand side
     rows = [
-        {
-            "coeffs": [RatFunc(c) for c in cond.coeffs],
-            "rhs": RatFunc(-cond.const),
-            "cond": cond,
-        }
-        for cond in conditions
+        [_monomial_value(x, d - (n - k)) for k, x in enumerate(cond.coeffs)]
+        + [-_monomial_value(cond.const, d)]
+        for cond, d in zip(conditions, dims)
     ]
 
     pivot_row_of: dict[int, int] = {}
     consumed = [False] * len(rows)
     for col in range(n):
-        pivot_idx = next(
-            (i for i, row in enumerate(rows) if not consumed[i] and not row["coeffs"][col].is_zero),
-            None,
-        )
+        pivot_idx = next((i for i, row in enumerate(rows) if not consumed[i] and row[col]), None)
         if pivot_idx is None:
             continue
         consumed[pivot_idx] = True
         pivot_row_of[col] = pivot_idx
         pivot = rows[pivot_idx]
         for i, row in enumerate(rows):
-            if i == pivot_idx or row["coeffs"][col].is_zero:
-                continue
-            factor = row["coeffs"][col] / pivot["coeffs"][col]
-            row["coeffs"] = [a - factor * b for a, b in zip(row["coeffs"], pivot["coeffs"])]
-            row["rhs"] = row["rhs"] - factor * pivot["rhs"]
+            if i != pivot_idx and row[col]:
+                factor = row[col] / pivot[col]
+                rows[i] = [a - factor * b for a, b in zip(row, pivot)]
 
     for i, row in enumerate(rows):
-        if consumed[i]:
-            continue
-        if all(c.is_zero for c in row["coeffs"]) and not row["rhs"].is_zero:
-            # 0 = rhs: a nonzero polynomial in s is forced to vanish
-            witness = (-row["rhs"].num).normalized_integer()
-            cond = row["cond"]
-            return InfeasibilityCertificate(req, witness, _contradiction_narrative(cond, witness))
+        if not consumed[i] and row[n] and not any(row[:n]):
+            # 0 = rhs: a nonzero monomial in s is forced to vanish
+            witness = _with_power_of_s(Fraction(abs(row[n].numerator)), dims[i])
+            return InfeasibilityCertificate(req, witness, _contradiction_narrative(conditions[i], witness))
 
     free = frozenset(range(n)) - pivot_row_of.keys()
     assignments: dict[int, Assignment] = {}
     for col in sorted(pivot_row_of):
         row = rows[pivot_row_of[col]]
-        pivot_coeff = row["coeffs"][col]
-        constant = row["rhs"] / pivot_coeff
-        linear_parts: list[tuple[int, RatFunc]] = []
-        for j in sorted(free):
-            if not row["coeffs"][j].is_zero:
-                linear_parts.append((j, -(row["coeffs"][j] / pivot_coeff)))
-        offender = next(
-            (rf for rf in [constant] + [rf for _, rf in linear_parts] if not rf.is_polynomial),
-            None,
-        )
-        if offender is not None:
-            witness = offender.den.normalized_integer()
-            narrative = (
-                f"solving for c{col} yields {offender}, which is not a polynomial in s; "
-                "no polynomial coefficients can satisfy the conditions"
-            )
-            return InfeasibilityCertificate(req, witness, narrative)
         assignments[col] = Assignment(
-            constant.as_spoly(),
-            tuple((j, rf.as_spoly()) for j, rf in linear_parts),
+            _with_power_of_s(row[n] / row[col], n - col),
+            tuple((j, _with_power_of_s(-row[j] / row[col], j - col)) for j in sorted(free) if row[j]),
         )
 
     solution = ForcedCoefficientSolution(req, assignments, free)
@@ -457,6 +336,28 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     if residuals:
         raise RuntimeError(f"internal solver error: back-substitution residuals {residuals}")
     return solution
+
+
+def _monomial_value(x: SPoly, dimension: int) -> Fraction:
+    """The coefficient of x, which must be zero or a single monomial of the given dimension."""
+    power = dimension // 2
+    if x and (dimension % 2 or dimension < 0 or x != SPoly.monomial(power, x.coeff(power))):
+        raise RuntimeError(
+            f"internal solver error: {x} is not a monomial of energy dimension {dimension}"
+        )
+    return x.coeff(power)
+
+
+def _with_power_of_s(value: Fraction, dimension: int) -> SPoly:
+    """value*s^(dimension/2); a nonzero value needs an even, nonnegative dimension."""
+    if not value:
+        return SPoly.zero()
+    if dimension % 2 or dimension < 0:
+        raise RuntimeError(
+            f"internal solver error: {value} has energy dimension {dimension}, "
+            "which is not a power of s"
+        )
+    return SPoly.monomial(dimension // 2, value)
 
 
 def _contradiction_narrative(cond: _Condition, witness: SPoly) -> str:

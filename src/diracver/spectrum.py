@@ -116,11 +116,13 @@ def _solve(mset: MatrixSet, grid: Sequence[MomentumSample]) -> tuple[SpectrumRow
     for start in range(0, len(grid), _CHUNK):
         chunk = grid[start : start + _CHUNK]
         coefficients = np.array([(*sample.p, sample.m) for sample in chunk]).T
-        h = _combine(stack, *coefficients[:, :, None, None])
-        values, vectors = np.linalg.eigh(h)
-        residuals = np.max(np.abs(h @ vectors - vectors * values[:, None, :]), axis=(1, 2))
+        # an overflowing h gives non-finite residuals, which the check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _combine(stack, *coefficients[:, :, None, None])
+            values, vectors = np.linalg.eigh(h)
+            residuals = np.max(np.abs(h @ vectors - vectors * values[:, None, :]), axis=(1, 2))
         bounds = EIGENVALUE_TOLERANCE * np.array([sample.scale for sample in chunk])
-        failed = np.flatnonzero(residuals > bounds)
+        failed = np.flatnonzero(~(residuals <= bounds))  # a NaN residual fails too
         if failed.size:
             raise RuntimeError(f"eigensolver residual {residuals[failed[0]]:.3e} out of tolerance")
         rows.extend(SpectrumRow(sample, tuple(v)) for sample, v in zip(chunk, values.tolist()))

@@ -363,6 +363,15 @@ def test_spectrum_rejects_entries_outside_the_float_lane(tmp_path):
         assert message in result.stderr
 
 
+def test_spectrum_rejects_an_overflowing_hamiltonian(tmp_path):
+    # 10^300 * 10^10 overflows h to inf; eigh then returns NaN, which must not pass as a row
+    path = _with_entry("dirac-pauli", "beta", "1" + "0" * 300, tmp_path / "huge.json")
+    out = tmp_path / "o.csv"
+    result = run_cli("spectrum", str(path), "--mass", "1e10", "--grid", "lin:-1:1:2", "--out", str(out))
+    assert_usage_error(result)
+    assert "eigensolver residual nan out of tolerance" in result.stderr
+
+
 def test_verify_reports_an_entry_beyond_the_float_range(tmp_path):
     # weyl-chiral's beta takes the float canonicalisation branch, which reads the alphas as floats
     path = _with_entry("weyl-chiral", "alpha", "1" + "0" * 400, tmp_path / "big.json")

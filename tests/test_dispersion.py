@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from diracver import dispersion
 from diracver.algebra import MASS, P1, P2, P3, EPoly
 from diracver.clifford import (
     pauli_set,
@@ -14,7 +16,6 @@ from diracver.dispersion import (
     DegeneracyRequirement,
     ForcedCoefficientSolution,
     InfeasibilityCertificate,
-    RatFunc,
     SPoly,
     check_dispersion,
     factorized_spectrum,
@@ -139,6 +140,31 @@ def test_solver_agrees_with_the_concrete_energy_oracle(n, r, e0):
             )
         for row in system:
             assert sum(row[k] * c[k] for k in range(n)) == row[-1]
+
+
+def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
+    # the coefficient of c_0 in the even part of P has dimension 0, so it is a
+    # bare number; s + 1 is not a single monomial and must not reach s = 1
+    honest = dispersion.multiplicity_conditions
+
+    def tampered(req):
+        rows = honest(req)
+        first = rows[0]
+        return [dataclasses.replace(first, coeffs=(SPoly((1, 1)),) + first.coeffs[1:])] + rows[1:]
+
+    monkeypatch.setattr(dispersion, "multiplicity_conditions", tampered)
+    with pytest.raises(
+        RuntimeError, match=r"internal solver error: s \+ 1 is not a monomial of energy dimension 0"
+    ):
+        solve(2, 1)
+
+
+def test_solver_results_need_an_even_nonnegative_dimension():
+    assert dispersion._with_power_of_s(Fraction(3), 4) == SPoly((0, 0, 3))
+    assert dispersion._with_power_of_s(Fraction(0), -1) == SPoly.zero()
+    for dimension in (1, -2):
+        with pytest.raises(RuntimeError, match="internal solver error"):
+            dispersion._with_power_of_s(Fraction(1), dimension)
 
 
 def test_certificate_witness_nonzero_invariant():
@@ -285,13 +311,3 @@ def test_spoly_substitution_consistency():
     p = SPoly((3, 0, 1))  # s^2 + 3
     assert p.substitute(Fraction(2)) == Fraction(7)
     assert p.to_multipoly().evaluate((1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
-
-
-def test_ratfunc_normalization():
-    quotient = RatFunc(SPoly((0, 0, 2)), SPoly((0, 4)))  # 2s^2 / 4s
-    assert quotient.is_polynomial
-    assert quotient.as_spoly() == SPoly((0, Fraction(1, 2)))
-    improper = RatFunc(SPoly((1,)), SPoly((0, 1)))  # 1/s
-    assert not improper.is_polynomial
-    with pytest.raises(ValueError):
-        improper.as_spoly()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracver import spectrum
+from diracver.algebra import ComplexRational
 from diracver.clifford import perturbed_set, random_exact_unitary
 from diracver.spectrum import (
     DEGENERACY_FLAG,
@@ -274,3 +275,11 @@ def test_each_point_keeps_its_own_residual_bound(dirac_pauli, monkeypatch):
     monkeypatch.setattr(spectrum, "EIGENVALUE_TOLERANCE", 1.5 * single_point_residual(dirac_pauli, b) / b.scale)
     rows = sweep(dirac_pauli, [origin, b, origin]).rows
     assert [row.sample for row in rows] == [origin, b, origin]
+
+
+def test_eigensolve_rejects_a_non_finite_residual(dirac_pauli):
+    beta = [list(row) for row in dirac_pauli.beta]
+    beta[0][0] = ComplexRational(10**300)
+    huge = MatrixSet(4, dirac_pauli.alphas, tuple(tuple(row) for row in beta))
+    with pytest.raises(RuntimeError, match="eigensolver residual nan"):
+        eigensolve(huge, MomentumSample((1.0, 1.0, 1.0), 1e10))
