@@ -21,7 +21,6 @@ from .clifford import (
     CATALOG_NAMES,
     CanonicalizationResult,
     CliffordReport,
-    CrossTermReport,
     EquivalenceVerdict,
     ExactUnitary,
     StructureReport,
@@ -32,7 +31,6 @@ from .clifford import (
     check_alpha_structure,
     check_anticommutation,
     check_trace_det,
-    cross_term_audit,
     equivalence_audit,
     pauli_set,
     perturbed_set,

@@ -206,9 +206,6 @@ class ComplexRational:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __complex__(self) -> complex:
-        return complex(self._a / self._d, self._b / self._d)
-
     def __str__(self) -> str:
         return render_scalar(self)
 

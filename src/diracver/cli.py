@@ -11,14 +11,16 @@ the schema and for the `lin:lo:hi:count` grid syntax.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
 from .clifford import (
@@ -204,12 +206,6 @@ def _matrix_summary(matrix: Matrix) -> str:
     return "0"
 
 
-def _norm_str(value) -> str:
-    if isinstance(value, Fraction):
-        return render_fraction(value)
-    return f"{value:.12g}"
-
-
 @dataclass(frozen=True)
 class _Audit:
     """The n = 4 consequence chain, each stage run once.
@@ -261,7 +257,7 @@ class _Audit:
             return []
         pairs = zip(self.structure.alpha_blocks, self.structure.norm_values)
         return [
-            f"alpha{k}: {blocks} = {'yes' if ok else 'no'}, {norm} = {_norm_str(value)}"
+            f"alpha{k}: {blocks} = {'yes' if ok else 'no'}, {norm} = {render_fraction(value)}"
             for k, (ok, value) in enumerate(pairs, start=1)
         ]
 
@@ -441,15 +437,39 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
     ]
 
 
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text stream whose contents replace ``path`` only if the block succeeds.
+
+    The stream writes a temporary file beside the target, so an unwritable
+    path fails on entry, before the block runs, and a block that raises
+    leaves the old file untouched.  A target that exists but is not a
+    regular file (a pipe or a device) holds nothing to keep and is written
+    directly; a symbolic link keeps pointing at the file it names.
+    """
+    if path.exists() and not path.is_file():
+        with path.open("w", encoding="utf-8", newline="") as stream:
+            yield stream
+        return
+    target = path.resolve()
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w", encoding="utf-8", newline="") as stream:
+            yield stream
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     mset = parse_matrix_file(args.file)
     if not math.isfinite(args.mass) or args.mass < 0:
         raise UsageError(f"mass must be finite and nonnegative, got {args.mass:g}")
     grid = parse_grid_spec(args.grid, args.mass)
     out_path = Path(args.out)
-    # open before the sweep, so an unwritable path fails before any eigensolve
     try:
-        with out_path.open("w", encoding="utf-8", newline="") as stream:
+        with _replacing(out_path) as stream:
             result = sweep(mset, grid)
             write_csv(result.rows, stream)
     except OSError as exc:

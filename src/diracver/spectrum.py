@@ -93,7 +93,7 @@ class SweepResult:
 
 
 def matrix_to_array(matrix: Matrix) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in matrix], dtype=np.complex128)
+    return np.array([[complex(x.re, x.im) for x in row] for row in matrix], dtype=np.complex128)
 
 
 # Most points per eigh call: a (4096, 4, 4) complex array is 1 MB.

@@ -8,22 +8,23 @@ over :class:`~diracver.algebra.MultiPoly` entries, and ``char_poly`` computes
 ``det(E*I - h)`` by the Faddeev-LeVerrier recurrence, every coefficient in
 one pass.
 
-``char_poly`` runs on Gaussian integers.  It multiplies the matrix by D, the
-lcm of all its coefficient denominators, once.  The characteristic
-polynomial of a matrix whose entries have Gaussian-integer coefficients has
-Gaussian-integer coefficients itself, so the recurrence's only divisions,
-by k = 1..n, are exact integer divisions, checked to leave no remainder.
-Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
-input, and it is divided back out when the result is converted to
-``MultiPoly`` values.  No gcd is taken inside the recurrence.
-``trace_and_det`` reads each determinant off the constant term,
-``det(A) = (-1)^n c_0``.
+``char_poly`` and ``mat_mul`` run on Gaussian integers.  A
+``ComplexRational`` is stored as (a + b*i)/d, so a matrix times D, the lcm
+of its entries' d, has Gaussian-integer entries.  Each kernel clears the
+denominators of its inputs once and rebuilds only its results as exact
+scalars; no gcd is taken inside a product or the recurrence.  The
+characteristic polynomial of a matrix whose entries have Gaussian-integer
+coefficients has Gaussian-integer coefficients itself, so the recurrence's
+only divisions, by k = 1..n, are exact integer divisions, checked to leave
+no remainder.  Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)``
+times that of the input, and it is divided back out when the result is
+converted to ``MultiPoly`` values.  ``trace_and_det`` reads each
+determinant off the constant term, ``det(A) = (-1)^n c_0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterator, Sequence
@@ -115,13 +116,48 @@ def mat_scale(a: Matrix, factor: Scalar) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
+def _gaussian(x: ComplexRational, denom: int) -> tuple[int, int]:
+    """denom * x as a Gaussian integer (re, im); denom must be a multiple of x's denominator."""
+    k = denom // x._d
+    return x._a * k, x._b * k
+
+
+def _cleared(a: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
+    """The entries of ``a`` as Gaussian integers over their common denominator."""
+    denom = lcm(*(x._d for row in a for x in row))
+    return [[_gaussian(x, denom) for x in row] for row in a], denom
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum((a[i][k] * cols[j][k] for k in range(n)), ComplexRational(0)) for j in range(n))
-        for i in range(n)
-    )
+    """Exact product in Gaussian integers: D_a*a times D_b*b, rebuilt over D_a*D_b."""
+    ga, da = _cleared(a)
+    gb, db = _cleared(b)
+    denom = da * db
+    cols = list(zip(*gb))
+    out = []
+    for row in ga:
+        out_row = []
+        for col in cols:
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(row, col):
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            out_row.append(ComplexRational._from_ints(re, im, denom))
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _trace_product(a: Matrix, b: Matrix) -> ComplexRational:
+    """Tr(a b) without forming the product, in Gaussian integers like ``mat_mul``."""
+    ga, da = _cleared(a)
+    gb, db = _cleared(b)
+    re = im = 0
+    for j, row in enumerate(ga):
+        for k, (ar, ai) in enumerate(row):
+            br, bi = gb[k][j]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+    return ComplexRational._from_ints(re, im, da * db)
 
 
 def mat_dagger(a: Matrix) -> Matrix:
@@ -335,19 +371,16 @@ def char_poly(M: PolyMatrix) -> CharPoly:
         raise UnsupportedDimensionError(f"char_poly supports 1 <= n <= 4, got {n}")
     terms = [[tuple(entry.terms()) for entry in row] for row in M.entries]
     flat = [term for row in terms for entry in row for term in entry]
-    denom = lcm(1, *(part.denominator for _, c in flat for part in (c.re, c.im)))
+    denom = lcm(1, *(c._d for _, c in flat))
     # exponents in the recurrence never exceed n times the largest input one
     width = (n * max((e for mono, _ in flat for e in mono), default=0)).bit_length()
     mask = (1 << width) - 1
-
-    def scaled(part: Fraction) -> int:
-        return part.numerator * (denom // part.denominator)
 
     A = [
         [
             {
                 mono[0] | mono[1] << width | mono[2] << 2 * width | mono[3] << 3 * width:
-                (scaled(c.re), scaled(c.im))
+                _gaussian(c, denom)
                 for mono, c in entry
             }
             for entry in row

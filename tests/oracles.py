@@ -2,14 +2,18 @@
 
 These deliberately avoid the code paths they validate: determinants are
 expanded by cofactors instead of the Faddeev-LeVerrier recurrence,
-polynomial reduction is redone with generic long division, and the
-multiplicity conditions are rebuilt at a concrete energy instead of over s.
+polynomial reduction is redone with generic long division, the
+multiplicity conditions are rebuilt at a concrete energy instead of over s,
+matrix products are plain ComplexRational sums instead of Gaussian-integer
+kernels, and the alpha blocks are read off entry by entry in an explicit
+eigenbasis of beta instead of through projector traces.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import perm
 
 from diracver.algebra import ComplexRational, EPoly, MultiPoly
@@ -142,3 +146,83 @@ def random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:
     return tuple(
         tuple((raw[i][j] + raw[j][i].conj()) * half for j in range(n)) for i in range(n)
     )
+
+
+def mat_mul_reference(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product by the textbook triple loop, one ComplexRational op at a time."""
+    n = len(a)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = ComplexRational(0)
+            for k in range(n):
+                total = total + a[i][k] * b[k][j]
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def dagger_reference(a: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(tuple(a[j][i].conj() for j in range(n)) for i in range(n))
+
+
+def _gaussian_unit_factor(q: Fraction) -> ComplexRational | None:
+    """A Gaussian rational c with |c|^2 = 1/q, from a small search, or None."""
+    for z in range(1, 13):
+        for x, y in product(range(z + 1), repeat=2):
+            if Fraction(x * x + y * y, z * z) * q == 1:
+                return ComplexRational(Fraction(x, z), Fraction(y, z))
+    return None
+
+
+def unit_eigenbasis(beta: Matrix) -> Matrix | None:
+    """A unitary with Gaussian-rational entries whose columns are eigenvectors
+    of an involutive Hermitian beta, the +1 ones first; None if the small
+    search finds no unit factor for some column.
+
+    Columns of (1 +- beta)/2 are orthogonalised one at a time and each is
+    scaled by a Gaussian rational of the right modulus, which exists for
+    more bases than a rational square root does (|1 + i|^2 = 2).
+    """
+    n = len(beta)
+    columns = []
+    for sign in (1, -1):
+        projector = [
+            [((1 if i == j else 0) + sign * beta[i][j]) * Fraction(1, 2) for j in range(n)]
+            for i in range(n)
+        ]
+        for j in range(n):
+            v = [projector[i][j] for i in range(n)]
+            for u in columns:
+                uu = sum((x.conj() * x for x in u), ComplexRational(0))
+                uv = sum((x.conj() * y for x, y in zip(u, v)), ComplexRational(0))
+                v = [y - x * (uv / uu) for x, y in zip(u, v)]
+            if any(v):
+                columns.append(v)
+    scaled = []
+    for v in columns:
+        factor = _gaussian_unit_factor(sum((x.abs2() for x in v), Fraction(0)))
+        if factor is None:
+            return None
+        scaled.append([x * factor for x in v])
+    return tuple(tuple(scaled[j][i] for j in range(len(scaled))) for i in range(n))
+
+
+_DIAGONAL_BLOCKS = [(i, j) for i in range(4) for j in range(4) if (i < 2) == (j < 2)]
+
+
+def block_reader(alphas, unitary: Matrix) -> tuple[tuple[bool, ...], tuple[Fraction, ...]]:
+    """Conjugate each alpha into the basis of ``unitary``'s columns and read its entries.
+
+    Returns, per alpha, whether both diagonal 2x2 blocks vanish and the
+    squared norm of the upper off-diagonal block.
+    """
+    dagger = dagger_reference(unitary)
+    blocks, norms = [], []
+    for alpha in alphas:
+        c = mat_mul_reference(dagger, mat_mul_reference(alpha, unitary))
+        blocks.append(all(c[i][j].is_zero for i, j in _DIAGONAL_BLOCKS))
+        norms.append(sum((c[i][j].abs2() for i in (0, 1) for j in (2, 3)), Fraction(0)))
+    return tuple(blocks), tuple(norms)

@@ -372,13 +372,57 @@ def test_spectrum_rejects_an_overflowing_hamiltonian(tmp_path):
     assert "eigensolver residual nan out of tolerance" in result.stderr
 
 
-def test_verify_reports_an_entry_beyond_the_float_range(tmp_path):
-    # weyl-chiral's beta takes the float canonicalisation branch, which reads the alphas as floats
+def test_verify_audits_a_400_digit_alpha_entry_exactly(tmp_path):
+    # weyl-chiral's beta has no unit-normalised eigenbasis over Q; its alpha structure is still exact
     path = _with_entry("weyl-chiral", "alpha", "1" + "0" * 400, tmp_path / "big.json")
-    for command in ("verify", "derive"):
+    # alpha1 + t*E11 with t = 10^400: E11 has the off-diagonal block diag(1/2, 0), orthogonal to alpha1's
+    norm = 10**800 // 4 + 2
+    for command, line in (
+        ("verify", f"alpha1: diagonal blocks vanish = no, norm condition = {norm}"),
+        ("derive", f"alpha1: blocks vanish = no, norm = {norm}"),
+    ):
         result = run_cli(command, str(path))
         assert result.returncode == 1 and result.stderr == ""
-        assert "violation: alpha1 has an entry beyond the float range" in result.stdout
+        assert "Traceback" not in result.stdout and "float range" not in result.stdout
+        assert f"  {line}\n" in result.stdout
+
+
+def test_failed_spectrum_keeps_the_old_out_file(tmp_path):
+    # the 10^300 beta entry overflows h at mass 1e10: exit 3 after the sweep has started
+    path = _with_entry("dirac-pauli", "beta", "1" + "0" * 300, tmp_path / "huge.json")
+    out = tmp_path / "out" / "o.csv"
+    out.parent.mkdir()
+    out.write_bytes(b"earlier,bytes\n1,2\n")
+    result = run_cli("spectrum", str(path), "--mass", "1e10", "--grid", "lin:-1:1:2", "--out", str(out))
+    assert_usage_error(result)
+    assert out.read_bytes() == b"earlier,bytes\n1,2\n"
+    assert [p.name for p in out.parent.iterdir()] == ["o.csv"]
+    fresh = tmp_path / "out" / "new.csv"
+    assert_usage_error(
+        run_cli("spectrum", str(path), "--mass", "1e10", "--grid", "lin:-1:1:2", "--out", str(fresh))
+    )
+    assert not fresh.exists()
+
+
+def test_spectrum_replaces_the_file_behind_a_symlink(dirac_pauli_file, tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code = main(["spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-1:1:2", "--out", str(link)])
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("px,py,pz,m,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([dirac_pauli_file.name, "link.csv", "target.csv"])
+
+
+def test_spectrum_writes_a_pipe_directly(dirac_pauli_file):
+    # /dev/stdout is the captured pipe: there is no old file to keep and no directory for a temporary one
+    result = run_cli("spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-1:1:2", "--out", "/dev/stdout")
+    assert result.returncode == 0 and result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("px,py,pz,m,") and len(lines) == 1 + 8 + 3
+    assert lines[-1] == "csv written: /dev/stdout"
 
 
 def test_catalog_unwritable_out(tmp_path):

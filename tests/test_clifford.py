@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from diracver.clifford import (
     check_alpha_structure,
     check_anticommutation,
     check_trace_det,
-    cross_term_audit,
     equivalence_audit,
     pauli_set,
     perturbed_set,
@@ -36,6 +37,9 @@ from diracver.symmat import (
     mat_mul,
     mat_scale,
 )
+from oracles import block_reader, dagger_reference, mat_mul_reference, unit_eigenbasis
+
+_CANONICAL = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
 
 
 def _with_alpha1(mset, alpha1):
@@ -135,12 +139,10 @@ def test_canonicalize_identity_transform(dirac_pauli):
     result = canonicalize_beta(dirac_pauli)
     assert result.exact
     assert result.description == "identity (beta already canonical)"
-    assert result.matrix_set == MatrixSet(
-        4, dirac_pauli.alphas, dirac_pauli.beta, label=result.matrix_set.label
-    )
+    assert result.transform_exact == mat_identity(4)
+    assert result.matrix_set is dirac_pauli
     report = check_alpha_structure(result)
     assert report.passed
-    assert report.tolerance == 0.0
     assert report.norm_values == (Fraction(2), Fraction(2), Fraction(2))
 
 
@@ -151,34 +153,37 @@ def test_canonicalize_permuted_beta_is_exact(dirac_pauli):
     result = canonicalize_beta(shuffled)
     assert result.exact
     # every transform entry is 0 or a unit: a permutation of the basis
-    entries = {x for row in result.transform_exact for x in row}
+    u = result.transform_exact
+    entries = {x for row in u for x in row}
     assert entries <= {ComplexRational(0), ComplexRational(1), ComplexRational(-1)}
-    assert result.matrix_set.beta == as_matrix(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-    )
+    assert mat_mul_reference(dagger_reference(u), mat_mul_reference(shuffled.beta, u)) == _CANONICAL
 
 
-def test_canonicalize_chiral_beta_needs_floats(weyl_chiral):
+def test_canonicalize_chiral_beta_is_decided_exactly(weyl_chiral):
     result = canonicalize_beta(weyl_chiral)
+    # the eigenbasis needs 1/sqrt(2): no unit-normalised basis over Q
     assert not result.exact
-    assert result.tolerance == 1e-12
-    # Hadamard-like mixing: every entry is 0 or 1/sqrt(2) in magnitude
-    magnitudes = np.abs(result.transform)
-    assert np.all(
-        (magnitudes < 1e-12) | (np.abs(magnitudes - 1 / np.sqrt(2)) < 1e-12)
+    assert result.transform_exact is None
+    assert result.description == (
+        "orthogonal basis with squared column norms 1/2, 1/2, 1/2, 1/2 (not unit-normalisable over Q)"
     )
     report = check_alpha_structure(result)
     assert report.passed
-    assert all(abs(v - 2.0) < 1e-11 for v in report.norm_values)
+    assert report.alpha_blocks == (True, True, True)
+    assert report.norm_values == (Fraction(2), Fraction(2), Fraction(2))
+    assert all(type(v) is Fraction for v in report.norm_values)
 
-    # independent eigensolver route agrees on the structure verdict
-    beta_f = np.array([[complex(x) for x in row] for row in weyl_chiral.beta])
-    _, vectors = np.linalg.eigh(beta_f)
+    # independent eigensolver route agrees on the block verdict
+    def to_array(matrix):
+        return np.array([[complex(x.re, x.im) for x in row] for row in matrix])
+
+    _, vectors = np.linalg.eigh(to_array(weyl_chiral.beta))
     basis = np.column_stack([vectors[:, 2], vectors[:, 3], vectors[:, 0], vectors[:, 1]])
     for alpha in weyl_chiral.alphas:
-        a_f = basis.conj().T @ np.array([[complex(x) for x in row] for row in alpha]) @ basis
+        a_f = basis.conj().T @ to_array(alpha) @ basis
         for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
             assert abs(a_f[i, j]) < 1e-10
+        assert abs(np.sum(np.abs(a_f[:2, 2:]) ** 2) - 2) < 1e-10
 
 
 def test_canonicalize_rejects_non_involutive_beta(dirac_pauli):
@@ -206,6 +211,54 @@ def test_structure_flags_nonzero_diagonal_entry(dirac_pauli):
 def test_structure_requires_canonical_beta(weyl_chiral):
     with pytest.raises(ValueError, match="canonicalize"):
         check_alpha_structure(weyl_chiral)
+
+
+_UNIT_BASES = {name: unit_eigenbasis(catalog(name).beta) for name in CATALOG_NAMES}
+
+
+@given(
+    st.sampled_from(CATALOG_NAMES),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.integers(0, 20),
+)
+@settings(max_examples=60, deadline=None)
+def test_projector_structure_matches_the_block_reader(name, seed, entries, steps):
+    # a catalog set with perturbed alphas, conjugated by an exact unitary V, has the
+    # exact eigenbasis V U of its beta, where U is the catalog beta's unit eigenbasis
+    rng = random.Random(seed)
+    base = catalog(name)
+    perturbed = perturbed_set(rng, base, entries=entries)
+    v = random_exact_unitary(rng, steps=steps)
+    mset = v.conjugate_set(MatrixSet(4, perturbed.alphas, base.beta))
+    basis = mat_mul_reference(v.matrix, _UNIT_BASES[name])
+    assert mat_mul_reference(dagger_reference(basis), mat_mul_reference(mset.beta, basis)) == _CANONICAL
+
+    report = check_alpha_structure(canonicalize_beta(mset))
+    blocks, norms = block_reader(mset.alphas, basis)
+    assert report.alpha_blocks == blocks
+    assert report.norm_values == norms
+    assert all(type(value) is Fraction for value in report.norm_values)
+    assert report.passed == (all(blocks) and all(value == 2 for value in norms))
+
+
+_EXACT_MODULES = ("algebra.py", "dispersion.py", "clifford.py")
+
+
+def test_exact_modules_use_no_floats():
+    package = Path(__file__).parents[1] / "src" / "diracver"
+    for module in _EXACT_MODULES:
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            where = f"{module}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "numpy" for alias in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy", where
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("float", "complex"), where
+            elif isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
 
 
 # ---------------------------------------------------------------------------
@@ -260,45 +313,6 @@ def test_consequence_chain(all_catalog_sets, rng):
         assert check_trace_det(mset).passed
         assert beta_spectrum(mset) == (1, 1, -1, -1)
         assert check_alpha_structure(canonicalize_beta(mset)).passed
-
-
-# ---------------------------------------------------------------------------
-# cross terms
-# ---------------------------------------------------------------------------
-
-
-def test_cross_terms_vanish_for_standard_set(dirac_pauli):
-    report = cross_term_audit(dirac_pauli)
-    assert report.passed
-    assert all(p.identity_defect.is_zero for p in report.pairs)
-    assert report.residuals == (ComplexRational(0),) * 3
-
-
-def test_cross_terms_detect_equal_alphas(dirac_pauli):
-    broken = MatrixSet(4, (dirac_pauli.alphas[0],) * 2 + (dirac_pauli.alphas[2],), dirac_pauli.beta)
-    report = cross_term_audit(broken)
-    assert not report.passed
-    pair12 = report.pairs[0]
-    assert pair12.pair == (1, 2)
-    # {X, X} = 2 X^2 = 2; first two diagonal entries sum to 4
-    assert pair12.anticommutator_upper_diagonal == ComplexRational(4)
-    assert pair12.coefficient == ComplexRational(-4)
-    assert pair12.identity_defect.is_zero
-
-
-def test_cross_terms_unchanged_under_alpha_sign_flip(dirac_pauli):
-    flipped = MatrixSet(
-        4,
-        (dirac_pauli.alphas[0], mat_scale(dirac_pauli.alphas[1], -1), dirac_pauli.alphas[2]),
-        dirac_pauli.beta,
-    )
-    assert cross_term_audit(flipped).residuals == cross_term_audit(dirac_pauli).residuals
-
-
-def test_cross_term_identity_holds_for_generic_sets(rng):
-    for _ in range(10):
-        report = cross_term_audit(random_hermitian_set(rng))
-        assert all(p.identity_defect.is_zero for p in report.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,21 @@ from diracver.symmat import (
     as_matrix,
     build_hamiltonian,
     char_poly,
+    mat_dagger,
     mat_identity,
+    mat_mul,
     mat_trace,
     mat_zero,
     poly_matrix_of_scalars,
     trace_and_det,
 )
-from oracles import char_poly_cofactor, char_poly_cofactor_pm, det_cofactor, random_hermitian_matrix
+from oracles import (
+    char_poly_cofactor,
+    char_poly_cofactor_pm,
+    det_cofactor,
+    mat_mul_reference,
+    random_hermitian_matrix,
+)
 
 I = ComplexRational(0, 1)
 
@@ -45,6 +53,22 @@ def poly_matrices(draw):
     n = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(mixed_polys, min_size=n, max_size=n), min_size=n, max_size=n))
     return PolyMatrix(n, tuple(tuple(row) for row in rows))
+
+
+# real parts are integers, so every denominator sits in an imaginary part
+imaginary_denominators = st.builds(ComplexRational, st.integers(-9, 9), mixed_fractions)
+
+
+@st.composite
+def scalar_matrix_pairs(draw):
+    """Two n x n matrices, each of mixed-denominator, imaginary-denominator or zero entries."""
+    n = draw(st.integers(1, 4))
+    kinds = st.sampled_from((mixed_scalars, imaginary_denominators, st.just(ComplexRational(0))))
+
+    def matrix(entries):
+        return as_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+    return matrix(draw(kinds)), matrix(draw(kinds))
 
 
 def test_hermiticity_enforced_at_construction(dirac_pauli):
@@ -189,3 +213,24 @@ def test_trace_and_det_examples(dirac_pauli):
 
     values = trace_and_det(pauli_set())
     assert values["alpha1"] == (ComplexRational(0), ComplexRational(-1))
+
+
+@given(scalar_matrix_pairs())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_matches_the_reference_product(pair):
+    a, b = pair
+    assert mat_mul(a, b) == mat_mul_reference(a, b)
+    assert mat_mul(b, a) == mat_mul_reference(b, a)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    steps=st.integers(10, 60),
+    base=st.sampled_from(CATALOG_NAMES),
+)
+@settings(max_examples=20, deadline=None)
+def test_mat_mul_of_long_conjugates_matches_the_reference_product(rng, steps, base):
+    u = random_exact_unitary(rng, steps=steps)
+    mset = u.conjugate_set(catalog(base))
+    for a, b in ((mset.beta, mset.alphas[0]), (mset.alphas[1], mset.alphas[2]), (u.matrix, mat_dagger(u.matrix))):
+        assert mat_mul(a, b) == mat_mul_reference(a, b)
