@@ -6,14 +6,23 @@ eigenvalue pattern {-E_p, -E_p, +E_p, +E_p} plus the two-dimensional
 positive-energy eigenspace.  Tolerances are split deliberately: 1e-10 for
 eigenpair residuals, 1e-9 for eigenvalue agreement, and a loud 1e-6 flag
 for broken degeneracy or broken +/- symmetry, so physics violations stand
-out far above numerical noise.
+out far above numerical noise.  The eigenvalue residual bound is
+``1e-9 * (1 + |p|*a + m*b)``, where ``a`` and ``b`` are the largest entry
+moduli of the alphas and of beta, each raised to at least 1: a backward
+stable solver's residual grows with the size of h, and on sets with unit
+entries the bound is ``1e-9 * (1 + |p| + m)``.
+
+numpy is imported by the functions that compute, not at module level, so
+importing this module (and with it ``diracver`` and ``diracver.cli``) does
+not load it; it loads on the first numeric call.
 
 Each ``MatrixSet`` is converted to complex once: its four matrices become
 one read-only ``(4, n, n)`` stack, kept on the instance.  ``sweep`` builds
 the Hamiltonians of a whole grid from that stack and solves them with
 batched ``np.linalg.eigh`` calls of at most ``_CHUNK`` points each, so
-memory stays bounded on the largest grids.  ``eigensolve`` is the same
-solve on a grid of one point.  The Hamiltonian is summed in the order
+memory stays bounded on the largest grids; the flags are read off each
+batch's eigenvalue array.  ``eigensolve`` is the same solve on a grid of
+one point.  The Hamiltonian is summed in the order
 ``p1*alpha1 + p2*alpha2 + p3*alpha3 + m*beta`` on every path, and each
 matrix of a batch goes through the same LAPACK routine as a single one, so
 the eigenvalues do not depend on how the grid was chunked.
@@ -23,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .symmat import Matrix, MatrixSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MomentumSample",
@@ -93,6 +103,8 @@ class SweepResult:
 
 
 def matrix_to_array(matrix: Matrix) -> np.ndarray:
+    import numpy as np
+
     return np.array([[complex(x.re, x.im) for x in row] for row in matrix], dtype=np.complex128)
 
 
@@ -109,29 +121,53 @@ def hamiltonian_at(mset: MatrixSet, sample: MomentumSample) -> np.ndarray:
     return _combine(mset._complex_stack, *sample.p, sample.m)
 
 
-def _solve(mset: MatrixSet, grid: Sequence[MomentumSample]) -> tuple[SpectrumRow, ...]:
+def _defects(values: np.ndarray) -> np.ndarray:
+    """Largest violation of +/- symmetry or, for n = 4, of pairwise double degeneracy, per row."""
+    import numpy as np
+
+    defect = abs(values + values[:, ::-1]).max(axis=1)
+    if values.shape[1] == 4:  # e1 - e2 and e3 - e4
+        defect = np.maximum(defect, abs(values[:, 0::2] - values[:, 1::2]).max(axis=1))
+    return defect
+
+
+def _entry_norms(stack: np.ndarray) -> tuple[float, float]:
+    """The largest entry moduli of the alphas and of beta, each at least 1 (1.0 for unit entries)."""
+    *alphas, beta = abs(stack).max(axis=(1, 2)).tolist()
+    return max(1.0, *alphas), max(1.0, beta)
+
+
+def _solve(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
     """Ascending real eigenvalues of h(p) at every sample, residual-checked, in order."""
+    import numpy as np
+
     stack = mset._complex_stack
+    alpha_norm, beta_norm = _entry_norms(stack)
     rows: list[SpectrumRow] = []
+    flagged: list[int] = []
     for start in range(0, len(grid), _CHUNK):
         chunk = grid[start : start + _CHUNK]
         coefficients = np.array([(*sample.p, sample.m) for sample in chunk]).T
+        p1, p2, p3, m = coefficients
         # an overflowing h gives non-finite residuals, which the check below rejects
         with np.errstate(over="ignore", invalid="ignore"):
             h = _combine(stack, *coefficients[:, :, None, None])
             values, vectors = np.linalg.eigh(h)
             residuals = np.max(np.abs(h @ vectors - vectors * values[:, None, :]), axis=(1, 2))
-        bounds = EIGENVALUE_TOLERANCE * np.array([sample.scale for sample in chunk])
-        failed = np.flatnonzero(~(residuals <= bounds))  # a NaN residual fails too
+            momentum = np.sqrt(p1**2 + p2**2 + p3**2)
+            bounds = EIGENVALUE_TOLERANCE * (1.0 + momentum * alpha_norm + m * beta_norm)
+        # the bound itself is infinite when |p|*a or m*b overflows
+        failed = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bounds)))
         if failed.size:
             raise RuntimeError(f"eigensolver residual {residuals[failed[0]]:.3e} out of tolerance")
-        rows.extend(SpectrumRow(sample, tuple(v)) for sample, v in zip(chunk, values.tolist()))
-    return tuple(rows)
+        rows.extend(map(SpectrumRow, chunk, map(tuple, values.tolist())))
+        flagged.extend((start + np.flatnonzero(_defects(values) > DEGENERACY_FLAG)).tolist())
+    return SweepResult(tuple(rows), tuple(flagged))
 
 
 def eigensolve(mset: MatrixSet, sample: MomentumSample) -> SpectrumRow:
     """Ascending real eigenvalues of h(p), residual-checked."""
-    return _solve(mset, (sample,))[0]
+    return _solve(mset, (sample,)).rows[0]
 
 
 def _fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -149,40 +185,29 @@ def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBa
     Each vector's first significant component is rotated to be real and
     positive so outputs are reproducible.
     """
-    energy = sample.energy
+    import numpy as np
+
+    energy, scale = sample.energy, sample.scale
     if energy <= 0.0:
         raise ValueError("E_p = 0: the positive-energy eigenspace is undefined")
     h = hamiltonian_at(mset, sample)
     values, vectors = np.linalg.eigh(h)
-    select = [k for k, v in enumerate(values) if abs(v - energy) <= 1e-7 * sample.scale]
+    select = [k for k, v in enumerate(values.tolist()) if abs(v - energy) <= 1e-7 * scale]
     if len(select) != 2:
         raise ValueError(
             f"positive eigenspace dimension {len(select)} != 2 at p={sample.p}, m={sample.m}"
         )
     u1, u2 = (_fix_phase(vectors[:, k]) for k in select)
-    residual = max(
-        float(np.linalg.norm(h @ u - energy * u)) for u in (u1, u2)
-    )
-    if residual > RESIDUAL_TOLERANCE * sample.scale:
+    block = np.column_stack((u1, u2))
+    residual = float(np.linalg.norm(h @ block - energy * block, axis=0).max())
+    if residual > RESIDUAL_TOLERANCE * scale:
         raise RuntimeError(f"spinor residual {residual:.3e} out of tolerance")
     return SpinorBasis((u1, u2), energy)
 
 
-def _row_defect(row: SpectrumRow) -> float:
-    """Largest violation of +/- symmetry or of pairwise double degeneracy."""
-    values = row.eigenvalues
-    n = len(values)
-    defect = max(abs(values[k] + values[n - 1 - k]) for k in range(n))
-    if n == 4:
-        defect = max(defect, abs(values[0] - values[1]), abs(values[2] - values[3]))
-    return defect
-
-
 def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
     """Eigensolve every sample in order, flagging rows beyond the 1e-6 threshold."""
-    rows = _solve(mset, tuple(grid))
-    flagged = tuple(k for k, row in enumerate(rows) if _row_defect(row) > DEGENERACY_FLAG)
-    return SweepResult(rows, flagged)
+    return _solve(mset, tuple(grid))
 
 
 def write_csv(rows: Sequence[SpectrumRow], stream) -> None:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -356,11 +357,21 @@ def _with_entry(name, matrix, value, path):
 
 def test_spectrum_rejects_entries_outside_the_float_lane(tmp_path):
     out = tmp_path / "o.csv"
-    for value, message in (("1" + "0" * 400, "beyond the float range"), ("100000000", "eigensolver residual")):
-        path = _with_entry("dirac-pauli", "beta", value, tmp_path / "big.json")
-        result = run_cli("spectrum", str(path), "--mass", "1", "--grid", "lin:0:1:2", "--out", str(out))
-        assert_usage_error(result)
-        assert message in result.stderr
+    path = _with_entry("dirac-pauli", "beta", "1" + "0" * 400, tmp_path / "big.json")
+    result = run_cli("spectrum", str(path), "--mass", "1", "--grid", "lin:0:1:2", "--out", str(out))
+    assert_usage_error(result)
+    assert "beyond the float range" in result.stderr
+
+
+def test_spectrum_flags_a_set_with_a_large_beta_entry(tmp_path):
+    # beta = diag(10^8, 1, -1, -1): the residual bound grows with beta's entries, so
+    # the sweep runs; the set is not a Dirac set, and every row breaks the +/- symmetry
+    path = _with_entry("dirac-pauli", "beta", "100000000", tmp_path / "big.json")
+    out = tmp_path / "o.csv"
+    result = run_cli("spectrum", str(path), "--mass", "1", "--grid", "lin:0:1:2", "--out", str(out))
+    assert result.returncode == 1 and result.stderr == ""
+    assert "flagged rows: 8 at indices 0, 1, 2, 3, 4 (+3 more)\n" in result.stdout
+    assert len(out.read_text().splitlines()) == 1 + 8
 
 
 def test_spectrum_rejects_an_overflowing_hamiltonian(tmp_path):
@@ -478,6 +489,58 @@ def test_main_callable_directly(dirac_pauli_file, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the exact lane without numpy
+# ---------------------------------------------------------------------------
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on, any import of numpy raises ImportError
+from diracver.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_exact_commands_run_without_numpy():
+    golden = Path(__file__).parent / "golden"
+    runs = []  # (argv, exit code, expected stdout)
+    for name in ("dirac-pauli", "weyl-chiral"):
+        for command in ("verify", "derive"):
+            text = (golden / "expected" / f"{name}.{command}.out").read_text(encoding="utf-8")
+            runs.append(([command, str(golden / "inputs" / f"{name}.json")], 0, text))
+    for n, code in ((4, 0), (3, 2)):
+        text = (golden / "expected" / f"solve-n{n}-r2.out").read_text(encoding="utf-8")
+        runs.append((["solve", "--n", str(n), "--multiplicity", "2"], code, text))
+    runs.append((["catalog", "majorana"], 0, serialize_matrix_set(catalog("majorana"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _, _ in runs])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    results = json.loads(proc.stdout)
+    for (argv, code, text), (got_code, got_out, got_err) in zip(runs, results, strict=True):
+        assert (got_code, got_err) == (code, ""), argv
+        assert got_out == text, argv
+
+
+def test_numpy_loads_on_the_first_numeric_call():
+    script = (
+        "import json, sys; import diracver; before = 'numpy' in sys.modules; "
+        "from diracver.clifford import catalog; "
+        "diracver.sweep(catalog('dirac-pauli'), [diracver.MomentumSample((0.0, 0.0, 1.0), 1.0)]); "
+        "print(json.dumps([before, 'numpy' in sys.modules]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]
+
+
+# ---------------------------------------------------------------------------
 # fuzzed exit-code contract
 # ---------------------------------------------------------------------------
 
@@ -500,8 +563,8 @@ _NUMBER = st.one_of(
     _WORD,
 )
 _LITERAL = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/7"])
-# 10^400 is an exact literal beyond the float range; at 10^8 the eigensolver
-# residuals exceed their bound
+# 10^400 is an exact literal beyond the float range; 10^8 is a large entry
+# that the norm-aware residual bound accepts
 _ODD_LITERAL = st.sampled_from(
     ["1" + "0" * 400, "100000000", "1/0", "0.5", "x", "", None, 3, ["1", "0"]]
 )

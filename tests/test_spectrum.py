@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from diracver import spectrum
 from diracver.algebra import ComplexRational
-from diracver.clifford import perturbed_set, random_exact_unitary
+from diracver.clifford import perturbed_set, random_exact_unitary, random_hermitian_set
 from diracver.spectrum import (
     DEGENERACY_FLAG,
     MomentumSample,
@@ -77,6 +78,24 @@ def test_spinors_massless_unit_momentum(dirac_pauli):
     h = hamiltonian_at(dirac_pauli, sample)
     for u in basis.vectors:
         assert np.linalg.norm(h @ u - u) <= 1e-10 * sample.scale  # E_p = 1
+
+
+def test_each_spinor_residual_is_checked(dirac_pauli, monkeypatch):
+    sample = MomentumSample((0.3, 0.7, -1.1), 1.0)
+    positive_energy_spinors(dirac_pauli, sample)
+    eigh = np.linalg.eigh
+    for column in (2, 3):  # the two positive-energy eigenvectors, one at a time
+
+        def spoiled(h, column=column):
+            # tilt one eigenvector towards a negative-energy one: a residual of about 2e-6 * E_p
+            values, vectors = eigh(h)
+            vectors = vectors.copy()
+            vectors[:, column] = (vectors[:, column] + 1e-6 * vectors[:, 0]) / math.sqrt(1 + 1e-12)
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
+        with pytest.raises(RuntimeError, match="spinor residual"):
+            positive_energy_spinors(dirac_pauli, sample)
 
 
 def test_spinors_undefined_at_zero_energy(dirac_pauli):
@@ -283,3 +302,152 @@ def test_eigensolve_rejects_a_non_finite_residual(dirac_pauli):
     huge = MatrixSet(4, dirac_pauli.alphas, tuple(tuple(row) for row in beta))
     with pytest.raises(RuntimeError, match="eigensolver residual nan"):
         eigensolve(huge, MomentumSample((1.0, 1.0, 1.0), 1e10))
+
+
+# ---------------------------------------------------------------------------
+# flags per chunk, the norm-aware residual bound
+# ---------------------------------------------------------------------------
+
+
+def reference_defect(values):
+    """The per-row formula: largest |e_k + e_(n-1-k)| and, for n = 4, |e1 - e2|, |e3 - e4|."""
+    n = len(values)
+    defect = max(abs(values[k] + values[n - 1 - k]) for k in range(n))
+    if n == 4:
+        defect = max(defect, abs(values[0] - values[1]), abs(values[2] - values[3]))
+    return defect
+
+
+def test_chunk_defects_flag_the_rows_of_the_per_row_formula():
+    rng = random.Random(41)
+    above = np.nextafter(DEGENERACY_FLAG, 1.0)
+    on_threshold = {
+        2: [[0.0, DEGENERACY_FLAG], [-DEGENERACY_FLAG, 0.0], [0.0, above]],
+        3: [[-1.0, 0.0, 1.0], [0.0, 0.0, DEGENERACY_FLAG], [-above, 0.0, 0.0]],
+        4: [
+            [-DEGENERACY_FLAG, 0.0, 0.0, DEGENERACY_FLAG],  # pair gaps on the threshold
+            [-DEGENERACY_FLAG, -DEGENERACY_FLAG, 0.0, 0.0],  # symmetry defects on the threshold
+            [-above, 0.0, 0.0, above],
+            [-1.0, -1.0, 1.0, 1.0],
+        ],
+    }
+    for n in (2, 3, 4):
+        rows = [list(row) for row in on_threshold[n]]
+        for _ in range(300):
+            # near-Dirac rows around the threshold, and arbitrary ones
+            e = rng.uniform(0.0, 10.0)
+            row = sorted([-e, e] * (n // 2) + [0.0] * (n % 2))
+            row = sorted(v + rng.choice((0.0, 1e-7, 1e-6, 2e-6)) * rng.uniform(-1, 1) for v in row)
+            rows.append(row if rng.random() < 0.8 else sorted(rng.uniform(-1e3, 1e3) for _ in range(n)))
+        defects = spectrum._defects(np.array(rows))
+        assert defects.tolist() == [reference_defect(row) for row in rows]
+        flagged = np.flatnonzero(defects > DEGENERACY_FLAG).tolist()
+        expected = [k for k, row in enumerate(rows) if reference_defect(row) > DEGENERACY_FLAG]
+        assert flagged == expected
+        assert 0 < len(expected) < len(rows)
+    four = spectrum._defects(np.array(on_threshold[4])).tolist()
+    assert four == [DEGENERACY_FLAG, DEGENERACY_FLAG, above, 0.0]
+
+
+def test_sweep_flags_equal_the_per_row_formula(dirac_pauli, rng, monkeypatch):
+    grid = grid_samples(-2.0, 2.0, 4, 0.5)
+    sets = [perturbed_set(rng, dirac_pauli) for _ in range(3)]
+    sets += [random_hermitian_set(rng, n=n) for n in (2, 3, 4)]
+    for mset in sets:
+        result = sweep(mset, grid)
+        assert result.flagged == tuple(
+            k for k, row in enumerate(result.rows) if reference_defect(row.eigenvalues) > DEGENERACY_FLAG
+        )
+        monkeypatch.setattr(spectrum, "_CHUNK", 7)  # flags of later chunks keep their grid indices
+        assert sweep(mset, grid) == result
+        monkeypatch.undo()
+    # h = beta = diag(0, 0, 0, d): the eigenvalues are the entries, and the defect is d itself
+    zero = ((ComplexRational(0),) * 4,) * 4
+    above = np.nextafter(DEGENERACY_FLAG, 1.0)
+    for d, flagged in ((Fraction(1, 10**6), ()), (Fraction(above), (0,))):
+        beta = tuple(tuple(ComplexRational(d if i == j == 3 else 0) for j in range(4)) for i in range(4))
+        result = sweep(MatrixSet(4, (zero, zero, zero), beta), [MomentumSample((0.0, 0.0, 0.0), 1.0)])
+        assert result.rows[0].eigenvalues == (0.0, 0.0, 0.0, float(d))
+        assert result.flagged == flagged
+
+
+def with_beta_entry(mset, value):
+    """`mset` with beta[0][0] replaced by `value`."""
+    beta = [list(row) for row in mset.beta]
+    beta[0][0] = ComplexRational(value)
+    return MatrixSet(mset.n, mset.alphas, tuple(tuple(row) for row in beta))
+
+
+def scaled(mset, alpha_factor, beta_factor):
+    """`mset` with its alphas and its beta multiplied by the given factors."""
+    alphas = tuple(tuple(tuple(x * alpha_factor for x in row) for row in a) for a in mset.alphas)
+    beta = tuple(tuple(x * beta_factor for x in row) for row in mset.beta)
+    return MatrixSet(mset.n, alphas, beta)
+
+
+def test_entry_norms_keep_the_unit_bound_and_grow_linearly(all_catalog_sets, dirac_pauli, rng):
+    # exactly 1.0 on the catalog sets, so the bound there is 1e-9 * (1 + |p| + m) to the bit
+    for mset in all_catalog_sets:
+        assert spectrum._entry_norms(fresh_copy(mset)._complex_stack) == (1.0, 1.0)
+    for mset in [random_hermitian_set(rng) for _ in range(5)] + [perturbed_set(rng, dirac_pauli)]:
+        assert min(spectrum._entry_norms(mset._complex_stack)) >= 1.0
+    halved = scaled(dirac_pauli, Fraction(1, 2), Fraction(1, 2))
+    assert spectrum._entry_norms(halved._complex_stack) == (1.0, 1.0)
+    for t in (10, 10**4, 10**8, 10**12):
+        assert spectrum._entry_norms(with_beta_entry(dirac_pauli, t)._complex_stack) == (1.0, float(t))
+        assert spectrum._entry_norms(scaled(dirac_pauli, t, 1)._complex_stack) == (float(t), 1.0)
+
+
+def test_large_entries_pass_the_residual_check(dirac_pauli):
+    sample = MomentumSample((0.3, 0.7, -1.1), 1.0)
+    # beta = diag(10^8, 1, -1, -1) had a residual of 1.5e-8 against a bound of 3.3e-9 here
+    values = eigensolve(with_beta_entry(dirac_pauli, 10**8), sample).eigenvalues
+    assert values[-1] == pytest.approx(1e8, rel=1e-12)
+    # alphas scaled by 10^8: the |p| term of the bound grows with them
+    values = eigensolve(scaled(dirac_pauli, 10**8, 1), sample).eigenvalues
+    assert values[-1] == pytest.approx(1e8 * math.sqrt(0.3**2 + 0.7**2 + 1.1**2), rel=1e-12)
+
+
+def test_an_eigenpair_off_by_a_millionth_of_the_norm_is_rejected(dirac_pauli, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def shifted(h):
+        values, vectors = eigh(h)
+        values = values.copy()
+        values[..., 0] += 1e-6 * np.linalg.norm(h, ord=2, axis=(-2, -1))
+        return values, vectors
+
+    cases = [
+        (dirac_pauli, MomentumSample((0.3, 0.7, -1.1), 1.0)),
+        (dirac_pauli, MomentumSample((1e4, -3e3, 0.0), 0.0)),
+        (with_beta_entry(dirac_pauli, 10**8), MomentumSample((0.3, 0.7, -1.1), 1.0)),
+        (with_beta_entry(dirac_pauli, 10**12), MomentumSample((1e3, 0.0, 2.0), 5.0)),
+        # m = 0: beta's large entry is not in h, so it must not loosen the |p| term
+        (with_beta_entry(dirac_pauli, 10**8), MomentumSample((0.3, 0.7, -1.1), 0.0)),
+        (scaled(dirac_pauli, 10**8, 1), MomentumSample((0.0, 0.0, 0.0), 1.0)),
+    ]
+    for mset, sample in cases:
+        eigensolve(mset, sample)  # the true eigenpairs pass
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    for mset, sample in cases:
+        with pytest.raises(RuntimeError, match="eigensolver residual"):
+            eigensolve(mset, sample)
+        with pytest.raises(RuntimeError, match="eigensolver residual"):
+            sweep(mset, [MomentumSample((0.0, 0.0, 0.0), 1.0), sample])
+
+
+def test_an_infinite_residual_is_rejected_under_an_infinite_bound(dirac_pauli, monkeypatch):
+    # the bound is infinite when m * b (or |p| * a) overflows; an infinite residual must still fail
+    eigh = np.linalg.eigh
+
+    def overflowing(h):
+        values, vectors = eigh(h)
+        values = values.copy()
+        values[..., -1] = 1e308
+        return values, 10 * vectors  # 10 * 1e308 overflows: an infinite residual, no NaN
+
+    monkeypatch.setattr(spectrum, "EIGENVALUE_TOLERANCE", math.inf)
+    eigensolve(dirac_pauli, MomentumSample((0.3, 0.7, -1.1), 1.0))  # passes under the infinite bound
+    monkeypatch.setattr(np.linalg, "eigh", overflowing)
+    with pytest.raises(RuntimeError, match="eigensolver residual inf out of tolerance"):
+        eigensolve(dirac_pauli, MomentumSample((0.3, 0.7, -1.1), 1.0))
