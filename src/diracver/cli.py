@@ -64,9 +64,15 @@ EXIT_USAGE = 3
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 # Longest accepted rational literal.  It keeps every numerator and
-# denominator far below Python's int-conversion limit and bounds the common
-# denominator char_poly clears.
+# denominator far below Python's int-conversion limit.
 _MAX_LITERAL_LENGTH = 1000
+# Most digits of the set's scale D * max(1, x): D is the lcm of every entry
+# denominator and x the largest real or imaginary part in absolute value.
+# Every quantity a report prints is at most of degree 4 in the entries (the
+# characteristic polynomial and its residuals, determinants, squared norms),
+# so its numerator and denominator stay near 4 * 1000 digits, below Python's
+# default limit of 4300 digits for converting an int to text.
+_MAX_SCALE_DIGITS = 1000
 # Most points a spectrum grid may have, checked from the counts alone.
 _MAX_GRID_POINTS = 10**6
 
@@ -116,6 +122,25 @@ def _parse_matrix(data: object, n: int, name: str) -> Matrix:
     return tuple(rows)
 
 
+def _check_scale(matrices: Sequence[Matrix]) -> None:
+    """Reject a set whose scale D * max(1, x) has more than _MAX_SCALE_DIGITS digits."""
+    limit = 10**_MAX_SCALE_DIGITS
+    parts = [part for matrix in matrices for row in matrix for x in row for part in (x.re, x.im)]
+    # the lcm D, given up as soon as it passes the limit on its own
+    scale = 1
+    for part in parts:
+        scale = math.lcm(scale, part.denominator)
+        if scale >= limit:
+            break
+    else:
+        scale = max(scale, *(abs(part.numerator) * (scale // part.denominator) for part in parts))
+    if scale >= limit:
+        raise MatrixFileError(
+            f"entries too large: their common denominator times the largest entry "
+            f"has more than {_MAX_SCALE_DIGITS} digits"
+        )
+
+
 def parse_matrix_file(path: str | Path) -> MatrixSet:
     """Read and validate a matrix-set JSON file into an exact MatrixSet."""
     try:
@@ -146,6 +171,7 @@ def parse_matrix_file(path: str | Path) -> MatrixSet:
         raise MatrixFileError(f"need exactly 3 alpha matrices, got {count!r}", "alpha")
     alphas = tuple(_parse_matrix(alphas_data[k], n, f"alpha[{k}]") for k in range(3))
     beta = _parse_matrix(data.get("beta"), n, "beta")
+    _check_scale((*alphas, beta))
     try:
         return MatrixSet(n, alphas, beta, label=label)
     except HermiticityError as exc:

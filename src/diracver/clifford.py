@@ -22,6 +22,15 @@ squares (the eigenbasis may otherwise need factors such as 1/sqrt(2)).
 ``check_alpha_structure`` needs no basis at all: it reads the blocks of
 each alpha through the projectors (1 +- beta)/2, as traces of exact
 products.
+
+The three kernels run on Gaussian integers, like ``symmat``'s: each matrix
+is cleared once to integers over the lcm of its denominators, and only
+results are rebuilt as exact scalars.  ``check_anticommutation`` sums
+AB + BA (or A^2 - 1) in integers over the upper triangle only, since these
+are Hermitian for a Hermitian set, and fills the lower triangle by
+conjugation.  The Gram-Schmidt step of ``canonicalize_beta`` is
+fraction-free, and ``check_alpha_structure`` reads the blocks from the
+integer M + M^dagger and the norms from integer traces.
 """
 
 from __future__ import annotations
@@ -37,17 +46,15 @@ from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
     Matrix,
     MatrixSet,
-    _trace_product,
+    _cleared,
+    _gi_mat_mul,
     as_matrix,
     build_hamiltonian,  # unused here; perfbench patches it on this module
     char_poly,  # unused here; perfbench patches it on this module
-    mat_add,
     mat_dagger,
     mat_identity,
     mat_is_zero,
     mat_mul,
-    mat_scale,
-    mat_sub,
     mat_trace,
     mat_zero,
     trace_and_det,
@@ -157,22 +164,47 @@ def check_anticommutation(mset: MatrixSet, include_beta: bool = True) -> Cliffor
     """Compute {X_i, X_j} - 2 delta_ij defects exactly.
 
     With ``include_beta`` unset only the three alpha matrices are audited,
-    which is the right mode for a bare Pauli triple.
+    which is the right mode for a bare Pauli triple.  Each matrix is cleared
+    to Gaussian integers once; a defect {A, B} = AB + BA is summed over
+    D_A*D_B, and a square A^2 - 1 over D_A^2, in integers.
     """
-    items = [(name, m) for name, m in mset.matrices() if include_beta or name != "beta"]
-    identity = mat_identity(mset.n)
+    items = [(name, *_cleared(m)) for name, m in mset.matrices() if include_beta or name != "beta"]
     pairwise: dict[tuple[str, str], Matrix] = {}
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            (name_a, mat_a), (name_b, mat_b) = items[a], items[b]
-            pairwise[(name_a, name_b)] = mat_add(mat_mul(mat_a, mat_b), mat_mul(mat_b, mat_a))
-    squares = {
-        name: mat_sub(mat_mul(m, m), identity) for name, m in items
-    }
+    for a, (name_a, ga, da) in enumerate(items):
+        for name_b, gb, db in items[a + 1:]:
+            pairwise[(name_a, name_b)] = _hermitian_sum(((ga, gb), (gb, ga)), da * db, 0)
+    squares = {name: _hermitian_sum(((g, g),), d * d, d * d) for name, g, d in items}
     passed = all(mat_is_zero(d) for d in pairwise.values()) and all(
         mat_is_zero(d) for d in squares.values()
     )
     return CliffordReport(pairwise, squares, passed)
+
+
+def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
+    """(sum of x*y over the Gaussian-integer ``products`` - shift*I) / denom.
+
+    The sum must be Hermitian, as anticommutators and squares of Hermitian
+    matrices are: only its upper triangle is computed, each entry is
+    rebuilt once and its mirror is its conjugate.  Zero entries share one
+    zero.
+    """
+    n = len(products[0][0])
+    zero = ComplexRational(0)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            re = -shift if i == j else 0
+            im = 0
+            for x, y in products:
+                for (xr, xi), row in zip(x[i], y):
+                    yr, yi = row[j]
+                    re += xr * yr - xi * yi
+                    im += xr * yi + xi * yr
+            if re or im:
+                rows[i][j] = ComplexRational._from_ints(re, im, denom)
+                if i != j:
+                    rows[j][i] = rows[i][j].conj()
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -217,28 +249,35 @@ def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _inner(u: Sequence[ComplexRational], v: Sequence[ComplexRational]) -> ComplexRational:
-    total = ComplexRational(0)
-    for x, y in zip(u, v):
-        total = total + x.conj() * y
-    return total
+def _gram_schmidt_columns(g: list) -> list[tuple[list[tuple[int, int]], int, int]]:
+    """Orthogonal (not normalized) basis of the column space of a Gaussian-integer matrix.
 
-
-def _gram_schmidt_columns(matrix: Matrix) -> list[tuple[ComplexRational, ...]]:
-    """Orthogonal (not normalized) basis of the column space, exact and deterministic.
-
-    Columns are taken in index order; dependent columns project to zero and
-    are dropped, which doubles as the exact rank test.
+    Exact, deterministic and fraction-free.  Each basis vector v is returned
+    as (w, s, N): Gaussian integers w over the positive integer s, so
+    v = w/s, and N = <w, w>.  Columns are taken in index order, and column w
+    (over s) minus its projection onto a basis vector u = w_u/s_u is
+    (N_u w - <w_u, w> w_u) over s N_u.  Dependent columns project to zero
+    and are dropped, which doubles as the exact rank test.
     """
-    n = len(matrix)
-    basis: list[tuple[ComplexRational, ...]] = []
+    n = len(g)
+    basis: list[tuple[list[tuple[int, int]], int, int]] = []
     for j in range(n):
-        v = tuple(matrix[i][j] for i in range(n))
-        for u in basis:
-            coef = _inner(u, v) / _inner(u, u)
-            v = tuple(x - coef * y for x, y in zip(v, u))
-        if any(x for x in v):
-            basis.append(v)
+        w = [g[i][j] for i in range(n)]
+        s = 1
+        for u, _, norm in basis:
+            # <u, w> = sum conj(u_i) w_i
+            cr = ci = 0
+            for (ur, ui), (wr, wi) in zip(u, w):
+                cr += ur * wr + ui * wi
+                ci += ur * wi - ui * wr
+            if cr or ci:
+                w = [
+                    (norm * wr - cr * ur + ci * ui, norm * wi - cr * ui - ci * ur)
+                    for (ur, ui), (wr, wi) in zip(u, w)
+                ]
+                s *= norm
+        if any(re or im for re, im in w):
+            basis.append((w, s, sum(re * re + im * im for re, im in w)))
     return basis
 
 
@@ -281,32 +320,39 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     """
     if mset.n != 4:
         raise ValueError("canonicalization targets n = 4 sets")
-    beta = mset.beta
-    identity = mat_identity(4)
-    if mat_mul(beta, beta) != identity:
+    g, d = _cleared(mset.beta)
+    if list(_gi_mat_mul(g, g)) != [(d * d if i == j else 0, 0) for i in range(4) for j in range(4)]:
         raise ValueError("beta^2 differs from the identity; no canonical diagonal form exists")
 
-    half = Fraction(1, 2)
-    proj_plus = mat_scale(mat_add(identity, beta), half)
-    proj_minus = mat_scale(mat_sub(identity, beta), half)
-    plus = _gram_schmidt_columns(proj_plus)
-    minus = _gram_schmidt_columns(proj_minus)
+    # 2d (1 +- beta)/2 = d*1 +- g: the projectors in Gaussian integers over 2d
+    plus, minus = (
+        _gram_schmidt_columns([
+            [(sign * re + (d if i == j else 0), sign * im) for j, (re, im) in enumerate(row)]
+            for i, row in enumerate(g)
+        ])
+        for sign in (1, -1)
+    )
     if (len(plus), len(minus)) != (2, 2):
         raise StructuralViolationError(
             f"beta eigenspace dimensions ({len(plus)}, {len(minus)}) differ from (2, 2)"
         )
 
-    columns = plus + minus
-    norms = [_inner(v, v).re for v in columns]
-    roots = [_exact_sqrt(norm) for norm in norms]
-    if not all(root is not None for root in roots):
-        shown = ", ".join(render_fraction(norm) for norm in norms)
+    # each column is w / (2 d s), of squared norm N / (2 d s)^2
+    columns = [(w, 2 * d * s, Fraction(norm, (2 * d * s) ** 2)) for w, s, norm in plus + minus]
+    roots = [_exact_sqrt(norm) for _, _, norm in columns]
+    if any(root is None for root in roots):
+        shown = ", ".join(render_fraction(norm) for _, _, norm in columns)
         description = f"orthogonal basis with squared column norms {shown} (not unit-normalisable over Q)"
         return CanonicalizationResult(False, mset, None, description)
 
-    unit_cols = [tuple(x / ComplexRational(root) for x in v) for v, root in zip(columns, roots)]
+    # w / (denom * p/q) = w q / (denom p)
+    unit_cols = [
+        [ComplexRational._from_ints(re * q, im * q, denom * p) for re, im in w]
+        for (w, denom, _), (p, q) in zip(columns, (root.as_integer_ratio() for root in roots))
+    ]
     transform = tuple(tuple(unit_cols[j][i] for j in range(4)) for i in range(4))
-    description = "identity (beta already canonical)" if transform == identity else "exact rational unitary"
+    canonical = transform == mat_identity(4)
+    description = "identity (beta already canonical)" if canonical else "exact rational unitary"
     return CanonicalizationResult(True, mset, transform, description)
 
 
@@ -339,15 +385,25 @@ def check_alpha_structure(target: "MatrixSet | CanonicalizationResult") -> Struc
             raise ValueError("alpha structure check applies to n = 4 sets")
         if mset.beta != _CANONICAL_BETA:
             raise ValueError("beta is not diag(+1, +1, -1, -1); canonicalize first")
+    gb, db = _cleared(mset.beta)
     blocks = []
     norms = []
-    for a in mset.alphas:
-        m = mat_mul(mset.beta, a)
-        blocks.append(mat_is_zero(mat_add(m, mat_dagger(m))))
+    for alpha in mset.alphas:
+        ga, da = _cleared(alpha)
+        # M = beta alpha is gm over db*da
+        flat = list(_gi_mat_mul(gb, ga))
+        gm = [flat[i:i + 4] for i in range(0, 16, 4)]
+        # (M + M^dagger)_ij = M_ij + conj(M_ji) vanishes when M_ij = -conj(M_ji)
+        blocks.append(all(x == (-y[0], y[1]) for row, col in zip(gm, zip(*gm)) for x, y in zip(row, col)))
         # sum_jk |alpha_jk|^2 = Tr(alpha^2), as alpha is Hermitian
-        norms.append((_trace_product(a, a) - _trace_product(m, m)).re / 4)
+        norms.append(Fraction(_trace_re(ga) * db * db - _trace_re(gm), 4 * (da * db) ** 2))
     passed = all(blocks) and all(v == 2 for v in norms)
     return StructureReport((1, 1, -1, -1), tuple(blocks), tuple(norms), passed)
+
+
+def _trace_re(g: list) -> int:
+    """The real part of Tr(g^2) for a matrix g of Gaussian integers."""
+    return sum(xr * yr - xi * yi for row, col in zip(g, zip(*g)) for (xr, xi), (yr, yi) in zip(row, col))
 
 
 # ---------------------------------------------------------------------------

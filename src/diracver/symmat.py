@@ -5,21 +5,24 @@ exact Gaussian-rational entries; Hermiticity is enforced at construction so
 every downstream check may assume it.  ``build_hamiltonian`` assembles the
 momentum-space matrix ``h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m``
 over :class:`~diracver.algebra.MultiPoly` entries, and ``char_poly`` computes
-``det(E*I - h)`` by the Faddeev-LeVerrier recurrence, every coefficient in
-one pass.
+``det(E*I - h)`` from the power sums ``p_k = Tr(h^k)`` and Newton's
+identities, every coefficient in one pass.  It forms ``h^2`` once and reads
+``p_3`` and ``p_4`` off it; it does not assume Hermiticity.
 
 ``char_poly`` and ``mat_mul`` run on Gaussian integers.  A
 ``ComplexRational`` is stored as (a + b*i)/d, so a matrix times D, the lcm
 of its entries' d, has Gaussian-integer entries.  Each kernel clears the
 denominators of its inputs once and rebuilds only its results as exact
-scalars; no gcd is taken inside a product or the recurrence.  The
+scalars; no gcd is taken inside a product or the power sums.  The
 characteristic polynomial of a matrix whose entries have Gaussian-integer
-coefficients has Gaussian-integer coefficients itself, so the recurrence's
-only divisions, by k = 1..n, are exact integer divisions, checked to leave
-no remainder.  Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)``
-times that of the input, and it is divided back out when the result is
-converted to ``MultiPoly`` values.  ``trace_and_det`` reads each
-determinant off the constant term, ``det(A) = (-1)^n c_0``.
+coefficients has Gaussian-integer coefficients itself, and so have the
+power sums, so the only divisions, Newton's k*c_(n-k) = -(...) for
+k = 1..n, are exact integer divisions, checked to leave no remainder.
+Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
+input, and it is divided back out when the result is converted to
+``MultiPoly`` values.  ``trace_and_det`` reads each determinant off the
+constant term, ``det(A) = (-1)^n c_0``.  ``clifford`` runs its own kernels
+on the same cleared form (``_cleared``, ``_gi_mat_mul``).
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from .algebra import (
     MultiPoly,
     Scalar,
     as_scalar,
-    MASS,
-    P1,
-    P2,
-    P3,
 )
 
 __all__ = [
@@ -128,36 +127,27 @@ def _cleared(a: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
     return [[_gaussian(x, denom) for x in row] for row in a], denom
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product in Gaussian integers: D_a*a times D_b*b, rebuilt over D_a*D_b."""
-    ga, da = _cleared(a)
-    gb, db = _cleared(b)
-    denom = da * db
+def _gi_mat_mul(ga: list, gb: list) -> Iterator[tuple[int, int]]:
+    """The entries of the product of two square Gaussian-integer matrices, row by row."""
     cols = list(zip(*gb))
-    out = []
     for row in ga:
-        out_row = []
         for col in cols:
             re = im = 0
             for (ar, ai), (br, bi) in zip(row, col):
                 re += ar * br - ai * bi
                 im += ar * bi + ai * br
-            out_row.append(ComplexRational._from_ints(re, im, denom))
-        out.append(tuple(out_row))
-    return tuple(out)
+            yield re, im
 
 
-def _trace_product(a: Matrix, b: Matrix) -> ComplexRational:
-    """Tr(a b) without forming the product, in Gaussian integers like ``mat_mul``."""
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product in Gaussian integers: D_a*a times D_b*b, rebuilt over D_a*D_b."""
     ga, da = _cleared(a)
     gb, db = _cleared(b)
-    re = im = 0
-    for j, row in enumerate(ga):
-        for k, (ar, ai) in enumerate(row):
-            br, bi = gb[k][j]
-            re += ar * br - ai * bi
-            im += ar * bi + ai * br
-    return ComplexRational._from_ints(re, im, da * db)
+    denom = da * db
+    n = len(a)
+    make = ComplexRational._from_ints
+    flat = [make(re, im, denom) for re, im in _gi_mat_mul(ga, gb)]
+    return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
 
 
 def mat_dagger(a: Matrix) -> Matrix:
@@ -270,23 +260,28 @@ class CharPoly:
         return self.poly.coeff(k)
 
 
+# the monomials p1, p2, p3 and m
+_MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def build_hamiltonian(mset: MatrixSet) -> PolyMatrix:
-    """Assemble h(p) = sum_k alpha_k p_k + beta m as a polynomial matrix."""
-    momenta = (P1, P2, P3)
+    """Assemble h(p) = sum_k alpha_k p_k + beta m as a polynomial matrix.
+
+    Entry (i, j) has one term per nonzero entry (i, j) of the four matrices,
+    in the order p1, p2, p3, m, built directly as its term map.
+    """
     n = mset.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = MultiPoly.zero()
-            for alpha, p in zip(mset.alphas, momenta):
-                if alpha[i][j]:
-                    entry = entry + p * alpha[i][j]
-            if mset.beta[i][j]:
-                entry = entry + MASS * mset.beta[i][j]
-            row.append(entry)
-        rows.append(tuple(row))
-    return PolyMatrix(n, tuple(rows))
+    pairs = tuple(zip(_MONOMIALS, (*mset.alphas, mset.beta)))
+    return PolyMatrix(
+        n,
+        tuple(
+            tuple(
+                MultiPoly._make({mono: matrix[i][j] for mono, matrix in pairs if matrix[i][j]})
+                for j in range(n)
+            )
+            for i in range(n)
+        ),
+    )
 
 
 def poly_matrix_of_scalars(matrix: Matrix) -> PolyMatrix:
@@ -317,12 +312,11 @@ def _gi_sum(polys) -> dict:
     return _gi_prune(acc)
 
 
-def _gi_row_col(row: list, mat: list, j: int) -> dict:
-    """Dot product of ``row`` with column j of ``mat``."""
+def _gi_dot(pairs) -> dict:
+    """The sum of the products a*b over the (a, b) ``pairs``."""
     acc: dict = {}
     get = acc.get
-    for a, b in zip(row, mat):
-        b = b[j]
+    for a, b in pairs:
         if not a or not b:
             continue
         for ka, (ar, ai) in a.items():
@@ -342,29 +336,59 @@ def _gi_neg_div(a: dict, k: int) -> dict:
         q_re, r_re = divmod(-re, k)
         q_im, r_im = divmod(-im, k)
         if r_re or r_im:
-            raise RuntimeError(f"internal error: Faddeev-LeVerrier trace not divisible by {k}")
+            raise RuntimeError(f"internal error: Newton identity sum not divisible by {k}")
         out[key] = (q_re, q_im)
     return out
 
 
+def _power_sums(A: list) -> list[dict]:
+    """[None, p_1, ..., p_n] with p_k = Tr(A^k), for a square matrix A of n <= 4.
+
+    A^2 is formed once; p_3 and p_4 are read off it without forming A^3 or
+    A^4:  p_3 = sum_ij (A^2)_ij A_ji and
+    p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} (A^2)_ij (A^2)_ji.
+    """
+    n = len(A)
+    sums = [None, _gi_sum(A[i][i] for i in range(n))]
+    if n == 1:
+        return sums
+    A2 = [[_gi_dot((A[i][k], A[k][j]) for k in range(n)) for j in range(n)] for i in range(n)]
+    sums.append(_gi_sum(A2[i][i] for i in range(n)))
+    if n >= 3:
+        sums.append(_gi_dot((A2[i][j], A[j][i]) for i in range(n) for j in range(n)))
+    if n == 4:
+        paired = [
+            ({key: (2 * re, 2 * im) for key, (re, im) in A2[i][j].items()}, A2[j][i])
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        sums.append(_gi_dot([(A2[i][i], A2[i][i]) for i in range(n)] + paired))
+    return sums
+
+
 def char_poly(M: PolyMatrix) -> CharPoly:
-    """Characteristic polynomial det(E*I - M) by the Faddeev-LeVerrier recurrence.
+    """Characteristic polynomial det(E*I - M) from power sums and Newton's identities.
 
-    With M_1 = M the recurrence runs
+    With p_k = Tr(M^k) and e_k the elementary symmetric functions of the
+    eigenvalues, Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+    give det(E*I - M) = sum_k (-1)^k e_k E^(n-k).  In the coefficients
+    c_{n-k} = (-1)^k e_k they read
 
-        c_n = 1,  c_{n-k} = -trace(M_k)/k,  M_{k+1} = M (M_k + c_{n-k} I),
+        c_n = 1,  c_{n-k} = -(c_{n-k+1} p_1 + c_{n-k+2} p_2 + ... + c_n p_k)/k,
 
     so the coefficient of E^(n-1) is -trace(M) and the constant term is
-    (-1)^n det(M).
+    (-1)^n det(M).  Hermiticity is not assumed.
 
     It runs in Gaussian integers.  With D the lcm of every coefficient
     denominator in M, B = D*M has entries with Gaussian-integer
-    coefficients.  Each coefficient c'_j of det(E*I - B) is a polynomial in
-    the entries of B with integer coefficients, so it has Gaussian-integer
-    coefficients as well, and the step c'_{n-k} = -trace(B_k)/k is an exact
-    integer division; a remainder is an internal error, never rounded.
-    Because det(E*I - D*M) = D^n det((E/D)*I - M), c'_j = D^(n-j) c_j, and
-    each c_j is rebuilt exactly as c'_j over the denominator D^(n-j).
+    coefficients, and so have its power sums.  Each coefficient c'_j of
+    det(E*I - B) is a polynomial in the entries of B with integer
+    coefficients, so it has Gaussian-integer coefficients as well.  The sum
+    that the step c'_{n-k} = -(...)/k divides equals -k c'_{n-k}, so the
+    step is an exact integer division; a remainder is an internal error,
+    never rounded.  Because det(E*I - D*M) =
+    D^n det((E/D)*I - M), c'_j = D^(n-j) c_j, and each c_j is rebuilt
+    exactly as c'_j over the denominator D^(n-j).
     """
     n = M.n
     if not 1 <= n <= 4:
@@ -372,7 +396,7 @@ def char_poly(M: PolyMatrix) -> CharPoly:
     terms = [[tuple(entry.terms()) for entry in row] for row in M.entries]
     flat = [term for row in terms for entry in row for term in entry]
     denom = lcm(1, *(c._d for _, c in flat))
-    # exponents in the recurrence never exceed n times the largest input one
+    # exponents of the power sums and products never exceed n times the largest input one
     width = (n * max((e for mono, _ in flat for e in mono), default=0)).bit_length()
     mask = (1 << width) - 1
 
@@ -387,20 +411,10 @@ def char_poly(M: PolyMatrix) -> CharPoly:
         ]
         for row in terms
     ]
+    sums = _power_sums(A)
     coeffs: list[dict] = [{}] * n + [{0: (1, 0)}]
-    coeffs[n - 1] = _gi_neg_div(_gi_sum(A[i][i] for i in range(n)), 1)
-    Mk = A
-    for k in range(2, n + 1):
-        # M_k = A (M_{k-1} + c_{n-k+1} I); of M_n only the diagonal is needed
-        shifted = [list(row) for row in Mk]
-        for i in range(n):
-            shifted[i][i] = _gi_sum((Mk[i][i], coeffs[n - k + 1]))
-        if k < n:
-            Mk = [[_gi_row_col(A[i], shifted, j) for j in range(n)] for i in range(n)]
-            diagonal = [Mk[i][i] for i in range(n)]
-        else:
-            diagonal = [_gi_row_col(A[i], shifted, i) for i in range(n)]
-        coeffs[n - k] = _gi_neg_div(_gi_sum(diagonal), k)
+    for k in range(1, n + 1):
+        coeffs[n - k] = _gi_neg_div(_gi_dot((coeffs[n - k + i], sums[i]) for i in range(1, k + 1)), k)
 
     polys = []
     for j, c in enumerate(coeffs):

@@ -1,12 +1,15 @@
 """Independent reference implementations used only to cross-check the package.
 
 These deliberately avoid the code paths they validate: determinants are
-expanded by cofactors instead of the Faddeev-LeVerrier recurrence,
+expanded by cofactors instead of power sums and Newton's identities,
 polynomial reduction is redone with generic long division, the
 multiplicity conditions are rebuilt at a concrete energy instead of over s,
-matrix products are plain ComplexRational sums instead of Gaussian-integer
+matrix products, anticommutators and the Gram-Schmidt basis of beta's
+eigenspaces are plain ComplexRational sums instead of Gaussian-integer
 kernels, and the alpha blocks are read off entry by entry in an explicit
-eigenbasis of beta instead of through projector traces.
+eigenbasis of beta instead of through projector traces (or, in
+``alpha_structure_reference``, through the same traces taken over
+ComplexRational).
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import perm
+from math import isqrt, perm
+from typing import Sequence
 
-from diracver.algebra import ComplexRational, EPoly, MultiPoly
+from diracver.algebra import ComplexRational, EPoly, MultiPoly, render_fraction
 from diracver.symmat import Matrix, PolyMatrix
 
 
@@ -163,6 +167,12 @@ def mat_mul_reference(a: Matrix, b: Matrix) -> Matrix:
     return tuple(rows)
 
 
+def anticommutator_reference(a: Matrix, b: Matrix) -> Matrix:
+    """ab + ba from two reference products, added entry by entry."""
+    ab, ba = mat_mul_reference(a, b), mat_mul_reference(b, a)
+    return tuple(tuple(x + y for x, y in zip(row_ab, row_ba)) for row_ab, row_ba in zip(ab, ba))
+
+
 def dagger_reference(a: Matrix) -> Matrix:
     n = len(a)
     return tuple(tuple(a[j][i].conj() for j in range(n)) for i in range(n))
@@ -226,3 +236,68 @@ def block_reader(alphas, unitary: Matrix) -> tuple[tuple[bool, ...], tuple[Fract
         blocks.append(all(c[i][j].is_zero for i, j in _DIAGONAL_BLOCKS))
         norms.append(sum((c[i][j].abs2() for i in (0, 1) for j in (2, 3)), Fraction(0)))
     return tuple(blocks), tuple(norms)
+
+
+def _inner(u: Sequence[ComplexRational], v: Sequence[ComplexRational]) -> ComplexRational:
+    total = ComplexRational(0)
+    for x, y in zip(u, v):
+        total = total + x.conj() * y
+    return total
+
+
+def gram_schmidt_reference(matrix: Matrix) -> list[tuple[ComplexRational, ...]]:
+    """Orthogonal (not normalized) basis of the column space, exact and deterministic.
+
+    Columns are taken in index order; dependent columns project to zero and
+    are dropped, which doubles as the exact rank test.
+    """
+    n = len(matrix)
+    basis: list[tuple[ComplexRational, ...]] = []
+    for j in range(n):
+        v = tuple(matrix[i][j] for i in range(n))
+        for u in basis:
+            coef = _inner(u, v) / _inner(u, u)
+            v = tuple(x - coef * y for x, y in zip(v, u))
+        if any(x for x in v):
+            basis.append(v)
+    return basis
+
+
+def canonical_form_reference(beta: Matrix) -> tuple[tuple[int, int], str | None, Matrix | None]:
+    """The eigenspace dimensions of an involutive Hermitian 4x4 beta and, when
+    they are (2, 2), the description and transform of its canonical form.
+
+    The orthogonal bases of (1 +- beta)/2 come from ``gram_schmidt_reference``;
+    the transform, their unit-normalised columns, exists when every squared
+    column norm is the square of a rational.
+    """
+    bases = []
+    for sign in (1, -1):
+        projector = tuple(
+            tuple(((1 if i == j else 0) + sign * beta[i][j]) * Fraction(1, 2) for j in range(4))
+            for i in range(4)
+        )
+        bases.append(gram_schmidt_reference(projector))
+    dims = (len(bases[0]), len(bases[1]))
+    if dims != (2, 2):
+        return dims, None, None
+    columns = bases[0] + bases[1]
+    norms = [_inner(v, v).re for v in columns]
+    roots = [Fraction(isqrt(q.numerator), isqrt(q.denominator)) for q in norms]
+    if any(root * root != q for root, q in zip(roots, norms)):
+        shown = ", ".join(render_fraction(q) for q in norms)
+        return dims, f"orthogonal basis with squared column norms {shown} (not unit-normalisable over Q)", None
+    transform = tuple(tuple(columns[j][i] / ComplexRational(roots[j]) for j in range(4)) for i in range(4))
+    identity = tuple(tuple(ComplexRational(1 if i == j else 0) for j in range(4)) for i in range(4))
+    description = "identity (beta already canonical)" if transform == identity else "exact rational unitary"
+    return dims, description, transform
+
+
+def alpha_structure_reference(beta: Matrix, alpha: Matrix) -> tuple[bool, Fraction]:
+    """Whether M + M^dagger vanishes for M = beta alpha, and (Tr(alpha^2) - Tr(M^2))/4,
+    from reference products."""
+    m = mat_mul_reference(beta, alpha)
+    blocks = all(x + y.conj() == 0 for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
+    traces = [mat_mul_reference(x, x) for x in (alpha, m)]
+    t_alpha, t_m = (sum((t[i][i] for i in range(len(t))), ComplexRational(0)) for t in traces)
+    return blocks, (t_alpha - t_m).re / 4

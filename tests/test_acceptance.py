@@ -162,7 +162,7 @@ def test_criterion_5_consequence_chain():
 
 
 def test_criterion_6_char_poly_oracle():
-    with criterion(6, "Faddeev-LeVerrier vs cofactor expansion"):
+    with criterion(6, "char_poly vs cofactor expansion"):
         rng = random.Random(11)
         for n in (2, 3, 4):
             for _ in range(100):

@@ -175,6 +175,72 @@ def test_parse_rejects_deeply_nested_json(tmp_path):
     assert_usage_error(run_cli("verify", str(path)))
 
 
+def _odd(k, digits):
+    """The k-th odd integer with `digits` digits."""
+    return 10 ** (digits - 1) + 2 * k + 1
+
+
+def _diagonal(values, n=4):
+    return [[[values[i] if i == j else "0", "0"] for j in range(n)] for i in range(n)]
+
+
+def _hermitian_of_reciprocals(start, digits):
+    """A 4x4 Hermitian matrix whose 16 real parameters are 1/q for distinct odd q."""
+    qs = iter(_odd(k, digits) for k in range(start, start + 16))
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        rows[i][i] = [f"1/{next(qs)}", "0"]
+        for j in range(i + 1, 4):
+            re_part, im_part = f"1/{next(qs)}", next(qs)
+            rows[i][j] = [re_part, f"1/{im_part}"]
+            rows[j][i] = [re_part, f"-1/{im_part}"]
+    return rows
+
+
+def test_verify_and_derive_reject_sets_whose_reports_would_overflow_int_printing(tmp_path):
+    # each literal is under the length limit, but the reports would print
+    # integers beyond Python's default limit of 4300 digits
+    zero = _diagonal(["0"] * 4)
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps({
+        "n": 4,
+        "alpha": [_diagonal([f"1/{_odd(k, 998)}" for k in range(4, 8)]), zero, zero],
+        "beta": _diagonal([f"1/{_odd(k, 998)}" for k in range(4)]),
+    }))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({
+        "n": 4,
+        "alpha": [_hermitian_of_reciprocals(16 * k, 690) for k in range(3)],
+        "beta": _hermitian_of_reciprocals(48, 690),
+    }))
+    for path in (diagonal, full):
+        with pytest.raises(MatrixFileError, match="more than 1000 digits"):
+            parse_matrix_file(path)
+        for command in ("verify", "derive"):
+            result = run_cli(command, str(path))
+            assert_usage_error(result)
+            assert "entries too large" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_parse_accepts_a_scale_of_1000_digits_and_rejects_1001(tmp_path):
+    def parsed(beta_entries):
+        path = tmp_path / "scale.json"
+        zero = _diagonal(["0"] * 2, n=2)
+        path.write_text(json.dumps({"n": 2, "alpha": [zero] * 3, "beta": _diagonal(beta_entries, n=2)}))
+        return parse_matrix_file(path)
+
+    q = _odd(0, 500)
+    # the scale is D * max(1, x): D = lcm of the denominators, x the largest part;
+    # 10^500 * q = 10^999 + 10^500 has 1000 digits, 10^501 * q has 1001
+    assert parsed(["9" * 1000, "0"]).beta[0][0].re == 10**1000 - 1
+    assert parsed([f"1/{q}", f"1/{q + 2}"]).beta[1][1].re.denominator == q + 2
+    assert parsed([str(10**500), f"1/{q}"]).beta[0][0].re == 10**500
+    wider = _odd(0, 501)
+    for entries in ([str(10**501), f"1/{q}"], [f"1/{wider}", f"1/{wider + 2}"]):
+        with pytest.raises(MatrixFileError, match="entries too large"):
+            parsed(entries)
+
+
 def test_parse_rejects_structural_problems(tmp_path):
     zero2 = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
 
@@ -564,9 +630,11 @@ _NUMBER = st.one_of(
 )
 _LITERAL = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/7"])
 # 10^400 is an exact literal beyond the float range; 10^8 is a large entry
-# that the norm-aware residual bound accepts
+# that the norm-aware residual bound accepts; 1/(10^998 - 1) has the longest
+# accepted length, and with the other drawn literals it gives a set scale of
+# exactly 1000 digits, the most accepted
 _ODD_LITERAL = st.sampled_from(
-    ["1" + "0" * 400, "100000000", "1/0", "0.5", "x", "", None, 3, ["1", "0"]]
+    ["1" + "0" * 400, "100000000", "1/" + "9" * 998, "1/0", "0.5", "x", "", None, 3, ["1", "0"]]
 )
 
 

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from diracver.algebra import ComplexRational, MultiPoly
 from diracver.clifford import (
     CATALOG_NAMES,
+    CanonicalizationResult,
     ExactUnitary,
     StructuralViolationError,
+    _gram_schmidt_columns,
     beta_spectrum,
     canonicalize_beta,
     catalog,
@@ -28,6 +31,7 @@ from diracver.clifford import (
 from diracver.dispersion import check_dispersion
 from diracver.symmat import (
     MatrixSet,
+    _cleared,
     as_matrix,
     build_hamiltonian,
     char_poly,
@@ -37,7 +41,16 @@ from diracver.symmat import (
     mat_mul,
     mat_scale,
 )
-from oracles import block_reader, dagger_reference, mat_mul_reference, unit_eigenbasis
+from oracles import (
+    alpha_structure_reference,
+    anticommutator_reference,
+    block_reader,
+    canonical_form_reference,
+    dagger_reference,
+    gram_schmidt_reference,
+    mat_mul_reference,
+    unit_eigenbasis,
+)
 
 _CANONICAL = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
 
@@ -259,6 +272,172 @@ def test_exact_modules_use_no_floats():
                 assert node.func.id not in ("float", "complex"), where
             elif isinstance(node, ast.Constant):
                 assert not isinstance(node.value, (float, complex)), where
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-integer kernels against the ComplexRational references
+# ---------------------------------------------------------------------------
+
+_mixed_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7, 12, 35, 1001)))
+_mixed_scalars = st.builds(ComplexRational, _mixed_fractions, _mixed_fractions)
+
+
+@st.composite
+def _mixed_hermitian(draw, n):
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = ComplexRational(draw(_mixed_fractions))
+        for j in range(i + 1, n):
+            rows[i][j] = draw(_mixed_scalars)
+            rows[j][i] = rows[i][j].conj()
+    return tuple(tuple(row) for row in rows)
+
+
+@st.composite
+def _audited_sets(draw, dims=(2, 3, 4)):
+    """A set of mixed denominators, its 10-60-step conjugate, or a perturbation of either.
+
+    The base is a catalog set (n = 4), the Pauli triple (n = 2) or a set of
+    mixed-denominator Hermitian matrices.
+    """
+    n = draw(st.sampled_from(dims))
+    rng = draw(st.randoms(use_true_random=False))
+    named = {4: [catalog(name) for name in CATALOG_NAMES], 2: [pauli_set()], 3: []}[n]
+    if named and draw(st.booleans()):
+        mset = draw(st.sampled_from(named))
+    else:
+        mset = MatrixSet(n, tuple(draw(_mixed_hermitian(n)) for _ in range(3)), draw(_mixed_hermitian(n)))
+    if draw(st.booleans()):
+        mset = random_exact_unitary(rng, n, steps=draw(st.integers(10, 60))).conjugate_set(mset)
+    if draw(st.booleans()):
+        magnitude = draw(_mixed_fractions.filter(bool))
+        mset = perturbed_set(rng, mset, entries=draw(st.integers(1, 3)), magnitude=magnitude)
+    return mset
+
+
+def _is_matrix_of_scalars(matrix, n):
+    return (
+        type(matrix) is tuple
+        and len(matrix) == n
+        and all(type(row) is tuple and len(row) == n for row in matrix)
+        and all(type(x) is ComplexRational for row in matrix for x in row)
+    )
+
+
+@given(_audited_sets(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_anticommutators_match_the_reference_products(mset, include_beta):
+    report = check_anticommutation(mset, include_beta=include_beta)
+    items = [(name, m) for name, m in mset.matrices() if include_beta or name != "beta"]
+    identity = mat_identity(mset.n)
+    pairwise = {
+        (name_a, name_b): anticommutator_reference(a, b)
+        for k, (name_a, a) in enumerate(items)
+        for name_b, b in items[k + 1:]
+    }
+    squares = {
+        name: tuple(tuple(x - y for x, y in zip(row, unit)) for row, unit in zip(mat_mul_reference(m, m), identity))
+        for name, m in items
+    }
+    assert list(report.pairwise) == list(pairwise)
+    assert list(report.squares) == list(squares)
+    assert report.pairwise == pairwise
+    assert report.squares == squares
+    assert all(_is_matrix_of_scalars(d, mset.n) for d in (*report.pairwise.values(), *report.squares.values()))
+    assert report.passed == all(mat_is_zero(d) for d in (*pairwise.values(), *squares.values()))
+
+
+@given(_audited_sets(), _mixed_scalars)
+@settings(max_examples=60, deadline=None)
+def test_gram_schmidt_matches_the_reference_basis(mset, factor):
+    # the four matrices, and the first with its last column made a multiple of its first
+    first = mset.alphas[0]
+    deficient = tuple(row[:-1] + (row[0] * factor,) for row in first)
+    for _, matrix in (*mset.matrices(), ("deficient", deficient)):
+        g, d = _cleared(matrix)
+        basis = _gram_schmidt_columns(g)
+        expected = gram_schmidt_reference(matrix)
+        assert [tuple(ComplexRational._from_ints(re, im, s * d) for re, im in w) for w, s, _ in basis] == expected
+        assert [Fraction(norm, (s * d) ** 2) for _, s, norm in basis] == [
+            sum((x.abs2() for x in v), Fraction(0)) for v in expected
+        ]
+
+
+_SIGNATURES = [
+    as_matrix([[1 if i == j else 0 for j in range(4)] for i in range(4)]),
+    as_matrix([[(1 if i < 3 else -1) if i == j else 0 for j in range(4)] for i in range(4)]),
+    as_matrix([[(1 if i < 1 else -1) if i == j else 0 for j in range(4)] for i in range(4)]),
+]
+
+
+@st.composite
+def _involutive_sets(draw):
+    """A catalog set, with a beta of signature (4, 0), (3, 1) or (1, 3) one time in four,
+    perturbed now and then and conjugated by an exact unitary of 0-60 steps."""
+    rng = draw(st.randoms(use_true_random=False))
+    base = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    beta = draw(st.sampled_from(_SIGNATURES)) if draw(st.integers(0, 3)) == 0 else base.beta
+    mset = MatrixSet(4, base.alphas, beta)
+    if draw(st.integers(0, 3)) == 0:
+        mset = perturbed_set(rng, mset, entries=draw(st.integers(1, 3)))
+    return random_exact_unitary(rng, steps=draw(st.integers(0, 60))).conjugate_set(mset)
+
+
+@given(_involutive_sets())
+@settings(max_examples=60, deadline=None)
+def test_canonicalize_beta_matches_the_reference_basis(mset):
+    beta = mset.beta
+    if mat_mul_reference(beta, beta) != mat_identity(4):
+        with pytest.raises(ValueError, match="beta\\^2 differs"):
+            canonicalize_beta(mset)
+        return
+    dims, description, transform = canonical_form_reference(beta)
+    if dims != (2, 2):
+        with pytest.raises(StructuralViolationError, match=re.escape(f"dimensions {dims}")):
+            canonicalize_beta(mset)
+        return
+    result = canonicalize_beta(mset)
+    assert result.description == description
+    assert result.transform_exact == transform
+    assert result.exact == (transform is not None)
+    assert result.matrix_set is mset
+    if transform is not None:
+        assert _is_matrix_of_scalars(result.transform_exact, 4)
+
+
+def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
+    # every branch, on fixed seeds: exact and not, lopsided, not involutive
+    outcomes = set()
+    rng = random.Random(8)
+    for name in CATALOG_NAMES:
+        for beta in (catalog(name).beta, *_SIGNATURES):
+            for steps in (0, 10, 60):
+                mset = random_exact_unitary(rng, steps=steps).conjugate_set(MatrixSet(4, catalog(name).alphas, beta))
+                dims, description, transform = canonical_form_reference(mset.beta)
+                if dims != (2, 2):
+                    outcomes.add("lopsided")
+                    with pytest.raises(StructuralViolationError):
+                        canonicalize_beta(mset)
+                    continue
+                result = canonicalize_beta(mset)
+                assert (result.description, result.transform_exact) == (description, transform)
+                outcomes.add(result.exact)
+    halved = MatrixSet(4, catalog("majorana").alphas, mat_scale(catalog("majorana").beta, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="beta\\^2 differs"):
+        canonicalize_beta(halved)
+    assert outcomes == {True, False, "lopsided"}
+
+
+@given(_audited_sets(dims=(4,)))
+@settings(max_examples=60, deadline=None)
+def test_alpha_structure_matches_the_reference_traces(mset):
+    # the structure formulas hold for any beta; wrapping the set skips the canonical-form check
+    report = check_alpha_structure(CanonicalizationResult(True, mset, None, ""))
+    expected = [alpha_structure_reference(mset.beta, alpha) for alpha in mset.alphas]
+    assert report.alpha_blocks == tuple(blocks for blocks, _ in expected)
+    assert report.norm_values == tuple(norm for _, norm in expected)
+    assert all(type(value) is Fraction for value in report.norm_values)
+    assert all(type(value) is bool for value in report.alpha_blocks)
 
 
 # ---------------------------------------------------------------------------

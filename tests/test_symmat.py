@@ -13,6 +13,7 @@ from diracver.clifford import (
     random_exact_unitary,
     random_hermitian_set,
 )
+from diracver import symmat
 from diracver.symmat import (
     CharPoly,
     HermiticityError,
@@ -145,7 +146,7 @@ def test_char_poly_rejects_large_dimension():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_faddeev_leverrier_matches_cofactor_oracle(n, rng):
+def test_char_poly_matches_cofactor_oracle(n, rng):
     for _ in range(30):
         matrix = random_hermitian_matrix(rng, n)
         cp = char_poly(poly_matrix_of_scalars(matrix))
@@ -172,6 +173,70 @@ def test_char_poly_of_long_conjugates_matches_cofactor_oracle(rng, steps, base):
 @settings(max_examples=60, deadline=None)
 def test_char_poly_of_mixed_denominator_polymatrix_matches_cofactor_oracle(pm):
     assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
+
+
+def test_char_poly_of_a_fixed_non_hermitian_matrix_matches_cofactor_oracle():
+    # entry (i, j) mixes a constant, a linear term and, off the diagonal, p1*m,
+    # with complex coefficients over denominators 2..7; no entry mirrors another
+    variables = (P1, P2, P3, MASS)
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            entry = MultiPoly.constant(ComplexRational(Fraction(i * j - 1, 5), Fraction(i - j, 3)))
+            entry = entry + variables[(i + 2 * j) % 4] * ComplexRational(
+                Fraction(i - 2 * j + 1, j + 2), Fraction(2 * i + j - 3, i + 3)
+            )
+            if i != j:
+                entry = entry + P1 * MASS * ComplexRational(Fraction(j + 1, 7), Fraction(i, 2))
+            row.append(entry)
+        rows.append(tuple(row))
+    pm = PolyMatrix(4, tuple(rows))
+    assert not pm.is_hermitian()
+    cp = char_poly(pm)
+    assert cp.poly == char_poly_cofactor_pm(pm)
+    assert not all(cp.c(k).is_real() for k in range(4))
+
+
+def test_newton_division_must_be_exact(dirac_pauli, monkeypatch):
+    with pytest.raises(RuntimeError, match="not divisible by 2"):
+        symmat._gi_neg_div({0: (2, 0), 1: (4, 1)}, 2)
+    with pytest.raises(RuntimeError, match="not divisible by 3"):
+        symmat._gi_neg_div({0: (1, 0)}, 3)
+    assert symmat._gi_neg_div({0: (6, -3), 5: (0, 9)}, 3) == {0: (-2, 1), 5: (0, -3)}
+
+    # a power sum off by one constant makes the k = 2 step inexact
+    power_sums = symmat._power_sums
+
+    def corrupted(A):
+        sums = power_sums(A)
+        sums[2] = {**sums[2], 0: (1, 0)}
+        return sums
+
+    monkeypatch.setattr(symmat, "_power_sums", corrupted)
+    with pytest.raises(RuntimeError, match="internal error: .* not divisible by 2"):
+        char_poly(build_hamiltonian(dirac_pauli))
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    steps=st.integers(0, 30),
+    n=st.integers(2, 4),
+)
+@settings(max_examples=30, deadline=None)
+def test_build_hamiltonian_matches_polynomial_arithmetic(rng, steps, n):
+    mset = random_exact_unitary(rng, n, steps=steps).conjugate_set(random_hermitian_set(rng, n))
+    h = build_hamiltonian(mset)
+    for i in range(n):
+        for j in range(n):
+            expected = MultiPoly.zero()
+            for matrix, variable in zip((*mset.alphas, mset.beta), (P1, P2, P3, MASS)):
+                if matrix[i][j]:
+                    expected = expected + variable * matrix[i][j]
+            assert h.entry(i, j) == expected
+            # the same terms, inserted in the same order
+            assert list(h.entry(i, j)._terms.items()) == list(expected._terms.items())
+    assert h.is_hermitian()
 
 
 def test_char_poly_large_exponents_do_not_collide():
