@@ -22,7 +22,7 @@ Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
 input, and it is divided back out when the result is converted to
 ``MultiPoly`` values.  ``trace_and_det`` reads each determinant off the
 constant term, ``det(A) = (-1)^n c_0``.  ``clifford`` runs its own kernels
-on the same cleared form (``_cleared``, ``_gi_mat_mul``).
+on the same cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     ComplexRational,
@@ -139,15 +139,18 @@ def _gi_mat_mul(ga: list, gb: list) -> Iterator[tuple[int, int]]:
             yield re, im
 
 
+def _rebuilt(entries: Iterable[tuple[int, int]], denom: int, n: int) -> Matrix:
+    """The n x n matrix of Gaussian-integer ``entries`` (row by row) over ``denom``."""
+    make = ComplexRational._from_ints
+    flat = [make(re, im, denom) for re, im in entries]
+    return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product in Gaussian integers: D_a*a times D_b*b, rebuilt over D_a*D_b."""
     ga, da = _cleared(a)
     gb, db = _cleared(b)
-    denom = da * db
-    n = len(a)
-    make = ComplexRational._from_ints
-    flat = [make(re, im, denom) for re, im in _gi_mat_mul(ga, gb)]
-    return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+    return _rebuilt(_gi_mat_mul(ga, gb), da * db, len(a))
 
 
 def mat_dagger(a: Matrix) -> Matrix:

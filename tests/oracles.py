@@ -4,9 +4,9 @@ These deliberately avoid the code paths they validate: determinants are
 expanded by cofactors instead of power sums and Newton's identities,
 polynomial reduction is redone with generic long division, the
 multiplicity conditions are rebuilt at a concrete energy instead of over s,
-matrix products, anticommutators and the Gram-Schmidt basis of beta's
-eigenspaces are plain ComplexRational sums instead of Gaussian-integer
-kernels, and the alpha blocks are read off entry by entry in an explicit
+matrix products, anticommutators, unitarity tests, conjugations and the
+Gram-Schmidt basis of beta's eigenspaces are plain ComplexRational sums
+instead of Gaussian-integer kernels, and the alpha blocks are read off entry by entry in an explicit
 eigenbasis of beta instead of through projector traces (or, in
 ``alpha_structure_reference``, through the same traces taken over
 ComplexRational).
@@ -176,6 +176,21 @@ def anticommutator_reference(a: Matrix, b: Matrix) -> Matrix:
 def dagger_reference(a: Matrix) -> Matrix:
     n = len(a)
     return tuple(tuple(a[j][i].conj() for j in range(n)) for i in range(n))
+
+
+def unitary_reference(matrix) -> bool:
+    """Whether ``matrix`` is square, nonempty and satisfies U U^dagger = 1,
+    by a reference product compared entry by entry with the identity."""
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
+        return False
+    gram = mat_mul_reference(matrix, dagger_reference(matrix))
+    return all(gram[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+
+
+def conjugate_reference(u: Matrix, x: Matrix) -> Matrix:
+    """U X U^dagger from two reference products."""
+    return mat_mul_reference(u, mat_mul_reference(x, dagger_reference(u)))
 
 
 def _gaussian_unit_factor(q: Fraction) -> ComplexRational | None:

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracver.clifford as clifford_module
 from diracver.algebra import ComplexRational, MultiPoly
 from diracver.clifford import (
     CATALOG_NAMES,
@@ -40,16 +43,19 @@ from diracver.symmat import (
     mat_is_zero,
     mat_mul,
     mat_scale,
+    mat_trace,
 )
 from oracles import (
     alpha_structure_reference,
     anticommutator_reference,
     block_reader,
     canonical_form_reference,
+    conjugate_reference,
     dagger_reference,
     gram_schmidt_reference,
     mat_mul_reference,
     unit_eigenbasis,
+    unitary_reference,
 )
 
 _CANONICAL = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
@@ -405,6 +411,17 @@ def test_canonicalize_beta_matches_the_reference_basis(mset):
         assert _is_matrix_of_scalars(result.transform_exact, 4)
 
 
+@given(st.one_of(_audited_sets(), _involutive_sets()))
+@settings(max_examples=60, deadline=None)
+def test_beta_square_check_matches_the_reference(mset):
+    if mat_mul_reference(mset.beta, mset.beta) == mat_identity(mset.n):
+        plus = beta_spectrum(mset).count(1)
+        assert 2 * plus - mset.n == mat_trace(mset.beta)
+    else:
+        with pytest.raises(StructuralViolationError, match="^beta does not square to the identity$"):
+            beta_spectrum(mset)
+
+
 def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
     # every branch, on fixed seeds: exact and not, lopsided, not involutive
     outcomes = set()
@@ -514,6 +531,129 @@ def test_random_exact_unitaries_are_unitary(rng):
     for _ in range(10):
         u = random_exact_unitary(rng)
         assert mat_mul(u.matrix, mat_dagger(u.matrix)) == mat_identity(4)
+
+
+def test_malformed_unitaries_fail_with_their_own_message(monkeypatch):
+    with pytest.raises(ValueError, match="^unitary must be square and nonempty$"):
+        ExactUnitary(())
+
+    def no_product(*args):
+        raise AssertionError("a product was started")
+
+    # the dimensions are compared before any product (zip would truncate)
+    monkeypatch.setattr(clifford_module, "_gi_mat_mul", no_product)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        ExactUnitary.identity(4) @ ExactUnitary.identity(2)
+
+
+def test_cleared_form_is_not_a_field():
+    u = ExactUnitary.rotation(2, 0, 1, Fraction(3, 5), ComplexRational(0, Fraction(4, 5)))
+    v = ExactUnitary(u.matrix)
+    assert [f.name for f in fields(ExactUnitary)] == ["matrix"]
+    assert u == v and hash(u) == hash(v)
+    assert repr(u) == f"ExactUnitary(matrix={u.matrix!r})"
+
+
+_RAGGED = ("empty", "short row", "long row", "extra row", "missing row")
+
+
+@st.composite
+def _unitary_candidates(draw):
+    """The rows of a 1-60-step exact unitary (n = 2, 3, 4), intact or damaged:
+    one entry nudged by +-1/10^k or +-i/10^k (k <= 40), one entry times i,
+    one entry conjugated, two rows swapped, or a ragged shape."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [list(row) for row in random_exact_unitary(rng, n, steps=draw(st.integers(1, 60))).matrix]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    damage = draw(st.sampled_from(("none", "nudge", "times i", "conjugate", "swap", *_RAGGED)))
+    if damage == "nudge":
+        step = Fraction(draw(st.sampled_from((1, -1))), 10 ** draw(st.integers(1, 40)))
+        rows[i][j] = rows[i][j] + (ComplexRational(0, step) if draw(st.booleans()) else step)
+    elif damage == "times i":
+        rows[i][j] = rows[i][j] * ComplexRational(0, 1)
+    elif damage == "conjugate":
+        rows[i][j] = rows[i][j].conj()
+    elif damage == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif damage == "empty":
+        rows = []
+    elif damage == "short row":
+        rows[i].pop()
+    elif damage == "long row":
+        rows[i].append(ComplexRational(0))
+    elif damage == "extra row":
+        rows.append(list(rows[i]))
+    elif damage == "missing row":
+        rows.pop(i)
+    return tuple(tuple(row) for row in rows)
+
+
+@given(_unitary_candidates())
+@settings(max_examples=150, deadline=None)
+def test_unitary_validation_matches_the_reference(rows):
+    n = len(rows)
+    if unitary_reference(rows):
+        assert ExactUnitary(rows).matrix == rows
+    elif n == 0 or any(len(row) != n for row in rows):
+        with pytest.raises(ValueError, match="^unitary must be square and nonempty$"):
+            ExactUnitary(rows)
+    else:
+        with pytest.raises(ValueError, match="^matrix is not exactly unitary$"):
+            ExactUnitary(rows)
+
+
+@given(st.sampled_from((2, 3, 4)), st.randoms(use_true_random=False), st.integers(0, 60), st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_unitary_products_match_the_reference(n, rng, steps_u, steps_v):
+    u = random_exact_unitary(rng, n, steps=steps_u)
+    v = random_exact_unitary(rng, n, steps=steps_v)
+    product = u @ v
+    assert product.matrix == mat_mul_reference(u.matrix, v.matrix)
+    assert _is_matrix_of_scalars(product.matrix, n)
+
+
+@given(st.sampled_from(CATALOG_NAMES), st.randoms(use_true_random=False), st.integers(10, 60), st.none() | st.text(max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_conjugate_set_matches_the_reference(name, rng, steps, label):
+    base = catalog(name)
+    u = random_exact_unitary(rng, steps=steps)
+    expected_label = f"{name} (conjugated)" if label is None else label
+    for got, w in ((u.conjugate_set(base, label), u.matrix), (u.conjugate_by_inverse(base, label), dagger_reference(u.matrix))):
+        assert got.label == expected_label
+        assert got.alphas == tuple(conjugate_reference(w, alpha) for alpha in base.alphas)
+        assert got.beta == conjugate_reference(w, base.beta)
+        assert all(_is_matrix_of_scalars(m, 4) for _, m in got.matrices())
+
+
+@given(_audited_sets(), st.randoms(use_true_random=False), st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_conjugate_set_matches_the_reference_on_mixed_denominators(mset, rng, steps):
+    u = random_exact_unitary(rng, mset.n, steps=steps)
+    got = u.conjugate_set(mset)
+    assert got.alphas == tuple(conjugate_reference(u.matrix, alpha) for alpha in mset.alphas)
+    assert got.beta == conjugate_reference(u.matrix, mset.beta)
+
+
+# sha256 (first 16 hex digits) of repr(matrix) and repr(rng.random()) after the
+# draw, for seeds 0-7: pins every matrix the samplers, the benchmark pools and
+# scripts/equivalence_experiment.py build, and the rng stream that follows.
+@pytest.mark.parametrize("n, steps, digest", [
+    (2, 5, "8b60739902bdcf8b"),
+    (3, 20, "f763857e930d6168"),
+    (4, 1, "0d678468b02d5dfe"),
+    (4, 3, "dd851664b4e723fd"),
+    (4, 10, "2f7229c78b1ecf76"),
+    (4, 30, "17e5e98d6b47ebd4"),
+    (4, 60, "4ed1f87dae0ac793"),
+])
+def test_random_exact_unitary_values_are_pinned(n, steps, digest):
+    h = hashlib.sha256()
+    for seed in range(8):
+        rng = random.Random(seed)
+        h.update(repr(random_exact_unitary(rng, n, steps=steps).matrix).encode())
+        h.update(repr(rng.random()).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_catalog_unknown_name():

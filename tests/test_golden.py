@@ -22,11 +22,17 @@ dirac-pauli over the massless `lin:-1:1:3`, whose origin has E = 0.
 
 The stdout of `scripts/solve_requirements.py`, the feasibility table for
 every n <= 4 and r <= n with its `eigenvalue equation:` lines, is pinned in
-`tests/golden/expected/solve_requirements.out`.
+`tests/golden/expected/solve_requirements.out`.  The stdout of
+`scripts/equivalence_experiment.py` at its default seed and counts, with the
+elapsed time cut from its first line, is pinned in
+`tests/golden/expected/equivalence_experiment.out`, so a change to the
+sampled sets or to a verdict shows.
 """
 
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,11 +62,22 @@ def test_report_matches_golden(case, capsys, tmp_path):
     assert code == spec["exit"]
 
 
-def test_feasibility_table_script_matches_golden(capsys):
-    script = Path(__file__).parents[1] / "scripts" / "solve_requirements.py"
-    spec = importlib.util.spec_from_file_location("solve_requirements", script)
+def _load_script(name: str):
+    script = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main()
+    return module
+
+
+def test_feasibility_table_script_matches_golden(capsys):
+    _load_script("solve_requirements").main()
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / "expected" / "solve_requirements.out").read_bytes()
+
+
+def test_equivalence_experiment_matches_golden(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["equivalence_experiment.py"])
+    assert _load_script("equivalence_experiment").main() == 0
+    out = re.sub(r"^(\d+ sets audited) in [0-9.]+s$", r"\1", capsys.readouterr().out, count=1, flags=re.M)
+    assert out.encode("utf-8") == (GOLDEN / "expected" / "equivalence_experiment.out").read_bytes()
