@@ -314,6 +314,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"multiplicity {r} outside 1..{mset.n}")
     disp = check_dispersion(mset, r)
     anti = check_anticommutation(mset)
+    if mset.n == 4 and r == 2 and disp.passed != anti.passed:
+        # the equivalence this package mechanizes; a disagreement is a bug, not a verdict
+        first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
+        raise RuntimeError(
+            f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
+        )
     disp_lines = [f"characteristic polynomial: {render_epoly(disp.char.poly)}"]
     disp_lines += [f"{label}: {render_multipoly(res)}" for label, res in zip(disp.labels, disp.residuals)]
     anti_lines = [f"{{{a},{b}}}: {_matrix_summary(d)}" for (a, b), d in anti.pairwise.items()]

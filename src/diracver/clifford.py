@@ -53,6 +53,7 @@ from .symmat import (
     Matrix,
     MatrixSet,
     _cleared,
+    _exact_entries,
     _gi_mat_mul,
     _rebuilt,
     as_matrix,
@@ -474,7 +475,8 @@ class ExactUnitary:
     checks g g^dagger = d^2 I in integers.  The cleared form is kept on the
     instance; it is not a dataclass field, so equality, hash and repr
     ignore it.  Products and conjugations multiply cleared forms and
-    rebuild each entry of the result once.
+    rebuild each entry of the result once.  int and Fraction entries are
+    coerced by ``as_scalar``, as in ``MatrixSet``.
     """
 
     matrix: Matrix
@@ -483,6 +485,7 @@ class ExactUnitary:
         n = len(self.matrix)
         if not n or any(len(row) != n for row in self.matrix):
             raise ValueError("unitary must be square and nonempty")
+        object.__setattr__(self, "matrix", _exact_entries(self.matrix))
         g, d = _cleared(self.matrix)
         if not _gram_is_identity(g, d):
             raise ValueError("matrix is not exactly unitary")

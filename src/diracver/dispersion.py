@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
 class SPoly:
     """Univariate polynomial in the formal symbol s, with Fraction coefficients.
 
@@ -72,6 +75,15 @@ class SPoly:
         self._c = tuple(c)
 
     @classmethod
+    def _make(cls, coeffs: list[Fraction]) -> "SPoly":
+        # trusted path: entries already Fractions; trailing zeros are trimmed here
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self = object.__new__(cls)
+        self._c = tuple(coeffs)
+        return self
+
+    @classmethod
     def zero(cls) -> "SPoly":
         return cls(())
 
@@ -85,7 +97,7 @@ class SPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff: int | Fraction = 1) -> "SPoly":
-        return cls((0,) * power + (coeff,))
+        return cls._make([_ZERO] * power + [Fraction(coeff)])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -100,32 +112,33 @@ class SPoly:
         return not self._c
 
     def coeff(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
+        return self._c[k] if 0 <= k < len(self._c) else _ZERO
 
     def __add__(self, other: "SPoly") -> "SPoly":
-        size = max(len(self._c), len(other._c))
-        return SPoly([self.coeff(k) + other.coeff(k) for k in range(size)])
+        a, b = self._c, other._c
+        if len(a) < len(b):
+            a, b = b, a
+        return SPoly._make([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "SPoly") -> "SPoly":
-        size = max(len(self._c), len(other._c))
-        return SPoly([self.coeff(k) - other.coeff(k) for k in range(size)])
+        return self + -other
 
     def __mul__(self, other: "SPoly | int | Fraction") -> "SPoly":
         if isinstance(other, (int, Fraction)):
-            return SPoly([x * other for x in self._c])
+            return SPoly._make([x * other for x in self._c])
         if self.is_zero or other.is_zero:
             return SPoly.zero()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
+        out = [_ZERO] * (len(self._c) + len(other._c) - 1)
         for i, a in enumerate(self._c):
             if a:
                 for j, b in enumerate(other._c):
                     out[i + j] += a * b
-        return SPoly(out)
+        return SPoly._make(out)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SPoly":
-        return SPoly([-x for x in self._c])
+        return SPoly._make([-x for x in self._c])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SPoly):
@@ -197,27 +210,19 @@ class _Condition:
 
 
 def multiplicity_conditions(req: DegeneracyRequirement) -> list[_Condition]:
-    """The 2r even/odd conditions on c_0..c_{n-1} from P, P', ..., P^(r-1) at E_p."""
+    """The 2r even/odd conditions on c_0..c_{n-1} from P, P', ..., P^(r-1) at E_p.
+
+    Term k of P^(j) is perm(k, j)*E^(k-j); at E = E_p = sqrt(s) it is
+    perm(k, j)*s^((k-j)//2) in the part of the parity of k - j.
+    """
     n, r = req.n, req.r
+    zero = SPoly.zero()
     rows: list[_Condition] = []
     for j in range(r):
-        parts = {
-            "even": ([SPoly.zero()] * n, SPoly.zero()),
-            "odd": ([SPoly.zero()] * n, SPoly.zero()),
-        }
-        for k in range(j, n + 1):
-            t = k - j
-            half, is_odd = divmod(t, 2)
-            contrib = SPoly.monomial(half, perm(k, j))
-            coeffs, const = parts["odd" if is_odd else "even"]
-            if k == n:
-                const = const + contrib
-                parts["odd" if is_odd else "even"] = (coeffs, const)
-            else:
-                coeffs[k] = coeffs[k] + contrib
-        for parity in ("even", "odd"):
-            coeffs, const = parts[parity]
-            rows.append(_Condition(tuple(coeffs), const, j, parity))
+        for odd, parity in enumerate(("even", "odd")):
+            terms = {k: SPoly.monomial((k - j) // 2, perm(k, j)) for k in range(j + odd, n + 1, 2)}
+            coeffs = tuple(terms.get(k, zero) for k in range(n))
+            rows.append(_Condition(coeffs, terms.get(n, zero), j, parity))
     return rows
 
 
@@ -314,7 +319,7 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
         for i, row in enumerate(rows):
             if i != pivot_idx and row[col]:
                 factor = row[col] / pivot[col]
-                rows[i] = [a - factor * b for a, b in zip(row, pivot)]
+                rows[i] = [a - factor * b if b else a for a, b in zip(row, pivot)]
 
     for i, row in enumerate(rows):
         if not consumed[i] and row[n] and not any(row[:n]):
@@ -332,7 +337,7 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
         )
 
     solution = ForcedCoefficientSolution(req, assignments, free)
-    residuals = verify_solution(req, solution)
+    residuals = _residuals(conditions, solution)
     if residuals:
         raise RuntimeError(f"internal solver error: back-substitution residuals {residuals}")
     return solution
@@ -341,7 +346,7 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
 def _monomial_value(x: SPoly, dimension: int) -> Fraction:
     """The coefficient of x, which must be zero or a single monomial of the given dimension."""
     power = dimension // 2
-    if x and (dimension % 2 or dimension < 0 or x != SPoly.monomial(power, x.coeff(power))):
+    if x and (dimension % 2 or dimension < 0 or x.degree != power or any(x.coeffs[:power])):
         raise RuntimeError(
             f"internal solver error: {x} is not a monomial of energy dimension {dimension}"
         )
@@ -374,8 +379,12 @@ def _contradiction_narrative(cond: _Condition, witness: SPoly) -> str:
 
 def verify_solution(req: DegeneracyRequirement, sol: ForcedCoefficientSolution) -> list[str]:
     """Substitute the assignments back into every condition; list nonzero residuals."""
+    return _residuals(multiplicity_conditions(req), sol)
+
+
+def _residuals(conditions: list[_Condition], sol: ForcedCoefficientSolution) -> list[str]:
     problems: list[str] = []
-    for cond in multiplicity_conditions(req):
+    for cond in conditions:
         const = cond.const
         linear: dict[int, SPoly] = {}
         for k, coeff in enumerate(cond.coeffs):

@@ -91,6 +91,15 @@ def as_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     return out
 
 
+def _exact_entries(matrix: Sequence[Sequence[Scalar]]) -> Matrix:
+    """``matrix`` itself when every entry is a ComplexRational, else ``as_matrix(matrix)``."""
+    for row in matrix:
+        for x in row:
+            if type(x) is not ComplexRational:
+                return as_matrix(matrix)
+    return matrix
+
+
 def mat_identity(n: int) -> Matrix:
     one = ComplexRational(1)
     zero = ComplexRational(0)
@@ -178,7 +187,10 @@ def hermiticity_defect(a: Matrix) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices."""
+    """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
+
+    int and Fraction entries are coerced by ``as_scalar``; other entries raise its ``TypeError``.
+    """
 
     n: int
     alphas: tuple[Matrix, Matrix, Matrix]
@@ -190,12 +202,17 @@ class MatrixSet:
             raise UnsupportedDimensionError(f"dimension {self.n} not supported (need 2, 3, or 4)")
         if len(self.alphas) != 3:
             raise ValueError(f"need exactly 3 alpha matrices, got {len(self.alphas)}")
+        exact = []
         for name, matrix in self.matrices():
             if len(matrix) != self.n or any(len(row) != self.n for row in matrix):
                 raise ValueError(f"{name} is not {self.n}x{self.n}")
+            matrix = _exact_entries(matrix)
             bad = hermiticity_defect(matrix)
             if bad is not None:
                 raise HermiticityError(name, bad)
+            exact.append(matrix)
+        object.__setattr__(self, "alphas", tuple(exact[:3]))
+        object.__setattr__(self, "beta", exact[3])
 
     def matrices(self) -> Iterator[tuple[str, Matrix]]:
         for k, alpha in enumerate(self.alphas, start=1):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -283,6 +284,31 @@ def test_verify_valid_and_perturbed(dirac_pauli_file, perturbed_file):
 def test_verify_multiplicity_bounds(dirac_pauli_file):
     assert run_cli("verify", str(dirac_pauli_file), "--multiplicity", "1").returncode == 0
     assert run_cli("verify", str(dirac_pauli_file), "--multiplicity", "5").returncode == 3
+
+
+@pytest.mark.parametrize(
+    "fixture, verdicts",
+    [
+        ("dirac_pauli_file", "passed but the anticommutation check failed"),
+        ("perturbed_file", "failed but the anticommutation check passed"),
+    ],
+    ids=["dirac-pauli", "perturbed"],
+)
+def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, request, monkeypatch, capsys):
+    honest = cli.check_anticommutation
+
+    def flipped(mset):
+        report = honest(mset)
+        return dataclasses.replace(report, passed=not report.passed)
+
+    monkeypatch.setattr(cli, "check_anticommutation", flipped)
+    path = str(request.getfixturevalue(fixture))
+    with pytest.raises(RuntimeError) as err:
+        main(["verify", path])
+    assert str(err.value) == f"internal error: the multiplicity-2 dispersion check {verdicts}"
+    assert capsys.readouterr().out == ""
+    # other multiplicities have no anticommutation counterpart to agree with
+    assert main(["verify", path, "--multiplicity", "1"]) in (0, 1)
 
 
 def test_derive_walkthrough_order(dirac_pauli_file):

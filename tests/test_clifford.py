@@ -546,6 +546,23 @@ def test_malformed_unitaries_fail_with_their_own_message(monkeypatch):
         ExactUnitary.identity(4) @ ExactUnitary.identity(2)
 
 
+def test_unitaries_accept_plain_exact_entries():
+    assert ExactUnitary(((1, 0), (0, 1))) == ExactUnitary.identity(2)
+    rotation = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+    assert ExactUnitary(rotation).matrix == as_matrix(rotation)
+    mixed = ((ComplexRational(0, 1), 0), (0, 1))
+    assert ExactUnitary(mixed).matrix == as_matrix(mixed)
+    exact = mat_identity(3)
+    assert ExactUnitary(exact).matrix is exact  # nothing to coerce, nothing rebuilt
+    with pytest.raises(ValueError, match="^matrix is not exactly unitary$"):
+        ExactUnitary(((1, 1), (0, 1)))
+    with pytest.raises(ValueError, match="^unitary must be square and nonempty$"):
+        ExactUnitary(((1, 0), (0,)))
+    for bad, shown in ((1.0, "1.0"), ("1", "'1'")):
+        with pytest.raises(TypeError, match=f"^cannot interpret {re.escape(shown)} as an exact scalar$"):
+            ExactUnitary(((bad, 0), (0, 1)))
+
+
 def test_cleared_form_is_not_a_field():
     u = ExactUnitary.rotation(2, 0, 1, Fraction(3, 5), ComplexRational(0, Fraction(4, 5)))
     v = ExactUnitary(u.matrix)

@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracver import dispersion
 from diracver.algebra import MASS, P1, P2, P3, EPoly
@@ -158,6 +160,20 @@ def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
     ):
         solve(2, 1)
 
+    # the constant s^2 of the even part of P for n = 4 has dimension 4; s^2 + s
+    # has the right degree but a stray lower term
+    def stray_lower_term(req):
+        rows = honest(req)
+        first = rows[0]
+        assert first.const == SPoly((0, 0, 1))
+        return [dataclasses.replace(first, const=SPoly((0, 1, 1)))] + rows[1:]
+
+    monkeypatch.setattr(dispersion, "multiplicity_conditions", stray_lower_term)
+    with pytest.raises(
+        RuntimeError, match=r"internal solver error: s\^2 \+ s is not a monomial of energy dimension 4"
+    ):
+        solve(4, 2)
+
 
 def test_solver_results_need_an_even_nonnegative_dimension():
     assert dispersion._with_power_of_s(Fraction(3), 4) == SPoly((0, 0, 3))
@@ -311,3 +327,40 @@ def test_spoly_substitution_consistency():
     p = SPoly((3, 0, 1))  # s^2 + 3
     assert p.substitute(Fraction(2)) == Fraction(7)
     assert p.to_multipoly().evaluate((1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
+
+
+# zeros are drawn often, so that sums cancel and results need trimming
+_entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_coeff_lists = st.lists(_entries, max_size=4)
+
+
+def _padded(a, size):
+    return [Fraction(x) for x in a] + [Fraction(0)] * (size - len(a))
+
+
+def _assert_canonical(result, reference):
+    assert all(type(c) is Fraction for c in result.coeffs)
+    assert not result.coeffs or result.coeffs[-1] != 0
+    assert result == SPoly(reference)
+    assert hash(result) == hash(SPoly(reference))
+
+
+@settings(max_examples=150)
+@given(_coeff_lists, _coeff_lists, _entries)
+def test_spoly_arithmetic_matches_fraction_lists(a, b, k):
+    x, y = SPoly(a), SPoly(b)
+    size = max(len(a), len(b))
+    pa, pb = _padded(a, size), _padded(b, size)
+    _assert_canonical(x + y, [u + v for u, v in zip(pa, pb)])
+    _assert_canonical(x - y, [u - v for u, v in zip(pa, pb)])
+    _assert_canonical(-x, [-u for u in pa])
+    product = [Fraction(0)] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            product[i + j] += Fraction(u) * Fraction(v)
+    _assert_canonical(x * y, product)
+    for scalar in (int(k), Fraction(k)):
+        scaled = [Fraction(u) * scalar for u in a]
+        _assert_canonical(x * scalar, scaled)
+        _assert_canonical(scalar * x, scaled)
+    assert x - x == SPoly.zero()

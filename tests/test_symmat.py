@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,25 @@ def test_hermiticity_enforced_at_construction(dirac_pauli):
         MatrixSet(4, (as_matrix(rows),) + dirac_pauli.alphas[1:], dirac_pauli.beta)
     assert err.value.matrix_name == "alpha1"
     assert err.value.index == (0, 2)
+
+
+def test_matrix_sets_accept_plain_exact_entries():
+    zero = ((0, 0), (0, 0))
+    ones = ((1, 0), (0, 1))
+    assert MatrixSet(2, (ones, zero, zero), zero) == MatrixSet(2, (mat_identity(2), mat_zero(2), mat_zero(2)), mat_zero(2))
+    half = ((Fraction(1, 2), 0), (0, Fraction(-1, 2)))
+    mset = MatrixSet(2, (zero, half, zero), ones, label="fractions")
+    assert mset.alphas[1] == as_matrix(half)
+    assert all(isinstance(x, ComplexRational) for _, m in mset.matrices() for row in m for x in row)
+    exact = mat_identity(2)
+    assert MatrixSet(2, (exact, exact, exact), exact).beta is exact  # nothing to coerce, nothing rebuilt
+    with pytest.raises(HermiticityError, match=r"^alpha2 is not Hermitian at entries \(0,1\)/\(1,0\)$"):
+        MatrixSet(2, (zero, ((0, 1), (0, 0)), zero), zero)
+    with pytest.raises(ValueError, match="^beta is not 2x2$"):
+        MatrixSet(2, (zero, zero, zero), ((0, 0), (0,)))
+    for bad, shown in ((0.5, "0.5"), ("1/2", "'1/2'")):
+        with pytest.raises(TypeError, match=f"^cannot interpret {re.escape(shown)} as an exact scalar$"):
+            MatrixSet(2, (zero, zero, zero), ((bad, 0), (0, 0)))
 
 
 def test_unsupported_dimension_rejected():
