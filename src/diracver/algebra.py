@@ -294,13 +294,6 @@ class MultiPoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        """Largest term degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self._terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(m) for m in self._terms}) <= 1
-
     def conj(self) -> "MultiPoly":
         return MultiPoly._make({m: c.conj() for m, c in self._terms.items()})
 
@@ -310,20 +303,6 @@ class MultiPoly:
     def at_zero_mass(self) -> "MultiPoly":
         """Drop every term with a positive power of m."""
         return MultiPoly._make({m: c for m, c in self._terms.items() if m[3] == 0})
-
-    def evaluate(self, point: Sequence[Scalar]) -> ComplexRational:
-        """Exact substitution of a (p1, p2, p3, m) point."""
-        if len(point) != 4:
-            raise ValueError("evaluation point must have 4 components")
-        values = [as_scalar(v) for v in point]
-        total = _CR_ZERO
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(values, mono):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     def __add__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if not isinstance(other, MultiPoly):

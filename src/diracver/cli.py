@@ -28,12 +28,13 @@ from .clifford import (
     CliffordReport,
     StructuralViolationError,
     StructureReport,
+    TraceDetReport,
     beta_spectrum,
     canonicalize_beta,
     catalog,
     check_alpha_structure,
     check_anticommutation,
-    check_trace_det,  # unused here; perfbench patches it on this module
+    check_trace_det,
 )
 from .dispersion import (
     DegeneracyRequirement,
@@ -44,7 +45,8 @@ from .dispersion import (
     solve_forced_coefficients,
 )
 from .spectrum import MomentumSample, sweep, write_csv
-from .symmat import HermiticityError, Matrix, MatrixSet, mat_is_zero, trace_and_det
+from .symmat import CharPoly, HermiticityError, Matrix, MatrixSet, build_hamiltonian, char_poly, mat_is_zero
+from .symmat import trace_and_det  # unused here; perfbench patches it on this module
 
 __all__ = [
     "MatrixFileError",
@@ -240,19 +242,11 @@ class _Audit:
     alpha structure is checked only when a canonical form exists.
     """
 
-    values: dict[str, tuple[ComplexRational, ComplexRational]]
+    trace_det: TraceDetReport
     spectrum: tuple[int, ...] | StructuralViolationError
     canonical: CanonicalizationResult | ValueError
     structure: StructureReport | None
     anti: CliffordReport
-
-    @property
-    def traces_vanish(self) -> bool:
-        return all(tr.is_zero for tr, _ in self.values.values())
-
-    @property
-    def dets_unit(self) -> bool:
-        return all(det == 1 for _, det in self.values.values())
 
     @property
     def spectrum_passed(self) -> bool:
@@ -264,7 +258,7 @@ class _Audit:
 
     @property
     def passed(self) -> bool:
-        stages = (self.traces_vanish, self.dets_unit, self.spectrum_passed, self.structure_passed)
+        stages = (self.trace_det.passed, self.spectrum_passed, self.structure_passed)
         return all(stages) and self.anti.passed
 
     def spectrum_line(self) -> str:
@@ -288,8 +282,8 @@ class _Audit:
         ]
 
 
-def _audit(mset: MatrixSet, anti: CliffordReport) -> _Audit:
-    """Run each structural stage of an n = 4 set once."""
+def _audit(mset: MatrixSet, char: CharPoly, anti: CliffordReport) -> _Audit:
+    """Run each structural stage of an n = 4 set once; ``char`` is P(E) of the set."""
     try:
         spectrum = beta_spectrum(mset)
     except StructuralViolationError as exc:
@@ -299,7 +293,7 @@ def _audit(mset: MatrixSet, anti: CliffordReport) -> _Audit:
     except (ValueError, StructuralViolationError) as exc:
         canonical = exc
     structure = None if isinstance(canonical, Exception) else check_alpha_structure(canonical)
-    return _Audit(trace_and_det(mset), spectrum, canonical, structure, anti)
+    return _Audit(check_trace_det(char), spectrum, canonical, structure, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +323,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _section("[anticommutation]", anti_lines, anti.passed),
     ]
     if mset.n == 4:
-        audit = _audit(mset, anti)
+        audit = _audit(mset, disp.char, anti)
         trace_det_lines = [
             f"{name}: trace = {render_scalar(tr)}, det = {render_scalar(det)}"
-            for name, (tr, det) in audit.values.items()
+            for name, (tr, det) in audit.trace_det.values.items()
         ]
         structure_lines = audit.alpha_lines("diagonal blocks vanish", "norm condition")
         sections += [
-            _section("[trace-det]", trace_det_lines, audit.traces_vanish and audit.dets_unit),
+            _section("[trace-det]", trace_det_lines, audit.trace_det.passed),
             _section("[beta-spectrum]", [audit.spectrum_line()], audit.spectrum_passed),
             _section("[alpha-structure]", [audit.canonical_line(), *structure_lines], audit.structure_passed),
         ]
@@ -371,8 +365,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
-    audit = _audit(mset, check_anticommutation(mset))
-    values = audit.values.items()
+    audit = _audit(mset, char_poly(build_hamiltonian(mset)), check_anticommutation(mset))
+    values = audit.trace_det.values.items()
     defects = [*audit.anti.pairwise.values(), *audit.anti.squares.values()]
     dirty = sum(not mat_is_zero(d) for d in defects)
     steps = (
@@ -380,13 +374,13 @@ def cmd_derive(args: argparse.Namespace) -> int:
             "trace",
             "the coefficient of E^3 must vanish identically, forcing every trace to zero",
             [", ".join(f"Tr({name}) = {render_scalar(tr)}" for name, (tr, _) in values)],
-            audit.traces_vanish,
+            audit.trace_det.traces_vanish,
         ),
         (
             "det",
             "the pure p1^4, p2^4, p3^4, m^4 terms of the constant coefficient force unit determinants",
             [", ".join(f"det({name}) = {render_scalar(det)}" for name, (_, det) in values)],
-            audit.dets_unit,
+            audit.trace_det.dets_unit,
         ),
         (
             "beta-spectrum",

@@ -13,7 +13,12 @@ and this module makes both directions of that equivalence executable:
 ``equivalence_audit`` runs it side by side with the dispersion check.
 The structural consequences are audited too: zero traces, unit
 determinants, the {+1, +1, -1, -1} spectrum of beta, and the vanishing
-diagonal blocks of each alpha relative to the eigenspaces of beta.
+diagonal blocks of each alpha relative to the eigenspaces of beta.  The
+traces and determinants need no product of matrices: ``check_trace_det``
+takes them from P(E) = det(E - h(p)), the polynomial the dispersion demand
+constrains.  The coefficient of E^3 carries the traces, and the pure
+p1^4, p2^4, p3^4 and m^4 terms of the constant coefficient carry the
+determinants.
 
 Every verdict here is exact; nothing in this module is a float.
 ``canonicalize_beta`` proves the (2, 2) eigenspaces of beta with an exact
@@ -50,6 +55,7 @@ from typing import Iterable, Sequence
 from .algebra import ComplexRational, Scalar, as_scalar, render_fraction
 from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
+    CharPoly,
     Matrix,
     MatrixSet,
     _cleared,
@@ -59,7 +65,6 @@ from .symmat import (
     as_matrix,
     build_hamiltonian,  # unused here; perfbench patches it on this module
     char_poly,  # unused here; perfbench patches it on this module
-    mat_dagger,
     mat_identity,
     mat_is_zero,
     mat_trace,
@@ -216,19 +221,32 @@ def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
 
 @dataclass(frozen=True)
 class TraceDetReport:
-    """Traces and determinants of the four matrices, with the pass verdict."""
+    """Traces and determinants of the four matrices, read off P(E)."""
 
     values: dict[str, tuple[ComplexRational, ComplexRational]]
-    passed: bool
+
+    @property
+    def traces_vanish(self) -> bool:
+        return all(tr.is_zero for tr, _ in self.values.values())
+
+    @property
+    def dets_unit(self) -> bool:
+        return all(det == 1 for _, det in self.values.values())
+
+    @property
+    def passed(self) -> bool:
+        return self.traces_vanish and self.dets_unit
 
 
-def check_trace_det(mset: MatrixSet) -> TraceDetReport:
-    """All four traces must vanish and all four determinants must equal one."""
-    if mset.n != 4:
+def check_trace_det(cp: CharPoly) -> TraceDetReport:
+    """All four traces must vanish and all four determinants must equal one.
+
+    ``cp`` is the characteristic polynomial of h(p) of an n = 4 set, from
+    which ``trace_and_det`` reads every value.
+    """
+    if cp.n != 4:
         raise ValueError("trace/determinant conditions apply to n = 4 sets")
-    values = trace_and_det(mset)
-    passed = all(tr.is_zero and det == 1 for tr, det in values.values())
-    return TraceDetReport(values, passed)
+    return TraceDetReport(trace_and_det(cp))
 
 
 def _gram_is_identity(g: list, d: int) -> bool:
@@ -559,10 +577,6 @@ class ExactUnitary:
             conj(mset.beta),
             label=label if label is not None else f"{mset.label} (conjugated)",
         )
-
-    def conjugate_by_inverse(self, mset: MatrixSet, label: str | None = None) -> MatrixSet:
-        """Apply X -> U^dagger X U (the new-basis form when columns of U are the basis)."""
-        return ExactUnitary(mat_dagger(self.matrix)).conjugate_set(mset, label=label)
 
 
 _PYTHAGOREAN = (

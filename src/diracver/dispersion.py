@@ -36,7 +36,6 @@ from .algebra import (
     _power,
     _term_sign_body,
     _times_factors,
-    dispersion_modulus,
     reduce_at_dispersion,
 )
 from .symmat import CharPoly, MatrixSet, build_hamiltonian, char_poly
@@ -60,16 +59,25 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _exact(x: object) -> Fraction:
+    """An int or Fraction as a Fraction; anything else raises ``TypeError``, as ``as_scalar`` does."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+
 class SPoly:
     """Univariate polynomial in the formal symbol s, with Fraction coefficients.
 
     s stands for the squared positive energy p1^2 + p2^2 + p3^2 + m^2.
+    Coefficients and scalar factors must be int or Fraction; a float, or an
+    int added to an SPoly, raises ``TypeError``.
     """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Sequence[int | Fraction] = ()):
-        c = [Fraction(x) for x in coeffs]
+        c = [_exact(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -97,7 +105,7 @@ class SPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff: int | Fraction = 1) -> "SPoly":
-        return cls._make([_ZERO] * power + [Fraction(coeff)])
+        return cls._make([_ZERO] * power + [_exact(coeff)])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -115,17 +123,23 @@ class SPoly:
         return self._c[k] if 0 <= k < len(self._c) else _ZERO
 
     def __add__(self, other: "SPoly") -> "SPoly":
+        if not isinstance(other, SPoly):
+            return NotImplemented
         a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
         return SPoly._make([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "SPoly") -> "SPoly":
+        if not isinstance(other, SPoly):
+            return NotImplemented
         return self + -other
 
     def __mul__(self, other: "SPoly | int | Fraction") -> "SPoly":
         if isinstance(other, (int, Fraction)):
             return SPoly._make([x * other for x in self._c])
+        if not isinstance(other, SPoly):
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return SPoly.zero()
         out = [_ZERO] * (len(self._c) + len(other._c) - 1)
@@ -150,23 +164,6 @@ class SPoly:
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    def substitute(self, value: Fraction) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self._c):
-            total = total * value + c
-        return total
-
-    def to_multipoly(self, massless: bool = False) -> MultiPoly:
-        """Substitute s -> p1^2 + p2^2 + p3^2 + m^2 (or its massless version)."""
-        s = dispersion_modulus(massless)
-        out = MultiPoly.zero()
-        power = MultiPoly.constant(1)
-        for c in self._c:
-            if c:
-                out = out + power * c
-            power = power * s
-        return out
 
     def __str__(self) -> str:
         return render_spoly(self)
@@ -232,10 +229,6 @@ class Assignment:
 
     constant: SPoly
     linear: tuple[tuple[int, SPoly], ...] = ()
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.linear
 
     def render(self) -> str:
         pieces = [_term_sign_body(coeff, factors) for coeff, factors in _spoly_terms(self.constant)]
@@ -375,11 +368,6 @@ def _contradiction_narrative(cond: _Condition, witness: SPoly) -> str:
         f"{cond.origin} reduces to {render_spoly(witness)} = 0, "
         "and a nonzero constant cannot vanish"
     )
-
-
-def verify_solution(req: DegeneracyRequirement, sol: ForcedCoefficientSolution) -> list[str]:
-    """Substitute the assignments back into every condition; list nonzero residuals."""
-    return _residuals(multiplicity_conditions(req), sol)
 
 
 def _residuals(conditions: list[_Condition], sol: ForcedCoefficientSolution) -> list[str]:

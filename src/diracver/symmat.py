@@ -20,9 +20,13 @@ power sums, so the only divisions, Newton's k*c_(n-k) = -(...) for
 k = 1..n, are exact integer divisions, checked to leave no remainder.
 Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
 input, and it is divided back out when the result is converted to
-``MultiPoly`` values.  ``trace_and_det`` reads each determinant off the
-constant term, ``det(A) = (-1)^n c_0``.  ``clifford`` runs its own kernels
-on the same cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``).
+``MultiPoly`` values.  ``clifford`` runs its own kernels on the same
+cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``).
+
+``trace_and_det`` forms no further polynomial: it reads the trace and the
+determinant of each of the four matrices off the characteristic
+polynomial of h(p), whose pure powers of one variable are those of the
+characteristic polynomial of that variable's matrix.
 """
 
 from __future__ import annotations
@@ -50,17 +54,12 @@ __all__ = [
     "as_matrix",
     "mat_identity",
     "mat_zero",
-    "mat_add",
-    "mat_sub",
-    "mat_scale",
     "mat_mul",
-    "mat_dagger",
     "mat_trace",
     "mat_is_zero",
     "hermiticity_defect",
     "build_hamiltonian",
     "char_poly",
-    "poly_matrix_of_scalars",
     "trace_and_det",
 ]
 
@@ -111,19 +110,6 @@ def mat_zero(n: int) -> Matrix:
     return tuple((zero,) * n for _ in range(n))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, factor: Scalar) -> Matrix:
-    c = as_scalar(factor)
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def _gaussian(x: ComplexRational, denom: int) -> tuple[int, int]:
     """denom * x as a Gaussian integer (re, im); denom must be a multiple of x's denominator."""
     k = denom // x._d
@@ -162,11 +148,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _rebuilt(_gi_mat_mul(ga, gb), da * db, len(a))
 
 
-def mat_dagger(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[j][i].conj() for j in range(n)) for i in range(n))
-
-
 def mat_trace(a: Matrix) -> ComplexRational:
     return sum((a[i][i] for i in range(len(a))), ComplexRational(0))
 
@@ -183,6 +164,11 @@ def hermiticity_defect(a: Matrix) -> tuple[int, int] | None:
             if a[i][j] != a[j][i].conj():
                 return (i, j)
     return None
+
+
+# the monomials p1, p2, p3 and m, and the names of the matrices they multiply in h(p)
+_MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_NAMES = ("alpha1", "alpha2", "alpha3", "beta")
 
 
 @dataclass(frozen=True)
@@ -215,9 +201,7 @@ class MatrixSet:
         object.__setattr__(self, "beta", exact[3])
 
     def matrices(self) -> Iterator[tuple[str, Matrix]]:
-        for k, alpha in enumerate(self.alphas, start=1):
-            yield f"alpha{k}", alpha
-        yield "beta", self.beta
+        return zip(_NAMES, (*self.alphas, self.beta))
 
     @cached_property
     def _complex_stack(self):
@@ -254,13 +238,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
 
-    def is_hermitian(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i].conj()
-            for i in range(self.n)
-            for j in range(i, self.n)
-        )
-
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -280,10 +257,6 @@ class CharPoly:
         return self.poly.coeff(k)
 
 
-# the monomials p1, p2, p3 and m
-_MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
 def build_hamiltonian(mset: MatrixSet) -> PolyMatrix:
     """Assemble h(p) = sum_k alpha_k p_k + beta m as a polynomial matrix.
 
@@ -301,14 +274,6 @@ def build_hamiltonian(mset: MatrixSet) -> PolyMatrix:
             )
             for i in range(n)
         ),
-    )
-
-
-def poly_matrix_of_scalars(matrix: Matrix) -> PolyMatrix:
-    """Wrap a scalar matrix as a PolyMatrix of constant polynomials."""
-    return PolyMatrix(
-        len(matrix),
-        tuple(tuple(MultiPoly.constant(v) for v in row) for row in matrix),
     )
 
 
@@ -451,15 +416,19 @@ def char_poly(M: PolyMatrix) -> CharPoly:
     return CharPoly(n, EPoly(polys))
 
 
-def trace_and_det(mset: MatrixSet) -> dict[str, tuple[ComplexRational, ComplexRational]]:
-    """Exact (trace, determinant) for each matrix of the set, keyed by name.
+def trace_and_det(cp: CharPoly) -> dict[str, tuple[ComplexRational, ComplexRational]]:
+    """Exact (trace, determinant) of alpha1, alpha2, alpha3 and beta, keyed by name.
 
-    The determinant is (-1)^n times the constant term of the characteristic
-    polynomial.
+    ``cp`` is the characteristic polynomial of h(p) = sum_k X_k x_k, with
+    x_k running over (p1, p2, p3, m).  Setting every variable but x_k to
+    zero leaves det(E*I - x_k X_k), whose coefficient of E^j is x_k^(n-j)
+    times that of det(E*I - X_k).  So, with c_j the coefficients of ``cp``,
+    Tr(X_k) = -[x_k] c_(n-1) and det(X_k) = (-1)^n [x_k^n] c_0.
     """
-    return {name: (mat_trace(m), _det(m)) for name, m in mset.matrices()}
-
-
-def _det(matrix: Matrix) -> ComplexRational:
-    c0 = char_poly(poly_matrix_of_scalars(matrix)).c(0).coefficient((0, 0, 0, 0))
-    return -c0 if len(matrix) % 2 else c0
+    n = cp.n
+    top, const = cp.c(n - 1), cp.c(0)
+    values = {}
+    for name, mono in zip(_NAMES, _MONOMIALS):
+        det = const.coefficient(tuple(n * e for e in mono))
+        values[name] = (-top.coefficient(mono), -det if n % 2 else det)
+    return values

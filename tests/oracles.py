@@ -9,7 +9,8 @@ Gram-Schmidt basis of beta's eigenspaces are plain ComplexRational sums
 instead of Gaussian-integer kernels, and the alpha blocks are read off entry by entry in an explicit
 eigenbasis of beta instead of through projector traces (or, in
 ``alpha_structure_reference``, through the same traces taken over
-ComplexRational).
+ComplexRational).  Polynomials are evaluated, substituted and checked for
+homogeneity or Hermiticity term by term, outside the classes they check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from itertools import product
 from math import isqrt, perm
 from typing import Sequence
 
-from diracver.algebra import ComplexRational, EPoly, MultiPoly, render_fraction
+from diracver.algebra import MASS, P1, P2, P3, ComplexRational, EPoly, MultiPoly, render_fraction
+from diracver.dispersion import SPoly
 from diracver.symmat import Matrix, PolyMatrix
 
 
@@ -36,6 +38,47 @@ def det_cofactor(matrix: Matrix) -> ComplexRational:
             term = matrix[0][j] * det_cofactor(minor)
             total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def evaluate(poly: MultiPoly, point: Sequence) -> ComplexRational:
+    """Exact value of ``poly`` at a (p1, p2, p3, m) point of ints, Fractions or ComplexRationals."""
+    values = [ComplexRational(v) if not isinstance(v, ComplexRational) else v for v in point]
+    total = ComplexRational(0)
+    for mono, coeff in poly.terms():
+        term = coeff
+        for v, e in zip(values, mono):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    return total
+
+
+def term_degrees(poly: MultiPoly) -> set[int]:
+    """The total degrees of the terms of ``poly``: at most one for a homogeneous polynomial."""
+    return {sum(mono) for mono, _ in poly.terms()}
+
+
+def poly_matrix_is_hermitian(pm: PolyMatrix) -> bool:
+    return all(pm.entry(i, j) == pm.entry(j, i).conj() for i in range(pm.n) for j in range(i, pm.n))
+
+
+def spoly_at(p: SPoly, s: Fraction) -> Fraction:
+    """The value of ``p`` at the number ``s``, by Horner's rule."""
+    total = Fraction(0)
+    for c in reversed(p.coeffs):
+        total = total * s + c
+    return total
+
+
+def spoly_to_multipoly(p: SPoly, massless: bool) -> MultiPoly:
+    """``p`` with s replaced by p1^2 + p2^2 + p3^2 + m^2, or p1^2 + p2^2 + p3^2 when massless."""
+    s = P1 * P1 + P2 * P2 + P3 * P3 + (MultiPoly.zero() if massless else MASS * MASS)
+    out = MultiPoly.zero()
+    power = MultiPoly.constant(1)
+    for c in p.coeffs:
+        out = out + power * c
+        power = power * s
+    return out
 
 
 def epoly_cofactor_det(matrix: list[list[EPoly]]) -> EPoly:

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import random
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import diracver
 from diracver import cli
 from diracver.cli import (
     MatrixFileError,
@@ -618,6 +621,24 @@ def test_exact_commands_run_without_numpy():
     for (argv, code, text), (got_code, got_out, got_err) in zip(runs, results, strict=True):
         assert (got_code, got_err) == (code, ""), argv
         assert got_out == text, argv
+
+
+def test_every_exported_name_resolves():
+    package = Path(diracver.__file__).parent
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"diracver.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], path.name
+    imports = [
+        (node.module, alias.name)
+        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(f"diracver.{module}"), name), (module, name)
+        assert getattr(diracver, name) is getattr(importlib.import_module(f"diracver.{module}"), name)
 
 
 def test_numpy_loads_on_the_first_numeric_call():

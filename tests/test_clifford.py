@@ -38,11 +38,9 @@ from diracver.symmat import (
     as_matrix,
     build_hamiltonian,
     char_poly,
-    mat_dagger,
     mat_identity,
     mat_is_zero,
     mat_mul,
-    mat_scale,
     mat_trace,
 )
 from oracles import (
@@ -110,31 +108,41 @@ def test_anticommutation_preserved_under_exact_conjugation(all_catalog_sets, rng
 # ---------------------------------------------------------------------------
 
 
+def _halved(matrix):
+    return tuple(tuple(x * Fraction(1, 2) for x in row) for row in matrix)
+
+
+def _trace_det(mset):
+    return check_trace_det(char_poly(build_hamiltonian(mset)))
+
+
 def test_trace_det_on_catalog(all_catalog_sets):
     for mset in all_catalog_sets:
-        assert check_trace_det(mset).passed
+        assert _trace_det(mset).passed
 
 
 def test_trace_det_flags_bad_beta(dirac_pauli):
     bad = MatrixSet(4, dirac_pauli.alphas, as_matrix(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
     ))
-    report = check_trace_det(bad)
+    report = _trace_det(bad)
     assert not report.passed
-    assert report.values["beta"][0] == ComplexRational(2)
+    assert not report.traces_vanish and not report.dets_unit
+    assert report.values["beta"] == (ComplexRational(2), ComplexRational(-1))
 
 
 def test_diagonal_alpha_passes_trace_det_but_not_anticommutation(dirac_pauli):
     diag_alpha = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     variant = _with_alpha1(dirac_pauli, diag_alpha)
-    report = check_trace_det(variant)
+    report = _trace_det(variant)
+    assert report.passed
     assert report.values["alpha1"] == (ComplexRational(0), ComplexRational(1))
     assert not check_anticommutation(variant).passed
 
 
 def test_trace_det_requires_dimension_four():
-    with pytest.raises(ValueError):
-        check_trace_det(pauli_set())
+    with pytest.raises(ValueError, match="n = 4"):
+        _trace_det(pauli_set())
 
 
 def test_beta_spectrum(all_catalog_sets, dirac_pauli):
@@ -144,7 +152,7 @@ def test_beta_spectrum(all_catalog_sets, dirac_pauli):
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
     ))
     assert beta_spectrum(skewed) == (1, 1, 1, -1)
-    not_involutive = MatrixSet(4, dirac_pauli.alphas, mat_scale(dirac_pauli.beta, Fraction(1, 2)))
+    not_involutive = MatrixSet(4, dirac_pauli.alphas, _halved(dirac_pauli.beta))
     with pytest.raises(StructuralViolationError):
         beta_spectrum(not_involutive)
 
@@ -206,7 +214,7 @@ def test_canonicalize_chiral_beta_is_decided_exactly(weyl_chiral):
 
 
 def test_canonicalize_rejects_non_involutive_beta(dirac_pauli):
-    bad = MatrixSet(4, dirac_pauli.alphas, mat_scale(dirac_pauli.beta, Fraction(1, 2)))
+    bad = MatrixSet(4, dirac_pauli.alphas, _halved(dirac_pauli.beta))
     with pytest.raises(ValueError, match="beta\\^2"):
         canonicalize_beta(bad)
 
@@ -439,7 +447,7 @@ def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
                 result = canonicalize_beta(mset)
                 assert (result.description, result.transform_exact) == (description, transform)
                 outcomes.add(result.exact)
-    halved = MatrixSet(4, catalog("majorana").alphas, mat_scale(catalog("majorana").beta, Fraction(1, 2)))
+    halved = MatrixSet(4, catalog("majorana").alphas, _halved(catalog("majorana").beta))
     with pytest.raises(ValueError, match="beta\\^2 differs"):
         canonicalize_beta(halved)
     assert outcomes == {True, False, "lopsided"}
@@ -506,7 +514,7 @@ def test_consequence_chain(all_catalog_sets, rng):
     targets += [random_exact_unitary(rng).conjugate_set(m) for m in all_catalog_sets]
     for mset in targets:
         assert check_anticommutation(mset).passed
-        assert check_trace_det(mset).passed
+        assert _trace_det(mset).passed
         assert beta_spectrum(mset) == (1, 1, -1, -1)
         assert check_alpha_structure(canonicalize_beta(mset)).passed
 
@@ -530,7 +538,7 @@ def test_exact_unitary_validation():
 def test_random_exact_unitaries_are_unitary(rng):
     for _ in range(10):
         u = random_exact_unitary(rng)
-        assert mat_mul(u.matrix, mat_dagger(u.matrix)) == mat_identity(4)
+        assert mat_mul(u.matrix, dagger_reference(u.matrix)) == mat_identity(4)
 
 
 def test_malformed_unitaries_fail_with_their_own_message(monkeypatch):
@@ -636,11 +644,11 @@ def test_conjugate_set_matches_the_reference(name, rng, steps, label):
     base = catalog(name)
     u = random_exact_unitary(rng, steps=steps)
     expected_label = f"{name} (conjugated)" if label is None else label
-    for got, w in ((u.conjugate_set(base, label), u.matrix), (u.conjugate_by_inverse(base, label), dagger_reference(u.matrix))):
-        assert got.label == expected_label
-        assert got.alphas == tuple(conjugate_reference(w, alpha) for alpha in base.alphas)
-        assert got.beta == conjugate_reference(w, base.beta)
-        assert all(_is_matrix_of_scalars(m, 4) for _, m in got.matrices())
+    got = u.conjugate_set(base, label)
+    assert got.label == expected_label
+    assert got.alphas == tuple(conjugate_reference(u.matrix, alpha) for alpha in base.alphas)
+    assert got.beta == conjugate_reference(u.matrix, base.beta)
+    assert all(_is_matrix_of_scalars(m, 4) for _, m in got.matrices())
 
 
 @given(_audited_sets(), st.randoms(use_true_random=False), st.integers(0, 60))

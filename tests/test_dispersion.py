@@ -25,14 +25,18 @@ from diracver.dispersion import (
     render_solution,
     render_spoly,
     solve_forced_coefficients,
-    verify_solution,
 )
 from diracver.symmat import MatrixSet, build_hamiltonian, char_poly, mat_identity
-from oracles import fraction_rank, multiplicity_system
+from oracles import evaluate, fraction_rank, multiplicity_system, spoly_at, spoly_to_multipoly
 
 
 def solve(n, r):
     return solve_forced_coefficients(DegeneracyRequirement(n, r))
+
+
+def _residuals(sol):
+    """The residuals of the solution substituted back into its own conditions."""
+    return dispersion._residuals(dispersion.multiplicity_conditions(sol.requirement), sol)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_four_by_four_single_root_is_parametric():
     assert sol.assignments[0] == Assignment(SPoly((0, 0, -1)), ((2, SPoly((0, -1))),))
     assert sol.assignments[1] == Assignment(SPoly.zero(), ((3, SPoly((0, -1))),))
     assert render_solution(sol) == ["c1 = -s*c3", "c0 = -s^2 - s*c2", "free: c2, c3"]
-    assert verify_solution(sol.requirement, sol) == []
+    assert _residuals(sol) == []
 
 
 def test_one_component_theory_is_infeasible():
@@ -119,7 +123,7 @@ def test_feasible_solutions_round_trip():
         for r in range(1, n + 1):
             result = solve(n, r)
             if isinstance(result, ForcedCoefficientSolution):
-                assert verify_solution(result.requirement, result) == []
+                assert _residuals(result) == []
 
 
 @pytest.mark.parametrize("e0", [2, 3])
@@ -132,13 +136,13 @@ def test_solver_agrees_with_the_concrete_energy_oracle(n, r, e0):
     result = solve(n, r)
     assert isinstance(result, ForcedCoefficientSolution) == consistent
     if isinstance(result, InfeasibilityCertificate):
-        assert result.witness.substitute(s0) != 0
+        assert spoly_at(result.witness, s0) != 0
         return
     for free_value in (Fraction(0), Fraction(5, 7)):
         c = {j: free_value for j in result.free}
         for k, a in result.assignments.items():
-            c[k] = a.constant.substitute(s0) + sum(
-                lin.substitute(s0) * free_value for _, lin in a.linear
+            c[k] = spoly_at(a.constant, s0) + sum(
+                spoly_at(lin, s0) * free_value for _, lin in a.linear
             )
         for row in system:
             assert sum(row[k] * c[k] for k in range(n)) == row[-1]
@@ -292,7 +296,7 @@ def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, rng):
     ]:
         cp = char_poly(build_hamiltonian(mset))
         coefficients_match = all(
-            cp.c(k) == sol[k].to_multipoly() for k in range(4)
+            cp.c(k) == spoly_to_multipoly(sol[k], massless=False) for k in range(4)
         )
         assert coefficients_match == expect
         assert check_dispersion(mset, 2).passed == expect
@@ -300,8 +304,8 @@ def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, rng):
     # (2, 1) in the massless lane
     sol2 = solve(2, 1).constants()
     cp = char_poly(build_hamiltonian(pauli_set()))
-    assert cp.c(0).at_zero_mass() == sol2[0].to_multipoly(massless=True)
-    assert cp.c(1).at_zero_mass() == sol2[1].to_multipoly(massless=True)
+    assert cp.c(0).at_zero_mass() == spoly_to_multipoly(sol2[0], massless=True)
+    assert cp.c(1).at_zero_mass() == spoly_to_multipoly(sol2[1], massless=True)
 
 
 def test_multiplicity_bounds_on_check(dirac_pauli):
@@ -325,8 +329,30 @@ def test_spoly_rendering():
 
 def test_spoly_substitution_consistency():
     p = SPoly((3, 0, 1))  # s^2 + 3
-    assert p.substitute(Fraction(2)) == Fraction(7)
-    assert p.to_multipoly().evaluate((1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
+    assert spoly_at(p, Fraction(2)) == Fraction(7)
+    assert evaluate(spoly_to_multipoly(p, massless=False), (1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
+    assert evaluate(spoly_to_multipoly(p, massless=True), (1, 1, 1, 5)) == 12  # s = 3 -> 9 + 3
+
+
+def test_spoly_rejects_floats_and_bare_numbers():
+    message = "^cannot interpret 0.1 as an exact scalar$"
+    with pytest.raises(TypeError, match=message):
+        SPoly((0.1,))
+    with pytest.raises(TypeError, match=message):
+        SPoly.monomial(2, 0.1)
+    p = SPoly((1, 2))
+    for operation in (
+        lambda: p + 1,
+        lambda: 1 + p,
+        lambda: p - 1,
+        lambda: 1 - p,
+        lambda: p * 2.5,
+        lambda: 2.5 * p,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    assert p * 2 == 2 * p == SPoly((2, 4))
+    assert p * Fraction(1, 2) == SPoly((Fraction(1, 2), 1))
 
 
 # zeros are drawn often, so that sums cancel and results need trimming

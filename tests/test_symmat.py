@@ -24,20 +24,21 @@ from diracver.symmat import (
     as_matrix,
     build_hamiltonian,
     char_poly,
-    mat_dagger,
     mat_identity,
     mat_mul,
     mat_trace,
     mat_zero,
-    poly_matrix_of_scalars,
     trace_and_det,
 )
 from oracles import (
     char_poly_cofactor,
     char_poly_cofactor_pm,
+    dagger_reference,
     det_cofactor,
     mat_mul_reference,
+    poly_matrix_is_hermitian,
     random_hermitian_matrix,
+    term_degrees,
 )
 
 I = ComplexRational(0, 1)
@@ -111,7 +112,7 @@ def test_pauli_hamiltonian_entries():
     assert h.entry(0, 0) == P3
     assert h.entry(0, 1) == P1 - I * P2
     assert h.entry(1, 1) == -P3
-    assert h.is_hermitian()
+    assert poly_matrix_is_hermitian(h)
 
 
 def test_dirac_pauli_hamiltonian_entries(dirac_pauli):
@@ -119,7 +120,7 @@ def test_dirac_pauli_hamiltonian_entries(dirac_pauli):
     assert h.entry(0, 0) == MASS
     assert h.entry(0, 3) == P1 - I * P2
     assert h.entry(0, 1) == MultiPoly.zero()
-    assert h.is_hermitian()
+    assert poly_matrix_is_hermitian(h)
 
 
 def test_hamiltonian_entries_homogeneous_degree_one(all_catalog_sets):
@@ -127,8 +128,7 @@ def test_hamiltonian_entries_homogeneous_degree_one(all_catalog_sets):
         h = build_hamiltonian(mset)
         for row in h.entries:
             for entry in row:
-                assert entry.is_homogeneous()
-                assert entry.is_zero or entry.total_degree() == 1
+                assert term_degrees(entry) <= {1}
 
 
 def test_zero_set_gives_zero_hamiltonian():
@@ -169,7 +169,7 @@ def test_char_poly_rejects_large_dimension():
 def test_char_poly_matches_cofactor_oracle(n, rng):
     for _ in range(30):
         matrix = random_hermitian_matrix(rng, n)
-        cp = char_poly(poly_matrix_of_scalars(matrix))
+        cp = char_poly(PolyMatrix(n, tuple(tuple(MultiPoly.constant(v) for v in row) for row in matrix)))
         assert cp.poly == char_poly_cofactor(matrix)
         # byproducts: c_{n-1} = -trace and c_0 = (-1)^n det
         assert cp.c(n - 1) == MultiPoly.constant(-mat_trace(matrix))
@@ -212,7 +212,7 @@ def test_char_poly_of_a_fixed_non_hermitian_matrix_matches_cofactor_oracle():
             row.append(entry)
         rows.append(tuple(row))
     pm = PolyMatrix(4, tuple(rows))
-    assert not pm.is_hermitian()
+    assert not poly_matrix_is_hermitian(pm)
     cp = char_poly(pm)
     assert cp.poly == char_poly_cofactor_pm(pm)
     assert not all(cp.c(k).is_real() for k in range(4))
@@ -256,7 +256,7 @@ def test_build_hamiltonian_matches_polynomial_arithmetic(rng, steps, n):
             assert h.entry(i, j) == expected
             # the same terms, inserted in the same order
             assert list(h.entry(i, j)._terms.items()) == list(expected._terms.items())
-    assert h.is_hermitian()
+    assert poly_matrix_is_hermitian(h)
 
 
 def test_char_poly_large_exponents_do_not_collide():
@@ -279,8 +279,7 @@ def test_char_poly_coefficients_real_and_homogeneous(all_catalog_sets, rng):
         for k in range(mset.n + 1):
             ck = cp.c(k)
             assert ck.is_real()
-            assert ck.is_homogeneous()
-            assert ck.is_zero or ck.total_degree() == mset.n - k
+            assert term_degrees(ck) <= {mset.n - k}
 
 
 def test_char_poly_requires_monic():
@@ -288,16 +287,45 @@ def test_char_poly_requires_monic():
         CharPoly(2, EPoly([MultiPoly.zero(), MultiPoly.zero(), MASS]))
 
 
+def _trace_and_det(mset):
+    return trace_and_det(char_poly(build_hamiltonian(mset)))
+
+
 def test_trace_and_det_examples(dirac_pauli):
-    values = trace_and_det(dirac_pauli)
+    values = _trace_and_det(dirac_pauli)
+    assert list(values) == ["alpha1", "alpha2", "alpha3", "beta"]
     assert values["beta"] == (ComplexRational(0), ComplexRational(1))
 
     with_identity_beta = MatrixSet(4, dirac_pauli.alphas, mat_identity(4))
-    values = trace_and_det(with_identity_beta)
+    values = _trace_and_det(with_identity_beta)
     assert values["beta"] == (ComplexRational(4), ComplexRational(1))
 
-    values = trace_and_det(pauli_set())
+    values = _trace_and_det(pauli_set())
     assert values["alpha1"] == (ComplexRational(0), ComplexRational(-1))
+    assert values["beta"] == (ComplexRational(0), ComplexRational(0))
+
+    # odd n: det = -c_0 on the pure power
+    diagonal = as_matrix([[1, 0, 0], [0, 2, 0], [0, 0, -3]])
+    values = _trace_and_det(MatrixSet(3, (diagonal, mat_zero(3), mat_identity(3)), diagonal))
+    assert values["alpha1"] == values["beta"] == (ComplexRational(0), ComplexRational(-6))
+    assert values["alpha2"] == (ComplexRational(0), ComplexRational(0))
+    assert values["alpha3"] == (ComplexRational(3), ComplexRational(1))
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    steps=st.integers(0, 20),
+    n=st.integers(2, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_trace_and_det_match_the_diagonal_sum_and_the_cofactor_determinant(rng, steps, n):
+    mset = random_exact_unitary(rng, n, steps=steps).conjugate_set(random_hermitian_set(rng, n))
+    expected = {
+        name: (sum((m[i][i] for i in range(n)), ComplexRational(0)), det_cofactor(m))
+        for name, m in mset.matrices()
+    }
+    values = _trace_and_det(mset)
+    assert list(values.items()) == list(expected.items())
 
 
 @given(scalar_matrix_pairs())
@@ -317,5 +345,5 @@ def test_mat_mul_matches_the_reference_product(pair):
 def test_mat_mul_of_long_conjugates_matches_the_reference_product(rng, steps, base):
     u = random_exact_unitary(rng, steps=steps)
     mset = u.conjugate_set(catalog(base))
-    for a, b in ((mset.beta, mset.alphas[0]), (mset.alphas[1], mset.alphas[2]), (u.matrix, mat_dagger(u.matrix))):
+    for a, b in ((mset.beta, mset.alphas[0]), (mset.alphas[1], mset.alphas[2]), (u.matrix, dagger_reference(u.matrix))):
         assert mat_mul(a, b) == mat_mul_reference(a, b)
