@@ -7,13 +7,17 @@ momentum-space matrix ``h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m``
 over :class:`~diracver.algebra.MultiPoly` entries, and ``char_poly`` computes
 ``det(E*I - h)`` from the power sums ``p_k = Tr(h^k)`` and Newton's
 identities, every coefficient in one pass.  It forms ``h^2`` once and reads
-``p_3`` and ``p_4`` off it; it does not assume Hermiticity.
+``p_3`` and ``p_4`` off it.  It checks Hermiticity rather than assuming it:
+when every entry (j, i) is the conjugate of entry (i, j), which is the case
+for every h(p) that ``build_hamiltonian`` makes, only the upper triangle of
+``h^2`` is formed and only the real parts of the power sums are summed;
+any other input takes the general path, which forms all of ``h^2``.
 
-``char_poly`` and ``mat_mul`` run on Gaussian integers.  A
-``ComplexRational`` is stored as (a + b*i)/d, so a matrix times D, the lcm
-of its entries' d, has Gaussian-integer entries.  Each kernel clears the
-denominators of its inputs once and rebuilds only its results as exact
-scalars; no gcd is taken inside a product or the power sums.  The
+``char_poly`` runs on Gaussian integers.  A ``ComplexRational`` is stored
+as (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
+Gaussian-integer entries.  Each kernel clears the denominators of its
+inputs once and rebuilds only its results as exact scalars; no gcd is
+taken inside a product or the power sums.  The
 characteristic polynomial of a matrix whose entries have Gaussian-integer
 coefficients has Gaussian-integer coefficients itself, and so have the
 power sums, so the only divisions, Newton's k*c_(n-k) = -(...) for
@@ -54,7 +58,6 @@ __all__ = [
     "as_matrix",
     "mat_identity",
     "mat_zero",
-    "mat_mul",
     "mat_trace",
     "mat_is_zero",
     "hermiticity_defect",
@@ -139,13 +142,6 @@ def _rebuilt(entries: Iterable[tuple[int, int]], denom: int, n: int) -> Matrix:
     make = ComplexRational._from_ints
     flat = [make(re, im, denom) for re, im in entries]
     return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product in Gaussian integers: D_a*a times D_b*b, rebuilt over D_a*D_b."""
-    ga, da = _cleared(a)
-    gb, db = _cleared(b)
-    return _rebuilt(_gi_mat_mul(ga, gb), da * db, len(a))
 
 
 def mat_trace(a: Matrix) -> ComplexRational:
@@ -351,6 +347,59 @@ def _power_sums(A: list) -> list[dict]:
     return sums
 
 
+def _is_hermitian(A: list) -> bool:
+    """Whether every A[j][i] is A[i][j] with each imaginary part negated, the diagonal included."""
+    n = len(A)
+    return all(
+        A[j][i] == {key: (re, -im) for key, (re, im) in A[i][j].items()}
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
+def _gi_re_dot(pairs) -> dict:
+    """The real part of the sum of the products a*b over the (a, b) ``pairs``, as (re, 0) values."""
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        for ka, (ar, ai) in a.items():
+            for kb, (br, bi) in b.items():
+                key = ka + kb
+                acc[key] = get(key, 0) + ar * br - ai * bi
+    return {key: (v, 0) for key, v in acc.items() if v}
+
+
+def _hermitian_power_sums(A: list) -> list[dict]:
+    """``_power_sums(A)`` for a Hermitian A, whose every p_k is real.
+
+    A^2 is Hermitian too, so only its upper triangle is formed, and its
+    diagonal is real, as is A's, so p_1 and p_2 are the diagonal sums as
+    they stand.  With A_ji the conjugate of A_ij,
+    p_3 = sum_i (A^2)_ii A_ii + 2 Re sum_{i<j} (A^2)_ij A_ji and
+    p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} |(A^2)_ij|^2; every product that
+    feeds a power sum accumulates only its real part.
+    """
+    n = len(A)
+    sums = [None, _gi_sum(A[i][i] for i in range(n))]
+    if n == 1:
+        return sums
+    square = [_gi_re_dot((A[i][k], A[k][i]) for k in range(n)) for i in range(n)]
+    sums.append(_gi_sum(square))
+    if n >= 3:
+        upper = {(i, j): _gi_dot((A[i][k], A[k][j]) for k in range(n)) for i in range(n) for j in range(i + 1, n)}
+        # twice (A^2)_ij for i < j: it stands for itself and for its mirror below the diagonal
+        twice = {ij: {key: (2 * re, 2 * im) for key, (re, im) in x.items()} for ij, x in upper.items()}
+        sums.append(
+            _gi_re_dot([(square[i], A[i][i]) for i in range(n)] + [(x, A[j][i]) for (i, j), x in twice.items()])
+        )
+    if n == 4:
+        conj = {ij: {key: (re, -im) for key, (re, im) in x.items()} for ij, x in upper.items()}
+        sums.append(
+            _gi_re_dot([(square[i], square[i]) for i in range(n)] + [(x, conj[ij]) for ij, x in twice.items()])
+        )
+    return sums
+
+
 def char_poly(M: PolyMatrix) -> CharPoly:
     """Characteristic polynomial det(E*I - M) from power sums and Newton's identities.
 
@@ -362,7 +411,7 @@ def char_poly(M: PolyMatrix) -> CharPoly:
         c_n = 1,  c_{n-k} = -(c_{n-k+1} p_1 + c_{n-k+2} p_2 + ... + c_n p_k)/k,
 
     so the coefficient of E^(n-1) is -trace(M) and the constant term is
-    (-1)^n det(M).  Hermiticity is not assumed.
+    (-1)^n det(M).
 
     It runs in Gaussian integers.  With D the lcm of every coefficient
     denominator in M, B = D*M has entries with Gaussian-integer
@@ -374,6 +423,12 @@ def char_poly(M: PolyMatrix) -> CharPoly:
     never rounded.  Because det(E*I - D*M) =
     D^n det((E/D)*I - M), c'_j = D^(n-j) c_j, and each c_j is rebuilt
     exactly as c'_j over the denominator D^(n-j).
+
+    Hermiticity is checked, not assumed.  When the cleared entries satisfy
+    B_ji = conj(B_ij) for every i <= j (so the diagonal is real),
+    ``_hermitian_power_sums`` forms the upper triangle of B^2 and the real
+    parts of the power sums only.  Any other input takes ``_power_sums``,
+    which forms all of B^2.  Both feed the same Newton steps and rebuild.
     """
     n = M.n
     if not 1 <= n <= 4:
@@ -396,7 +451,7 @@ def char_poly(M: PolyMatrix) -> CharPoly:
         ]
         for row in terms
     ]
-    sums = _power_sums(A)
+    sums = (_hermitian_power_sums if _is_hermitian(A) else _power_sums)(A)
     coeffs: list[dict] = [{}] * n + [{0: (1, 0)}]
     for k in range(1, n + 1):
         coeffs[n - k] = _gi_neg_div(_gi_dot((coeffs[n - k + i], sums[i]) for i in range(1, k + 1)), k)

@@ -25,7 +25,6 @@ from diracver.symmat import (
     build_hamiltonian,
     char_poly,
     mat_identity,
-    mat_mul,
     mat_trace,
     mat_zero,
     trace_and_det,
@@ -72,6 +71,38 @@ def scalar_matrix_pairs(draw):
         return as_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 
     return matrix(draw(kinds)), matrix(draw(kinds))
+
+
+real_polys = st.dictionaries(monomials, st.builds(ComplexRational, mixed_fractions), max_size=3).map(MultiPoly)
+
+
+@st.composite
+def hermitian_poly_matrices(draw):
+    """An n x n Hermitian PolyMatrix, n = 1..4: mixed-denominator upper triangle, real diagonal, conjugate mirror."""
+    n = draw(st.integers(1, 4))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(real_polys)
+        for j in range(i + 1, n):
+            rows[i][j] = draw(mixed_polys)
+            rows[j][i] = rows[i][j].conj()
+    return PolyMatrix(n, tuple(tuple(row) for row in rows))
+
+
+@st.composite
+def conjugated_hamiltonians(draw):
+    """h(p) of a random or catalog set, n = 2..4, conjugated by a 10-60 step exact unitary."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 4))
+    base = draw(st.sampled_from(CATALOG_NAMES + ("random",))) if n == 4 else "random"
+    mset = random_hermitian_set(rng, n) if base == "random" else catalog(base)
+    return build_hamiltonian(random_exact_unitary(rng, n, steps=draw(st.integers(10, 60))).conjugate_set(mset))
+
+
+def _kernel_product(a, b):
+    """a*b as clifford forms its products: cleared, multiplied in Gaussian integers, rebuilt."""
+    (ga, da), (gb, db) = symmat._cleared(a), symmat._cleared(b)
+    return symmat._rebuilt(symmat._gi_mat_mul(ga, gb), da * db, len(a))
 
 
 def test_hermiticity_enforced_at_construction(dirac_pauli):
@@ -225,17 +256,62 @@ def test_newton_division_must_be_exact(dirac_pauli, monkeypatch):
         symmat._gi_neg_div({0: (1, 0)}, 3)
     assert symmat._gi_neg_div({0: (6, -3), 5: (0, 9)}, 3) == {0: (-2, 1), 5: (0, -3)}
 
-    # a power sum off by one constant makes the k = 2 step inexact
-    power_sums = symmat._power_sums
+    # a power sum off by one constant makes the k = 2 step inexact, on either path:
+    # h(p) of dirac-pauli takes the Hermitian one, the matrix below the general one
+    not_hermitian = PolyMatrix(2, ((P1, P2), (MASS * I, P3)))
+    for name, pm in (("_hermitian_power_sums", build_hamiltonian(dirac_pauli)), ("_power_sums", not_hermitian)):
+        power_sums = getattr(symmat, name)
 
-    def corrupted(A):
-        sums = power_sums(A)
-        sums[2] = {**sums[2], 0: (1, 0)}
-        return sums
+        def corrupted(A, power_sums=power_sums):
+            sums = power_sums(A)
+            sums[2] = {**sums[2], 0: (1, 0)}
+            return sums
 
-    monkeypatch.setattr(symmat, "_power_sums", corrupted)
-    with pytest.raises(RuntimeError, match="internal error: .* not divisible by 2"):
-        char_poly(build_hamiltonian(dirac_pauli))
+        with monkeypatch.context() as patch:
+            patch.setattr(symmat, name, corrupted)
+            with pytest.raises(RuntimeError, match="internal error: .* not divisible by 2"):
+                char_poly(pm)
+
+
+@given(st.one_of(hermitian_poly_matrices(), conjugated_hamiltonians()))
+@settings(max_examples=60, deadline=None)
+def test_hermitian_power_sums_equal_the_general_ones(pm):
+    # char_poly must choose the Hermitian path; the spy keeps the cleared matrix it got
+    assert poly_matrix_is_hermitian(pm)
+    hermitian = symmat._hermitian_power_sums
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmat, "_hermitian_power_sums", lambda A: seen.append(A) or hermitian(A))
+        assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
+    [A] = seen
+    general = symmat._power_sums(A)
+    assert all(im == 0 for sums in general[1:] for _, im in sums.values())
+    assert hermitian(A) == general
+
+
+def test_near_hermitian_input_takes_the_general_path(dirac_pauli, monkeypatch):
+    def refuse(A):
+        raise AssertionError("a non-Hermitian matrix took the Hermitian path")
+
+    monkeypatch.setattr(symmat, "_hermitian_power_sums", refuse)
+    h = build_hamiltonian(random_exact_unitary(random.Random(5), steps=10).conjugate_set(dirac_pauli))
+    rows = [list(row) for row in h.entries]
+    term = MultiPoly({(0, 1, 0, 1): ComplexRational(Fraction(2, 3), Fraction(-1, 5))})
+
+    def changed(*edits):
+        out = [row[:] for row in rows]
+        for i, j, extra in edits:
+            out[i][j] = out[i][j] + extra
+        return PolyMatrix(4, tuple(tuple(row) for row in out))
+
+    near = [
+        changed((1, 1, MultiPoly({(1, 0, 0, 0): ComplexRational(0, Fraction(1, 7))}))),  # diagonal imaginary part
+        changed((0, 2, term)),  # off-diagonal term with no mirror
+        changed((0, 2, term), (2, 0, term)),  # mirrored, but not conjugated
+    ]
+    for pm in near:
+        assert not poly_matrix_is_hermitian(pm)
+        assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
 
 
 @given(
@@ -332,8 +408,8 @@ def test_trace_and_det_match_the_diagonal_sum_and_the_cofactor_determinant(rng, 
 @settings(max_examples=200, deadline=None)
 def test_mat_mul_matches_the_reference_product(pair):
     a, b = pair
-    assert mat_mul(a, b) == mat_mul_reference(a, b)
-    assert mat_mul(b, a) == mat_mul_reference(b, a)
+    assert _kernel_product(a, b) == mat_mul_reference(a, b)
+    assert _kernel_product(b, a) == mat_mul_reference(b, a)
 
 
 @given(
@@ -346,4 +422,4 @@ def test_mat_mul_of_long_conjugates_matches_the_reference_product(rng, steps, ba
     u = random_exact_unitary(rng, steps=steps)
     mset = u.conjugate_set(catalog(base))
     for a, b in ((mset.beta, mset.alphas[0]), (mset.alphas[1], mset.alphas[2]), (u.matrix, dagger_reference(u.matrix))):
-        assert mat_mul(a, b) == mat_mul_reference(a, b)
+        assert _kernel_product(a, b) == mat_mul_reference(a, b)
