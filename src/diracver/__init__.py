@@ -60,7 +60,6 @@ from .symmat import (
     CharPoly,
     HermiticityError,
     MatrixSet,
-    PolyMatrix,
     build_hamiltonian,
     char_poly,
     trace_and_det,

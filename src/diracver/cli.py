@@ -45,7 +45,7 @@ from .dispersion import (
     solve_forced_coefficients,
 )
 from .spectrum import MomentumSample, sweep, write_csv
-from .symmat import CharPoly, HermiticityError, Matrix, MatrixSet, build_hamiltonian, char_poly, mat_is_zero
+from .symmat import CharPoly, HermiticityError, Matrix, MatrixSet, char_poly, mat_is_zero
 from .symmat import trace_and_det  # unused here; perfbench patches it on this module
 
 __all__ = [
@@ -75,6 +75,10 @@ _MAX_LITERAL_LENGTH = 1000
 # so its numerator and denominator stay near 4 * 1000 digits, below Python's
 # default limit of 4300 digits for converting an int to text.
 _MAX_SCALE_DIGITS = 1000
+# Largest matrix-set file, in bytes.  The 128 literals of an n = 4 set,
+# each at most _MAX_LITERAL_LENGTH characters, come to about 130 KB;
+# whitespace and the label take the rest.
+_MAX_FILE_BYTES = 1 << 20
 # Most points a spectrum grid may have, checked from the counts alone.
 _MAX_GRID_POINTS = 10**6
 
@@ -146,9 +150,15 @@ def _check_scale(matrices: Sequence[Matrix]) -> None:
 def parse_matrix_file(path: str | Path) -> MatrixSet:
     """Read and validate a matrix-set JSON file into an exact MatrixSet."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as stream:
+            raw = stream.read(_MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc.strerror}") from exc
+    if len(raw) > _MAX_FILE_BYTES:
+        raise MatrixFileError(f"{path} is larger than {_MAX_FILE_BYTES} bytes")
+    try:
+        # newlines translated as in text mode, so a JSON error's line number counts a lone \r too
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise MatrixFileError(f"{path} is not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
     try:
@@ -365,7 +375,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
-    audit = _audit(mset, char_poly(build_hamiltonian(mset)), check_anticommutation(mset))
+    audit = _audit(mset, char_poly(mset), check_anticommutation(mset))
     values = audit.trace_det.values.items()
     defects = [*audit.anti.pairwise.values(), *audit.anti.squares.values()]
     dirty = sum(not mat_is_zero(d) for d in defects)

@@ -172,15 +172,14 @@ class CliffordReport:
     passed: bool
 
 
-def check_anticommutation(mset: MatrixSet, include_beta: bool = True) -> CliffordReport:
+def check_anticommutation(mset: MatrixSet) -> CliffordReport:
     """Compute {X_i, X_j} - 2 delta_ij defects exactly.
 
-    With ``include_beta`` unset only the three alpha matrices are audited,
-    which is the right mode for a bare Pauli triple.  Each matrix is cleared
-    to Gaussian integers once; a defect {A, B} = AB + BA is summed over
-    D_A*D_B, and a square A^2 - 1 over D_A^2, in integers.
+    Each matrix is cleared to Gaussian integers once; a defect
+    {A, B} = AB + BA is summed over D_A*D_B, and a square A^2 - 1 over
+    D_A^2, in integers.
     """
-    items = [(name, *_cleared(m)) for name, m in mset.matrices() if include_beta or name != "beta"]
+    items = [(name, *_cleared(m)) for name, m in mset.matrices()]
     pairwise: dict[tuple[str, str], Matrix] = {}
     for a, (name_a, ga, da) in enumerate(items):
         for name_b, gb, db in items[a + 1:]:
@@ -326,9 +325,6 @@ def _gram_schmidt_columns(g: list) -> list[tuple[list[tuple[int, int]], int, int
     return basis
 
 
-_CANONICAL_BETA = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-
-
 def _exact_sqrt(value: Fraction) -> Fraction | None:
     if value < 0:
         return None
@@ -411,25 +407,17 @@ class StructureReport:
     passed: bool
 
 
-def check_alpha_structure(target: "MatrixSet | CanonicalizationResult") -> StructureReport:
+def check_alpha_structure(canonical: CanonicalizationResult) -> StructureReport:
     """Verify vanishing diagonal 2x2 blocks and the off-diagonal norm value 2.
 
-    Accepts either an exact set whose beta is already diag(+1, +1, -1, -1)
-    or the output of :func:`canonicalize_beta`.  No basis is needed: with
+    Takes the output of :func:`canonicalize_beta`.  No basis is needed: with
     beta Hermitian and beta^2 = 1, let P+- = (1 +- beta)/2 and
     M = beta alpha.  The diagonal blocks of alpha (P+ alpha P+ and
     P- alpha P-) vanish exactly when M + M^dagger = {beta, alpha} = 0, and
     the squared norm of the off-diagonal block is
     Tr(P+ alpha P- alpha) = (sum_jk |alpha_jk|^2 - Tr(M^2))/4.
     """
-    if isinstance(target, CanonicalizationResult):
-        mset = target.matrix_set
-    else:
-        mset = target
-        if mset.n != 4:
-            raise ValueError("alpha structure check applies to n = 4 sets")
-        if mset.beta != _CANONICAL_BETA:
-            raise ValueError("beta is not diag(+1, +1, -1, -1); canonicalize first")
+    mset = canonical.matrix_set
     gb, db = _cleared(mset.beta)
     blocks = []
     norms = []

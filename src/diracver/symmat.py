@@ -4,16 +4,13 @@ A candidate set holds three ``alpha`` matrices and one ``beta`` matrix with
 exact Gaussian-rational entries; Hermiticity is enforced at construction so
 every downstream check may assume it.  ``build_hamiltonian`` assembles the
 momentum-space matrix ``h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m``
-over :class:`~diracver.algebra.MultiPoly` entries, and ``char_poly`` computes
+of a set with its denominators cleared, and ``char_poly`` computes
 ``det(E*I - h)`` from the power sums ``p_k = Tr(h^k)`` and Newton's
-identities, every coefficient in one pass.  It forms ``h^2`` once and reads
-``p_3`` and ``p_4`` off it.  It checks Hermiticity rather than assuming it:
-when every entry (j, i) is the conjugate of entry (i, j), which is the case
-for every h(p) that ``build_hamiltonian`` makes, only the upper triangle of
-``h^2`` is formed and only the real parts of the power sums are summed;
-any other input takes the general path, which forms all of ``h^2``.
+identities, every coefficient in one pass.  h(p) is Hermitian because the
+set is, so only the upper triangle of ``h^2`` is formed and only the real
+parts of the power sums are summed.
 
-``char_poly`` runs on Gaussian integers.  A ``ComplexRational`` is stored
+The kernels run on Gaussian integers.  A ``ComplexRational`` is stored
 as (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
 Gaussian-integer entries.  Each kernel clears the denominators of its
 inputs once and rebuilds only its results as exact scalars; no gcd is
@@ -51,7 +48,6 @@ from .algebra import (
 __all__ = [
     "Matrix",
     "MatrixSet",
-    "PolyMatrix",
     "CharPoly",
     "HermiticityError",
     "UnsupportedDimensionError",
@@ -225,17 +221,6 @@ class MatrixSet:
 
 
 @dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix with MultiPoly entries."""
-
-    n: int
-    entries: tuple[tuple[MultiPoly, ...], ...]
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i][j]
-
-
-@dataclass(frozen=True)
 class CharPoly:
     """Monic characteristic polynomial det(E*I - M) with coefficient access."""
 
@@ -253,30 +238,31 @@ class CharPoly:
         return self.poly.coeff(k)
 
 
-def build_hamiltonian(mset: MatrixSet) -> PolyMatrix:
-    """Assemble h(p) = sum_k alpha_k p_k + beta m as a polynomial matrix.
-
-    Entry (i, j) has one term per nonzero entry (i, j) of the four matrices,
-    in the order p1, p2, p3, m, built directly as its term map.
-    """
-    n = mset.n
-    pairs = tuple(zip(_MONOMIALS, (*mset.alphas, mset.beta)))
-    return PolyMatrix(
-        n,
-        tuple(
-            tuple(
-                MultiPoly._make({mono: matrix[i][j] for mono, matrix in pairs if matrix[i][j]})
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
-
-
 # The char_poly kernel works on polynomials with Gaussian-integer
 # coefficients, stored as dicts from a packed monomial key to an (re, im)
 # pair of ints.  A key holds the exponents of (p1, p2, p3, m) in fields of
-# ``width`` bits, so multiplying two monomials is adding their keys.
+# n.bit_length() bits, wide enough for the exponent n of any term of the
+# power sums of an n x n h(p), so multiplying two monomials is adding their
+# keys.
+
+
+def build_hamiltonian(mset: MatrixSet) -> tuple[list[list[dict]], int]:
+    """h(p) = sum_k alpha_k p_k + beta m over Gaussian integers, as (entries, D).
+
+    D is the lcm of every entry denominator of the four matrices.  Entry
+    (i, j) maps the packed key of p1, p2, p3 and m, in that order, to D times
+    entry (i, j) of alpha1, alpha2, alpha3 and beta; zeros are left out.
+    """
+    n = mset.n
+    matrices = (*mset.alphas, mset.beta)
+    denom = lcm(*(x._d for matrix in matrices for row in matrix for x in row))
+    width = n.bit_length()
+    pairs = tuple((1 << k * width, matrix) for k, matrix in enumerate(matrices))
+    entries = [
+        [{key: _gaussian(matrix[i][j], denom) for key, matrix in pairs if matrix[i][j]} for j in range(n)]
+        for i in range(n)
+    ]
+    return entries, denom
 
 
 def _gi_prune(a: dict) -> dict:
@@ -322,41 +308,6 @@ def _gi_neg_div(a: dict, k: int) -> dict:
     return out
 
 
-def _power_sums(A: list) -> list[dict]:
-    """[None, p_1, ..., p_n] with p_k = Tr(A^k), for a square matrix A of n <= 4.
-
-    A^2 is formed once; p_3 and p_4 are read off it without forming A^3 or
-    A^4:  p_3 = sum_ij (A^2)_ij A_ji and
-    p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} (A^2)_ij (A^2)_ji.
-    """
-    n = len(A)
-    sums = [None, _gi_sum(A[i][i] for i in range(n))]
-    if n == 1:
-        return sums
-    A2 = [[_gi_dot((A[i][k], A[k][j]) for k in range(n)) for j in range(n)] for i in range(n)]
-    sums.append(_gi_sum(A2[i][i] for i in range(n)))
-    if n >= 3:
-        sums.append(_gi_dot((A2[i][j], A[j][i]) for i in range(n) for j in range(n)))
-    if n == 4:
-        paired = [
-            ({key: (2 * re, 2 * im) for key, (re, im) in A2[i][j].items()}, A2[j][i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        sums.append(_gi_dot([(A2[i][i], A2[i][i]) for i in range(n)] + paired))
-    return sums
-
-
-def _is_hermitian(A: list) -> bool:
-    """Whether every A[j][i] is A[i][j] with each imaginary part negated, the diagonal included."""
-    n = len(A)
-    return all(
-        A[j][i] == {key: (re, -im) for key, (re, im) in A[i][j].items()}
-        for i in range(n)
-        for j in range(i, n)
-    )
-
-
 def _gi_re_dot(pairs) -> dict:
     """The real part of the sum of the products a*b over the (a, b) ``pairs``, as (re, 0) values."""
     acc: dict = {}
@@ -370,19 +321,18 @@ def _gi_re_dot(pairs) -> dict:
 
 
 def _hermitian_power_sums(A: list) -> list[dict]:
-    """``_power_sums(A)`` for a Hermitian A, whose every p_k is real.
+    """[None, p_1, ..., p_n] with p_k = Tr(A^k), for a Hermitian A of 2 <= n <= 4.
 
-    A^2 is Hermitian too, so only its upper triangle is formed, and its
-    diagonal is real, as is A's, so p_1 and p_2 are the diagonal sums as
-    they stand.  With A_ji the conjugate of A_ij,
+    Every p_k is real.  A^2 is formed once and p_3 and p_4 are read off it
+    without forming A^3 or A^4.  A^2 is Hermitian too, so only its upper
+    triangle is formed, and its diagonal is real, as is A's, so p_1 and p_2
+    are the diagonal sums as they stand.  With A_ji the conjugate of A_ij,
     p_3 = sum_i (A^2)_ii A_ii + 2 Re sum_{i<j} (A^2)_ij A_ji and
     p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} |(A^2)_ij|^2; every product that
     feeds a power sum accumulates only its real part.
     """
     n = len(A)
     sums = [None, _gi_sum(A[i][i] for i in range(n))]
-    if n == 1:
-        return sums
     square = [_gi_re_dot((A[i][k], A[k][i]) for k in range(n)) for i in range(n)]
     sums.append(_gi_sum(square))
     if n >= 3:
@@ -400,58 +350,38 @@ def _hermitian_power_sums(A: list) -> list[dict]:
     return sums
 
 
-def char_poly(M: PolyMatrix) -> CharPoly:
-    """Characteristic polynomial det(E*I - M) from power sums and Newton's identities.
+def char_poly(mset: MatrixSet) -> CharPoly:
+    """Characteristic polynomial det(E*I - h(p)) of a set, from power sums and Newton's identities.
 
-    With p_k = Tr(M^k) and e_k the elementary symmetric functions of the
+    With p_k = Tr(h^k) and e_k the elementary symmetric functions of the
     eigenvalues, Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-    give det(E*I - M) = sum_k (-1)^k e_k E^(n-k).  In the coefficients
+    give det(E*I - h) = sum_k (-1)^k e_k E^(n-k).  In the coefficients
     c_{n-k} = (-1)^k e_k they read
 
         c_n = 1,  c_{n-k} = -(c_{n-k+1} p_1 + c_{n-k+2} p_2 + ... + c_n p_k)/k,
 
-    so the coefficient of E^(n-1) is -trace(M) and the constant term is
-    (-1)^n det(M).
+    so the coefficient of E^(n-1) is -trace(h) and the constant term is
+    (-1)^n det(h).
 
-    It runs in Gaussian integers.  With D the lcm of every coefficient
-    denominator in M, B = D*M has entries with Gaussian-integer
-    coefficients, and so have its power sums.  Each coefficient c'_j of
-    det(E*I - B) is a polynomial in the entries of B with integer
-    coefficients, so it has Gaussian-integer coefficients as well.  The sum
-    that the step c'_{n-k} = -(...)/k divides equals -k c'_{n-k}, so the
-    step is an exact integer division; a remainder is an internal error,
-    never rounded.  Because det(E*I - D*M) =
-    D^n det((E/D)*I - M), c'_j = D^(n-j) c_j, and each c_j is rebuilt
-    exactly as c'_j over the denominator D^(n-j).
+    It runs in Gaussian integers, on B = D*h from ``build_hamiltonian``,
+    whose entries have Gaussian-integer coefficients, and so have its power
+    sums.  Each coefficient c'_j of det(E*I - B) is a polynomial in the
+    entries of B with integer coefficients, so it has Gaussian-integer
+    coefficients as well.  The sum that the step c'_{n-k} = -(...)/k divides
+    equals -k c'_{n-k}, so the step is an exact integer division; a
+    remainder is an internal error, never rounded.  Because
+    det(E*I - D*h) = D^n det((E/D)*I - h), c'_j = D^(n-j) c_j, and each c_j
+    is rebuilt exactly as c'_j over the denominator D^(n-j).
 
-    Hermiticity is checked, not assumed.  When the cleared entries satisfy
-    B_ji = conj(B_ij) for every i <= j (so the diagonal is real),
-    ``_hermitian_power_sums`` forms the upper triangle of B^2 and the real
-    parts of the power sums only.  Any other input takes ``_power_sums``,
-    which forms all of B^2.  Both feed the same Newton steps and rebuild.
+    ``MatrixSet`` guarantees that h is Hermitian and that n is 2, 3 or 4, so
+    ``_hermitian_power_sums`` forms only the upper triangle of B^2 and the
+    real parts of the power sums.
     """
-    n = M.n
-    if not 1 <= n <= 4:
-        raise UnsupportedDimensionError(f"char_poly supports 1 <= n <= 4, got {n}")
-    terms = [[tuple(entry.terms()) for entry in row] for row in M.entries]
-    flat = [term for row in terms for entry in row for term in entry]
-    denom = lcm(1, *(c._d for _, c in flat))
-    # exponents of the power sums and products never exceed n times the largest input one
-    width = (n * max((e for mono, _ in flat for e in mono), default=0)).bit_length()
+    n = mset.n
+    A, denom = build_hamiltonian(mset)
+    width = n.bit_length()
     mask = (1 << width) - 1
-
-    A = [
-        [
-            {
-                mono[0] | mono[1] << width | mono[2] << 2 * width | mono[3] << 3 * width:
-                _gaussian(c, denom)
-                for mono, c in entry
-            }
-            for entry in row
-        ]
-        for row in terms
-    ]
-    sums = (_hermitian_power_sums if _is_hermitian(A) else _power_sums)(A)
+    sums = _hermitian_power_sums(A)
     coeffs: list[dict] = [{}] * n + [{0: (1, 0)}]
     for k in range(1, n + 1):
         coeffs[n - k] = _gi_neg_div(_gi_dot((coeffs[n - k + i], sums[i]) for i in range(1, k + 1)), k)

@@ -10,7 +10,8 @@ instead of Gaussian-integer kernels, and the alpha blocks are read off entry by 
 eigenbasis of beta instead of through projector traces (or, in
 ``alpha_structure_reference``, through the same traces taken over
 ComplexRational).  Polynomials are evaluated, substituted and checked for
-homogeneity or Hermiticity term by term, outside the classes they check.
+homogeneity term by term, outside the classes they check, and h(p) is
+summed in MultiPoly arithmetic instead of packed Gaussian integers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from diracver.algebra import MASS, P1, P2, P3, ComplexRational, EPoly, MultiPoly, render_fraction
 from diracver.dispersion import SPoly
-from diracver.symmat import Matrix, PolyMatrix
+from diracver.symmat import Matrix, MatrixSet
 
 
 def det_cofactor(matrix: Matrix) -> ComplexRational:
@@ -56,10 +57,6 @@ def evaluate(poly: MultiPoly, point: Sequence) -> ComplexRational:
 def term_degrees(poly: MultiPoly) -> set[int]:
     """The total degrees of the terms of ``poly``: at most one for a homogeneous polynomial."""
     return {sum(mono) for mono, _ in poly.terms()}
-
-
-def poly_matrix_is_hermitian(pm: PolyMatrix) -> bool:
-    return all(pm.entry(i, j) == pm.entry(j, i).conj() for i in range(pm.n) for j in range(i, pm.n))
 
 
 def spoly_at(p: SPoly, s: Fraction) -> Fraction:
@@ -110,11 +107,19 @@ def char_poly_cofactor(matrix: Matrix) -> EPoly:
     return epoly_cofactor_det(shifted)
 
 
-def char_poly_cofactor_pm(pm: PolyMatrix) -> EPoly:
-    """det(E*I - M) for a polynomial matrix, via cofactor expansion."""
-    n = pm.n
+def hamiltonian_reference(mset: MatrixSet) -> list[list[MultiPoly]]:
+    """h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m, entry by entry in MultiPoly arithmetic."""
+    n = mset.n
+    pairs = list(zip((P1, P2, P3, MASS), (*mset.alphas, mset.beta)))
+    return [[sum((v * m[i][j] for v, m in pairs), MultiPoly.zero()) for j in range(n)] for i in range(n)]
+
+
+def char_poly_cofactor_pm(mset: MatrixSet) -> EPoly:
+    """det(E*I - h(p)) for the h(p) of a set, via cofactor expansion."""
+    h = hamiltonian_reference(mset)
+    n = mset.n
     shifted = [
-        [EPoly([-pm.entries[i][j]] + ([1] if i == j else [])) for j in range(n)]
+        [EPoly([-h[i][j]] + ([1] if i == j else [])) for j in range(n)]
         for i in range(n)
     ]
     return epoly_cofactor_det(shifted)

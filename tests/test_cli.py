@@ -166,9 +166,31 @@ def test_parse_rejects_overlong_literal(tmp_path):
 def test_parse_rejects_non_utf8_file(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"n": 4, "label": "caf\xe9"}')
-    with pytest.raises(MatrixFileError, match="not UTF-8"):
+    with pytest.raises(MatrixFileError, match="not UTF-8") as err:
         parse_matrix_file(path)
+    assert err.value.location == "byte 22"
     assert_usage_error(run_cli("verify", str(path)))
+
+
+def test_parse_caps_the_file_size_before_reading_it_all(tmp_path):
+    cap = 1 << 20  # the 1 MiB of README "Matrix-set files"
+    text = serialize_matrix_set(catalog("dirac-pauli")).encode()
+    padded = tmp_path / "padded.json"
+    padded.write_bytes(text + b" " * (cap - len(text)))
+    assert padded.stat().st_size == cap
+    assert parse_matrix_file(padded) == catalog("dirac-pauli")
+    assert run_cli("verify", str(padded)).returncode == 0
+
+    over = tmp_path / "over.json"
+    over.write_bytes(text + b" " * (cap + 1 - len(text)))
+    out = tmp_path / "s.csv"
+    for path in (str(over), "/dev/zero"):  # /dev/zero never ends
+        with pytest.raises(MatrixFileError, match=f"^{path} is larger than {cap} bytes$"):
+            parse_matrix_file(path)
+        assert_usage_error(run_cli("verify", path))
+        assert_usage_error(run_cli("derive", path))
+        assert_usage_error(run_cli("spectrum", path, "--mass", "1", "--grid", "lin:-1:1:2", "--out", str(out)))
+    assert not out.exists()
 
 
 def test_parse_rejects_deeply_nested_json(tmp_path):

@@ -36,7 +36,6 @@ from diracver.symmat import (
     MatrixSet,
     _cleared,
     as_matrix,
-    build_hamiltonian,
     char_poly,
     mat_identity,
     mat_is_zero,
@@ -76,13 +75,15 @@ def test_catalog_sets_satisfy_the_relations(all_catalog_sets):
 
 
 def test_pauli_triple_in_squares_only_mode():
-    report = check_anticommutation(pauli_set(), include_beta=False)
-    assert report.passed
-    assert len(report.pairwise) == 3
-    # with the zero beta included, beta^2 - 1 = -1 != 0
-    full = check_anticommutation(pauli_set())
-    assert not full.passed
-    assert not mat_is_zero(full.squares["beta"])
+    report = check_anticommutation(pauli_set())
+    alphas = ("alpha1", "alpha2", "alpha3")
+    alpha_pairs = [pair for pair in report.pairwise if "beta" not in pair]
+    assert alpha_pairs == [("alpha1", "alpha2"), ("alpha1", "alpha3"), ("alpha2", "alpha3")]
+    assert all(mat_is_zero(report.pairwise[pair]) for pair in alpha_pairs)
+    assert all(mat_is_zero(report.squares[name]) for name in alphas)
+    # the zero beta: beta^2 - 1 = -1 != 0
+    assert not report.passed
+    assert not mat_is_zero(report.squares["beta"])
 
 
 def test_perturbed_entry_breaks_alpha_square(dirac_pauli):
@@ -112,7 +113,7 @@ def _halved(matrix):
 
 
 def _trace_det(mset):
-    return check_trace_det(char_poly(build_hamiltonian(mset)))
+    return check_trace_det(char_poly(mset))
 
 
 def test_trace_det_on_catalog(all_catalog_sets):
@@ -228,15 +229,10 @@ def test_structure_flags_nonzero_diagonal_entry(dirac_pauli):
     rows = [list(row) for row in dirac_pauli.alphas[0]]
     rows[0][0] = ComplexRational(Fraction(1, 10))
     tampered = _with_alpha1(dirac_pauli, as_matrix(rows))
-    report = check_alpha_structure(tampered)
+    report = check_alpha_structure(canonicalize_beta(tampered))
     assert not report.passed
     assert report.alpha_blocks[0] is False
     assert report.alpha_blocks[1] is True
-
-
-def test_structure_requires_canonical_beta(weyl_chiral):
-    with pytest.raises(ValueError, match="canonicalize"):
-        check_alpha_structure(weyl_chiral)
 
 
 _UNIT_BASES = {name: unit_eigenbasis(catalog(name).beta) for name in CATALOG_NAMES}
@@ -337,11 +333,11 @@ def _is_matrix_of_scalars(matrix, n):
     )
 
 
-@given(_audited_sets(), st.booleans())
+@given(_audited_sets())
 @settings(max_examples=80, deadline=None)
-def test_anticommutators_match_the_reference_products(mset, include_beta):
-    report = check_anticommutation(mset, include_beta=include_beta)
-    items = [(name, m) for name, m in mset.matrices() if include_beta or name != "beta"]
+def test_anticommutators_match_the_reference_products(mset):
+    report = check_anticommutation(mset)
+    items = list(mset.matrices())
     identity = mat_identity(mset.n)
     pairwise = {
         (name_a, name_b): anticommutator_reference(a, b)
@@ -503,7 +499,7 @@ def test_equivalence_theorem_under_exact_unitaries(name, seed, steps):
 def test_dispersion_pass_forces_even_char_poly(all_catalog_sets, rng):
     for mset in all_catalog_sets + [random_exact_unitary(rng).conjugate_set(catalog("majorana"))]:
         assert check_dispersion(mset, 2).passed
-        cp = char_poly(build_hamiltonian(mset))
+        cp = char_poly(mset)
         assert cp.c(3) == MultiPoly.zero()
         assert cp.c(1) == MultiPoly.zero()
 

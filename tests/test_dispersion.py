@@ -26,7 +26,7 @@ from diracver.dispersion import (
     render_spoly,
     solve_forced_coefficients,
 )
-from diracver.symmat import MatrixSet, build_hamiltonian, char_poly, mat_identity
+from diracver.symmat import MatrixSet, char_poly, mat_identity
 from oracles import evaluate, fraction_rank, multiplicity_system, spoly_at, spoly_to_multipoly
 
 
@@ -239,7 +239,7 @@ def test_standard_set_passes_double_root_check(dirac_pauli):
 
 def test_identity_beta_fails_with_derived_residuals(dirac_pauli):
     broken = MatrixSet(4, dirac_pauli.alphas, mat_identity(4), label="identity-beta")
-    cp = char_poly(build_hamiltonian(broken))
+    cp = char_poly(broken)
     # the standard alphas satisfy the Clifford relations on their own, so
     # h = alpha.p + 1*m is a shift and P(E) = ((E - m)^2 - p.p)^2 exactly
     p_sq = P1 * P1 + P2 * P2 + P3 * P3
@@ -274,10 +274,7 @@ def test_exact_unitary_conjugation_preserves_char_poly(dirac_pauli, rng):
     for _ in range(5):
         u = random_exact_unitary(rng)
         conjugated = u.conjugate_set(dirac_pauli)
-        assert (
-            char_poly(build_hamiltonian(conjugated)).poly
-            == char_poly(build_hamiltonian(dirac_pauli)).poly
-        )
+        assert char_poly(conjugated).poly == char_poly(dirac_pauli).poly
         assert check_dispersion(conjugated, 2).passed
     generic = random_hermitian_set(rng)
     u = random_exact_unitary(rng)
@@ -294,7 +291,7 @@ def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, rng):
         (dirac_pauli, True),
         (perturbed_set(rng, dirac_pauli), False),
     ]:
-        cp = char_poly(build_hamiltonian(mset))
+        cp = char_poly(mset)
         coefficients_match = all(
             cp.c(k) == spoly_to_multipoly(sol[k], massless=False) for k in range(4)
         )
@@ -303,7 +300,7 @@ def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, rng):
 
     # (2, 1) in the massless lane
     sol2 = solve(2, 1).constants()
-    cp = char_poly(build_hamiltonian(pauli_set()))
+    cp = char_poly(pauli_set())
     assert cp.c(0).at_zero_mass() == spoly_to_multipoly(sol2[0], massless=True)
     assert cp.c(1).at_zero_mass() == spoly_to_multipoly(sol2[1], massless=True)
 

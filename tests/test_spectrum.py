@@ -18,7 +18,7 @@ from diracver.spectrum import (
     sweep,
     write_csv,
 )
-from diracver.symmat import MatrixSet, build_hamiltonian, char_poly
+from diracver.symmat import MatrixSet, char_poly
 from oracles import evaluate
 
 
@@ -163,7 +163,7 @@ def test_eigenvalues_match_exact_char_poly_coefficients(all_catalog_sets, rng):
     # elementary symmetric polynomials of the float eigenvalues must agree
     # with the exact coefficients: e_k(lambda) = (-1)^k c_{n-k}
     for mset in all_catalog_sets:
-        cp = char_poly(build_hamiltonian(mset))
+        cp = char_poly(mset)
         for _ in range(10):
             point = tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(3)) + (
                 Fraction(rng.randint(0, 4), 2),

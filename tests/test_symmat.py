@@ -1,4 +1,4 @@
-import random
+import math
 import re
 from fractions import Fraction
 
@@ -19,7 +19,6 @@ from diracver.symmat import (
     CharPoly,
     HermiticityError,
     MatrixSet,
-    PolyMatrix,
     UnsupportedDimensionError,
     as_matrix,
     build_hamiltonian,
@@ -30,12 +29,11 @@ from diracver.symmat import (
     trace_and_det,
 )
 from oracles import (
-    char_poly_cofactor,
     char_poly_cofactor_pm,
     dagger_reference,
     det_cofactor,
+    hamiltonian_reference,
     mat_mul_reference,
-    poly_matrix_is_hermitian,
     random_hermitian_matrix,
     term_degrees,
 )
@@ -46,57 +44,53 @@ mixed_fractions = st.builds(
     Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7, 12, 35, 1001))
 )
 mixed_scalars = st.builds(ComplexRational, mixed_fractions, mixed_fractions)
-monomials = st.tuples(*(st.integers(0, 3) for _ in range(4)))
-mixed_polys = st.dictionaries(monomials, mixed_scalars, max_size=3).map(MultiPoly)
-
-
-@st.composite
-def poly_matrices(draw):
-    n = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(mixed_polys, min_size=n, max_size=n), min_size=n, max_size=n))
-    return PolyMatrix(n, tuple(tuple(row) for row in rows))
-
-
 # real parts are integers, so every denominator sits in an imaginary part
 imaginary_denominators = st.builds(ComplexRational, st.integers(-9, 9), mixed_fractions)
+entry_kinds = st.sampled_from((mixed_scalars, imaginary_denominators, st.just(ComplexRational(0))))
 
 
 @st.composite
 def scalar_matrix_pairs(draw):
     """Two n x n matrices, each of mixed-denominator, imaginary-denominator or zero entries."""
     n = draw(st.integers(1, 4))
-    kinds = st.sampled_from((mixed_scalars, imaginary_denominators, st.just(ComplexRational(0))))
 
     def matrix(entries):
         return as_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 
-    return matrix(draw(kinds)), matrix(draw(kinds))
+    return matrix(draw(entry_kinds)), matrix(draw(entry_kinds))
 
 
-real_polys = st.dictionaries(monomials, st.builds(ComplexRational, mixed_fractions), max_size=3).map(MultiPoly)
-
-
-@st.composite
-def hermitian_poly_matrices(draw):
-    """An n x n Hermitian PolyMatrix, n = 1..4: mixed-denominator upper triangle, real diagonal, conjugate mirror."""
-    n = draw(st.integers(1, 4))
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = draw(real_polys)
-        for j in range(i + 1, n):
-            rows[i][j] = draw(mixed_polys)
-            rows[j][i] = rows[i][j].conj()
-    return PolyMatrix(n, tuple(tuple(row) for row in rows))
+real_scalars = st.builds(ComplexRational, mixed_fractions)
 
 
 @st.composite
-def conjugated_hamiltonians(draw):
-    """h(p) of a random or catalog set, n = 2..4, conjugated by a 10-60 step exact unitary."""
-    rng = draw(st.randoms(use_true_random=False))
+def mixed_denominator_sets(draw):
+    """A MatrixSet of n = 2..4 whose four matrices have real diagonals and mixed-denominator,
+    imaginary-denominator or zero entries above them, mirrored by conjugation."""
     n = draw(st.integers(2, 4))
-    base = draw(st.sampled_from(CATALOG_NAMES + ("random",))) if n == 4 else "random"
-    mset = random_hermitian_set(rng, n) if base == "random" else catalog(base)
-    return build_hamiltonian(random_exact_unitary(rng, n, steps=draw(st.integers(10, 60))).conjugate_set(mset))
+
+    def hermitian():
+        entries = draw(entry_kinds)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = draw(real_scalars)
+            for j in range(i + 1, n):
+                rows[i][j] = draw(entries)
+                rows[j][i] = rows[i][j].conj()
+        return rows
+
+    return MatrixSet(n, (hermitian(), hermitian(), hermitian()), hermitian())
+
+
+def _unpacked(entry, denom, n):
+    """A packed ``build_hamiltonian`` entry as a MultiPoly: each key split into n.bit_length()-bit fields."""
+    width = n.bit_length()
+    terms = {}
+    for key, (re, im) in entry.items():
+        mono = tuple(key >> k * width & (1 << width) - 1 for k in range(4))
+        assert key == sum(e << k * width for k, e in enumerate(mono))
+        terms[mono] = ComplexRational(Fraction(re, denom), Fraction(im, denom))
+    return MultiPoly(terms)
 
 
 def _kernel_product(a, b):
@@ -139,72 +133,65 @@ def test_unsupported_dimension_rejected():
 
 
 def test_pauli_hamiltonian_entries():
-    h = build_hamiltonian(pauli_set())
-    assert h.entry(0, 0) == P3
-    assert h.entry(0, 1) == P1 - I * P2
-    assert h.entry(1, 1) == -P3
-    assert poly_matrix_is_hermitian(h)
+    # n = 2: two-bit key fields, so p1, p2, p3, m are the keys 1, 4, 16, 64
+    A, denom = build_hamiltonian(pauli_set())
+    assert denom == 1
+    assert A == [[{16: (1, 0)}, {1: (1, 0), 4: (0, -1)}], [{1: (1, 0), 4: (0, 1)}, {16: (-1, 0)}]]
 
 
 def test_dirac_pauli_hamiltonian_entries(dirac_pauli):
-    h = build_hamiltonian(dirac_pauli)
-    assert h.entry(0, 0) == MASS
-    assert h.entry(0, 3) == P1 - I * P2
-    assert h.entry(0, 1) == MultiPoly.zero()
-    assert poly_matrix_is_hermitian(h)
+    # n = 4: three-bit key fields, so p1, p2, p3, m are the keys 1, 8, 64, 512
+    A, denom = build_hamiltonian(dirac_pauli)
+    assert denom == 1
+    assert A[0][0] == {512: (1, 0)}
+    assert A[0][3] == {1: (1, 0), 8: (0, -1)}
+    assert A[0][1] == {}
+    assert _unpacked(A[0][3], denom, 4) == P1 - I * P2
 
 
 def test_hamiltonian_entries_homogeneous_degree_one(all_catalog_sets):
     for mset in all_catalog_sets:
-        h = build_hamiltonian(mset)
-        for row in h.entries:
+        A, denom = build_hamiltonian(mset)
+        for row in A:
             for entry in row:
-                assert term_degrees(entry) <= {1}
+                assert term_degrees(_unpacked(entry, denom, mset.n)) <= {1}
 
 
 def test_zero_set_gives_zero_hamiltonian():
     mset = MatrixSet(4, (mat_zero(4), mat_zero(4), mat_zero(4)), mat_zero(4))
-    h = build_hamiltonian(mset)
-    assert all(entry.is_zero for row in h.entries for entry in row)
+    A, denom = build_hamiltonian(mset)
+    assert denom == 1
+    assert all(entry == {} for row in A for entry in row)
+    assert char_poly(mset).poly == EPoly([0, 0, 0, 0, 1])
 
 
 def test_char_poly_mass_diagonal():
-    entries = [[MultiPoly.zero()] * 4 for _ in range(4)]
-    for k, sign in enumerate((1, 1, -1, -1)):
-        entries[k][k] = MASS * sign
-    pm = PolyMatrix(4, tuple(tuple(row) for row in entries))
-    cp = char_poly(pm)
+    beta = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    mset = MatrixSet(4, (mat_zero(4), mat_zero(4), mat_zero(4)), beta)
+    cp = char_poly(mset)
     m2 = MASS * MASS
     assert cp.poly == EPoly([m2 * m2, MultiPoly.zero(), m2 * (-2), MultiPoly.zero(), 1])
     assert render_epoly(cp.poly) == "E^4 - 2*m^2*E^2 + m^4"
-    assert cp.poly == char_poly_cofactor_pm(pm)
+    assert cp.poly == char_poly_cofactor_pm(mset)
 
 
 def test_char_poly_pauli():
-    cp = char_poly(build_hamiltonian(pauli_set()))
+    cp = char_poly(pauli_set())
     assert cp.poly == EPoly([-(P1 * P1 + P2 * P2 + P3 * P3), MultiPoly.zero(), 1])
-
-
-def test_char_poly_one_by_one():
-    pm = PolyMatrix(1, ((MASS,),))
-    assert char_poly(pm).poly == EPoly([-MASS, 1])
-
-
-def test_char_poly_rejects_large_dimension():
-    pm = PolyMatrix(5, tuple((MultiPoly.zero(),) * 5 for _ in range(5)))
-    with pytest.raises(UnsupportedDimensionError):
-        char_poly(pm)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_char_poly_matches_cofactor_oracle(n, rng):
     for _ in range(30):
-        matrix = random_hermitian_matrix(rng, n)
-        cp = char_poly(PolyMatrix(n, tuple(tuple(MultiPoly.constant(v) for v in row) for row in matrix)))
-        assert cp.poly == char_poly_cofactor(matrix)
-        # byproducts: c_{n-1} = -trace and c_0 = (-1)^n det
-        assert cp.c(n - 1) == MultiPoly.constant(-mat_trace(matrix))
-        assert cp.c(0) == MultiPoly.constant(det_cofactor(matrix) * (-1) ** n)
+        matrices = [random_hermitian_matrix(rng, n) for _ in range(4)]
+        mset = MatrixSet(n, tuple(matrices[:3]), matrices[3])
+        cp = char_poly(mset)
+        assert cp.poly == char_poly_cofactor_pm(mset)
+        # byproducts: [x_k] c_{n-1} = -Tr(X_k) and [x_k^n] c_0 = (-1)^n det(X_k)
+        for k, matrix in enumerate(matrices):
+            mono = tuple(int(i == k) for i in range(4))
+            assert cp.c(n - 1).coefficient(mono) == -mat_trace(matrix)
+            assert cp.c(0).coefficient(tuple(n * e for e in mono)) == det_cofactor(matrix) * (-1) ** n
 
 
 @given(
@@ -216,37 +203,14 @@ def test_char_poly_matches_cofactor_oracle(n, rng):
 def test_char_poly_of_long_conjugates_matches_cofactor_oracle(rng, steps, base):
     # denominators reach about 50 digits at 60 steps
     mset = random_hermitian_set(rng) if base == "random" else catalog(base)
-    h = build_hamiltonian(random_exact_unitary(rng, steps=steps).conjugate_set(mset))
-    assert char_poly(h).poly == char_poly_cofactor_pm(h)
+    conjugated = random_exact_unitary(rng, steps=steps).conjugate_set(mset)
+    assert char_poly(conjugated).poly == char_poly_cofactor_pm(conjugated)
 
 
-@given(poly_matrices())
+@given(mixed_denominator_sets())
 @settings(max_examples=60, deadline=None)
-def test_char_poly_of_mixed_denominator_polymatrix_matches_cofactor_oracle(pm):
-    assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
-
-
-def test_char_poly_of_a_fixed_non_hermitian_matrix_matches_cofactor_oracle():
-    # entry (i, j) mixes a constant, a linear term and, off the diagonal, p1*m,
-    # with complex coefficients over denominators 2..7; no entry mirrors another
-    variables = (P1, P2, P3, MASS)
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            entry = MultiPoly.constant(ComplexRational(Fraction(i * j - 1, 5), Fraction(i - j, 3)))
-            entry = entry + variables[(i + 2 * j) % 4] * ComplexRational(
-                Fraction(i - 2 * j + 1, j + 2), Fraction(2 * i + j - 3, i + 3)
-            )
-            if i != j:
-                entry = entry + P1 * MASS * ComplexRational(Fraction(j + 1, 7), Fraction(i, 2))
-            row.append(entry)
-        rows.append(tuple(row))
-    pm = PolyMatrix(4, tuple(rows))
-    assert not poly_matrix_is_hermitian(pm)
-    cp = char_poly(pm)
-    assert cp.poly == char_poly_cofactor_pm(pm)
-    assert not all(cp.c(k).is_real() for k in range(4))
+def test_char_poly_of_mixed_denominator_polymatrix_matches_cofactor_oracle(mset):
+    assert char_poly(mset).poly == char_poly_cofactor_pm(mset)
 
 
 def test_newton_division_must_be_exact(dirac_pauli, monkeypatch):
@@ -256,62 +220,17 @@ def test_newton_division_must_be_exact(dirac_pauli, monkeypatch):
         symmat._gi_neg_div({0: (1, 0)}, 3)
     assert symmat._gi_neg_div({0: (6, -3), 5: (0, 9)}, 3) == {0: (-2, 1), 5: (0, -3)}
 
-    # a power sum off by one constant makes the k = 2 step inexact, on either path:
-    # h(p) of dirac-pauli takes the Hermitian one, the matrix below the general one
-    not_hermitian = PolyMatrix(2, ((P1, P2), (MASS * I, P3)))
-    for name, pm in (("_hermitian_power_sums", build_hamiltonian(dirac_pauli)), ("_power_sums", not_hermitian)):
-        power_sums = getattr(symmat, name)
+    # a power sum off by one constant makes the k = 2 step inexact
+    power_sums = symmat._hermitian_power_sums
 
-        def corrupted(A, power_sums=power_sums):
-            sums = power_sums(A)
-            sums[2] = {**sums[2], 0: (1, 0)}
-            return sums
+    def corrupted(A):
+        sums = power_sums(A)
+        sums[2] = {**sums[2], 0: (1, 0)}
+        return sums
 
-        with monkeypatch.context() as patch:
-            patch.setattr(symmat, name, corrupted)
-            with pytest.raises(RuntimeError, match="internal error: .* not divisible by 2"):
-                char_poly(pm)
-
-
-@given(st.one_of(hermitian_poly_matrices(), conjugated_hamiltonians()))
-@settings(max_examples=60, deadline=None)
-def test_hermitian_power_sums_equal_the_general_ones(pm):
-    # char_poly must choose the Hermitian path; the spy keeps the cleared matrix it got
-    assert poly_matrix_is_hermitian(pm)
-    hermitian = symmat._hermitian_power_sums
-    seen = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(symmat, "_hermitian_power_sums", lambda A: seen.append(A) or hermitian(A))
-        assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
-    [A] = seen
-    general = symmat._power_sums(A)
-    assert all(im == 0 for sums in general[1:] for _, im in sums.values())
-    assert hermitian(A) == general
-
-
-def test_near_hermitian_input_takes_the_general_path(dirac_pauli, monkeypatch):
-    def refuse(A):
-        raise AssertionError("a non-Hermitian matrix took the Hermitian path")
-
-    monkeypatch.setattr(symmat, "_hermitian_power_sums", refuse)
-    h = build_hamiltonian(random_exact_unitary(random.Random(5), steps=10).conjugate_set(dirac_pauli))
-    rows = [list(row) for row in h.entries]
-    term = MultiPoly({(0, 1, 0, 1): ComplexRational(Fraction(2, 3), Fraction(-1, 5))})
-
-    def changed(*edits):
-        out = [row[:] for row in rows]
-        for i, j, extra in edits:
-            out[i][j] = out[i][j] + extra
-        return PolyMatrix(4, tuple(tuple(row) for row in out))
-
-    near = [
-        changed((1, 1, MultiPoly({(1, 0, 0, 0): ComplexRational(0, Fraction(1, 7))}))),  # diagonal imaginary part
-        changed((0, 2, term)),  # off-diagonal term with no mirror
-        changed((0, 2, term), (2, 0, term)),  # mirrored, but not conjugated
-    ]
-    for pm in near:
-        assert not poly_matrix_is_hermitian(pm)
-        assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
+    monkeypatch.setattr(symmat, "_hermitian_power_sums", corrupted)
+    with pytest.raises(RuntimeError, match="internal error: .* not divisible by 2"):
+        char_poly(dirac_pauli)
 
 
 @given(
@@ -322,35 +241,25 @@ def test_near_hermitian_input_takes_the_general_path(dirac_pauli, monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_build_hamiltonian_matches_polynomial_arithmetic(rng, steps, n):
     mset = random_exact_unitary(rng, n, steps=steps).conjugate_set(random_hermitian_set(rng, n))
-    h = build_hamiltonian(mset)
+    A, denom = build_hamiltonian(mset)
+    matrices = (*mset.alphas, mset.beta)
+    assert denom == math.lcm(*(part.denominator for m in matrices for row in m for x in row for part in (x.re, x.im)))
+    expected = hamiltonian_reference(mset)
     for i in range(n):
         for j in range(n):
-            expected = MultiPoly.zero()
-            for matrix, variable in zip((*mset.alphas, mset.beta), (P1, P2, P3, MASS)):
-                if matrix[i][j]:
-                    expected = expected + variable * matrix[i][j]
-            assert h.entry(i, j) == expected
-            # the same terms, inserted in the same order
-            assert list(h.entry(i, j)._terms.items()) == list(expected._terms.items())
-    assert poly_matrix_is_hermitian(h)
-
-
-def test_char_poly_large_exponents_do_not_collide():
-    big = 2**40
-    a = MultiPoly({(big, 0, 0, 1): Fraction(1, 3)})
-    b = MultiPoly({(0, big, 1, 0): ComplexRational(2, Fraction(-1, 7))})
-    pm = PolyMatrix(2, ((a, b), (b.conj(), a + MASS)))
-    assert char_poly(pm).poly == char_poly_cofactor_pm(pm)
+            assert _unpacked(A[i][j], denom, n) == expected[i][j]
+            # one term per nonzero entry, in the order alpha1, alpha2, alpha3, beta
+            assert list(A[i][j]) == [1 << k * n.bit_length() for k, m in enumerate(matrices) if m[i][j]]
 
 
 def test_char_poly_coefficients_real_and_homogeneous(all_catalog_sets, rng):
     sets = all_catalog_sets + [random_hermitian_set(rng) for _ in range(5)]
     for mset in sets:
-        h = build_hamiltonian(mset)
-        cp = char_poly(h)
+        cp = char_poly(mset)
+        h = hamiltonian_reference(mset)
         trace = MultiPoly.zero()
         for k in range(mset.n):
-            trace = trace + h.entry(k, k)
+            trace = trace + h[k][k]
         assert cp.c(mset.n - 1) == -trace
         for k in range(mset.n + 1):
             ck = cp.c(k)
@@ -364,7 +273,7 @@ def test_char_poly_requires_monic():
 
 
 def _trace_and_det(mset):
-    return trace_and_det(char_poly(build_hamiltonian(mset)))
+    return trace_and_det(char_poly(mset))
 
 
 def test_trace_and_det_examples(dirac_pauli):
