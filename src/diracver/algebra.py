@@ -25,10 +25,9 @@ descending graded-lexicographic order, variable order ``(p1, p2, p3, m)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "ComplexRational",
@@ -494,8 +493,7 @@ class EPoly:
         return f"EPoly({render_epoly(self)!r})"
 
 
-@dataclass(frozen=True)
-class ReducedPair:
+class ReducedPair(NamedTuple):
     """Remainder of an energy polynomial modulo the dispersion relation.
 
     The reduced value at the positive energy is ``even_part + E_p * odd_part``;

@@ -17,10 +17,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
 from .clifford import (
@@ -210,8 +209,7 @@ def serialize_matrix_set(mset: MatrixSet) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Rendered findings of one command, with the pass/fail verdict."""
 
     header: str
@@ -244,8 +242,7 @@ def _matrix_summary(matrix: Matrix) -> str:
     return "0"
 
 
-@dataclass(frozen=True)
-class _Audit:
+class _Audit(NamedTuple):
     """The n = 4 consequence chain, each stage run once.
 
     A stage that raised keeps its exception in place of its result; the

@@ -47,10 +47,9 @@ multiply the cleared forms and rebuild each result entry once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import ComplexRational, Scalar, as_scalar, render_fraction
 from .dispersion import DispersionReport, check_dispersion
@@ -163,8 +162,7 @@ def pauli_set(label: str = "pauli-triple") -> MatrixSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliffordReport:
+class CliffordReport(NamedTuple):
     """Exact defect matrices for all pairwise anticommutators and squares."""
 
     pairwise: dict[tuple[str, str], Matrix]
@@ -218,8 +216,7 @@ def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class TraceDetReport:
+class TraceDetReport(NamedTuple):
     """Traces and determinants of the four matrices, read off P(E)."""
 
     values: dict[str, tuple[ComplexRational, ComplexRational]]
@@ -335,8 +332,7 @@ def _exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class CanonicalizationResult:
+class CanonicalizationResult(NamedTuple):
     """An exact orthogonal eigenbasis of beta: two +1 columns, then two -1 columns.
 
     ``matrix_set`` is the set whose beta was canonicalized, unchanged.
@@ -397,8 +393,7 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     return CanonicalizationResult(True, mset, transform, description)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Block structure of the alphas relative to the eigenspaces of beta."""
 
     beta_spectrum: tuple[int, ...]
@@ -444,8 +439,7 @@ def _trace_re(g: list) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     """Side-by-side dispersion and anticommutation verdicts.
 
     ``consistent`` records that the two audits agree, which is the content
@@ -472,30 +466,38 @@ def equivalence_audit(mset: MatrixSet) -> EquivalenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactUnitary:
+class _ExactUnitaryFields(NamedTuple):
+    matrix: Matrix
+
+
+class ExactUnitary(_ExactUnitaryFields):
     """Unitary matrix with exact entries, validated at construction.
 
     Every construction, products and daggers included, clears the matrix
     once to Gaussian integers g over the lcm d of its denominators and
     checks g g^dagger = d^2 I in integers.  The cleared form is kept on the
-    instance; it is not a dataclass field, so equality, hash and repr
-    ignore it.  Products and conjugations multiply cleared forms and
+    instance as ``_gi``, outside the tuple of fields, so equality, hash and
+    repr ignore it.  Products and conjugations multiply cleared forms and
     rebuild each entry of the result once.  int and Fraction entries are
     coerced by ``as_scalar``, as in ``MatrixSet``.
     """
 
-    matrix: Matrix
-
-    def __post_init__(self) -> None:
-        n = len(self.matrix)
-        if not n or any(len(row) != n for row in self.matrix):
+    def __new__(cls, matrix: Matrix) -> "ExactUnitary":
+        n = len(matrix)
+        if not n or any(len(row) != n for row in matrix):
             raise ValueError("unitary must be square and nonempty")
-        object.__setattr__(self, "matrix", _exact_entries(self.matrix))
-        g, d = _cleared(self.matrix)
+        matrix = _exact_entries(matrix)
+        g, d = _cleared(matrix)
         if not _gram_is_identity(g, d):
             raise ValueError("matrix is not exactly unitary")
-        object.__setattr__(self, "_gi", (g, d))
+        self = super().__new__(cls, matrix)
+        self._gi = (g, d)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ExactUnitary":
+        # namedtuple's _make, which _replace calls, would skip the checks of __new__
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

@@ -24,10 +24,9 @@ set and reports the residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .algebra import (
     EPoly,
@@ -173,28 +172,36 @@ class SPoly:
         return f"SPoly({render_spoly(self)!r})"
 
 
-@dataclass(frozen=True)
-class DegeneracyRequirement:
-    """Demand r linearly independent positive-energy plane waves in dimension n."""
-
+class _DegeneracyRequirementFields(NamedTuple):
     n: int
     r: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= 4:
-            raise ValueError(f"dimension {self.n} outside the supported range 1..4")
-        if self.r < 1:
+
+class DegeneracyRequirement(_DegeneracyRequirementFields):
+    """Demand r linearly independent positive-energy plane waves in dimension n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, r: int) -> "DegeneracyRequirement":
+        if not 1 <= n <= 4:
+            raise ValueError(f"dimension {n} outside the supported range 1..4")
+        if r < 1:
             raise ValueError("multiplicity must be at least 1")
-        if self.r > self.n:
-            raise ValueError(f"multiplicity {self.r} exceeds the polynomial degree {self.n}")
+        if r > n:
+            raise ValueError(f"multiplicity {r} exceeds the polynomial degree {n}")
+        return super().__new__(cls, n, r)
+
+    @classmethod
+    def _make(cls, iterable) -> "DegeneracyRequirement":
+        # namedtuple's _make, which _replace calls, would skip the checks of __new__
+        return cls(*iterable)
 
 
 def _derivative_name(j: int) -> str:
     return "P" + "'" * j
 
 
-@dataclass(frozen=True)
-class _Condition:
+class _Condition(NamedTuple):
     """One linear condition: sum_k coeffs[k]*c_k + const = 0, with provenance."""
 
     coeffs: tuple[SPoly, ...]
@@ -224,8 +231,7 @@ def multiplicity_conditions(req: DegeneracyRequirement) -> list[_Condition]:
     return rows
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Value of one forced coefficient: a polynomial in s plus terms in free c_j."""
 
     constant: SPoly
@@ -238,8 +244,7 @@ class Assignment:
         return _join_terms(pieces)
 
 
-@dataclass(frozen=True)
-class ForcedCoefficientSolution:
+class ForcedCoefficientSolution(NamedTuple):
     """Forced characteristic-polynomial coefficients for a feasible (n, r)."""
 
     requirement: DegeneracyRequirement
@@ -257,21 +262,32 @@ class ForcedCoefficientSolution:
         return {k: a.constant for k, a in self.assignments.items()}
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
+class _InfeasibilityCertificateFields(NamedTuple):
+    requirement: DegeneracyRequirement
+    witness: SPoly
+    narrative: str
+
+
+class InfeasibilityCertificate(_InfeasibilityCertificateFields):
     """Proof that no matrix set of dimension n meets the multiplicity demand.
 
     ``witness`` is a nonzero polynomial in s that the linear conditions force
     to vanish identically.
     """
 
-    requirement: DegeneracyRequirement
-    witness: SPoly
-    narrative: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.witness.is_zero:
+    def __new__(
+        cls, requirement: DegeneracyRequirement, witness: SPoly, narrative: str
+    ) -> "InfeasibilityCertificate":
+        if witness.is_zero:
             raise ValueError("certificate witness must be a nonzero polynomial")
+        return super().__new__(cls, requirement, witness, narrative)
+
+    @classmethod
+    def _make(cls, iterable) -> "InfeasibilityCertificate":
+        # namedtuple's _make, which _replace calls, would skip the checks of __new__
+        return cls(*iterable)
 
 
 SolveResult = Union[ForcedCoefficientSolution, InfeasibilityCertificate]
@@ -428,8 +444,7 @@ def factorized_spectrum(sol: ForcedCoefficientSolution) -> str:
     return f"(E - E_p)^{req.r}*(E + E_p)^{req.r}"
 
 
-@dataclass(frozen=True)
-class DispersionReport:
+class DispersionReport(NamedTuple):
     """Even/odd residuals of P, P', ..., P^(r-1) at the positive energy."""
 
     multiplicity: int

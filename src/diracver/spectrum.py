@@ -31,8 +31,7 @@ the eigenvalues do not depend on how the grid was chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .symmat import Matrix, MatrixSet
 
@@ -60,16 +59,25 @@ EIGENVALUE_TOLERANCE = 1e-9
 DEGENERACY_FLAG = 1e-6
 
 
-@dataclass(frozen=True)
-class MomentumSample:
-    """A concrete momentum vector and nonnegative mass."""
-
+class _MomentumSampleFields(NamedTuple):
     p: tuple[float, float, float]
     m: float
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+
+class MomentumSample(_MomentumSampleFields):
+    """A concrete momentum vector and nonnegative mass."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: tuple[float, float, float], m: float) -> "MomentumSample":
+        if m < 0:
             raise ValueError("mass must be nonnegative")
+        return super().__new__(cls, p, m)
+
+    @classmethod
+    def _make(cls, iterable) -> "MomentumSample":
+        # namedtuple's _make, which _replace calls, would skip the checks of __new__
+        return cls(*iterable)
 
     @property
     def energy(self) -> float:
@@ -82,22 +90,19 @@ class MomentumSample:
         return 1.0 + math.sqrt(self.p[0] ** 2 + self.p[1] ** 2 + self.p[2] ** 2) + self.m
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     sample: MomentumSample
     eigenvalues: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SpinorBasis:
+class SpinorBasis(NamedTuple):
     """Two orthonormal positive-energy eigenvectors at one momentum."""
 
     vectors: tuple[np.ndarray, np.ndarray]
     energy: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple[SpectrumRow, ...]
     flagged: tuple[int, ...]  # indices of rows violating symmetry or degeneracy
 

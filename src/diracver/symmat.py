@@ -32,10 +32,9 @@ characteristic polynomial of that variable's matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     ComplexRational,
@@ -163,34 +162,39 @@ _MONOMIALS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _NAMES = ("alpha1", "alpha2", "alpha3", "beta")
 
 
-@dataclass(frozen=True)
-class MatrixSet:
-    """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
-
-    int and Fraction entries are coerced by ``as_scalar``; other entries raise its ``TypeError``.
-    """
-
+class _MatrixSetFields(NamedTuple):
     n: int
     alphas: tuple[Matrix, Matrix, Matrix]
     beta: Matrix
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.n not in (2, 3, 4):
-            raise UnsupportedDimensionError(f"dimension {self.n} not supported (need 2, 3, or 4)")
-        if len(self.alphas) != 3:
-            raise ValueError(f"need exactly 3 alpha matrices, got {len(self.alphas)}")
+
+class MatrixSet(_MatrixSetFields):
+    """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
+
+    int and Fraction entries are coerced by ``as_scalar``; other entries raise its ``TypeError``.
+    """
+
+    def __new__(cls, n: int, alphas: Sequence[Matrix], beta: Matrix, label: str = "") -> "MatrixSet":
+        if n not in (2, 3, 4):
+            raise UnsupportedDimensionError(f"dimension {n} not supported (need 2, 3, or 4)")
+        if len(alphas) != 3:
+            raise ValueError(f"need exactly 3 alpha matrices, got {len(alphas)}")
         exact = []
-        for name, matrix in self.matrices():
-            if len(matrix) != self.n or any(len(row) != self.n for row in matrix):
-                raise ValueError(f"{name} is not {self.n}x{self.n}")
+        for name, matrix in zip(_NAMES, (*alphas, beta)):
+            if len(matrix) != n or any(len(row) != n for row in matrix):
+                raise ValueError(f"{name} is not {n}x{n}")
             matrix = _exact_entries(matrix)
             bad = hermiticity_defect(matrix)
             if bad is not None:
                 raise HermiticityError(name, bad)
             exact.append(matrix)
-        object.__setattr__(self, "alphas", tuple(exact[:3]))
-        object.__setattr__(self, "beta", exact[3])
+        return super().__new__(cls, n, tuple(exact[:3]), exact[3], label)
+
+    @classmethod
+    def _make(cls, iterable) -> "MatrixSet":
+        # namedtuple's _make, which _replace calls, would skip the checks of __new__
+        return cls(*iterable)
 
     def matrices(self) -> Iterator[tuple[str, Matrix]]:
         return zip(_NAMES, (*self.alphas, self.beta))
@@ -200,10 +204,11 @@ class MatrixSet:
         """alpha1, alpha2, alpha3, beta as one read-only complex (4, n, n) array.
 
         Built on first use and kept on the instance, so the float lane
-        converts each exact entry once per set.  It is not a dataclass
-        field: equality, hash and repr ignore it.  numpy is imported here,
-        not at module level, so importing this module does not load it.  An
-        entry beyond the float range raises ``ValueError`` naming its matrix.
+        converts each exact entry once per set.  It is kept outside the
+        tuple of fields, so equality, hash and repr ignore it.  numpy is
+        imported here, not at module level, so importing this module does
+        not load it.  An entry beyond the float range raises ``ValueError``
+        naming its matrix.
         """
         import numpy as np
 
@@ -220,16 +225,25 @@ class MatrixSet:
         return stack
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial det(E*I - M) with coefficient access."""
-
+class _CharPolyFields(NamedTuple):
     n: int
     poly: EPoly
 
-    def __post_init__(self) -> None:
-        if self.poly.degree != self.n or self.poly.coeff(self.n) != MultiPoly.constant(1):
+
+class CharPoly(_CharPolyFields):
+    """Monic characteristic polynomial det(E*I - M) with coefficient access."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, poly: EPoly) -> "CharPoly":
+        if poly.degree != n or poly.coeff(n) != MultiPoly.constant(1):
             raise ValueError("characteristic polynomial must be monic of degree n")
+        return super().__new__(cls, n, poly)
+
+    @classmethod
+    def _make(cls, iterable) -> "CharPoly":
+        # namedtuple's _make, which _replace calls, would skip the checks of __new__
+        return cls(*iterable)
 
     def c(self, k: int) -> MultiPoly:
         """Coefficient of E^k, 0 <= k <= n."""

@@ -1,9 +1,9 @@
 import ast
 import contextlib
-import dataclasses
 import importlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -324,7 +324,7 @@ def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, r
 
     def flipped(mset):
         report = honest(mset)
-        return dataclasses.replace(report, passed=not report.passed)
+        return report._replace(passed=not report.passed)
 
     monkeypatch.setattr(cli, "check_anticommutation", flipped)
     path = str(request.getfixturevalue(fixture))
@@ -643,6 +643,19 @@ def test_exact_commands_run_without_numpy():
     for (argv, code, text), (got_code, got_out, got_err) in zip(runs, results, strict=True):
         assert (got_code, got_err) == (code, ""), argv
         assert got_out == text, argv
+
+
+def test_a_cold_solve_imports_no_dataclasses_inspect_or_numpy():
+    # -S keeps the imports of site's .pth hooks, which are not the package's, out of the log
+    src = Path(diracver.__file__).parents[1]
+    argv = ["-S", "-X", "importtime", "-m", "diracver", "solve", "--n", "4", "--multiplicity", "2"]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    log = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "diracver.cli" in log
+    assert [name for name in log if name.split(".")[0] in ("dataclasses", "inspect", "numpy")] == []
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -156,7 +155,7 @@ def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
     def tampered(req):
         rows = honest(req)
         first = rows[0]
-        return [dataclasses.replace(first, coeffs=(SPoly((1, 1)),) + first.coeffs[1:])] + rows[1:]
+        return [first._replace(coeffs=(SPoly((1, 1)),) + first.coeffs[1:])] + rows[1:]
 
     monkeypatch.setattr(dispersion, "multiplicity_conditions", tampered)
     with pytest.raises(
@@ -170,7 +169,7 @@ def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
         rows = honest(req)
         first = rows[0]
         assert first.const == SPoly((0, 0, 1))
-        return [dataclasses.replace(first, const=SPoly((0, 1, 1)))] + rows[1:]
+        return [first._replace(const=SPoly((0, 1, 1)))] + rows[1:]
 
     monkeypatch.setattr(dispersion, "multiplicity_conditions", stray_lower_term)
     with pytest.raises(

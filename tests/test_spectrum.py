@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -202,7 +201,7 @@ def test_csv_format(dirac_pauli, tmp_path):
 
 def fresh_copy(mset):
     """An equal set with no complex stack built yet."""
-    return dataclasses.replace(mset)
+    return mset._replace()
 
 
 def test_each_matrix_is_converted_once_per_set(dirac_pauli, monkeypatch):
@@ -236,7 +235,7 @@ def test_complex_stack_leaves_equality_hash_and_repr_alone(dirac_pauli):
     mset._complex_stack
     assert (hash(mset), repr(mset)) == before
     assert mset == dirac_pauli and dirac_pauli == mset
-    assert "_complex_stack" not in {field.name for field in dataclasses.fields(MatrixSet)}
+    assert "_complex_stack" not in MatrixSet._fields
 
 
 def test_sweep_rows_equal_single_point_solves(dirac_pauli, rng):

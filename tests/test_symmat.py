@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from diracver.algebra import MASS, P1, P2, P3, ComplexRational, EPoly, MultiPoly, render_epoly
@@ -194,12 +194,18 @@ def test_char_poly_matches_cofactor_oracle(n, rng):
             assert cp.c(0).coefficient(tuple(n * e for e in mono)) == det_cofactor(matrix) * (-1) ** n
 
 
+# Examples that run char_poly and a cofactor oracle on sets of up to 4x4 are not
+# shrunk: every shrink step reruns both, and a wrong p_4 once kept a failing run
+# shrinking for minutes.  The first failing example is reported as found.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 @given(
     rng=st.randoms(use_true_random=False),
     steps=st.integers(10, 60),
     base=st.sampled_from(CATALOG_NAMES + ("random",)),
 )
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=_NO_SHRINK)
 def test_char_poly_of_long_conjugates_matches_cofactor_oracle(rng, steps, base):
     # denominators reach about 50 digits at 60 steps
     mset = random_hermitian_set(rng) if base == "random" else catalog(base)
@@ -208,7 +214,7 @@ def test_char_poly_of_long_conjugates_matches_cofactor_oracle(rng, steps, base):
 
 
 @given(mixed_denominator_sets())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
 def test_char_poly_of_mixed_denominator_polymatrix_matches_cofactor_oracle(mset):
     assert char_poly(mset).poly == char_poly_cofactor_pm(mset)
 
@@ -302,7 +308,7 @@ def test_trace_and_det_examples(dirac_pauli):
     steps=st.integers(0, 20),
     n=st.integers(2, 4),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
 def test_trace_and_det_match_the_diagonal_sum_and_the_cofactor_determinant(rng, steps, n):
     mset = random_exact_unitary(rng, n, steps=steps).conjugate_set(random_hermitian_set(rng, n))
     expected = {
