@@ -13,8 +13,6 @@ from .algebra import (
     EPoly,
     MultiPoly,
     ReducedPair,
-    dispersion_modulus,
-    divmod_dispersion,
     reduce_at_dispersion,
 )
 from .clifford import (

@@ -19,6 +19,13 @@ in ``(p1, p2, p3, m)``, so demanding ``Q = 0`` at that energy *for all
 momenta* is equivalent to ``A == 0`` and ``B == 0``.  Every dispersion
 check in this package bottoms out in that split.
 
+The reduction runs on Gaussian integers, in the idiom of the ``symmat``
+and ``clifford`` kernels: it clears the coefficients of the ``EPoly`` once
+over D, the lcm of their denominators, folds each ``E^k`` (k >= 2) into
+``s*E^(k-2)`` as integer sums, and rebuilds only A and B over D.  That is
+exact because reduction modulo a monic divisor with integer coefficients
+is Z[i]-linear: the remainder of D*q is D times the remainder of q.
+
 Text rendering follows the grammar documented in README.md: terms in
 descending graded-lexicographic order, variable order ``(p1, p2, p3, m)``.
 """
@@ -26,7 +33,7 @@ descending graded-lexicographic order, variable order ``(p1, p2, p3, m)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -42,9 +49,7 @@ __all__ = [
     "P3",
     "MASS",
     "as_scalar",
-    "dispersion_modulus",
     "reduce_at_dispersion",
-    "divmod_dispersion",
     "render_fraction",
     "render_scalar",
     "render_multipoly",
@@ -395,14 +400,6 @@ P2 = MultiPoly.variable("p2")
 P3 = MultiPoly.variable("p3")
 MASS = MultiPoly.variable("m")
 
-_S_FULL = P1 * P1 + P2 * P2 + P3 * P3 + MASS * MASS
-_S_MASSLESS = P1 * P1 + P2 * P2 + P3 * P3
-
-
-def dispersion_modulus(massless: bool = False) -> MultiPoly:
-    """The squared energy s: p1^2+p2^2+p3^2+m^2, or p1^2+p2^2+p3^2 with m = 0."""
-    return _S_MASSLESS if massless else _S_FULL
-
 
 class EPoly:
     """Polynomial in the energy variable E with MultiPoly coefficients.
@@ -442,8 +439,14 @@ class EPoly:
         return MultiPoly.zero()
 
     def derivative(self) -> "EPoly":
-        """Formal derivative with respect to E."""
-        return EPoly([c * k for k, c in enumerate(self._coeffs)][1:])
+        """Formal derivative with respect to E; each k*c is built from c's integers."""
+        make = ComplexRational._from_ints
+        return EPoly(
+            [
+                MultiPoly._make({mono: make(c._a * k, c._b * k, c._d) for mono, c in poly._terms.items()})
+                for k, poly in enumerate(self._coeffs[1:], 1)
+            ]
+        )
 
     def __add__(self, other: "EPoly") -> "EPoly":
         if not isinstance(other, EPoly):
@@ -508,30 +511,41 @@ class ReducedPair(NamedTuple):
         return self.even_part.is_zero and self.odd_part.is_zero
 
 
-def divmod_dispersion(q: EPoly, massless: bool = False) -> tuple[EPoly, ReducedPair]:
-    """Divide q by E^2 - s, returning (quotient, remainder split as A + E*B).
-
-    Exact for any input: ``q == (E^2 - s) * quotient + A + E*B`` with the
-    modulus s from :func:`dispersion_modulus`.
-    """
-    s = dispersion_modulus(massless)
-    rem = list(q.coeffs)
-    quot = [MultiPoly.zero()] * max(0, len(rem) - 2)
-    for k in range(len(rem) - 1, 1, -1):
-        t = rem[k]
-        if t.is_zero:
-            continue
-        rem[k] = MultiPoly.zero()
-        quot[k - 2] = quot[k - 2] + t
-        rem[k - 2] = rem[k - 2] + t * s
-    even = rem[0] if rem else MultiPoly.zero()
-    odd = rem[1] if len(rem) > 1 else MultiPoly.zero()
-    return EPoly(quot), ReducedPair(even, odd)
-
-
 def reduce_at_dispersion(q: EPoly, massless: bool = False) -> ReducedPair:
-    """Remainder of q modulo E^2 - (p1^2 + p2^2 + p3^2 + m^2), split even/odd."""
-    return divmod_dispersion(q, massless)[1]
+    """Remainder of q modulo E^2 - s, split as A + E*B, in Gaussian integers.
+
+    s is the squared energy p1^2 + p2^2 + p3^2 + m^2, or p1^2 + p2^2 + p3^2
+    when ``massless`` freezes m to zero.  The coefficients of q are cleared
+    once to Gaussian integers over D, the lcm of their denominators.  Each
+    term t*E^k with k >= 2 is then folded into t*s*E^(k-2), from the top
+    power down, which adds t at each of the monomial shifts of s: p1^2,
+    p2^2, p3^2 and, unless ``massless``, m^2.  Only A and B are rebuilt as
+    exact scalars, over D.  This is exact because the divisor is monic with
+    integer coefficients, so the remainder of D*q is D times the remainder
+    of q, and its coefficients are Gaussian integers.
+    """
+    coeffs = q.coeffs
+    denom = lcm(*(c._d for poly in coeffs for c in poly._terms.values()))
+    rem = [
+        {mono: (c._a * (denom // c._d), c._b * (denom // c._d)) for mono, c in poly._terms.items()}
+        for poly in coeffs
+    ]
+    for k in range(len(rem) - 1, 1, -1):
+        low = rem[k - 2]
+        get = low.get
+        for (e1, e2, e3, e4), (re, im) in rem[k].items():
+            shifted = [(e1 + 2, e2, e3, e4), (e1, e2 + 2, e3, e4), (e1, e2, e3 + 2, e4)]
+            if not massless:
+                shifted.append((e1, e2, e3, e4 + 2))
+            for mono in shifted:
+                prev = get(mono)
+                low[mono] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    make = ComplexRational._from_ints
+    even, odd = (
+        MultiPoly._make({mono: make(re, im, denom) for mono, (re, im) in part.items() if re or im})
+        for part in (rem + [{}, {}])[:2]
+    )
+    return ReducedPair(even, odd)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
@@ -99,14 +98,16 @@ class MatrixFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _parse_rational(text: object, location: str) -> Fraction:
+def _parse_rational(text: object, location: str) -> tuple[int, int]:
+    """A validated rational literal as (numerator, denominator) ints, not reduced."""
     if isinstance(text, str) and len(text) > _MAX_LITERAL_LENGTH:
         raise MatrixFileError(
             f"rational literal of {len(text)} characters exceeds {_MAX_LITERAL_LENGTH}", location
         )
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise MatrixFileError(f"not a rational literal: {text!r}", location)
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    return int(numerator), int(denominator) if denominator else 1
 
 
 def _parse_matrix(data: object, n: int, name: str) -> Matrix:
@@ -120,9 +121,9 @@ def _parse_matrix(data: object, n: int, name: str) -> Matrix:
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise MatrixFileError("entry must be a [re, im] pair", f"{name}[{i}][{j}]")
-            re_part = _parse_rational(entry[0], f"{name}[{i}][{j}].re")
-            im_part = _parse_rational(entry[1], f"{name}[{i}][{j}].im")
-            out.append(ComplexRational(re_part, im_part))
+            re_num, re_den = _parse_rational(entry[0], f"{name}[{i}][{j}].re")
+            im_num, im_den = _parse_rational(entry[1], f"{name}[{i}][{j}].im")
+            out.append(ComplexRational._from_ints(re_num * im_den, im_num * re_den, re_den * im_den))
         rows.append(tuple(out))
     return tuple(rows)
 
@@ -130,15 +131,16 @@ def _parse_matrix(data: object, n: int, name: str) -> Matrix:
 def _check_scale(matrices: Sequence[Matrix]) -> None:
     """Reject a set whose scale D * max(1, x) has more than _MAX_SCALE_DIGITS digits."""
     limit = 10**_MAX_SCALE_DIGITS
-    parts = [part for matrix in matrices for row in matrix for x in row for part in (x.re, x.im)]
-    # the lcm D, given up as soon as it passes the limit on its own
+    entries = [x for matrix in matrices for row in matrix for x in row]
+    # the lcm D, given up as soon as it passes the limit on its own; an
+    # entry's d is the lcm of the denominators of its real and imaginary parts
     scale = 1
-    for part in parts:
-        scale = math.lcm(scale, part.denominator)
+    for x in entries:
+        scale = math.lcm(scale, x._d)
         if scale >= limit:
             break
     else:
-        scale = max(scale, *(abs(part.numerator) * (scale // part.denominator) for part in parts))
+        scale = max(scale, *(max(abs(x._a), abs(x._b)) * (scale // x._d) for x in entries))
     if scale >= limit:
         raise MatrixFileError(
             f"entries too large: their common denominator times the largest entry "

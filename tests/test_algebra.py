@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracver.algebra import (
@@ -13,8 +13,6 @@ from diracver.algebra import (
     ComplexRational,
     EPoly,
     MultiPoly,
-    dispersion_modulus,
-    divmod_dispersion,
     reduce_at_dispersion,
     render_epoly,
     render_multipoly,
@@ -152,9 +150,19 @@ def test_derivative_of_constant_is_zero(rng):
     assert EPoly.zero().derivative() == EPoly.zero()
 
 
+def _modulus(massless=False):
+    """The squared energy s = p.p + m^2, or p.p when massless, built term by term."""
+    s = P1 * P1 + P2 * P2 + P3 * P3
+    return s if massless else s + MASS * MASS
+
+
+def _e_squared_minus_s(massless=False):
+    return EPoly([-_modulus(massless), MultiPoly.zero(), MultiPoly.constant(1)])
+
+
 def test_reduce_e_squared():
     pair = reduce_at_dispersion(EPoly([0, 0, 1]))
-    assert pair.even_part == dispersion_modulus()
+    assert pair.even_part == _modulus()
     assert pair.odd_part.is_zero
 
 
@@ -166,24 +174,44 @@ def test_reduce_already_reduced():
 
 def test_reduce_e_cubed_matches_long_division():
     q = EPoly([0, 0, 0, 1])
-    divisor = EPoly([-dispersion_modulus(), MultiPoly.zero(), MultiPoly.constant(1)])
-    _, oracle_rem = epoly_long_division(q, divisor)
+    _, oracle_rem = epoly_long_division(q, _e_squared_minus_s())
     pair = reduce_at_dispersion(q)
     assert EPoly([pair.even_part, pair.odd_part]) == oracle_rem
     assert pair.even_part.is_zero
-    assert pair.odd_part == dispersion_modulus()
+    assert pair.odd_part == _modulus()
 
 
 @pytest.mark.parametrize("massless", [False, True])
 def test_reduction_reconstructs_input(massless):
     rng = random.Random(99)
-    e_sq_minus_s = EPoly([-dispersion_modulus(massless), MultiPoly.zero(), MultiPoly.constant(1)])
+    divisor = _e_squared_minus_s(massless)
     for _ in range(200):
         q = random_epoly(rng, max_degree=6)
-        quot, pair = divmod_dispersion(q, massless)
-        rebuilt = e_sq_minus_s * quot + EPoly([pair.even_part, pair.odd_part])
-        assert rebuilt == q
-        assert EPoly([pair.even_part, pair.odd_part]).degree <= 1
+        quot, oracle_rem = epoly_long_division(q, divisor)
+        pair = reduce_at_dispersion(q, massless)
+        assert EPoly([pair.even_part, pair.odd_part]) == oracle_rem
+        assert divisor * quot + oracle_rem == q
+        assert oracle_rem.degree <= 1
+
+
+# Gaussian coefficients like those of the audit-growth sets: small
+# fractions mixed with numerators and denominators of up to 50 digits.
+wide_fractions = st.one_of(
+    small_fractions,
+    st.builds(Fraction, st.integers(-(10**50), 10**50), st.integers(1, 10**50)),
+)
+wide_polys = st.dictionaries(monomials, st.builds(ComplexRational, wide_fractions, wide_fractions), max_size=4)
+# degrees 0..6 in E, and the zero EPoly; m terms stay in massless input too
+epolys = st.lists(wide_polys.map(MultiPoly), max_size=7).map(EPoly)
+
+
+@given(epolys, st.booleans())
+@example(EPoly.zero(), False)
+@example(EPoly.zero(), True)
+def test_reduction_matches_long_division(q, massless):
+    _, oracle_rem = epoly_long_division(q, _e_squared_minus_s(massless))
+    pair = reduce_at_dispersion(q, massless)
+    assert EPoly([pair.even_part, pair.odd_part]) == oracle_rem
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import diracver
 from diracver import cli
+from diracver.algebra import ComplexRational
 from diracver.cli import (
     MatrixFileError,
     UsageError,
@@ -26,6 +28,9 @@ from diracver.cli import (
     serialize_matrix_set,
 )
 from diracver.clifford import CATALOG_NAMES, catalog, perturbed_set
+from diracver.symmat import MatrixSet
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def run_cli(*args):
@@ -265,6 +270,60 @@ def test_parse_accepts_a_scale_of_1000_digits_and_rejects_1001(tmp_path):
     for entries in ([str(10**501), f"1/{q}"], [f"1/{wider}", f"1/{wider + 2}"]):
         with pytest.raises(MatrixFileError, match="entries too large"):
             parsed(entries)
+
+
+def test_scale_counts_imaginary_parts(tmp_path):
+    def parsed(im):
+        path = tmp_path / "scale.json"
+        zero = _diagonal(["0"] * 2, n=2)
+        beta = [[["0", "0"], [f"1/{q}", im]], [[f"1/{q}", f"-{im}"], ["0", "0"]]]
+        path.write_text(json.dumps({"n": 2, "alpha": [zero] * 3, "beta": beta}))
+        return parse_matrix_file(path)
+
+    q = _odd(0, 500)
+    # D = q and x = the imaginary part: 10^500 * q has 1000 digits, 10^501 * q has 1001
+    assert parsed(str(10**500)).beta[0][1].im == 10**500
+    with pytest.raises(MatrixFileError, match="entries too large"):
+        parsed(str(10**501))
+
+
+def _fraction_built(data):
+    """The set of a parsed JSON payload, every entry built as ComplexRational(Fraction, Fraction)."""
+
+    def matrix(rows):
+        return tuple(tuple(ComplexRational(Fraction(re), Fraction(im)) for re, im in row) for row in rows)
+
+    return MatrixSet(data["n"], [matrix(a) for a in data["alpha"]], matrix(data["beta"]), data.get("label", ""))
+
+
+def _raw_entries(mset):
+    return [(x._a, x._b, x._d) for _, matrix in mset.matrices() for row in matrix for x in row]
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_INPUTS.glob("*.json")), ids=lambda path: path.stem)
+def test_parsed_golden_inputs_equal_fraction_built_sets(path):
+    mset = parse_matrix_file(path)
+    reference = _fraction_built(json.loads(path.read_text()))
+    assert mset == reference
+    assert _raw_entries(mset) == _raw_entries(reference)
+
+
+@pytest.mark.parametrize("literal", ["-0", "007/3", "0/5", "-007/42", "9" * 1000, "-" + "9" * 999, "1/" + "7" * 998])
+def test_parsed_edge_literals_equal_fraction_built_sets(tmp_path, literal):
+    zero = _diagonal(["0"] * 2, n=2)
+    # the literal as a diagonal entry and as the real part of an off-diagonal
+    # pair; the pair's imaginary parts are the literal negated and the literal
+    # where that stays within the length limit, else zero
+    im = "-" + literal if len(literal) < 1000 and not literal.startswith("-") else "0"
+    mirror = im[1:] if im.startswith("-") else "-" + im
+    beta = [[[literal, "-0"], [literal, im]], [[literal, mirror], ["0/5", "0"]]]
+    payload = {"n": 2, "alpha": [zero] * 3, "beta": beta}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(payload))
+    mset = parse_matrix_file(path)
+    reference = _fraction_built(payload)
+    assert mset == reference
+    assert _raw_entries(mset) == _raw_entries(reference)
 
 
 def test_parse_rejects_structural_problems(tmp_path):

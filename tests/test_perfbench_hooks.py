@@ -26,11 +26,16 @@ def test_every_patch_target_resolves_and_is_restored(monkeypatch):
         for owner, attr, original in tracer._patches:
             originals.setdefault((owner, attr), original)
         assert all(getattr(owner, attr) is not original for (owner, attr), original in originals.items())
-        # char_poly reaches build_hamiltonian through symmat's module global, so its span records
+        # char_poly reaches build_hamiltonian through symmat's module global, so its span records;
+        # check_dispersion reaches char_poly and reduce_at_dispersion through its own module globals
         tracer.run_op(0, lambda: dispersion.check_dispersion(clifford.catalog("dirac-pauli"), 2))
         self_time, _, calls = tracer.per_op()
         assert calls[0]["symmat.char_poly"] == calls[0]["symmat.build_hamiltonian"] == 1
         assert self_time[0]["symmat.build_hamiltonian"] > 0
+        # one reduction per derivative order r = 2 asks for: P and P', never P''
+        assert calls[0]["algebra.reduce_at_dispersion"] == 2
+        assert self_time[0]["symmat.char_poly"] > 0
+        assert self_time[0]["algebra.reduce_at_dispersion"] > 0
     finally:
         tracer.restore()
 
