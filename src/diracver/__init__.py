@@ -30,7 +30,6 @@ from .clifford import (
     check_anticommutation,
     check_trace_det,
     equivalence_audit,
-    pauli_set,
     perturbed_set,
     random_exact_unitary,
     random_hermitian_set,

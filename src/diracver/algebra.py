@@ -12,6 +12,14 @@ Three layers, all immutable and exact:
 * ``EPoly``: polynomial in the energy variable ``E`` whose coefficients
   are ``MultiPoly`` values.
 
+``MultiPoly`` and ``EPoly`` are canonical containers with a trusted
+``_make``, not a polynomial ring.  The kernels in ``symmat`` and
+``reduce_at_dispersion`` compute in Gaussian integers and hand over their
+results through ``MultiPoly._make``; the containers add value semantics, a
+validating constructor for outside input, the formal derivative in E and
+``MultiPoly.__mul__``, which no kernel calls and the benchmark traces by
+name.
+
 ``reduce_at_dispersion`` computes the remainder of an ``EPoly`` modulo
 ``E^2 - (p1^2 + p2^2 + p3^2 + m^2)`` and returns it split as
 ``Q = A + E*B``.  The positive root of ``p.p + m^2`` is not a polynomial
@@ -44,10 +52,6 @@ __all__ = [
     "VARIABLES",
     "Monomial",
     "Scalar",
-    "P1",
-    "P2",
-    "P3",
-    "MASS",
     "as_scalar",
     "reduce_at_dispersion",
     "render_fraction",
@@ -67,8 +71,7 @@ class ComplexRational:
 
     Stored as integers ``(a, b, d)`` with value ``(a + b*i)/d``, where
     ``d > 0`` and ``gcd(a, b, d) == 1``.  Instances are immutable and
-    hashable; conjugation is an involution and ``abs2`` is a nonnegative
-    ``Fraction`` that vanishes only for zero.
+    hashable; conjugation is an involution.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -117,10 +120,6 @@ class ComplexRational:
 
     def conj(self) -> "ComplexRational":
         return ComplexRational._from_ints(self._a, -self._b, self._d)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __add__(self, other: Scalar) -> "ComplexRational":
         o = _as_cr(other)
@@ -270,19 +269,9 @@ class MultiPoly:
         return self
 
     @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls._make({})
-
-    @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
         c = as_scalar(value)
         return cls._make({(0, 0, 0, 0): c} if c else {})
-
-    @classmethod
-    def variable(cls, name: str) -> "MultiPoly":
-        idx = VARIABLES.index(name)
-        mono = tuple(1 if i == idx else 0 for i in range(4))
-        return cls._make({mono: _CR_ONE})
 
     @property
     def is_zero(self) -> bool:
@@ -297,48 +286,6 @@ class MultiPoly:
 
     def num_terms(self) -> int:
         return len(self._terms)
-
-    def conj(self) -> "MultiPoly":
-        return MultiPoly._make({m: c.conj() for m, c in self._terms.items()})
-
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self._terms.values())
-
-    def at_zero_mass(self) -> "MultiPoly":
-        """Drop every term with a positive power of m."""
-        return MultiPoly._make({m: c for m, c in self._terms.items() if m[3] == 0})
-
-    def __add__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            cr = _as_cr(other)
-            if cr is None:
-                return NotImplemented
-            other = MultiPoly.constant(cr)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            prev = out.get(mono)
-            acc = coeff if prev is None else prev + coeff
-            if acc:
-                out[mono] = acc
-            elif prev is not None:
-                del out[mono]
-        return MultiPoly._make(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            cr = _as_cr(other)
-            if cr is None:
-                return NotImplemented
-            other = MultiPoly.constant(cr)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "MultiPoly":
-        cr = _as_cr(other)
-        if cr is None:
-            return NotImplemented
-        return MultiPoly.constant(cr) - self
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -358,21 +305,10 @@ class MultiPoly:
         if cr is None:
             return NotImplemented
         if cr.is_zero:
-            return MultiPoly.zero()
+            return MultiPoly._make({})
         return MultiPoly._make({m: c * cr for m, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make({m: -c for m, c in self._terms.items()})
-
-    def __pow__(self, power: int) -> "MultiPoly":
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        out = MultiPoly.constant(1)
-        for _ in range(power):
-            out = out * self
-        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -395,12 +331,6 @@ class MultiPoly:
         return f"MultiPoly({render_multipoly(self)!r})"
 
 
-P1 = MultiPoly.variable("p1")
-P2 = MultiPoly.variable("p2")
-P3 = MultiPoly.variable("p3")
-MASS = MultiPoly.variable("m")
-
-
 class EPoly:
     """Polynomial in the energy variable E with MultiPoly coefficients.
 
@@ -416,10 +346,6 @@ class EPoly:
             polys.pop()
         self._coeffs = tuple(polys)
 
-    @classmethod
-    def zero(cls) -> "EPoly":
-        return cls(())
-
     @property
     def coeffs(self) -> tuple[MultiPoly, ...]:
         return self._coeffs
@@ -429,14 +355,10 @@ class EPoly:
         """Degree in E; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def coeff(self, k: int) -> MultiPoly:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        return MultiPoly.zero()
+        return MultiPoly._make({})
 
     def derivative(self) -> "EPoly":
         """Formal derivative with respect to E; each k*c is built from c's integers."""
@@ -447,39 +369,6 @@ class EPoly:
                 for k, poly in enumerate(self._coeffs[1:], 1)
             ]
         )
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        if not isinstance(other, EPoly):
-            return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return EPoly([self.coeff(k) + other.coeff(k) for k in range(size)])
-
-    def __sub__(self, other: "EPoly") -> "EPoly":
-        if not isinstance(other, EPoly):
-            return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return EPoly([self.coeff(k) - other.coeff(k) for k in range(size)])
-
-    def __mul__(self, other: "EPoly | MultiPoly | Scalar") -> "EPoly":
-        if isinstance(other, EPoly):
-            if self.is_zero or other.is_zero:
-                return EPoly.zero()
-            out = [MultiPoly.zero()] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-            return EPoly(out)
-        if isinstance(other, MultiPoly) or _as_cr(other) is not None:
-            return EPoly([c * other for c in self._coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "EPoly":
-        return EPoly([-c for c in self._coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EPoly):
@@ -506,23 +395,18 @@ class ReducedPair(NamedTuple):
     even_part: MultiPoly
     odd_part: MultiPoly
 
-    @property
-    def is_zero(self) -> bool:
-        return self.even_part.is_zero and self.odd_part.is_zero
 
-
-def reduce_at_dispersion(q: EPoly, massless: bool = False) -> ReducedPair:
+def reduce_at_dispersion(q: EPoly) -> ReducedPair:
     """Remainder of q modulo E^2 - s, split as A + E*B, in Gaussian integers.
 
-    s is the squared energy p1^2 + p2^2 + p3^2 + m^2, or p1^2 + p2^2 + p3^2
-    when ``massless`` freezes m to zero.  The coefficients of q are cleared
-    once to Gaussian integers over D, the lcm of their denominators.  Each
-    term t*E^k with k >= 2 is then folded into t*s*E^(k-2), from the top
-    power down, which adds t at each of the monomial shifts of s: p1^2,
-    p2^2, p3^2 and, unless ``massless``, m^2.  Only A and B are rebuilt as
-    exact scalars, over D.  This is exact because the divisor is monic with
-    integer coefficients, so the remainder of D*q is D times the remainder
-    of q, and its coefficients are Gaussian integers.
+    s is the squared energy p1^2 + p2^2 + p3^2 + m^2.  The coefficients of
+    q are cleared once to Gaussian integers over D, the lcm of their
+    denominators.  Each term t*E^k with k >= 2 is then folded into
+    t*s*E^(k-2), from the top power down, which adds t at each of the four
+    monomial shifts of s: p1^2, p2^2, p3^2 and m^2.  Only A and B are
+    rebuilt as exact scalars, over D.  This is exact because the divisor is
+    monic with integer coefficients, so the remainder of D*q is D times the
+    remainder of q, and its coefficients are Gaussian integers.
     """
     coeffs = q.coeffs
     denom = lcm(*(c._d for poly in coeffs for c in poly._terms.values()))
@@ -534,10 +418,7 @@ def reduce_at_dispersion(q: EPoly, massless: bool = False) -> ReducedPair:
         low = rem[k - 2]
         get = low.get
         for (e1, e2, e3, e4), (re, im) in rem[k].items():
-            shifted = [(e1 + 2, e2, e3, e4), (e1, e2 + 2, e3, e4), (e1, e2, e3 + 2, e4)]
-            if not massless:
-                shifted.append((e1, e2, e3, e4 + 2))
-            for mono in shifted:
+            for mono in ((e1 + 2, e2, e3, e4), (e1, e2 + 2, e3, e4), (e1, e2, e3 + 2, e4), (e1, e2, e3, e4 + 2)):
                 prev = get(mono)
                 low[mono] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     make = ComplexRational._from_ints

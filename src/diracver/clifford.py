@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import ComplexRational, Scalar, as_scalar, render_fraction
+from .algebra import _CR_ZERO, ComplexRational, Scalar, as_scalar, render_fraction
 from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
     CharPoly,
@@ -67,7 +67,6 @@ from .symmat import (
     mat_identity,
     mat_is_zero,
     mat_trace,
-    mat_zero,
     trace_and_det,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "ExactUnitary",
     "StructuralViolationError",
     "catalog",
-    "pauli_set",
     "check_anticommutation",
     "check_trace_det",
     "beta_spectrum",
@@ -152,11 +150,6 @@ def catalog(name: str) -> MatrixSet:
         raise ValueError(f"unknown catalog name {name!r}; available: {', '.join(CATALOG_NAMES)}") from None
 
 
-def pauli_set(label: str = "pauli-triple") -> MatrixSet:
-    """The two-dimensional set (sigma1, sigma2, sigma3) with beta = 0."""
-    return MatrixSet(2, (SIGMA1, SIGMA2, SIGMA3), mat_zero(2), label=label)
-
-
 # ---------------------------------------------------------------------------
 # anticommutation and trace/det audits
 # ---------------------------------------------------------------------------
@@ -198,8 +191,7 @@ def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
     zero.
     """
     n = len(products[0][0])
-    zero = ComplexRational(0)
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[_CR_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             re = -shift if i == j else 0

@@ -29,7 +29,6 @@ from math import perm
 from typing import NamedTuple, Sequence, Union
 
 from .algebra import (
-    EPoly,
     MultiPoly,
     _join_terms,
     _power,
@@ -129,11 +128,6 @@ class SPoly:
         if len(a) < len(b):
             a, b = b, a
         return SPoly._make([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    def __sub__(self, other: "SPoly") -> "SPoly":
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self + -other
 
     def __mul__(self, other: "SPoly | int | Fraction") -> "SPoly":
         if isinstance(other, (int, Fraction)):
@@ -448,34 +442,28 @@ class DispersionReport(NamedTuple):
     """Even/odd residuals of P, P', ..., P^(r-1) at the positive energy."""
 
     multiplicity: int
-    massless: bool
     labels: tuple[str, ...]
     residuals: tuple[MultiPoly, ...]
     char: CharPoly
     passed: bool
 
 
-def check_dispersion(mset: MatrixSet, r: int, massless: bool = False) -> DispersionReport:
-    """Reduce the characteristic polynomial and its first r-1 derivatives at E_p.
-
-    With ``massless`` set, the mass is frozen to zero in the hamiltonian and
-    the reduction runs modulo E^2 - (p1^2 + p2^2 + p3^2).
-    """
+def check_dispersion(mset: MatrixSet, r: int) -> DispersionReport:
+    """Reduce the characteristic polynomial and its first r-1 derivatives at E_p."""
     if not 1 <= r <= mset.n:
         raise ValueError(f"multiplicity {r} outside 1..{mset.n}")
     cp = char_poly(mset)
-    poly = EPoly([c.at_zero_mass() for c in cp.poly.coeffs]) if massless else cp.poly
     labels: list[str] = []
     residuals: list[MultiPoly] = []
-    q = poly
+    q = cp.poly
     for j in range(r):
-        pair = reduce_at_dispersion(q, massless)
+        pair = reduce_at_dispersion(q)
         labels.extend([f"{_derivative_name(j)} even", f"{_derivative_name(j)} odd"])
         residuals.extend([pair.even_part, pair.odd_part])
         if j + 1 < r:
             q = q.derivative()
     passed = all(res.is_zero for res in residuals)
-    return DispersionReport(r, massless, tuple(labels), tuple(residuals), cp, passed)
+    return DispersionReport(r, tuple(labels), tuple(residuals), cp, passed)
 
 
 # ---------------------------------------------------------------------------

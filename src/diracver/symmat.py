@@ -52,7 +52,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "as_matrix",
     "mat_identity",
-    "mat_zero",
     "mat_trace",
     "mat_is_zero",
     "hermiticity_defect",
@@ -101,11 +100,6 @@ def mat_identity(n: int) -> Matrix:
     one = ComplexRational(1)
     zero = ComplexRational(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_zero(n: int) -> Matrix:
-    zero = ComplexRational(0)
-    return tuple((zero,) * n for _ in range(n))
 
 
 def _gaussian(x: ComplexRational, denom: int) -> tuple[int, int]:

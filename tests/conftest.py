@@ -1,8 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from diracver.cli import parse_matrix_file
 from diracver.clifford import CATALOG_NAMES, catalog
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 @pytest.fixture
@@ -18,6 +22,12 @@ def weyl_chiral():
 @pytest.fixture
 def majorana():
     return catalog("majorana")
+
+
+@pytest.fixture
+def pauli():
+    """The two-dimensional set (sigma1, sigma2, sigma3) with beta = 0, read from its golden input."""
+    return parse_matrix_file(GOLDEN_INPUTS / "pauli.json")
 
 
 @pytest.fixture

@@ -9,22 +9,69 @@ Gram-Schmidt basis of beta's eigenspaces are plain ComplexRational sums
 instead of Gaussian-integer kernels, and the alpha blocks are read off entry by entry in an explicit
 eigenbasis of beta instead of through projector traces (or, in
 ``alpha_structure_reference``, through the same traces taken over
-ComplexRational).  Polynomials are evaluated, substituted and checked for
-homogeneity term by term, outside the classes they check, and h(p) is
-summed in MultiPoly arithmetic instead of packed Gaussian integers.
+ComplexRational).
+
+Polynomials here have an arithmetic of their own, not the package's
+``MultiPoly``/``EPoly``: a polynomial in (E, p1, p2, p3, m) is a plain dict
+from its exponents ``(k, e1, e2, e3, e4)`` to a nonzero ComplexRational,
+and ``poly_add``, ``poly_mul`` and ``poly_neg`` are all it needs.  h(p),
+the cofactor determinants, long division and the substitution of s are
+computed in it, and a library polynomial enters a comparison only through
+``poly_of``, which reads its ``coeffs`` and ``terms()``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import isqrt, perm
 from typing import Sequence
 
-from diracver.algebra import MASS, P1, P2, P3, ComplexRational, EPoly, MultiPoly, render_fraction
+from diracver.algebra import ComplexRational, render_fraction
 from diracver.dispersion import SPoly
 from diracver.symmat import Matrix, MatrixSet
+
+# a polynomial in (E, p1, p2, p3, m): exponents (k, e1, e2, e3, e4) -> nonzero coefficient
+Poly = dict
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    out = dict(a)
+    for mono, c in b.items():
+        total = out.pop(mono, 0) + c
+        if total:
+            out[mono] = total
+    return out
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def poly_neg(a: Poly) -> Poly:
+    return {mono: -c for mono, c in a.items()}
+
+
+def constant(value) -> Poly:
+    c = ComplexRational(value) if not isinstance(value, ComplexRational) else value
+    return {(0, 0, 0, 0, 0): c} if c else {}
+
+
+E, P1, P2, P3, MASS = ({tuple(int(i == k) for i in range(5)): ComplexRational(1)} for k in range(5))
+S = reduce(poly_add, (poly_mul(v, v) for v in (P1, P2, P3, MASS)))  # the squared energy
+
+
+def poly_of(q) -> Poly:
+    """A library ``MultiPoly`` or ``EPoly`` as a dict, read through ``terms()`` and ``coeffs``."""
+    coeffs = (q,) if hasattr(q, "terms") else q.coeffs
+    return {(k, *mono): c for k, poly in enumerate(coeffs) for mono, c in poly.terms()}
 
 
 def det_cofactor(matrix: Matrix) -> ComplexRational:
@@ -41,22 +88,22 @@ def det_cofactor(matrix: Matrix) -> ComplexRational:
     return total
 
 
-def evaluate(poly: MultiPoly, point: Sequence) -> ComplexRational:
-    """Exact value of ``poly`` at a (p1, p2, p3, m) point of ints, Fractions or ComplexRationals."""
-    values = [ComplexRational(v) if not isinstance(v, ComplexRational) else v for v in point]
+def evaluate(poly: Poly, point: Sequence) -> ComplexRational:
+    """Exact value of an E-free ``poly`` at a (p1, p2, p3, m) point of ints, Fractions or ComplexRationals."""
     total = ComplexRational(0)
-    for mono, coeff in poly.terms():
+    for (k, *mono), coeff in poly.items():
+        assert k == 0, "evaluate takes a polynomial free of E"
         term = coeff
-        for v, e in zip(values, mono):
+        for v, e in zip(point, mono):
             for _ in range(e):
                 term = term * v
         total = total + term
     return total
 
 
-def term_degrees(poly: MultiPoly) -> set[int]:
+def term_degrees(poly: Poly) -> set[int]:
     """The total degrees of the terms of ``poly``: at most one for a homogeneous polynomial."""
-    return {sum(mono) for mono, _ in poly.terms()}
+    return {sum(mono) for mono in poly}
 
 
 def spoly_at(p: SPoly, s: Fraction) -> Fraction:
@@ -67,78 +114,64 @@ def spoly_at(p: SPoly, s: Fraction) -> Fraction:
     return total
 
 
-def spoly_to_multipoly(p: SPoly, massless: bool) -> MultiPoly:
-    """``p`` with s replaced by p1^2 + p2^2 + p3^2 + m^2, or p1^2 + p2^2 + p3^2 when massless."""
-    s = P1 * P1 + P2 * P2 + P3 * P3 + (MultiPoly.zero() if massless else MASS * MASS)
-    out = MultiPoly.zero()
-    power = MultiPoly.constant(1)
+def spoly_to_multipoly(p: SPoly) -> Poly:
+    """``p`` with s replaced by p1^2 + p2^2 + p3^2 + m^2."""
+    out: Poly = {}
+    power = constant(1)
     for c in p.coeffs:
-        out = out + power * c
-        power = power * s
+        out = poly_add(out, poly_mul(power, constant(c)))
+        power = poly_mul(power, S)
     return out
 
 
-def epoly_cofactor_det(matrix: list[list[EPoly]]) -> EPoly:
-    """Determinant by Laplace expansion along the first row, in EPoly arithmetic."""
+def epoly_cofactor_det(matrix: list[list[Poly]]) -> Poly:
+    """Determinant by Laplace expansion along the first row, in dict arithmetic."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    total = EPoly.zero()
+    total: Poly = {}
     for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = entry * epoly_cofactor_det(minor)
-        total = total + term if j % 2 == 0 else total - term
+        if matrix[0][j]:
+            minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
+            term = poly_mul(matrix[0][j], epoly_cofactor_det(minor))
+            total = poly_add(total, term if j % 2 == 0 else poly_neg(term))
     return total
 
 
-def char_poly_cofactor(matrix: Matrix) -> EPoly:
+def _shifted_det(h: list[list[Poly]]) -> Poly:
+    """det(E*I - h) by cofactor expansion."""
+    n = len(h)
+    return epoly_cofactor_det([[poly_add(E if i == j else {}, poly_neg(h[i][j])) for j in range(n)] for i in range(n)])
+
+
+def char_poly_cofactor(matrix: Matrix) -> Poly:
     """det(E*I - M) for a scalar matrix, via cofactor expansion."""
-    n = len(matrix)
-    shifted = [
-        [
-            EPoly([MultiPoly.constant(-matrix[i][j])] + ([1] if i == j else []))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return epoly_cofactor_det(shifted)
+    return _shifted_det([[constant(x) for x in row] for row in matrix])
 
 
-def hamiltonian_reference(mset: MatrixSet) -> list[list[MultiPoly]]:
-    """h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m, entry by entry in MultiPoly arithmetic."""
+def hamiltonian_reference(mset: MatrixSet) -> list[list[Poly]]:
+    """h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m, entry by entry in dict arithmetic."""
     n = mset.n
     pairs = list(zip((P1, P2, P3, MASS), (*mset.alphas, mset.beta)))
-    return [[sum((v * m[i][j] for v, m in pairs), MultiPoly.zero()) for j in range(n)] for i in range(n)]
+    return [[reduce(poly_add, (poly_mul(v, constant(m[i][j])) for v, m in pairs)) for j in range(n)] for i in range(n)]
 
 
-def char_poly_cofactor_pm(mset: MatrixSet) -> EPoly:
+def char_poly_cofactor_pm(mset: MatrixSet) -> Poly:
     """det(E*I - h(p)) for the h(p) of a set, via cofactor expansion."""
-    h = hamiltonian_reference(mset)
-    n = mset.n
-    shifted = [
-        [EPoly([-h[i][j]] + ([1] if i == j else [])) for j in range(n)]
-        for i in range(n)
-    ]
-    return epoly_cofactor_det(shifted)
+    return _shifted_det(hamiltonian_reference(mset))
 
 
-def epoly_long_division(q: EPoly, divisor: EPoly) -> tuple[EPoly, EPoly]:
-    """Generic long division (monic divisor) in the energy variable."""
-    assert divisor.coeff(divisor.degree) == MultiPoly.constant(1), "divisor must be monic"
-    d = divisor.degree
-    rem = list(q.coeffs)
-    quot = [MultiPoly.zero()] * max(0, len(rem) - d)
-    for k in range(len(rem) - 1, d - 1, -1):
-        t = rem[k]
-        if t.is_zero:
-            continue
-        quot[k - d] = quot[k - d] + t
-        for i in range(d + 1):
-            rem[k - d + i] = rem[k - d + i] - t * divisor.coeff(i)
-    return EPoly(quot), EPoly(rem)
+def epoly_long_division(q: Poly, divisor: Poly) -> tuple[Poly, Poly]:
+    """Generic long division in the energy variable by a divisor monic in E."""
+    d = max(k for k, *_ in divisor)
+    assert {mono: c for mono, c in divisor.items() if mono[0] == d} == {(d, 0, 0, 0, 0): 1}, "divisor must be monic"
+    quot: Poly = {}
+    rem = dict(q)
+    while rem and (top := max(k for k, *_ in rem)) >= d:
+        lead = {(k - d, *mono): c for (k, *mono), c in rem.items() if k == top}
+        quot = poly_add(quot, lead)
+        rem = poly_add(rem, poly_neg(poly_mul(lead, divisor)))
+    return quot, rem
 
 
 def multiplicity_system(n: int, r: int, energy: Fraction) -> list[list[Fraction]]:
@@ -180,16 +213,16 @@ def random_scalar(rng: random.Random) -> ComplexRational:
     return ComplexRational(random_fraction(rng), random_fraction(rng))
 
 
-def random_multipoly(rng: random.Random, max_terms: int = 3, max_exp: int = 2) -> MultiPoly:
+def random_multipoly(rng: random.Random, max_terms: int = 3, max_exp: int = 2, k: int = 0) -> Poly:
+    """Up to ``max_terms`` random terms, each times E^k."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        mono = tuple(rng.randint(0, max_exp) for _ in range(4))
-        terms[mono] = random_scalar(rng)
-    return MultiPoly(terms)
+        terms[(k, *(rng.randint(0, max_exp) for _ in range(4)))] = random_scalar(rng)
+    return {mono: c for mono, c in terms.items() if c}
 
 
-def random_epoly(rng: random.Random, max_degree: int = 6) -> EPoly:
-    return EPoly([random_multipoly(rng) for _ in range(rng.randint(0, max_degree + 1))])
+def random_epoly(rng: random.Random, max_degree: int = 6) -> Poly:
+    return reduce(poly_add, (random_multipoly(rng, k=k) for k in range(rng.randint(0, max_degree + 1))), {})
 
 
 def random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:
@@ -241,6 +274,11 @@ def conjugate_reference(u: Matrix, x: Matrix) -> Matrix:
     return mat_mul_reference(u, mat_mul_reference(x, dagger_reference(u)))
 
 
+def abs2(x: ComplexRational) -> Fraction:
+    """|x|^2, an exact nonnegative rational."""
+    return (x.conj() * x).re
+
+
 def _gaussian_unit_factor(q: Fraction) -> ComplexRational | None:
     """A Gaussian rational c with |c|^2 = 1/q, from a small search, or None."""
     for z in range(1, 13):
@@ -276,7 +314,7 @@ def unit_eigenbasis(beta: Matrix) -> Matrix | None:
                 columns.append(v)
     scaled = []
     for v in columns:
-        factor = _gaussian_unit_factor(sum((x.abs2() for x in v), Fraction(0)))
+        factor = _gaussian_unit_factor(sum((abs2(x) for x in v), Fraction(0)))
         if factor is None:
             return None
         scaled.append([x * factor for x in v])
@@ -297,7 +335,7 @@ def block_reader(alphas, unitary: Matrix) -> tuple[tuple[bool, ...], tuple[Fract
     for alpha in alphas:
         c = mat_mul_reference(dagger, mat_mul_reference(alpha, unitary))
         blocks.append(all(c[i][j].is_zero for i, j in _DIAGONAL_BLOCKS))
-        norms.append(sum((c[i][j].abs2() for i in (0, 1) for j in (2, 3)), Fraction(0)))
+        norms.append(sum((abs2(c[i][j]) for i in (0, 1) for j in (2, 3)), Fraction(0)))
     return tuple(blocks), tuple(norms)
 
 

@@ -40,9 +40,8 @@ from diracver.spectrum import (
     positive_energy_spinors,
     sweep,
 )
-from diracver.algebra import MASS, EPoly
-from diracver.symmat import MatrixSet, as_matrix, char_poly, mat_zero
-from oracles import char_poly_cofactor, random_hermitian_matrix
+from diracver.symmat import MatrixSet, as_matrix, char_poly
+from oracles import char_poly_cofactor, poly_of, random_hermitian_matrix
 
 
 @contextmanager
@@ -169,10 +168,10 @@ def test_criterion_6_char_poly_oracle():
             for _ in range(100):
                 matrix = random_hermitian_matrix(rng, n)
                 # h(p) = M m, so c_k = c_k(M) m^(n-k)
-                zero = mat_zero(n)
+                zero = as_matrix([[0] * n] * n)
                 cp = char_poly(MatrixSet(n, (zero, zero, zero), matrix))
                 expected = char_poly_cofactor(matrix)
-                assert cp.poly == EPoly([c * MASS ** (n - k) for k, c in enumerate(expected.coeffs)])
+                assert poly_of(cp.poly) == {(k, 0, 0, 0, n - k): c for (k, *_), c in expected.items()}
 
 
 def test_criterion_7_numeric_spectrum():

@@ -413,11 +413,9 @@ def test_derive_walkthrough_order(dirac_pauli_file):
     assert "verdict: PASS" in result.stdout
 
 
-def test_derive_requires_dimension_four(tmp_path):
-    from diracver.clifford import pauli_set
-
+def test_derive_requires_dimension_four(tmp_path, pauli):
     path = tmp_path / "pauli.json"
-    path.write_text(serialize_matrix_set(pauli_set()))
+    path.write_text(serialize_matrix_set(pauli))
     assert run_cli("derive", str(path)).returncode == 3
 
 

@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracver import dispersion
-from diracver.algebra import MASS, P1, P2, P3, EPoly
 from diracver.clifford import (
-    pauli_set,
     perturbed_set,
     random_exact_unitary,
     random_hermitian_set,
@@ -26,7 +24,23 @@ from diracver.dispersion import (
     solve_forced_coefficients,
 )
 from diracver.symmat import MatrixSet, char_poly, mat_identity
-from oracles import evaluate, fraction_rank, multiplicity_system, spoly_at, spoly_to_multipoly
+from oracles import (
+    MASS,
+    P1,
+    P2,
+    P3,
+    E,
+    constant,
+    evaluate,
+    fraction_rank,
+    multiplicity_system,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_of,
+    spoly_at,
+    spoly_to_multipoly,
+)
 
 
 def solve(n, r):
@@ -241,26 +255,28 @@ def test_identity_beta_fails_with_derived_residuals(dirac_pauli):
     cp = char_poly(broken)
     # the standard alphas satisfy the Clifford relations on their own, so
     # h = alpha.p + 1*m is a shift and P(E) = ((E - m)^2 - p.p)^2 exactly
-    p_sq = P1 * P1 + P2 * P2 + P3 * P3
-    base = EPoly([MASS * MASS - p_sq, MASS * (-2), 1])
-    assert cp.poly == base * base
-    assert cp.c(3) == MASS * (-4)  # c3 = -trace = -4m
+    p_sq = poly_add(poly_add(poly_mul(P1, P1), poly_mul(P2, P2)), poly_mul(P3, P3))
+    m2 = poly_mul(MASS, MASS)
+    e_minus_m = poly_add(E, poly_neg(MASS))
+    base = poly_add(poly_mul(e_minus_m, e_minus_m), poly_neg(p_sq))
+    assert poly_of(cp.poly) == poly_mul(base, base)
+    assert poly_of(cp.c(3)) == poly_mul(MASS, constant(-4))  # c3 = -trace = -4m
 
     report = check_dispersion(broken, 2)
     assert not report.passed
-    m2 = MASS * MASS
-    assert report.residuals[0] == m2 * m2 * 8 + m2 * p_sq * 4  # P even
-    assert report.residuals[1] == MASS * m2 * (-8)  # P odd, carrying the c3 term
+    even = poly_mul(m2, poly_add(poly_mul(m2, constant(8)), poly_mul(p_sq, constant(4))))
+    assert poly_of(report.residuals[0]) == even  # P even: 8m^4 + 4m^2 p.p
+    assert poly_of(report.residuals[1]) == poly_mul(poly_mul(MASS, m2), constant(-8))  # P odd, carrying the c3 term
     assert report.residuals[1].coefficient((0, 0, 0, 3)) == -8
 
 
-def test_massless_two_component_single_root(rng):
-    report = check_dispersion(pauli_set(), 1, massless=True)
-    assert report.passed
-    # with the mass kept, the same set misses the dispersion by m^2
-    massful = check_dispersion(pauli_set(), 1)
-    assert not massful.passed
-    assert massful.residuals[0] == MASS * MASS
+def test_pauli_triple_misses_the_dispersion_by_m_squared(pauli):
+    # beta = 0, so P(E) = E^2 - p.p is short of E^2 - s by the mass term
+    report = check_dispersion(pauli, 1)
+    assert not report.passed
+    assert report.labels == ("P even", "P odd")
+    assert poly_of(report.residuals[0]) == poly_mul(MASS, MASS)
+    assert report.residuals[1].is_zero
 
 
 def test_monotonicity_in_multiplicity(all_catalog_sets):
@@ -283,7 +299,7 @@ def test_exact_unitary_conjugation_preserves_char_poly(dirac_pauli, rng):
     )
 
 
-def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, rng):
+def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, pauli, rng):
     # (4, 2): a set passes iff its char-poly coefficients equal the forced ones
     sol = solve(4, 2).constants()
     for mset, expect in [
@@ -291,17 +307,15 @@ def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, rng):
         (perturbed_set(rng, dirac_pauli), False),
     ]:
         cp = char_poly(mset)
-        coefficients_match = all(
-            cp.c(k) == spoly_to_multipoly(sol[k], massless=False) for k in range(4)
-        )
+        coefficients_match = all(poly_of(cp.c(k)) == spoly_to_multipoly(sol[k]) for k in range(4))
         assert coefficients_match == expect
         assert check_dispersion(mset, 2).passed == expect
 
-    # (2, 1) in the massless lane
+    # (2, 1) forces c1 = 0 and c0 = -s; the Pauli triple has c0 = -p.p = -s + m^2
     sol2 = solve(2, 1).constants()
-    cp = char_poly(pauli_set())
-    assert cp.c(0).at_zero_mass() == spoly_to_multipoly(sol2[0], massless=True)
-    assert cp.c(1).at_zero_mass() == spoly_to_multipoly(sol2[1], massless=True)
+    cp = char_poly(pauli)
+    assert poly_of(cp.c(1)) == spoly_to_multipoly(sol2[1]) == {}
+    assert poly_of(cp.c(0)) == poly_add(spoly_to_multipoly(sol2[0]), poly_mul(MASS, MASS))
 
 
 def test_multiplicity_bounds_on_check(dirac_pauli):
@@ -326,8 +340,8 @@ def test_spoly_rendering():
 def test_spoly_substitution_consistency():
     p = SPoly((3, 0, 1))  # s^2 + 3
     assert spoly_at(p, Fraction(2)) == Fraction(7)
-    assert evaluate(spoly_to_multipoly(p, massless=False), (1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
-    assert evaluate(spoly_to_multipoly(p, massless=True), (1, 1, 1, 5)) == 12  # s = 3 -> 9 + 3
+    assert evaluate(spoly_to_multipoly(p), (1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
+    assert evaluate(spoly_to_multipoly(p), (1, 1, 0, 5)) == 732  # s = 27 -> 729 + 3
 
 
 def test_spoly_rejects_floats_and_bare_numbers():
@@ -374,7 +388,7 @@ def test_spoly_arithmetic_matches_fraction_lists(a, b, k):
     size = max(len(a), len(b))
     pa, pb = _padded(a, size), _padded(b, size)
     _assert_canonical(x + y, [u + v for u, v in zip(pa, pb)])
-    _assert_canonical(x - y, [u - v for u, v in zip(pa, pb)])
+    _assert_canonical(x + -y, [u - v for u, v in zip(pa, pb)])
     _assert_canonical(-x, [-u for u in pa])
     product = [Fraction(0)] * (len(a) + len(b))
     for i, u in enumerate(a):
@@ -385,4 +399,4 @@ def test_spoly_arithmetic_matches_fraction_lists(a, b, k):
         scaled = [Fraction(u) * scalar for u in a]
         _assert_canonical(x * scalar, scaled)
         _assert_canonical(scalar * x, scaled)
-    assert x - x == SPoly.zero()
+    assert x + -x == SPoly.zero()

@@ -26,7 +26,8 @@ every n <= 4 and r <= n with its `eigenvalue equation:` lines, is pinned in
 `scripts/equivalence_experiment.py` at its default seed and counts, with the
 elapsed time cut from its first line, is pinned in
 `tests/golden/expected/equivalence_experiment.out`, so a change to the
-sampled sets or to a verdict shows.
+sampled sets or to a verdict shows.  `scripts/bench_diff.py` runs on two
+small benchmark records that the test writes.
 """
 
 import importlib.util
@@ -81,3 +82,21 @@ def test_equivalence_experiment_matches_golden(capsys, monkeypatch):
     assert _load_script("equivalence_experiment").main() == 0
     out = re.sub(r"^(\d+ sets audited) in [0-9.]+s$", r"\1", capsys.readouterr().out, count=1, flags=re.M)
     assert out.encode("utf-8") == (GOLDEN / "expected" / "equivalence_experiment.out").read_bytes()
+
+
+def test_bench_diff_prints_each_median_with_its_change_and_bound(capsys, tmp_path):
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    paths = []
+    for label, median in (("a", 2.0), ("b", 3.0)):
+        medians = {name: {"median": 0.0 if name == "setup_s" else median} for name in names}
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(json.dumps({"workloads": {"audit-mixed": {"end_to_end": medians}}}))
+    bench_diff = _load_script("bench_diff")
+    assert bench_diff.main([str(path) for path in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "audit-mixed"
+    assert [line.split()[0] for line in lines[1:]] == names
+    assert "items_per_s" in lines[2] and "+50.0%  (bound 25%, higher is better)" in lines[2]
+    assert "n/a" in lines[1]
+    assert bench_diff.main([str(paths[0])]) == 2
