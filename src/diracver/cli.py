@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -21,30 +20,60 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
-from .clifford import (
-    CanonicalizationResult,
-    CliffordReport,
-    StructuralViolationError,
-    StructureReport,
-    TraceDetReport,
-    beta_spectrum,
-    canonicalize_beta,
-    catalog,
-    check_alpha_structure,
-    check_anticommutation,
-    check_trace_det,
-)
-from .dispersion import (
-    DegeneracyRequirement,
-    ForcedCoefficientSolution,
-    check_dispersion,
-    render_certificate,
-    render_solution,
-    solve_forced_coefficients,
-)
-from .spectrum import MomentumSample, sweep, write_csv
 from .symmat import CharPoly, HermiticityError, Matrix, MatrixSet, char_poly, mat_is_zero
 from .symmat import trace_and_det  # unused here; perfbench patches it on this module
+
+# Names bound into this module's globals on first use, by the module that
+# defines them, so that a cold command compiles only the modules it runs:
+# `solve` needs no clifford or spectrum, and `spectrum` no clifford or
+# dispersion.  The commands still look them up as globals, and a bound name
+# is never overwritten, so a name patched on this module stays patched.
+_LAZY = {
+    "clifford": (
+        "CanonicalizationResult",
+        "CliffordReport",
+        "StructuralViolationError",
+        "StructureReport",
+        "TraceDetReport",
+        "beta_spectrum",
+        "canonicalize_beta",
+        "catalog",
+        "check_alpha_structure",
+        "check_anticommutation",
+        "check_trace_det",
+    ),
+    "dispersion": (
+        "DegeneracyRequirement",
+        "ForcedCoefficientSolution",
+        "check_dispersion",
+        "render_certificate",
+        "render_solution",
+        "solve_forced_coefficients",
+    ),
+    "spectrum": ("MomentumSample", "sweep", "write_csv"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import each of ``modules`` and bind its names in ``_LAZY`` that are not bound yet."""
+    namespace = globals()
+    for module in modules:
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)
+        source = sys.modules[qualified]
+        for name in _LAZY[module]:
+            if name not in namespace:
+                namespace[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 __all__ = [
     "MatrixFileError",
@@ -150,6 +179,8 @@ def _check_scale(matrices: Sequence[Matrix]) -> None:
 
 def parse_matrix_file(path: str | Path) -> MatrixSet:
     """Read and validate a matrix-set JSON file into an exact MatrixSet."""
+    import json
+
     try:
         with open(path, "rb") as stream:
             raw = stream.read(_MAX_FILE_BYTES + 1)
@@ -197,6 +228,8 @@ def _matrix_to_json(matrix: Matrix) -> list[list[list[str]]]:
 
 def serialize_matrix_set(mset: MatrixSet) -> str:
     """Render a MatrixSet as the JSON file format, bit-exact rationals as strings."""
+    import json
+
     payload = {
         "n": mset.n,
         "label": mset.label,
@@ -311,6 +344,7 @@ def _audit(mset: MatrixSet, char: CharPoly, anti: CliffordReport) -> _Audit:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _load("clifford", "dispersion")
     mset = parse_matrix_file(args.file)
     r = args.multiplicity
     if not 1 <= r <= mset.n:
@@ -356,6 +390,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _load("dispersion")
     try:
         req = DegeneracyRequirement(args.n, args.multiplicity)
     except ValueError as exc:
@@ -371,6 +406,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    _load("clifford")
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
@@ -435,6 +471,7 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
     is capped before any axis is built, and p.p + m^2 must stay a finite
     float at every point.
     """
+    _load("spectrum")
     parts = spec.split(",")
     if len(parts) == 1:
         parts = parts * 3
@@ -498,6 +535,7 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    _load("spectrum")
     mset = parse_matrix_file(args.file)
     if not math.isfinite(args.mass) or args.mass < 0:
         raise UsageError(f"mass must be finite and nonnegative, got {args.mass:g}")
@@ -524,6 +562,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    _load("clifford")
     try:
         mset = catalog(args.name)
     except ValueError as exc:

@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import importlib
 import io
@@ -702,17 +701,51 @@ def test_exact_commands_run_without_numpy():
         assert got_out == text, argv
 
 
-def test_a_cold_solve_imports_no_dataclasses_inspect_or_numpy():
+def _cold_imports(*argv):
+    """The modules a fresh ``python -m diracver *argv`` imports, in the order -X importtime logs them."""
     # -S keeps the imports of site's .pth hooks, which are not the package's, out of the log
     src = Path(diracver.__file__).parents[1]
-    argv = ["-S", "-X", "importtime", "-m", "diracver", "solve", "--n", "4", "--multiplicity", "2"]
     proc = subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+        [sys.executable, "-S", "-X", "importtime", "-m", "diracver", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    log = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert "diracver.cli" in log
-    assert [name for name in log if name.split(".")[0] in ("dataclasses", "inspect", "numpy")] == []
+    return [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+
+
+def test_a_cold_solve_imports_no_dataclasses_inspect_or_numpy():
+    log = _cold_imports("solve", "--n", "4", "--multiplicity", "2")
+    assert {"diracver.cli", "diracver.dispersion"} <= set(log)
+    assert [name for name in log if name.split(".")[0] in ("dataclasses", "inspect", "numpy", "json")] == []
+    assert [name for name in log if name in ("diracver.clifford", "diracver.spectrum")] == []
+
+
+@pytest.mark.parametrize("command", ["verify", "derive"])
+def test_a_cold_audit_imports_no_spectrum(command):
+    log = _cold_imports(command, str(GOLDEN_INPUTS / "weyl-chiral.json"))
+    assert "diracver.clifford" in log
+    assert [name for name in log if name in ("diracver.spectrum", "numpy")] == []
+
+
+# every name the package exports, by the module that defines it
+_EXPORTS = {
+    "algebra": ["ComplexRational", "EPoly", "MultiPoly", "ReducedPair", "reduce_at_dispersion"],
+    "clifford": [
+        "CATALOG_NAMES", "CanonicalizationResult", "CliffordReport", "EquivalenceVerdict", "ExactUnitary",
+        "StructureReport", "TraceDetReport", "beta_spectrum", "canonicalize_beta", "catalog",
+        "check_alpha_structure", "check_anticommutation", "check_trace_det", "equivalence_audit",
+        "perturbed_set", "random_exact_unitary", "random_hermitian_set",
+    ],
+    "dispersion": [
+        "DegeneracyRequirement", "DispersionReport", "ForcedCoefficientSolution", "InfeasibilityCertificate",
+        "SPoly", "check_dispersion", "factorized_spectrum", "solve_forced_coefficients",
+    ],
+    "spectrum": [
+        "MomentumSample", "SpectrumRow", "SpinorBasis", "SweepResult", "eigensolve",
+        "positive_energy_spinors", "sweep",
+    ],
+    "symmat": ["CharPoly", "HermiticityError", "MatrixSet", "build_hamiltonian", "char_poly", "trace_and_det"],
+}
 
 
 def test_every_exported_name_resolves():
@@ -721,16 +754,18 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"diracver.{path.stem}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], path.name
-    imports = [
-        (node.module, alias.name)
-        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imports
-    for module, name in imports:
-        assert hasattr(importlib.import_module(f"diracver.{module}"), name), (module, name)
-        assert getattr(diracver, name) is getattr(importlib.import_module(f"diracver.{module}"), name)
+    names = [name for names in _EXPORTS.values() for name in names]
+    assert len(names) == 43
+    assert sorted(diracver.__all__) == sorted(names)
+    for module, exported in _EXPORTS.items():
+        for name in exported:
+            assert getattr(diracver, name) is getattr(importlib.import_module(f"diracver.{module}"), name)
+    assert set(names) <= set(dir(diracver))
+    namespace = {}
+    exec("from diracver import *", namespace)
+    assert sorted(key for key in namespace if key != "__builtins__") == sorted(names)
+    with pytest.raises(AttributeError):
+        diracver.no_such_name
 
 
 def test_numpy_loads_on_the_first_numeric_call():

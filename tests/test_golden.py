@@ -100,3 +100,32 @@ def test_bench_diff_prints_each_median_with_its_change_and_bound(capsys, tmp_pat
     assert "items_per_s" in lines[2] and "+50.0%  (bound 25%, higher is better)" in lines[2]
     assert "n/a" in lines[1]
     assert bench_diff.main([str(paths[0])]) == 2
+
+
+def test_bench_diff_flags_worse_changes_and_prints_traced_layers(capsys, tmp_path):
+    # (A, B) medians; items_per_s and op_p90_ms get worse beyond their 25% bound,
+    # op_p50_ms and peak_rss_mb worse within theirs, setup_s better
+    medians = {
+        "setup_s": (1.0, 0.5), "items_per_s": (10.0, 7.0), "op_p50_ms": (100.0, 120.0),
+        "op_p90_ms": (100.0, 130.0), "solve_table_ms": (0.0, 1.0), "peak_rss_mb": (50.0, 54.0),
+    }
+    # B has two traced runs, so its per-layer value is their median
+    traced = {"a": [{"cli.import_s": 0.2, "algebra.MultiPoly.__mul__.calls": 0}],
+              "b": [{"cli.import_s": 0.09, "algebra.MultiPoly.__mul__.calls": 0},
+                    {"cli.import_s": 0.11, "algebra.MultiPoly.__mul__.calls": 0}]}
+    paths = []
+    for side, label in enumerate("ab"):
+        record = {
+            "end_to_end": {name: {"median": pair[side]} for name, pair in medians.items()},
+            "traced": [{"seed": 1, "metrics": metrics} for metrics in traced[label]],
+        }
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(json.dumps({"workloads": {"cli-cold": record}}))
+    assert _load_script("bench_diff").main([str(path) for path in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    flagged = [line.split()[0] for line in lines if line.endswith("  WORSE")]
+    assert flagged == ["items_per_s", "op_p90_ms"]
+    assert "-30.0%" in lines[2] and "n/a" in lines[5]
+    # a per-layer metric that reads 0 in both records is left out
+    assert lines[7] == "  per layer, traced:" and len(lines) == 9
+    assert lines[8].split() == ["cli.import_s", "0.2", "->", "0.1", "-50.0%", "(lower", "is", "better)"]
