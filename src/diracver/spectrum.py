@@ -26,6 +26,13 @@ one point.  The Hamiltonian is summed in the order
 ``p1*alpha1 + p2*alpha2 + p3*alpha3 + m*beta`` on every path, and each
 matrix of a batch goes through the same LAPACK routine as a single one, so
 the eigenvalues do not depend on how the grid was chunked.
+
+``positive_energy_spinors`` runs one ``eigh`` per point.  The eigenvalues
+come back ascending, so the two at +E_p are adjacent and their vectors are
+taken as one ``(2, n)`` block.  Each vector is rotated so that its first
+component of modulus above 1e-12 is real and positive, and the residual
+``|h u - E_p u|`` of each returned vector is checked against
+``RESIDUAL_TOLERANCE * (1 + |p| + m)``.
 """
 
 from __future__ import annotations
@@ -175,20 +182,16 @@ def eigensolve(mset: MatrixSet, sample: MomentumSample) -> SpectrumRow:
     return _solve(mset, (sample,)).rows[0]
 
 
-def _fix_phase(vector: np.ndarray) -> np.ndarray:
-    for component in vector:
-        if abs(component) > 1e-12:
-            return vector * (component.conjugate() / abs(component))
-    return vector
-
-
 def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBasis:
-    """Exactly two orthonormal eigenvectors of h(p) at +E_p.
+    """Exactly two orthonormal eigenvectors of h(p) at +E_p, from one ``eigh``.
 
     The set is expected to satisfy the multiplicity-2 dispersion demand;
     a positive eigenspace of any other dimension is reported as an error.
-    Each vector's first significant component is rotated to be real and
-    positive so outputs are reproducible.
+    The two eigenvalues within ``1e-7 * scale`` of E_p are adjacent, so
+    their vectors are one ``(2, n)`` block.  Each vector's first component
+    of modulus above 1e-12 is rotated to be real and positive, so outputs
+    are reproducible, and each residual ``|h u - E_p u|`` is checked
+    against ``RESIDUAL_TOLERANCE * scale``.
     """
     import numpy as np
 
@@ -202,12 +205,15 @@ def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBa
         raise ValueError(
             f"positive eigenspace dimension {len(select)} != 2 at p={sample.p}, m={sample.m}"
         )
-    u1, u2 = (_fix_phase(vectors[:, k]) for k in select)
-    block = np.column_stack((u1, u2))
-    residual = float(np.linalg.norm(h @ block - energy * block, axis=0).max())
+    pair = vectors.T[select[0] : select[0] + 2]
+    phases = [[next((c.conjugate() / abs(c) for c in u if abs(c) > 1e-12), 1.0)] for u in pair.tolist()]
+    block = np.multiply(pair, phases, order="C")
+    # each row of the float view is one vector's residual as (re, im, re, im, ...)
+    defects = (block @ h.T - energy * block).view(np.float64).tolist()
+    residual = max(math.hypot(*row) for row in defects)
     if residual > RESIDUAL_TOLERANCE * scale:
         raise RuntimeError(f"spinor residual {residual:.3e} out of tolerance")
-    return SpinorBasis((u1, u2), energy)
+    return SpinorBasis((block[0], block[1]), energy)
 
 
 def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
@@ -220,6 +226,6 @@ def write_csv(rows: Sequence[SpectrumRow], stream) -> None:
     n = len(rows[0].eigenvalues) if rows else 4
     header = ["px", "py", "pz", "m"] + [f"e{k}" for k in range(1, n + 1)]
     stream.write(",".join(header) + "\n")
+    template = ",".join(["%.17g"] * (n + 4)) + "\n"  # "%.17g" % v is f"{v:.17g}", byte for byte
     for row in rows:
-        values = list(row.sample.p) + [row.sample.m] + list(row.eigenvalues)
-        stream.write(",".join(f"{v:.17g}" for v in values) + "\n")
+        stream.write(template % (*row.sample.p, row.sample.m, *row.eigenvalues))

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from diracver.clifford import perturbed_set, random_exact_unitary, random_hermit
 from diracver.spectrum import (
     DEGENERACY_FLAG,
     MomentumSample,
+    SpectrumRow,
     eigensolve,
     hamiltonian_at,
     positive_energy_spinors,
@@ -192,6 +194,82 @@ def test_csv_format(dirac_pauli, tmp_path):
     first = lines[1].split(",")
     assert first[:4] == ["0", "0", "0", "1"]
     assert float(first[4]) == pytest.approx(-1.0, abs=1e-12)
+
+
+def reference_csv(rows):
+    """The row-by-row formatting: one f-string per value, joined with commas."""
+    n = len(rows[0].eigenvalues) if rows else 4
+    lines = [",".join(["px", "py", "pz", "m"] + [f"e{k}" for k in range(1, n + 1)])]
+    for row in rows:
+        values = list(row.sample.p) + [row.sample.m] + list(row.eigenvalues)
+        lines.append(",".join(f"{v:.17g}" for v in values))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_csv_bytes_equal_the_f_string_formatting_on_edge_values():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    full = (0.1 + 0.2, 1 / 3, -2 / 3, math.pi, 2.0**-1074 * 3, np.float64(0.1) * 3)  # 17 digits each
+    four = [
+        SpectrumRow(MomentumSample((1, -2, 0), 3), (-4, -4, 4, 4)),
+        SpectrumRow(MomentumSample((-0.0, 0.0, tiny), 0.0), (-huge, -tiny, -0.0, huge)),
+        SpectrumRow(MomentumSample(full[:3], 0.5), full[3:] + (1e16 + 2,)),
+        SpectrumRow(MomentumSample((1e-300, -1e300, 123456789012345678.0), 1e22), (0.0,) * 4),
+    ]
+    two = [
+        SpectrumRow(MomentumSample((0.0, 0.0, 0.0), 1.0), (-1.0, 1.0)),
+        SpectrumRow(MomentumSample((-0.0, 2, tiny), huge), (full[0], -full[1])),
+    ]
+    for rows in (four, two, []):
+        stream = io.StringIO()
+        write_csv(rows, stream)
+        assert stream.getvalue() == reference_csv(rows)
+    assert reference_csv([]) == "px,py,pz,m,e1,e2,e3,e4\n"  # no rows: still the n = 4 header
+    assert reference_csv(two).splitlines()[0] == "px,py,pz,m,e1,e2"
+    assert "\n-0,2,4.9406564584124654e-324,1.7976931348623157e+308," in reference_csv(two)
+
+
+# ---------------------------------------------------------------------------
+# the spinor contract against the column-by-column algorithm
+# ---------------------------------------------------------------------------
+
+
+def reference_spinors(mset, sample):
+    """Selected eigenvalues and spinors, one column at a time, residuals by `np.linalg.norm`."""
+    energy, scale = sample.energy, sample.scale
+    h = hamiltonian_at(mset, sample)
+    values, vectors = np.linalg.eigh(h)
+    select = [k for k in range(len(values)) if abs(values[k] - energy) <= 1e-7 * scale]
+    assert len(select) == 2
+    spinors = []
+    for k in select:
+        vector = vectors[:, k]
+        for component in vector:
+            if abs(component) > 1e-12:
+                vector = vector * (component.conjugate() / abs(component))
+                break
+        assert np.linalg.norm(h @ vector - energy * vector) <= spectrum.RESIDUAL_TOLERANCE * scale
+        spinors.append(vector)
+    return [float(values[k]) for k in select], spinors
+
+
+def test_spinors_equal_the_column_by_column_reference(all_catalog_sets, dirac_pauli):
+    rng = random.Random(60607)
+    conjugates = [random_exact_unitary(rng, steps=30).conjugate_set(dirac_pauli) for _ in range(3)]
+    for mset in all_catalog_sets + conjugates:
+        for _ in range(200):
+            sample = MomentumSample(tuple(rng.uniform(-3, 3) for _ in range(3)), rng.uniform(0.0, 2.0))
+            selected, expected = reference_spinors(mset, sample)
+            basis = positive_energy_spinors(mset, sample)
+            h = hamiltonian_at(mset, sample)
+            assert len(basis.vectors) == 2 and basis.energy == sample.energy
+            for u, value, v in zip(basis.vectors, selected, expected):
+                # the same eigenvalue: the Rayleigh quotient of u is the one the reference selected
+                assert abs(np.vdot(u, h @ u).real - value) <= 1e-12 * sample.scale
+                assert np.max(np.abs(u - v)) <= 1e-12
+                first = next(c for c in u.tolist() if abs(c) > 1e-12)
+                assert abs(first.imag) <= 1e-15 and first.real > 0.0  # real up to rounding
+                assert type(u) is np.ndarray and u.dtype == np.complex128
+                assert u.shape == (mset.n,) and u.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
