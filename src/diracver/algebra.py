@@ -66,6 +66,20 @@ Monomial = tuple[int, int, int, int]
 Scalar = Union[int, Fraction, "ComplexRational"]
 
 
+class _Validated:
+    """First base of a record whose ``__new__`` checks its ``NamedTuple`` fields.
+
+    namedtuple's own ``_make``, which ``_replace`` calls, would build the
+    tuple directly and skip the checks; this one goes through ``__new__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class ComplexRational:
     """Exact Gaussian rational ``re + im*i``.
 

@@ -23,56 +23,31 @@ from .algebra import ComplexRational, render_epoly, render_fraction, render_mult
 from .symmat import CharPoly, HermiticityError, Matrix, MatrixSet, char_poly, mat_is_zero
 from .symmat import trace_and_det  # unused here; perfbench patches it on this module
 
-# Names bound into this module's globals on first use, by the module that
-# defines them, so that a cold command compiles only the modules it runs:
-# `solve` needs no clifford or spectrum, and `spectrum` no clifford or
-# dispersion.  The commands still look them up as globals, and a bound name
-# is never overwritten, so a name patched on this module stays patched.
-_LAZY = {
-    "clifford": (
-        "CanonicalizationResult",
-        "CliffordReport",
-        "StructuralViolationError",
-        "StructureReport",
-        "TraceDetReport",
-        "beta_spectrum",
-        "canonicalize_beta",
-        "catalog",
-        "check_alpha_structure",
-        "check_anticommutation",
-        "check_trace_det",
-    ),
-    "dispersion": (
-        "DegeneracyRequirement",
-        "ForcedCoefficientSolution",
-        "check_dispersion",
-        "render_certificate",
-        "render_solution",
-        "solve_forced_coefficients",
-    ),
-    "spectrum": ("MomentumSample", "sweep", "write_csv"),
-}
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
-
-
+# Each command binds the ``__all__`` of the modules it runs into this
+# module's globals on first use, so that a cold command compiles only those
+# modules: `solve` needs no clifford or spectrum, and `spectrum` no clifford
+# or dispersion.  The commands still look the names up as globals, and a
+# bound name is never overwritten, so a name patched on this module stays
+# patched.
 def _load(*modules: str) -> None:
-    """Import each of ``modules`` and bind its names in ``_LAZY`` that are not bound yet."""
+    """Import each of ``modules`` and bind the names of its ``__all__`` that are not bound yet."""
     namespace = globals()
     for module in modules:
         qualified = f"{__package__}.{module}"
         __import__(qualified)
         source = sys.modules[qualified]
-        for name in _LAZY[module]:
+        for name in source.__all__:
             if name not in namespace:
                 namespace[name] = getattr(source, name)
 
 
 def __getattr__(name: str):
-    module = _LAZY_MODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
+    # dunders stay unresolved: the import system asks this module for __path__
+    if not (name.startswith("__") and name.endswith("__")):
+        _load("clifford", "dispersion", "spectrum")
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -332,7 +307,7 @@ def _audit(mset: MatrixSet, char: CharPoly, anti: CliffordReport) -> _Audit:
         spectrum = exc
     try:
         canonical = canonicalize_beta(mset)
-    except (ValueError, StructuralViolationError) as exc:
+    except ValueError as exc:
         canonical = exc
     structure = None if isinstance(canonical, Exception) else check_alpha_structure(canonical)
     return _Audit(check_trace_det(char), spectrum, canonical, structure, anti)
@@ -630,10 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatrixFileError as exc:
+    except (UsageError, MatrixFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import _CR_ZERO, ComplexRational, Scalar, as_scalar, render_fraction
+from .algebra import _CR_ONE, _CR_ZERO, ComplexRational, Scalar, _Validated, as_scalar, render_fraction
 from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
     CharPoly,
@@ -388,7 +388,6 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
 class StructureReport(NamedTuple):
     """Block structure of the alphas relative to the eigenspaces of beta."""
 
-    beta_spectrum: tuple[int, ...]
     alpha_blocks: tuple[bool, bool, bool]
     norm_values: tuple[Fraction, ...]
     passed: bool
@@ -418,7 +417,7 @@ def check_alpha_structure(canonical: CanonicalizationResult) -> StructureReport:
         # sum_jk |alpha_jk|^2 = Tr(alpha^2), as alpha is Hermitian
         norms.append(Fraction(_trace_re(ga) * db * db - _trace_re(gm), 4 * (da * db) ** 2))
     passed = all(blocks) and all(v == 2 for v in norms)
-    return StructureReport((1, 1, -1, -1), tuple(blocks), tuple(norms), passed)
+    return StructureReport(tuple(blocks), tuple(norms), passed)
 
 
 def _trace_re(g: list) -> int:
@@ -462,7 +461,7 @@ class _ExactUnitaryFields(NamedTuple):
     matrix: Matrix
 
 
-class ExactUnitary(_ExactUnitaryFields):
+class ExactUnitary(_Validated, _ExactUnitaryFields):
     """Unitary matrix with exact entries, validated at construction.
 
     Every construction, products and daggers included, clears the matrix
@@ -486,11 +485,6 @@ class ExactUnitary(_ExactUnitaryFields):
         self._gi = (g, d)
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> "ExactUnitary":
-        # namedtuple's _make, which _replace calls, would skip the checks of __new__
-        return cls(*iterable)
-
     @property
     def n(self) -> int:
         return len(self.matrix)
@@ -503,15 +497,13 @@ class ExactUnitary(_ExactUnitaryFields):
     def diagonal(cls, phases: Iterable[Scalar]) -> "ExactUnitary":
         values = [as_scalar(p) for p in phases]
         n = len(values)
-        zero = ComplexRational(0)
-        return cls(tuple(tuple(values[i] if i == j else zero for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(values[i] if i == j else _CR_ZERO for j in range(n)) for i in range(n)))
 
     @classmethod
     def signed_permutation(cls, perm: Sequence[int], signs: Sequence[Scalar] | None = None) -> "ExactUnitary":
         n = len(perm)
-        values = [as_scalar(s) for s in signs] if signs else [ComplexRational(1)] * n
-        zero = ComplexRational(0)
-        rows = [[zero] * n for _ in range(n)]
+        values = [as_scalar(s) for s in signs] if signs else [_CR_ONE] * n
+        rows = [[_CR_ZERO] * n for _ in range(n)]
         for col, row in enumerate(perm):
             rows[row][col] = values[col]
         return cls(tuple(tuple(r) for r in rows))

@@ -25,11 +25,12 @@ set and reports the residuals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import comb, perm
 from typing import NamedTuple, Sequence, Union
 
 from .algebra import (
     MultiPoly,
+    _Validated,
     _join_terms,
     _power,
     _term_sign_body,
@@ -97,10 +98,6 @@ class SPoly:
     @classmethod
     def one(cls) -> "SPoly":
         return cls((1,))
-
-    @classmethod
-    def s(cls) -> "SPoly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, power: int, coeff: int | Fraction = 1) -> "SPoly":
@@ -171,7 +168,7 @@ class _DegeneracyRequirementFields(NamedTuple):
     r: int
 
 
-class DegeneracyRequirement(_DegeneracyRequirementFields):
+class DegeneracyRequirement(_Validated, _DegeneracyRequirementFields):
     """Demand r linearly independent positive-energy plane waves in dimension n."""
 
     __slots__ = ()
@@ -184,11 +181,6 @@ class DegeneracyRequirement(_DegeneracyRequirementFields):
         if r > n:
             raise ValueError(f"multiplicity {r} exceeds the polynomial degree {n}")
         return super().__new__(cls, n, r)
-
-    @classmethod
-    def _make(cls, iterable) -> "DegeneracyRequirement":
-        # namedtuple's _make, which _replace calls, would skip the checks of __new__
-        return cls(*iterable)
 
 
 def _derivative_name(j: int) -> str:
@@ -262,7 +254,7 @@ class _InfeasibilityCertificateFields(NamedTuple):
     narrative: str
 
 
-class InfeasibilityCertificate(_InfeasibilityCertificateFields):
+class InfeasibilityCertificate(_Validated, _InfeasibilityCertificateFields):
     """Proof that no matrix set of dimension n meets the multiplicity demand.
 
     ``witness`` is a nonzero polynomial in s that the linear conditions force
@@ -277,11 +269,6 @@ class InfeasibilityCertificate(_InfeasibilityCertificateFields):
         if witness.is_zero:
             raise ValueError("certificate witness must be a nonzero polynomial")
         return super().__new__(cls, requirement, witness, narrative)
-
-    @classmethod
-    def _make(cls, iterable) -> "InfeasibilityCertificate":
-        # namedtuple's _make, which _replace calls, would skip the checks of __new__
-        return cls(*iterable)
 
 
 SolveResult = Union[ForcedCoefficientSolution, InfeasibilityCertificate]
@@ -418,14 +405,11 @@ def factorized_spectrum(sol: ForcedCoefficientSolution) -> str:
     constants = sol.constants()
     coeffs = [constants.get(k, SPoly.zero()) for k in range(req.n)] + [SPoly.one()]
 
-    target = [SPoly.one()]
-    base = [-SPoly.s(), SPoly.zero(), SPoly.one()]  # E^2 - s
-    for _ in range(req.r):
-        out = [SPoly.zero()] * (len(target) + 2)
-        for i, a in enumerate(target):
-            for j, b in enumerate(base):
-                out[i + j] = out[i + j] + a * b
-        target = out
+    # (E^2 - s)^r = sum_j C(r, j) (-s)^(r-j) E^(2j), with no odd powers of E
+    r = req.r
+    target = [SPoly.zero()] * (2 * r + 1)
+    for j in range(r + 1):
+        target[2 * j] = SPoly.monomial(r - j, (-1) ** (r - j) * comb(r, j))
 
     for k, (got, want) in enumerate(zip(coeffs, target)):
         if got != want:

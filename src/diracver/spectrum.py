@@ -21,8 +21,8 @@ one read-only ``(4, n, n)`` stack, kept on the instance.  ``sweep`` builds
 the Hamiltonians of a whole grid from that stack and solves them with
 batched ``np.linalg.eigh`` calls of at most ``_CHUNK`` points each, so
 memory stays bounded on the largest grids; the flags are read off each
-batch's eigenvalue array.  ``eigensolve`` is the same solve on a grid of
-one point.  The Hamiltonian is summed in the order
+batch's eigenvalue array.  ``eigensolve`` is ``sweep`` on a grid of one
+point.  The Hamiltonian is summed in the order
 ``p1*alpha1 + p2*alpha2 + p3*alpha3 + m*beta`` on every path, and each
 matrix of a batch goes through the same LAPACK routine as a single one, so
 the eigenvalues do not depend on how the grid was chunked.
@@ -30,7 +30,8 @@ the eigenvalues do not depend on how the grid was chunked.
 ``positive_energy_spinors`` runs one ``eigh`` per point.  The eigenvalues
 come back ascending, so the two at +E_p are adjacent and their vectors are
 taken as one ``(2, n)`` block.  Each vector is rotated so that its first
-component of modulus above 1e-12 is real and positive, and the residual
+component of modulus above 1e-12 is real and positive, and that component
+is then set to its modulus, so its imaginary part is exactly 0.  The residual
 ``|h u - E_p u|`` of each returned vector is checked against
 ``RESIDUAL_TOLERANCE * (1 + |p| + m)``.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .algebra import _Validated
 from .symmat import Matrix, MatrixSet
 
 if TYPE_CHECKING:
@@ -71,7 +73,7 @@ class _MomentumSampleFields(NamedTuple):
     m: float
 
 
-class MomentumSample(_MomentumSampleFields):
+class MomentumSample(_Validated, _MomentumSampleFields):
     """A concrete momentum vector and nonnegative mass."""
 
     __slots__ = ()
@@ -80,11 +82,6 @@ class MomentumSample(_MomentumSampleFields):
         if m < 0:
             raise ValueError("mass must be nonnegative")
         return super().__new__(cls, p, m)
-
-    @classmethod
-    def _make(cls, iterable) -> "MomentumSample":
-        # namedtuple's _make, which _replace calls, would skip the checks of __new__
-        return cls(*iterable)
 
     @property
     def energy(self) -> float:
@@ -149,10 +146,11 @@ def _entry_norms(stack: np.ndarray) -> tuple[float, float]:
     return max(1.0, *alphas), max(1.0, beta)
 
 
-def _solve(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
-    """Ascending real eigenvalues of h(p) at every sample, residual-checked, in order."""
+def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
+    """Ascending, residual-checked eigenvalues at every sample in order, flagging rows beyond 1e-6."""
     import numpy as np
 
+    grid = tuple(grid)
     stack = mset._complex_stack
     alpha_norm, beta_norm = _entry_norms(stack)
     rows: list[SpectrumRow] = []
@@ -179,7 +177,7 @@ def _solve(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
 
 def eigensolve(mset: MatrixSet, sample: MomentumSample) -> SpectrumRow:
     """Ascending real eigenvalues of h(p), residual-checked."""
-    return _solve(mset, (sample,)).rows[0]
+    return sweep(mset, (sample,)).rows[0]
 
 
 def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBasis:
@@ -189,9 +187,9 @@ def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBa
     a positive eigenspace of any other dimension is reported as an error.
     The two eigenvalues within ``1e-7 * scale`` of E_p are adjacent, so
     their vectors are one ``(2, n)`` block.  Each vector's first component
-    of modulus above 1e-12 is rotated to be real and positive, so outputs
-    are reproducible, and each residual ``|h u - E_p u|`` is checked
-    against ``RESIDUAL_TOLERANCE * scale``.
+    of modulus above 1e-12 is rotated to be real and positive (exactly its
+    modulus), so outputs are reproducible, and each residual
+    ``|h u - E_p u|`` is checked against ``RESIDUAL_TOLERANCE * scale``.
     """
     import numpy as np
 
@@ -205,20 +203,21 @@ def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBa
         raise ValueError(
             f"positive eigenspace dimension {len(select)} != 2 at p={sample.p}, m={sample.m}"
         )
-    pair = vectors.T[select[0] : select[0] + 2]
-    phases = [[next((c.conjugate() / abs(c) for c in u if abs(c) > 1e-12), 1.0)] for u in pair.tolist()]
-    block = np.multiply(pair, phases, order="C")
+    rows = vectors.T[select[0] : select[0] + 2].tolist()
+    for u in rows:
+        # the first component of modulus above 1e-12 (every unit vector has one) fixes the phase and
+        # is then set to its modulus, as the multiply leaves it an imaginary part of rounding size
+        k, c = next((k, c) for k, c in enumerate(u) if abs(c) > 1e-12)
+        phase = c.conjugate() / abs(c)
+        u[:] = [x * phase for x in u]
+        u[k] = abs(c)
+    block = np.array(rows)
     # each row of the float view is one vector's residual as (re, im, re, im, ...)
     defects = (block @ h.T - energy * block).view(np.float64).tolist()
     residual = max(math.hypot(*row) for row in defects)
     if residual > RESIDUAL_TOLERANCE * scale:
         raise RuntimeError(f"spinor residual {residual:.3e} out of tolerance")
     return SpinorBasis((block[0], block[1]), energy)
-
-
-def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
-    """Eigensolve every sample in order, flagging rows beyond the 1e-6 threshold."""
-    return _solve(mset, tuple(grid))
 
 
 def write_csv(rows: Sequence[SpectrumRow], stream) -> None:

@@ -37,10 +37,13 @@ from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
+    _CR_ONE,
+    _CR_ZERO,
     ComplexRational,
     EPoly,
     MultiPoly,
     Scalar,
+    _Validated,
     as_scalar,
 )
 
@@ -97,9 +100,7 @@ def _exact_entries(matrix: Sequence[Sequence[Scalar]]) -> Matrix:
 
 
 def mat_identity(n: int) -> Matrix:
-    one = ComplexRational(1)
-    zero = ComplexRational(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return tuple(tuple(_CR_ONE if i == j else _CR_ZERO for j in range(n)) for i in range(n))
 
 
 def _gaussian(x: ComplexRational, denom: int) -> tuple[int, int]:
@@ -134,7 +135,7 @@ def _rebuilt(entries: Iterable[tuple[int, int]], denom: int, n: int) -> Matrix:
 
 
 def mat_trace(a: Matrix) -> ComplexRational:
-    return sum((a[i][i] for i in range(len(a))), ComplexRational(0))
+    return sum((a[i][i] for i in range(len(a))), _CR_ZERO)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -163,7 +164,7 @@ class _MatrixSetFields(NamedTuple):
     label: str = ""
 
 
-class MatrixSet(_MatrixSetFields):
+class MatrixSet(_Validated, _MatrixSetFields):
     """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
 
     int and Fraction entries are coerced by ``as_scalar``; other entries raise its ``TypeError``.
@@ -184,11 +185,6 @@ class MatrixSet(_MatrixSetFields):
                 raise HermiticityError(name, bad)
             exact.append(matrix)
         return super().__new__(cls, n, tuple(exact[:3]), exact[3], label)
-
-    @classmethod
-    def _make(cls, iterable) -> "MatrixSet":
-        # namedtuple's _make, which _replace calls, would skip the checks of __new__
-        return cls(*iterable)
 
     def matrices(self) -> Iterator[tuple[str, Matrix]]:
         return zip(_NAMES, (*self.alphas, self.beta))
@@ -224,7 +220,7 @@ class _CharPolyFields(NamedTuple):
     poly: EPoly
 
 
-class CharPoly(_CharPolyFields):
+class CharPoly(_Validated, _CharPolyFields):
     """Monic characteristic polynomial det(E*I - M) with coefficient access."""
 
     __slots__ = ()
@@ -233,11 +229,6 @@ class CharPoly(_CharPolyFields):
         if poly.degree != n or poly.coeff(n) != MultiPoly.constant(1):
             raise ValueError("characteristic polynomial must be monic of degree n")
         return super().__new__(cls, n, poly)
-
-    @classmethod
-    def _make(cls, iterable) -> "CharPoly":
-        # namedtuple's _make, which _replace calls, would skip the checks of __new__
-        return cls(*iterable)
 
     def c(self, k: int) -> MultiPoly:
         """Coefficient of E^k, 0 <= k <= n."""

@@ -768,6 +768,51 @@ def test_every_exported_name_resolves():
         diracver.no_such_name
 
 
+def _fresh(script):
+    """The JSON that ``script`` prints in a new interpreter that imports diracver.cli first."""
+    src = Path(diracver.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\nfrom diracver import cli\n" + script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# which of the modules that cli loads lazily are imported, as an expression for _fresh
+_LAZY_LOADED = "[m for m in ('clifford', 'dispersion', 'spectrum') if f'diracver.{m}' in sys.modules]"
+
+
+def test_load_binds_the_modules_all_and_keeps_a_bound_name():
+    added, exported, kept = _fresh(
+        "cli.sweep = 'patched'\n"
+        "before = set(vars(cli))\n"
+        "cli._load('spectrum')\n"
+        "from diracver import spectrum\n"
+        "kept = [name for name in spectrum.__all__ if getattr(cli, name) is not getattr(spectrum, name)]\n"
+        "print(json.dumps([sorted(set(vars(cli)) - before), spectrum.__all__, kept]))"
+    )
+    assert added == sorted(set(exported) - {"sweep"})
+    assert kept == ["sweep"]
+
+
+def test_a_dunder_is_not_resolved_and_loads_nothing():
+    path, loaded = _fresh(f"print(json.dumps([getattr(cli, '__path__', None), {_LAZY_LOADED}]))")
+    assert path is None and loaded == []
+
+
+def test_an_unknown_name_loads_the_lazy_modules_then_raises():
+    raised, loaded = _fresh(
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    raised = str(exc)\n"
+        f"print(json.dumps([raised, {_LAZY_LOADED}]))"
+    )
+    assert raised == "module 'diracver.cli' has no attribute 'no_such_name'"
+    assert loaded == ["clifford", "dispersion", "spectrum"]
+
+
 def test_numpy_loads_on_the_first_numeric_call():
     script = (
         "import json, sys; import diracver; before = 'numpy' in sys.modules; "

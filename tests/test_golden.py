@@ -15,7 +15,11 @@ they reach every branch of the `verify` and `derive` reports.
 A `spectrum` case also writes its CSV, `--out` under the test's temporary
 directory, and compares it byte for byte with
 `tests/golden/expected/<case>.csv`; its stdout names that path, which is
-replaced by `OUT.csv` before the comparison.  The cases sweep the catalog
+replaced by `OUT.csv` before the comparison.  Each case runs twice: through
+`main` in this process, and alone in a fresh `python -m diracver` process
+with numpy blocked for every command but `spectrum`.  In one process an
+earlier case may already have bound a name that a command's own loading
+misses; the fresh process shows it.  The cases sweep the catalog
 sets, the conjugate and the n = 2 Pauli triple over `lin:-2:2:5` with mass
 1, the perturbed-alpha set (flagged rows, exit 1) over the same grid, and
 dirac-pauli over the massless `lin:-1:1:3`, whose origin has E = 0.
@@ -32,35 +36,65 @@ small benchmark records that the test writes.
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from diracver.cli import main
+from diracver import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+# `python -m diracver` with numpy blocked: `import numpy` raises ImportError
+WITHOUT_NUMPY = (
+    'import runpy, sys; sys.modules["numpy"] = None; '
+    'runpy.run_module("diracver", run_name="__main__", alter_sys=True)'
+)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, capsys, tmp_path):
+def _argv(case: str, csv: Path) -> list[str]:
+    """The case's arguments of diracver, with a `spectrum` case writing to ``csv``."""
     spec = CASES[case]
     argv = list(spec["command"])
     if spec["input"] is not None:
         argv.append(str(GOLDEN / "inputs" / f"{spec['input']}.json"))
-    csv = tmp_path / "out.csv"
     if argv[0] == "spectrum":
         argv += ["--out", str(csv)]
-    code = main(argv)
-    captured = capsys.readouterr()
-    out = captured.out.replace(str(csv), "OUT.csv")
+    return argv
+
+
+def _assert_golden(case: str, code: int, out: str, err: str, csv: Path) -> None:
+    spec = CASES[case]
+    out = out.replace(str(csv), "OUT.csv")
     assert out.encode("utf-8") == (GOLDEN / "expected" / f"{case}.out").read_bytes()
-    if argv[0] == "spectrum":
+    if spec["command"][0] == "spectrum":
         assert csv.read_bytes() == (GOLDEN / "expected" / f"{case}.csv").read_bytes()
-    assert captured.err == spec["stderr"]
+    assert err == spec["stderr"]
     assert code == spec["exit"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, capsys, tmp_path):
+    csv = tmp_path / "out.csv"
+    code = cli.main(_argv(case, csv))
+    captured = capsys.readouterr()
+    _assert_golden(case, code, captured.out, captured.err, csv)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden_in_a_fresh_process(case, tmp_path):
+    csv = tmp_path / "out.csv"
+    argv = _argv(case, csv)
+    runner = ["-m", "diracver"] if argv[0] == "spectrum" else ["-c", WITHOUT_NUMPY]
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, *runner, *argv], capture_output=True, stdin=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    _assert_golden(case, proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"), csv)
 
 
 def _load_script(name: str):

@@ -3,7 +3,8 @@
 Each record is a ``NamedTuple``.  A validated type is a subclass of its
 fields whose ``__new__`` runs the checks.  namedtuple's own ``_make``, which
 ``_replace`` calls, would build the tuple directly and skip them, so each
-type overrides it; ``copy.copy`` and pickle rebuild through ``__new__``.
+type takes a ``_make`` that goes through ``__new__`` from one private base;
+``copy.copy`` and pickle rebuild through ``__new__``.
 """
 
 import copy

@@ -267,7 +267,7 @@ def test_spinors_equal_the_column_by_column_reference(all_catalog_sets, dirac_pa
                 assert abs(np.vdot(u, h @ u).real - value) <= 1e-12 * sample.scale
                 assert np.max(np.abs(u - v)) <= 1e-12
                 first = next(c for c in u.tolist() if abs(c) > 1e-12)
-                assert abs(first.imag) <= 1e-15 and first.real > 0.0  # real up to rounding
+                assert first.imag == 0.0 and first.real > 0.0
                 assert type(u) is np.ndarray and u.dtype == np.complex128
                 assert u.shape == (mset.n,) and u.flags.c_contiguous
 
