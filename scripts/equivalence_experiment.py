@@ -11,14 +11,8 @@ import argparse
 import random
 import time
 
-from diracver.clifford import (
-    CATALOG_NAMES,
-    catalog,
-    equivalence_audit,
-    perturbed_set,
-    random_exact_unitary,
-    random_hermitian_set,
-)
+from diracver.clifford import CATALOG_NAMES, catalog, equivalence_audit
+from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
 
 
 def sample_sets(rng: random.Random, conjugates: int, perturbations: int, randoms: int):

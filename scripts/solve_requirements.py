@@ -6,7 +6,7 @@ forced coefficients or the impossibility witness, plus the factorized
 eigenvalue equation where one exists.
 """
 
-from diracver.dispersion import (
+from diracver.solver import (
     DegeneracyRequirement,
     ForcedCoefficientSolution,
     factorized_spectrum,

@@ -28,7 +28,6 @@ _EXPORTS = {
         "CanonicalizationResult",
         "CliffordReport",
         "EquivalenceVerdict",
-        "ExactUnitary",
         "StructureReport",
         "TraceDetReport",
         "beta_spectrum",
@@ -38,17 +37,22 @@ _EXPORTS = {
         "check_anticommutation",
         "check_trace_det",
         "equivalence_audit",
+    ),
+    "dispersion": (
+        "DispersionReport",
+        "check_dispersion",
+    ),
+    "sampling": (
+        "ExactUnitary",
         "perturbed_set",
         "random_exact_unitary",
         "random_hermitian_set",
     ),
-    "dispersion": (
+    "solver": (
         "DegeneracyRequirement",
-        "DispersionReport",
         "ForcedCoefficientSolution",
         "InfeasibilityCertificate",
         "SPoly",
-        "check_dispersion",
         "factorized_spectrum",
         "solve_forced_coefficients",
     ),

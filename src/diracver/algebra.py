@@ -473,6 +473,11 @@ def _power(name: str, e: int) -> list[str]:
     return [] if e == 0 else [name if e == 1 else f"{name}^{e}"]
 
 
+def _derivative_name(j: int) -> str:
+    """P with j primes: the name of the j-th derivative of P(E) in E."""
+    return "P" + "'" * j
+
+
 def _monomial_factors(mono: Monomial) -> list[str]:
     return [factor for name, e in zip(VARIABLES, mono) for factor in _power(name, e)]
 

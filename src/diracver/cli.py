@@ -20,15 +20,14 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
-from .symmat import CharPoly, HermiticityError, Matrix, MatrixSet, char_poly, mat_is_zero
-from .symmat import trace_and_det  # unused here; perfbench patches it on this module
 
-# Each command binds the ``__all__`` of the modules it runs into this
-# module's globals on first use, so that a cold command compiles only those
-# modules: `solve` needs no clifford or spectrum, and `spectrum` no clifford
-# or dispersion.  The commands still look the names up as globals, and a
-# bound name is never overwritten, so a name patched on this module stays
-# patched.
+# Each command, and ``parse_matrix_file``, binds the ``__all__`` of the
+# modules it runs into this module's globals on first use, so that a cold
+# command compiles only those modules: `solve` loads `solver` alone, with no
+# matrix module, `verify` and `derive` load no solver, sampler or spectrum,
+# and `spectrum` no clifford or dispersion.  The commands still look the
+# names up as globals, and a bound name is never overwritten, so a name
+# patched on this module stays patched.
 def _load(*modules: str) -> None:
     """Import each of ``modules`` and bind the names of its ``__all__`` that are not bound yet."""
     namespace = globals()
@@ -44,7 +43,7 @@ def _load(*modules: str) -> None:
 def __getattr__(name: str):
     # dunders stay unresolved: the import system asks this module for __path__
     if not (name.startswith("__") and name.endswith("__")):
-        _load("clifford", "dispersion", "spectrum")
+        _load("clifford", "dispersion", "solver", "spectrum", "symmat")
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -156,6 +155,7 @@ def parse_matrix_file(path: str | Path) -> MatrixSet:
     """Read and validate a matrix-set JSON file into an exact MatrixSet."""
     import json
 
+    _load("symmat")
     try:
         with open(path, "rb") as stream:
             raw = stream.read(_MAX_FILE_BYTES + 1)
@@ -365,7 +365,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _load("dispersion")
+    _load("solver")
     try:
         req = DegeneracyRequirement(args.n, args.multiplicity)
     except ValueError as exc:
@@ -381,7 +381,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    _load("clifford")
+    _load("clifford", "symmat")
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")

@@ -1,4 +1,4 @@
-"""Anticommutation audits, beta canonicalization, and standard matrix sets.
+"""Anticommutation audits, beta canonicalization, and the catalog of standard sets.
 
 For a four-dimensional Hermitian set the dispersion demand (two positive
 energy plane waves for every momentum) is equivalent to the Clifford
@@ -37,30 +37,28 @@ conjugation.  The Gram-Schmidt step of ``canonicalize_beta`` is
 fraction-free, and ``check_alpha_structure`` reads the blocks from the
 integer M + M^dagger and the norms from integer traces.
 
-``ExactUnitary`` uses the same idiom: each unitary is cleared once, at
-construction, and keeps that form.  Validation is the integer Gram check
-g g^dagger = d^2 I (``_gram_is_identity``, upper triangle only, which also
-decides beta^2 = 1 for a Hermitian beta); products and conjugations
-multiply the cleared forms and rebuild each result entry once.
+``_gram_is_identity`` checks g g^dagger = d^2 I in integers, upper
+triangle only; for a Hermitian beta it decides beta^2 = 1, and it validates
+every ``sampling.ExactUnitary``.  The exact unitaries and the samplers of
+matrix sets live in ``sampling``.  Their names are still answered here: the
+first access imports ``sampling`` and binds the name (PEP 562), so a
+command that audits a set never compiles the samplers.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .algebra import _CR_ONE, _CR_ZERO, ComplexRational, Scalar, _Validated, as_scalar, render_fraction
+from .algebra import _CR_ZERO, ComplexRational, render_fraction
 from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
     CharPoly,
     Matrix,
     MatrixSet,
     _cleared,
-    _exact_entries,
     _gi_mat_mul,
-    _rebuilt,
     as_matrix,
     build_hamiltonian,  # unused here; perfbench patches it on this module
     char_poly,  # unused here; perfbench patches it on this module
@@ -77,7 +75,6 @@ __all__ = [
     "StructureReport",
     "CanonicalizationResult",
     "EquivalenceVerdict",
-    "ExactUnitary",
     "StructuralViolationError",
     "catalog",
     "check_anticommutation",
@@ -86,9 +83,6 @@ __all__ = [
     "canonicalize_beta",
     "check_alpha_structure",
     "equivalence_audit",
-    "random_hermitian_set",
-    "random_exact_unitary",
-    "perturbed_set",
 ]
 
 class StructuralViolationError(ValueError):
@@ -99,12 +93,11 @@ class StructuralViolationError(ValueError):
 # standard representations
 # ---------------------------------------------------------------------------
 
-_I = ComplexRational(0, 1)
-
-SIGMA1 = as_matrix([[0, 1], [1, 0]])
-SIGMA2 = as_matrix([[0, -_I], [_I, 0]])
-SIGMA3 = as_matrix([[1, 0], [0, -1]])
-_ID2 = mat_identity(2)
+# the catalog's names, in the order ``_build_catalog`` builds them
+CATALOG_NAMES = ("dirac-pauli", "weyl-chiral", "majorana")
+# filled by the first ``catalog`` call, so that a command that reads no
+# catalog set never builds one
+_CATALOG: dict[str, MatrixSet] = {}
 
 
 def _kron2(a: Matrix, b: Matrix) -> Matrix:
@@ -116,34 +109,37 @@ def _kron2(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _build_catalog() -> dict[str, MatrixSet]:
+    i = ComplexRational(0, 1)
+    sigma1 = as_matrix([[0, 1], [1, 0]])
+    sigma2 = as_matrix([[0, -i], [i, 0]])
+    sigma3 = as_matrix([[1, 0], [0, -1]])
+    id2 = mat_identity(2)
     dirac_pauli = MatrixSet(
         4,
-        tuple(_kron2(SIGMA1, s) for s in (SIGMA1, SIGMA2, SIGMA3)),
-        _kron2(SIGMA3, _ID2),
+        tuple(_kron2(sigma1, s) for s in (sigma1, sigma2, sigma3)),
+        _kron2(sigma3, id2),
         label="dirac-pauli",
     )
     weyl_chiral = MatrixSet(
         4,
-        tuple(_kron2(SIGMA3, s) for s in (SIGMA1, SIGMA2, SIGMA3)),
-        _kron2(SIGMA1, _ID2),
+        tuple(_kron2(sigma3, s) for s in (sigma1, sigma2, sigma3)),
+        _kron2(sigma1, id2),
         label="weyl-chiral",
     )
     # real alphas, imaginary antisymmetric beta: a real-equation basis
     majorana = MatrixSet(
         4,
-        (_kron2(SIGMA1, _ID2), _kron2(SIGMA3, _ID2), _kron2(SIGMA2, SIGMA2)),
-        _kron2(SIGMA2, SIGMA1),
+        (_kron2(sigma1, id2), _kron2(sigma3, id2), _kron2(sigma2, sigma2)),
+        _kron2(sigma2, sigma1),
         label="majorana",
     )
     return {s.label: s for s in (dirac_pauli, weyl_chiral, majorana)}
 
 
-_CATALOG = _build_catalog()
-CATALOG_NAMES = tuple(_CATALOG)
-
-
 def catalog(name: str) -> MatrixSet:
     """A named exact matrix set: dirac-pauli, weyl-chiral, or majorana."""
+    if not _CATALOG:
+        _CATALOG.update(_build_catalog())
     try:
         return _CATALOG[name]
     except KeyError:
@@ -452,193 +448,12 @@ def equivalence_audit(mset: MatrixSet) -> EquivalenceVerdict:
     return EquivalenceVerdict(disp, anti, disp.passed == anti.passed, disp.passed and anti.passed)
 
 
-# ---------------------------------------------------------------------------
-# exact unitaries and set sampling
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # dunders stay unresolved, as in ``cli``; a name of the samplers is bound on first access
+    if not (name.startswith("__") and name.endswith("__")):
+        from . import sampling
 
-
-class _ExactUnitaryFields(NamedTuple):
-    matrix: Matrix
-
-
-class ExactUnitary(_Validated, _ExactUnitaryFields):
-    """Unitary matrix with exact entries, validated at construction.
-
-    Every construction, products and daggers included, clears the matrix
-    once to Gaussian integers g over the lcm d of its denominators and
-    checks g g^dagger = d^2 I in integers.  The cleared form is kept on the
-    instance as ``_gi``, outside the tuple of fields, so equality, hash and
-    repr ignore it.  Products and conjugations multiply cleared forms and
-    rebuild each entry of the result once.  int and Fraction entries are
-    coerced by ``as_scalar``, as in ``MatrixSet``.
-    """
-
-    def __new__(cls, matrix: Matrix) -> "ExactUnitary":
-        n = len(matrix)
-        if not n or any(len(row) != n for row in matrix):
-            raise ValueError("unitary must be square and nonempty")
-        matrix = _exact_entries(matrix)
-        g, d = _cleared(matrix)
-        if not _gram_is_identity(g, d):
-            raise ValueError("matrix is not exactly unitary")
-        self = super().__new__(cls, matrix)
-        self._gi = (g, d)
-        return self
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactUnitary":
-        return cls(mat_identity(n))
-
-    @classmethod
-    def diagonal(cls, phases: Iterable[Scalar]) -> "ExactUnitary":
-        values = [as_scalar(p) for p in phases]
-        n = len(values)
-        return cls(tuple(tuple(values[i] if i == j else _CR_ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def signed_permutation(cls, perm: Sequence[int], signs: Sequence[Scalar] | None = None) -> "ExactUnitary":
-        n = len(perm)
-        values = [as_scalar(s) for s in signs] if signs else [_CR_ONE] * n
-        rows = [[_CR_ZERO] * n for _ in range(n)]
-        for col, row in enumerate(perm):
-            rows[row][col] = values[col]
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def rotation(cls, n: int, i: int, j: int, cos_part: Scalar, sin_part: Scalar) -> "ExactUnitary":
-        """Two-index rotation block [[c, s], [-conj(s), c]] with c^2 + |s|^2 = 1."""
-        c = as_scalar(cos_part)
-        s = as_scalar(sin_part)
-        rows = [list(row) for row in mat_identity(n)]
-        rows[i][i] = c
-        rows[i][j] = s
-        rows[j][i] = -s.conj()
-        rows[j][j] = c
-        return cls(tuple(tuple(r) for r in rows))
-
-    def __matmul__(self, other: "ExactUnitary") -> "ExactUnitary":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        (ga, da), (gb, db) = self._gi, other._gi
-        return ExactUnitary(_rebuilt(_gi_mat_mul(ga, gb), da * db, self.n))
-
-    def conjugate_set(self, mset: MatrixSet, label: str | None = None) -> MatrixSet:
-        """Apply X -> U X U^dagger to every matrix of the set.
-
-        With U = g/d and X = x/d_x in Gaussian integers, U X U^dagger is
-        g (x g^dagger) over d^2 d_x.  Every entry is computed, not only the
-        upper triangle, so the Hermiticity check of the new set is real.
-        """
-        if self.n != mset.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        g, d = self._gi
-        g_dag = [[(re, -im) for re, im in col] for col in zip(*g)]
-
-        def conj(m: Matrix) -> Matrix:
-            x, dx = _cleared(m)
-            flat = list(_gi_mat_mul(x, g_dag))
-            xg_dag = [flat[i:i + n] for i in range(0, n * n, n)]
-            return _rebuilt(_gi_mat_mul(g, xg_dag), d * d * dx, n)
-
-        return MatrixSet(
-            mset.n,
-            tuple(conj(a) for a in mset.alphas),
-            conj(mset.beta),
-            label=label if label is not None else f"{mset.label} (conjugated)",
-        )
-
-
-_PYTHAGOREAN = (
-    (Fraction(3, 5), Fraction(4, 5)),
-    (Fraction(5, 13), Fraction(12, 13)),
-    (Fraction(8, 17), Fraction(15, 17)),
-)
-_PHASES = (
-    ComplexRational(1),
-    ComplexRational(-1),
-    ComplexRational(0, 1),
-    ComplexRational(0, -1),
-)
-
-
-def _coin(rng: random.Random) -> bool:
-    """A fair coin flip, drawn as rng.random() < 1/2 so that seeded samples keep their values."""
-    return rng.random() < Fraction(1, 2)
-
-
-def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> ExactUnitary:
-    """Compose random exact generators: phases, signed permutations, rotations."""
-    out = ExactUnitary.identity(n)
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        if kind == 0:
-            gen = ExactUnitary.diagonal([rng.choice(_PHASES) for _ in range(n)])
-        elif kind == 1:
-            perm = rng.sample(range(n), n)
-            gen = ExactUnitary.signed_permutation(perm, [rng.choice(_PHASES) for _ in range(n)])
-        else:
-            i, j = sorted(rng.sample(range(n), 2))
-            c, s = rng.choice(_PYTHAGOREAN)
-            sin_part: Scalar = ComplexRational(0, s) if _coin(rng) else s
-            gen = ExactUnitary.rotation(n, i, j, c, sin_part)
-        out = gen @ out
-    return out
-
-
-def _random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:
-    def entry() -> ComplexRational:
-        return ComplexRational(
-            Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
-            Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
-        )
-
-    raw = [[entry() for _ in range(n)] for _ in range(n)]
-    half = Fraction(1, 2)
-    return tuple(
-        tuple((raw[i][j] + raw[j][i].conj()) * half for j in range(n)) for i in range(n)
-    )
-
-
-def random_hermitian_set(rng: random.Random, n: int = 4, label: str = "random") -> MatrixSet:
-    """A generic Hermitian quadruple with small rational entries."""
-    return MatrixSet(
-        n,
-        tuple(_random_hermitian_matrix(rng, n) for _ in range(3)),
-        _random_hermitian_matrix(rng, n),
-        label=label,
-    )
-
-
-def perturbed_set(
-    rng: random.Random,
-    base: MatrixSet,
-    entries: int = 1,
-    magnitude: Fraction = Fraction(1, 10),
-    label: str | None = None,
-) -> MatrixSet:
-    """Apply Hermiticity-preserving entry perturbations to a copy of ``base``."""
-    n = base.n
-    matrices = [[list(row) for row in m] for m in (*base.alphas, base.beta)]
-    for _ in range(entries):
-        target = matrices[rng.randrange(4)]
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            target[i][i] = target[i][i] + magnitude * rng.choice((1, -1))
-        else:
-            delta = ComplexRational(0, magnitude) if _coin(rng) else ComplexRational(magnitude)
-            delta = delta * rng.choice((1, -1))
-            target[i][j] = target[i][j] + delta
-            target[j][i] = target[j][i] + delta.conj()
-    frozen = [tuple(tuple(row) for row in m) for m in matrices]
-    return MatrixSet(
-        n,
-        (frozen[0], frozen[1], frozen[2]),
-        frozen[3],
-        label=label if label is not None else f"{base.label} (perturbed)",
-    )
+        if name in sampling.__all__:
+            value = globals()[name] = getattr(sampling, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

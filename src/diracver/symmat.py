@@ -21,8 +21,8 @@ power sums, so the only divisions, Newton's k*c_(n-k) = -(...) for
 k = 1..n, are exact integer divisions, checked to leave no remainder.
 Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
 input, and it is divided back out when the result is converted to
-``MultiPoly`` values.  ``clifford`` runs its own kernels on the same
-cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``).
+``MultiPoly`` values.  ``clifford`` and ``sampling`` run their own kernels
+on the same cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``).
 
 ``trace_and_det`` forms no further polynomial: it reads the trace and the
 determinant of each of the four matrices off the characteristic

@@ -30,7 +30,7 @@ from math import isqrt, perm
 from typing import Sequence
 
 from diracver.algebra import ComplexRational, render_fraction
-from diracver.dispersion import SPoly
+from diracver.solver import SPoly
 from diracver.symmat import Matrix, MatrixSet
 
 # a polynomial in (E, p1, p2, p3, m): exponents (k, e1, e2, e3, e4) -> nonzero coefficient

@@ -23,11 +23,9 @@ from diracver.clifford import (
     check_anticommutation,
     check_trace_det,
     equivalence_audit,
-    perturbed_set,
-    random_exact_unitary,
-    random_hermitian_set,
 )
-from diracver.dispersion import (
+from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
+from diracver.solver import (
     DegeneracyRequirement,
     InfeasibilityCertificate,
     SPoly,

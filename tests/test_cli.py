@@ -26,7 +26,8 @@ from diracver.cli import (
     parse_matrix_file,
     serialize_matrix_set,
 )
-from diracver.clifford import CATALOG_NAMES, catalog, perturbed_set
+from diracver.clifford import CATALOG_NAMES, catalog
+from diracver.sampling import perturbed_set
 from diracver.symmat import MatrixSet
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -662,43 +663,8 @@ def test_main_callable_directly(dirac_pauli_file, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the exact lane without numpy
+# what a cold command loads
 # ---------------------------------------------------------------------------
-
-_WITHOUT_NUMPY = """
-import contextlib, io, json, sys
-sys.modules["numpy"] = None  # from here on, any import of numpy raises ImportError
-from diracver.cli import main
-results = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(results))
-"""
-
-
-def test_exact_commands_run_without_numpy():
-    golden = Path(__file__).parent / "golden"
-    runs = []  # (argv, exit code, expected stdout)
-    for name in ("dirac-pauli", "weyl-chiral"):
-        for command in ("verify", "derive"):
-            text = (golden / "expected" / f"{name}.{command}.out").read_text(encoding="utf-8")
-            runs.append(([command, str(golden / "inputs" / f"{name}.json")], 0, text))
-    for n, code in ((4, 0), (3, 2)):
-        text = (golden / "expected" / f"solve-n{n}-r2.out").read_text(encoding="utf-8")
-        runs.append((["solve", "--n", str(n), "--multiplicity", "2"], code, text))
-    runs.append((["catalog", "majorana"], 0, serialize_matrix_set(catalog("majorana"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _, _ in runs])],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
-    results = json.loads(proc.stdout)
-    for (argv, code, text), (got_code, got_out, got_err) in zip(runs, results, strict=True):
-        assert (got_code, got_err) == (code, ""), argv
-        assert got_out == text, argv
 
 
 def _cold_imports(*argv):
@@ -715,30 +681,41 @@ def _cold_imports(*argv):
 
 def test_a_cold_solve_imports_no_dataclasses_inspect_or_numpy():
     log = _cold_imports("solve", "--n", "4", "--multiplicity", "2")
-    assert {"diracver.cli", "diracver.dispersion"} <= set(log)
+    assert {"diracver.cli", "diracver.solver"} <= set(log)
     assert [name for name in log if name.split(".")[0] in ("dataclasses", "inspect", "numpy", "json")] == []
-    assert [name for name in log if name in ("diracver.clifford", "diracver.spectrum")] == []
+    # the solver needs no matrix module
+    matrix_modules = ("symmat", "dispersion", "clifford", "sampling", "spectrum")
+    assert [name for name in log if name in [f"diracver.{m}" for m in matrix_modules]] == []
 
 
 @pytest.mark.parametrize("command", ["verify", "derive"])
 def test_a_cold_audit_imports_no_spectrum(command):
     log = _cold_imports(command, str(GOLDEN_INPUTS / "weyl-chiral.json"))
+    assert {"diracver.symmat", "diracver.dispersion", "diracver.clifford"} <= set(log)
+    unused = ("diracver.solver", "diracver.sampling", "diracver.spectrum", "numpy")
+    assert [name for name in log if name in unused] == []
+
+
+def test_a_cold_catalog_imports_no_solver_sampler_spectrum_or_numpy():
+    log = _cold_imports("catalog", "majorana")
     assert "diracver.clifford" in log
-    assert [name for name in log if name in ("diracver.spectrum", "numpy")] == []
+    unused = ("diracver.solver", "diracver.sampling", "diracver.spectrum", "numpy")
+    assert [name for name in log if name in unused] == []
 
 
 # every name the package exports, by the module that defines it
 _EXPORTS = {
     "algebra": ["ComplexRational", "EPoly", "MultiPoly", "ReducedPair", "reduce_at_dispersion"],
     "clifford": [
-        "CATALOG_NAMES", "CanonicalizationResult", "CliffordReport", "EquivalenceVerdict", "ExactUnitary",
+        "CATALOG_NAMES", "CanonicalizationResult", "CliffordReport", "EquivalenceVerdict",
         "StructureReport", "TraceDetReport", "beta_spectrum", "canonicalize_beta", "catalog",
         "check_alpha_structure", "check_anticommutation", "check_trace_det", "equivalence_audit",
-        "perturbed_set", "random_exact_unitary", "random_hermitian_set",
     ],
-    "dispersion": [
-        "DegeneracyRequirement", "DispersionReport", "ForcedCoefficientSolution", "InfeasibilityCertificate",
-        "SPoly", "check_dispersion", "factorized_spectrum", "solve_forced_coefficients",
+    "dispersion": ["DispersionReport", "check_dispersion"],
+    "sampling": ["ExactUnitary", "perturbed_set", "random_exact_unitary", "random_hermitian_set"],
+    "solver": [
+        "DegeneracyRequirement", "ForcedCoefficientSolution", "InfeasibilityCertificate",
+        "SPoly", "factorized_spectrum", "solve_forced_coefficients",
     ],
     "spectrum": [
         "MomentumSample", "SpectrumRow", "SpinorBasis", "SweepResult", "eigensolve",
@@ -768,11 +745,11 @@ def test_every_exported_name_resolves():
         diracver.no_such_name
 
 
-def _fresh(script):
-    """The JSON that ``script`` prints in a new interpreter that imports diracver.cli first."""
+def _fresh(script, first="from diracver import cli"):
+    """The JSON that ``script`` prints in a new interpreter that runs ``first`` first."""
     src = Path(diracver.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\nfrom diracver import cli\n" + script],
+        [sys.executable, "-c", f"import json, sys\n{first}\n" + script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -780,7 +757,9 @@ def _fresh(script):
 
 
 # which of the modules that cli loads lazily are imported, as an expression for _fresh
-_LAZY_LOADED = "[m for m in ('clifford', 'dispersion', 'spectrum') if f'diracver.{m}' in sys.modules]"
+_LAZY_LOADED = (
+    "[m for m in ('clifford', 'dispersion', 'solver', 'spectrum', 'symmat') if f'diracver.{m}' in sys.modules]"
+)
 
 
 def test_load_binds_the_modules_all_and_keeps_a_bound_name():
@@ -810,7 +789,43 @@ def test_an_unknown_name_loads_the_lazy_modules_then_raises():
         f"print(json.dumps([raised, {_LAZY_LOADED}]))"
     )
     assert raised == "module 'diracver.cli' has no attribute 'no_such_name'"
-    assert loaded == ["clifford", "dispersion", "spectrum"]
+    assert loaded == ["clifford", "dispersion", "solver", "spectrum", "symmat"]
+
+
+def test_moved_names_are_still_answered_by_their_old_modules():
+    from diracver import clifford, dispersion, sampling, solver
+
+    for name in solver.__all__:
+        assert getattr(dispersion, name) is getattr(solver, name)
+    for name in sampling.__all__:
+        assert getattr(clifford, name) is getattr(sampling, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dispersion.no_such_name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        clifford.no_such_name
+
+
+def test_the_audit_modules_load_the_solver_and_samplers_only_when_asked():
+    moved = "[m for m in ('solver', 'sampling') if f'diracver.{m}' in sys.modules]"
+    before, after = _fresh(
+        f"before = {moved}\n"
+        "clifford.random_exact_unitary, dispersion.solve_forced_coefficients\n"
+        f"print(json.dumps([before, {moved}]))",
+        first="from diracver import clifford, dispersion",
+    )
+    assert before == []
+    assert after == ["solver", "sampling"]
+
+
+def test_the_catalog_is_built_on_the_first_call():
+    built_before, names, built_after = _fresh(
+        "before = len(clifford._CATALOG)\n"
+        "clifford.catalog('majorana')\n"
+        "print(json.dumps([before, clifford.CATALOG_NAMES, list(clifford._CATALOG)]))",
+        first="from diracver import clifford",
+    )
+    assert built_before == 0
+    assert names == built_after == ["dirac-pauli", "weyl-chiral", "majorana"]
 
 
 def test_numpy_loads_on_the_first_numeric_call():

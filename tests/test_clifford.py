@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import diracver.clifford as clifford_module
+import diracver.sampling as sampling_module
 from diracver.algebra import ComplexRational
 from diracver.cli import parse_matrix_file
 from diracver.clifford import (
     CATALOG_NAMES,
     CanonicalizationResult,
-    ExactUnitary,
     StructuralViolationError,
     _gram_schmidt_columns,
     beta_spectrum,
@@ -26,11 +25,9 @@ from diracver.clifford import (
     check_anticommutation,
     check_trace_det,
     equivalence_audit,
-    perturbed_set,
-    random_exact_unitary,
-    random_hermitian_set,
 )
 from diracver.dispersion import check_dispersion
+from diracver.sampling import ExactUnitary, perturbed_set, random_exact_unitary, random_hermitian_set
 from diracver.symmat import (
     MatrixSet,
     _cleared,
@@ -266,7 +263,7 @@ def test_projector_structure_matches_the_block_reader(name, seed, entries, steps
     assert report.passed == (all(blocks) and all(value == 2 for value in norms))
 
 
-_EXACT_MODULES = ("algebra.py", "dispersion.py", "clifford.py")
+_EXACT_MODULES = ("algebra.py", "dispersion.py", "solver.py", "clifford.py", "sampling.py")
 
 
 def test_exact_modules_use_no_floats():
@@ -546,7 +543,7 @@ def test_malformed_unitaries_fail_with_their_own_message(monkeypatch):
         raise AssertionError("a product was started")
 
     # the dimensions are compared before any product (zip would truncate)
-    monkeypatch.setattr(clifford_module, "_gi_mat_mul", no_product)
+    monkeypatch.setattr(sampling_module, "_gi_mat_mul", no_product)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         ExactUnitary.identity(4) @ ExactUnitary.identity(2)
 

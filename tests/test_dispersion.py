@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracver import dispersion
-from diracver.clifford import (
-    perturbed_set,
-    random_exact_unitary,
-    random_hermitian_set,
-)
-from diracver.dispersion import (
+from diracver import solver
+from diracver.dispersion import check_dispersion
+from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
+from diracver.solver import (
     Assignment,
     DegeneracyRequirement,
     ForcedCoefficientSolution,
     InfeasibilityCertificate,
     SPoly,
-    check_dispersion,
     factorized_spectrum,
     render_certificate,
     render_solution,
@@ -49,7 +45,7 @@ def solve(n, r):
 
 def _residuals(sol):
     """The residuals of the solution substituted back into its own conditions."""
-    return dispersion._residuals(dispersion.multiplicity_conditions(sol.requirement), sol)
+    return solver._residuals(solver.multiplicity_conditions(sol.requirement), sol)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +160,14 @@ def test_solver_agrees_with_the_concrete_energy_oracle(n, r, e0):
 def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
     # the coefficient of c_0 in the even part of P has dimension 0, so it is a
     # bare number; s + 1 is not a single monomial and must not reach s = 1
-    honest = dispersion.multiplicity_conditions
+    honest = solver.multiplicity_conditions
 
     def tampered(req):
         rows = honest(req)
         first = rows[0]
         return [first._replace(coeffs=(SPoly((1, 1)),) + first.coeffs[1:])] + rows[1:]
 
-    monkeypatch.setattr(dispersion, "multiplicity_conditions", tampered)
+    monkeypatch.setattr(solver, "multiplicity_conditions", tampered)
     with pytest.raises(
         RuntimeError, match=r"internal solver error: s \+ 1 is not a monomial of energy dimension 0"
     ):
@@ -185,7 +181,7 @@ def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
         assert first.const == SPoly((0, 0, 1))
         return [first._replace(const=SPoly((0, 1, 1)))] + rows[1:]
 
-    monkeypatch.setattr(dispersion, "multiplicity_conditions", stray_lower_term)
+    monkeypatch.setattr(solver, "multiplicity_conditions", stray_lower_term)
     with pytest.raises(
         RuntimeError, match=r"internal solver error: s\^2 \+ s is not a monomial of energy dimension 4"
     ):
@@ -193,11 +189,11 @@ def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
 
 
 def test_solver_results_need_an_even_nonnegative_dimension():
-    assert dispersion._with_power_of_s(Fraction(3), 4) == SPoly((0, 0, 3))
-    assert dispersion._with_power_of_s(Fraction(0), -1) == SPoly.zero()
+    assert solver._with_power_of_s(Fraction(3), 4) == SPoly((0, 0, 3))
+    assert solver._with_power_of_s(Fraction(0), -1) == SPoly.zero()
     for dimension in (1, -2):
         with pytest.raises(RuntimeError, match="internal solver error"):
-            dispersion._with_power_of_s(Fraction(1), dimension)
+            solver._with_power_of_s(Fraction(1), dimension)
 
 
 def test_certificate_witness_nonzero_invariant():

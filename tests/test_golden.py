@@ -1,4 +1,4 @@
-"""Golden CLI reports: `verify`, `derive`, `solve` and `spectrum` outputs and exit codes.
+"""Golden CLI reports: `verify`, `derive`, `solve`, `spectrum` and `catalog` outputs and exit codes.
 
 `tests/golden/cases.json` names each run: the command, its input file under
 `tests/golden/inputs/` (if any), the exit code and the stderr text.  The
@@ -10,7 +10,8 @@ byte for byte.  The inputs are the three catalog sets,
 by `random_exact_unitary(Random(4), steps=10)` (an exact, non-identity
 canonical transform), the n = 2 Pauli triple and the dirac-pauli alphas with
 beta = diag(1, 1, 1, -1) (eigenspaces of dimension 3 and 1).  Between them
-they reach every branch of the `verify` and `derive` reports.
+they reach every branch of the `verify` and `derive` reports.  The three
+`catalog` cases print each catalog set; each output equals its input file.
 
 A `spectrum` case also writes its CSV, `--out` under the test's temporary
 directory, and compares it byte for byte with

@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 from diracver.algebra import ComplexRational
-from diracver.clifford import ExactUnitary, catalog
-from diracver.dispersion import DegeneracyRequirement, SPoly, solve_forced_coefficients
+from diracver.clifford import catalog
+from diracver.sampling import ExactUnitary
+from diracver.solver import DegeneracyRequirement, SPoly, solve_forced_coefficients
 from diracver.spectrum import MomentumSample
 from diracver.symmat import HermiticityError, char_poly
 

@@ -8,7 +8,7 @@ import pytest
 
 from diracver import spectrum
 from diracver.algebra import ComplexRational
-from diracver.clifford import perturbed_set, random_exact_unitary, random_hermitian_set
+from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
 from diracver.spectrum import (
     DEGENERACY_FLAG,
     MomentumSample,

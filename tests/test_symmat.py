@@ -7,12 +7,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from diracver.algebra import ComplexRational, EPoly, MultiPoly, render_epoly
-from diracver.clifford import (
-    CATALOG_NAMES,
-    catalog,
-    random_exact_unitary,
-    random_hermitian_set,
-)
+from diracver.clifford import CATALOG_NAMES, catalog
+from diracver.sampling import random_exact_unitary, random_hermitian_set
 from diracver import symmat
 from diracver.symmat import (
     CharPoly,
