@@ -52,7 +52,6 @@ def __getattr__(name: str):
 __all__ = [
     "MatrixFileError",
     "UsageError",
-    "RunReport",
     "parse_matrix_file",
     "serialize_matrix_set",
     "parse_grid_spec",
@@ -219,29 +218,23 @@ def serialize_matrix_set(mset: MatrixSet) -> str:
 # ---------------------------------------------------------------------------
 
 
-class RunReport(NamedTuple):
-    """Rendered findings of one command, with the pass/fail verdict."""
+def _print_report(header: str, sections: Sequence[tuple[str, Sequence[str], bool | None]]) -> int:
+    """Print a report and return its exit code: it passes when no section failed.
 
-    header: str
-    sections: tuple[tuple[str, tuple[str, ...]], ...]
-    passed: bool
-
-    def render(self) -> str:
-        lines = [self.header, ""]
-        for title, body in self.sections:
-            lines.append(title)
-            lines.extend(f"  {line}" for line in body)
-            lines.append("")
-        lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_PASS if self.passed else EXIT_FAIL
-
-
-def _section(title: str, lines: Sequence[str], passed: bool) -> tuple[str, tuple[str, ...]]:
-    return title, (*lines, f"result: {'PASS' if passed else 'FAIL'}")
+    Each section is (title, lines, passed); a skipped section has ``passed``
+    None and prints no result line.
+    """
+    lines = [header, ""]
+    for title, body, passed in sections:
+        lines.append(title)
+        lines.extend(f"  {line}" for line in body)
+        if passed is not None:
+            lines.append(f"  result: {'PASS' if passed else 'FAIL'}")
+        lines.append("")
+    verdict = all(passed is not False for *_, passed in sections)
+    lines.append(f"verdict: {'PASS' if verdict else 'FAIL'}")
+    print("\n".join(lines))
+    return EXIT_PASS if verdict else EXIT_FAIL
 
 
 def _matrix_summary(matrix: Matrix) -> str:
@@ -253,17 +246,21 @@ def _matrix_summary(matrix: Matrix) -> str:
 
 
 class _Audit(NamedTuple):
-    """The n = 4 consequence chain, each stage run once.
+    """One audit of a set at a multiplicity, each stage run once.
 
-    A stage that raised keeps its exception in place of its result; the
-    alpha structure is checked only when a canonical form exists.
+    ``disp`` and ``anti`` are the two verdicts that the equivalence ties
+    together at n = 4 and multiplicity 2.  The structural stages run only
+    for n = 4 and are None otherwise.  A stage that raised keeps its
+    exception in place of its result; the alpha structure is checked only
+    when a canonical form exists.
     """
 
-    trace_det: TraceDetReport
-    spectrum: tuple[int, ...] | StructuralViolationError
-    canonical: CanonicalizationResult | ValueError
-    structure: StructureReport | None
+    disp: DispersionReport
     anti: CliffordReport
+    trace_det: TraceDetReport | None = None
+    spectrum: tuple[int, ...] | StructuralViolationError | None = None
+    canonical: CanonicalizationResult | ValueError | None = None
+    structure: StructureReport | None = None
 
     @property
     def spectrum_passed(self) -> bool:
@@ -272,11 +269,6 @@ class _Audit(NamedTuple):
     @property
     def structure_passed(self) -> bool:
         return self.structure is not None and self.structure.passed
-
-    @property
-    def passed(self) -> bool:
-        stages = (self.trace_det.passed, self.spectrum_passed, self.structure_passed)
-        return all(stages) and self.anti.passed
 
     def spectrum_line(self) -> str:
         if isinstance(self.spectrum, Exception):
@@ -299,8 +291,25 @@ class _Audit(NamedTuple):
         ]
 
 
-def _audit(mset: MatrixSet, char: CharPoly, anti: CliffordReport) -> _Audit:
-    """Run each structural stage of an n = 4 set once; ``char`` is P(E) of the set."""
+def _audit(mset: MatrixSet, r: int) -> _Audit:
+    """Run each stage of the audit of ``mset`` at multiplicity ``r`` once.
+
+    At n = 4 and r = 2 the two verdicts come from ``equivalence_audit``, and
+    their disagreement is a bug, not a verdict: it raises before any report
+    is printed.
+    """
+    if mset.n == 4 and r == 2:
+        verdict = equivalence_audit(mset)
+        disp, anti = verdict.dispersion, verdict.anticommutation
+        if not verdict.consistent:
+            first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
+            raise RuntimeError(
+                f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
+            )
+    else:
+        disp, anti = check_dispersion(mset, r), check_anticommutation(mset)
+    if mset.n != 4:
+        return _Audit(disp, anti)
     try:
         spectrum = beta_spectrum(mset)
     except StructuralViolationError as exc:
@@ -310,7 +319,7 @@ def _audit(mset: MatrixSet, char: CharPoly, anti: CliffordReport) -> _Audit:
     except ValueError as exc:
         canonical = exc
     structure = None if isinstance(canonical, Exception) else check_alpha_structure(canonical)
-    return _Audit(check_trace_det(char), spectrum, canonical, structure, anti)
+    return _Audit(disp, anti, check_trace_det(disp.char), spectrum, canonical, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -324,44 +333,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     r = args.multiplicity
     if not 1 <= r <= mset.n:
         raise UsageError(f"multiplicity {r} outside 1..{mset.n}")
-    disp = check_dispersion(mset, r)
-    anti = check_anticommutation(mset)
-    if mset.n == 4 and r == 2 and disp.passed != anti.passed:
-        # the equivalence this package mechanizes; a disagreement is a bug, not a verdict
-        first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
-        raise RuntimeError(
-            f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
-        )
+    audit = _audit(mset, r)
+    disp, anti = audit.disp, audit.anti
     disp_lines = [f"characteristic polynomial: {render_epoly(disp.char.poly)}"]
     disp_lines += [f"{label}: {render_multipoly(res)}" for label, res in zip(disp.labels, disp.residuals)]
     anti_lines = [f"{{{a},{b}}}: {_matrix_summary(d)}" for (a, b), d in anti.pairwise.items()]
     anti_lines += [f"{name}^2 - 1: {_matrix_summary(d)}" for name, d in anti.squares.items()]
     sections = [
-        _section(f"[dispersion] multiplicity {r}", disp_lines, disp.passed),
-        _section("[anticommutation]", anti_lines, anti.passed),
+        (f"[dispersion] multiplicity {r}", disp_lines, disp.passed),
+        ("[anticommutation]", anti_lines, anti.passed),
     ]
     if mset.n == 4:
-        audit = _audit(mset, disp.char, anti)
         trace_det_lines = [
             f"{name}: trace = {render_scalar(tr)}, det = {render_scalar(det)}"
             for name, (tr, det) in audit.trace_det.values.items()
         ]
         structure_lines = audit.alpha_lines("diagonal blocks vanish", "norm condition")
         sections += [
-            _section("[trace-det]", trace_det_lines, audit.trace_det.passed),
-            _section("[beta-spectrum]", [audit.spectrum_line()], audit.spectrum_passed),
-            _section("[alpha-structure]", [audit.canonical_line(), *structure_lines], audit.structure_passed),
+            ("[trace-det]", trace_det_lines, audit.trace_det.passed),
+            ("[beta-spectrum]", [audit.spectrum_line()], audit.spectrum_passed),
+            ("[alpha-structure]", [audit.canonical_line(), *structure_lines], audit.structure_passed),
         ]
-        passed = audit.passed
     else:
-        for title in ("[trace-det]", "[beta-spectrum]", "[alpha-structure]"):
-            sections.append((title, ("skipped (requires n = 4)",)))
-        passed = anti.passed
-    report = RunReport(
-        f"matrix set: {mset.label or '(unlabeled)'} (n = {mset.n})", tuple(sections), disp.passed and passed
-    )
-    print(report.render(), end="")
-    return report.exit_code
+        skipped = ("[trace-det]", "[beta-spectrum]", "[alpha-structure]")
+        sections += [(title, ["skipped (requires n = 4)"], None) for title in skipped]
+    return _print_report(f"matrix set: {mset.label or '(unlabeled)'} (n = {mset.n})", sections)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -381,11 +377,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    _load("clifford", "symmat")
+    _load("clifford")
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
-    audit = _audit(mset, char_poly(mset), check_anticommutation(mset))
+    audit = _audit(mset, 2)
     values = audit.trace_det.values.items()
     defects = [*audit.anti.pairwise.values(), *audit.anti.squares.values()]
     dirty = sum(not mat_is_zero(d) for d in defects)
@@ -427,15 +423,10 @@ def cmd_derive(args: argparse.Namespace) -> int:
             audit.anti.passed,
         ),
     )
-    sections = tuple(
-        _section(f"step {k} [{tag}]: {claim}", lines, passed)
-        for k, (tag, claim, lines, passed) in enumerate(steps, start=1)
+    return _print_report(
+        f"derivation audit: {mset.label or '(unlabeled)'} (n = {mset.n})",
+        [(f"step {k} [{tag}]: {claim}", *step) for k, (tag, claim, *step) in enumerate(steps, start=1)],
     )
-    report = RunReport(
-        f"derivation audit: {mset.label or '(unlabeled)'} (n = {mset.n})", sections, audit.passed
-    )
-    print(report.render(), end="")
-    return report.exit_code
 
 
 def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:

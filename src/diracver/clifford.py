@@ -253,23 +253,17 @@ def _gram_is_identity(g: list, d: int) -> bool:
 
 
 def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
-    """Eigenvalue multiset of beta, assuming beta^2 = 1 (checked).
+    """Eigenvalue multiset of beta, once beta^2 = 1 is checked.
 
-    With beta Hermitian and involutive the eigenvalues are +/-1 and the
-    multiplicities follow from the trace.  As beta is Hermitian,
-    beta^2 = beta beta^dagger, checked in integers by ``_gram_is_identity``.
+    As beta is Hermitian, beta^2 = beta beta^dagger, checked in integers by
+    ``_gram_is_identity``.  A Hermitian involution has eigenvalues +/-1, so
+    tr beta = 2k - n, with k the dimension of its +1 eigenspace: the trace
+    is an integer, and k follows from it.
     """
-    beta = mset.beta
     n = mset.n
-    if not _gram_is_identity(*_cleared(beta)):
+    if not _gram_is_identity(*_cleared(mset.beta)):
         raise StructuralViolationError("beta does not square to the identity")
-    tr = mat_trace(beta)
-    if not tr.is_real or tr.re.denominator != 1:
-        raise StructuralViolationError(f"trace of an involutive beta must be an integer, got {tr}")
-    plus = Fraction(n + tr.re, 2)
-    if plus.denominator != 1 or not 0 <= plus <= n:
-        raise StructuralViolationError(f"impossible beta trace {tr} for dimension {n}")
-    k = int(plus)
+    k = (n + int(mat_trace(mset.beta).re)) // 2
     return (1,) * k + (-1,) * (n - k)
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diracver
-from diracver import cli
+from diracver import cli, clifford
 from diracver.algebra import ComplexRational
 from diracver.cli import (
     MatrixFileError,
@@ -166,6 +166,14 @@ def test_parse_rejects_overlong_literal(tmp_path):
         parse_matrix_file(path)
     assert "beta[0][0].re" in str(err.value)
     assert_usage_error(run_cli("verify", str(path)))
+    # one character over the cap of 1000
+    beta[0][0][0] = "0"
+    for literal in ("9" * 1001, "1/" + "7" * 999, "-" + "9" * 1000):
+        beta[1][1][1] = literal
+        path.write_text(json.dumps({"n": 2, "alpha": [zero2] * 3, "beta": beta}))
+        with pytest.raises(MatrixFileError, match="^rational literal of 1001 characters exceeds 1000 ") as err:
+            parse_matrix_file(path)
+        assert err.value.location == "beta[1][1].im"
 
 
 def test_parse_rejects_non_utf8_file(tmp_path):
@@ -267,7 +275,8 @@ def test_parse_accepts_a_scale_of_1000_digits_and_rejects_1001(tmp_path):
     assert parsed([f"1/{q}", f"1/{q + 2}"]).beta[1][1].re.denominator == q + 2
     assert parsed([str(10**500), f"1/{q}"]).beta[0][0].re == 10**500
     wider = _odd(0, 501)
-    for entries in ([str(10**501), f"1/{q}"], [f"1/{wider}", f"1/{wider + 2}"]):
+    # the last: D = 10^500 and x = 10^500, a scale of exactly 10^1000
+    for entries in ([str(10**501), f"1/{q}"], [f"1/{wider}", f"1/{wider + 2}"], [str(10**500), f"1/{10**500}"]):
         with pytest.raises(MatrixFileError, match="entries too large"):
             parsed(entries)
 
@@ -379,20 +388,32 @@ def test_verify_multiplicity_bounds(dirac_pauli_file):
     ids=["dirac-pauli", "perturbed"],
 )
 def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, request, monkeypatch, capsys):
-    honest = cli.check_anticommutation
+    honest = clifford.check_anticommutation
 
     def flipped(mset):
         report = honest(mset)
         return report._replace(passed=not report.passed)
 
+    # `--multiplicity 1` looks the check up on `cli`, `equivalence_audit` on `clifford`;
+    # `cli` first, so that the name it binds on first access, and gets back, is the honest one
     monkeypatch.setattr(cli, "check_anticommutation", flipped)
+    monkeypatch.setattr(clifford, "check_anticommutation", flipped)
     path = str(request.getfixturevalue(fixture))
-    with pytest.raises(RuntimeError) as err:
-        main(["verify", path])
-    assert str(err.value) == f"internal error: the multiplicity-2 dispersion check {verdicts}"
-    assert capsys.readouterr().out == ""
+    for command in ("verify", "derive"):
+        with pytest.raises(RuntimeError) as err:
+            main([command, path])
+        assert str(err.value) == f"internal error: the multiplicity-2 dispersion check {verdicts}"
+        assert capsys.readouterr().out == ""
     # other multiplicities have no anticommutation counterpart to agree with
     assert main(["verify", path, "--multiplicity", "1"]) in (0, 1)
+
+
+def test_a_skipped_section_neither_passes_nor_fails_a_report(capsys):
+    # no n = 2 or 3 set passes the anticommutation section, so no command shows this rule on its own
+    assert cli._print_report("header", [("[a]", ["x"], True), ("[b]", ["skipped"], None)]) == 0
+    assert capsys.readouterr().out == "header\n\n[a]\n  x\n  result: PASS\n\n[b]\n  skipped\n\nverdict: PASS\n"
+    assert cli._print_report("header", [("[a]", [], False), ("[b]", [], None)]) == 1
+    assert capsys.readouterr().out.endswith("  result: FAIL\n\n[b]\n\nverdict: FAIL\n")
 
 
 def test_derive_walkthrough_order(dirac_pauli_file):
@@ -518,6 +539,15 @@ def test_grid_point_cap_is_checked_before_any_allocation(dirac_pauli_file, tmp_p
     )
     assert_usage_error(result)
     assert not out.exists()
+
+
+def test_grid_point_cap_is_inclusive(monkeypatch):
+    # a small cap, so that no grid of a million points is built
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 8)
+    assert len(parse_grid_spec("lin:0:1:2", 1.0)) == 8
+    for spec in ("lin:0:1:3,lin:0:1:3,lin:0:0:1", "lin:0:1:9,lin:0:0:1,lin:0:0:1"):
+        with pytest.raises(UsageError, match="more than 8 points"):
+            parse_grid_spec(spec, 1.0)
 
 
 def _with_entry(name, matrix, value, path):

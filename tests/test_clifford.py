@@ -17,6 +17,7 @@ from diracver.clifford import (
     CATALOG_NAMES,
     CanonicalizationResult,
     StructuralViolationError,
+    _gram_is_identity,
     _gram_schmidt_columns,
     beta_spectrum,
     canonicalize_beta,
@@ -154,6 +155,18 @@ def test_beta_spectrum(all_catalog_sets, dirac_pauli):
     not_involutive = MatrixSet(4, dirac_pauli.alphas, _halved(dirac_pauli.beta))
     with pytest.raises(StructuralViolationError):
         beta_spectrum(not_involutive)
+
+
+def test_gram_check_sees_an_imaginary_defect():
+    # beta = diag(B, -B) with B = [[3/5, 4i/5], [-4i/5, 3/5]]: beta^2 has real part I
+    # and off-diagonal entries +-24i/25, so only the imaginary parts show the defect
+    mset = parse_matrix_file(Path(__file__).resolve().parent / "golden" / "inputs" / "beta-imaginary-square.json")
+    g, d = _cleared(mset.beta)
+    assert d == 5 and g[0][:2] == [(3, 0), (0, 4)]
+    assert not _gram_is_identity(g, d)
+    assert _gram_is_identity(*_cleared(_CANONICAL))
+    with pytest.raises(StructuralViolationError, match="^beta does not square to the identity$"):
+        beta_spectrum(mset)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ byte for byte.  The inputs are the three catalog sets,
 `perturbed_set(Random(9), weyl-chiral)` (a beta entry moved),
 `random_hermitian_set(Random(1))` and `(Random(2))`, dirac-pauli conjugated
 by `random_exact_unitary(Random(4), steps=10)` (an exact, non-identity
-canonical transform), the n = 2 Pauli triple and the dirac-pauli alphas with
-beta = diag(1, 1, 1, -1) (eigenspaces of dimension 3 and 1).  Between them
+canonical transform), the n = 2 Pauli triple, and the dirac-pauli alphas with
+beta = diag(1, 1, 1, -1) (eigenspaces of dimension 3 and 1) and with
+beta = diag(B, -B), B = [[3/5, 4i/5], [-4i/5, 3/5]] (beta^2 has real part I
+but imaginary off-diagonal entries, which only the imaginary parts of the
+integer Gram check see).  Between them
 they reach every branch of the `verify` and `derive` reports.  The three
 `catalog` cases print each catalog set; each output equals its input file.
 
@@ -32,7 +35,9 @@ every n <= 4 and r <= n with its `eigenvalue equation:` lines, is pinned in
 elapsed time cut from its first line, is pinned in
 `tests/golden/expected/equivalence_experiment.out`, so a change to the
 sampled sets or to a verdict shows.  `scripts/bench_diff.py` runs on two
-small benchmark records that the test writes.
+small benchmark records that the test writes.  Each snippet of the mutant
+table that `scripts/mutants.py` runs occurs exactly once, and each of its
+targets names a test file that exists.
 """
 
 import importlib.util
@@ -164,3 +169,14 @@ def test_bench_diff_flags_worse_changes_and_prints_traced_layers(capsys, tmp_pat
     # a per-layer metric that reads 0 in both records is left out
     assert lines[7] == "  per layer, traced:" and len(lines) == 9
     assert lines[8].split() == ["cli.import_s", "0.2", "->", "0.1", "-50.0%", "(lower", "is", "better)"]
+
+
+def test_each_mutant_snippet_occurs_once_and_each_target_exists():
+    mutants = _load_script("mutants")
+    table = json.loads(mutants.TABLE.read_text(encoding="utf-8"))
+    assert len({mutant["name"] for mutant in table}) == len(table)
+    for mutant in table:
+        assert mutant["file"].startswith("src/diracver/") and mutant["snippet"] != mutant["replacement"]
+        assert mutants._occurrences(mutant) == 1, mutant["name"]
+        files = [mutants.ROOT / target.split("::")[0] for target in mutant["targets"]]
+        assert files and all(path.is_file() for path in files), mutant["name"]
