@@ -5,43 +5,43 @@ Samples Hermitian 4x4 sets of four kinds (catalog members, exact-unitary
 conjugates, structured perturbations, fully random) and tallies the two
 audit verdicts side by side.  Any inconsistent pair would be a
 counterexample to the equivalence; the expected count is zero.
+
+    PYTHONPATH=src python scripts/equivalence_experiment.py
 """
 
-import argparse
 import random
 import time
 
 from diracver.clifford import CATALOG_NAMES, catalog, equivalence_audit
 from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
 
+# the pinned run: tests/golden/expected/equivalence_experiment.out
+SEED = 42
+CONJUGATES = 30
+PERTURBATIONS = 60
+RANDOMS = 110
 
-def sample_sets(rng: random.Random, conjugates: int, perturbations: int, randoms: int):
+
+def sample_sets(rng: random.Random):
     for name in CATALOG_NAMES:
         yield "catalog", catalog(name)
-    for _ in range(conjugates):
+    for _ in range(CONJUGATES):
         base = catalog(rng.choice(CATALOG_NAMES))
         yield "conjugate", random_exact_unitary(rng).conjugate_set(base)
-    for _ in range(perturbations):
+    for _ in range(PERTURBATIONS):
         base = catalog(rng.choice(CATALOG_NAMES))
         yield "perturbed", perturbed_set(rng, base, entries=rng.randint(1, 3))
-    for _ in range(randoms):
+    for _ in range(RANDOMS):
         yield "random", random_hermitian_set(rng)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--conjugates", type=int, default=30)
-    parser.add_argument("--perturbations", type=int, default=60)
-    parser.add_argument("--randoms", type=int, default=110)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     tally: dict[str, list[int]] = {}
     inconsistent = []
     start = time.perf_counter()
     total = 0
-    for kind, mset in sample_sets(rng, args.conjugates, args.perturbations, args.randoms):
+    for kind, mset in sample_sets(rng):
         verdict = equivalence_audit(mset)
         both_pass, both_fail = tally.setdefault(kind, [0, 0])
         tally[kind] = [both_pass + verdict.passed, both_fail + (not verdict.passed)]

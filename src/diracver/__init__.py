@@ -92,3 +92,24 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _forward(namespace: dict, *modules: str):
+    """A module ``__getattr__`` (PEP 562) that answers the ``__all__`` of ``modules``.
+
+    It imports them in order until one lists the name, and binds the value in
+    ``namespace``, so a later read is a plain lookup.  Dunders stay
+    unresolved: the import system asks a module for ``__path__``.
+    """
+
+    def __getattr__(name: str):
+        if not (name.startswith("__") and name.endswith("__")):
+            for module in modules:
+                __import__(f"{__name__}.{module}")
+                source = sys.modules[f"{__name__}.{module}"]
+                if name in source.__all__:
+                    value = namespace[name] = getattr(source, name)
+                    return value
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+    return __getattr__

@@ -17,37 +17,18 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, TextIO
 
+from . import _forward
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
 
-# Each command, and ``parse_matrix_file``, binds the ``__all__`` of the
-# modules it runs into this module's globals on first use, so that a cold
-# command compiles only those modules: `solve` loads `solver` alone, with no
-# matrix module, `verify` and `derive` load no solver, sampler or spectrum,
-# and `spectrum` no clifford or dispersion.  The commands still look the
-# names up as globals, and a bound name is never overwritten, so a name
-# patched on this module stays patched.
-def _load(*modules: str) -> None:
-    """Import each of ``modules`` and bind the names of its ``__all__`` that are not bound yet."""
-    namespace = globals()
-    for module in modules:
-        qualified = f"{__package__}.{module}"
-        __import__(qualified)
-        source = sys.modules[qualified]
-        for name in source.__all__:
-            if name not in namespace:
-                namespace[name] = getattr(source, name)
+if TYPE_CHECKING:
+    from . import clifford, dispersion, spectrum, symmat
 
-
-def __getattr__(name: str):
-    # dunders stay unresolved: the import system asks this module for __path__
-    if not (name.startswith("__") and name.endswith("__")):
-        _load("clifford", "dispersion", "solver", "spectrum", "symmat")
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# Each command imports the modules it runs and calls through them, so a cold
+# command compiles only those (README "Library layout").  This forwarder
+# serves only perfbench's patch targets on cli, such as cli.check_dispersion.
+__getattr__ = _forward(globals(), "clifford", "dispersion", "solver", "spectrum", "symmat")
 
 __all__ = [
     "MatrixFileError",
@@ -100,19 +81,24 @@ class MatrixFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_length(text: str, kind: str, location: str | None = None) -> str:
+    """``text`` itself, unless it is longer than _MAX_LITERAL_LENGTH."""
+    if len(text) > _MAX_LITERAL_LENGTH:
+        raise MatrixFileError(f"{kind} literal of {len(text)} characters exceeds {_MAX_LITERAL_LENGTH}", location)
+    return text
+
+
 def _parse_rational(text: object, location: str) -> tuple[int, int]:
     """A validated rational literal as (numerator, denominator) ints, not reduced."""
-    if isinstance(text, str) and len(text) > _MAX_LITERAL_LENGTH:
-        raise MatrixFileError(
-            f"rational literal of {len(text)} characters exceeds {_MAX_LITERAL_LENGTH}", location
-        )
+    if isinstance(text, str):
+        _check_length(text, "rational", location)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise MatrixFileError(f"not a rational literal: {text!r}", location)
     numerator, _, denominator = text.partition("/")
     return int(numerator), int(denominator) if denominator else 1
 
 
-def _parse_matrix(data: object, n: int, name: str) -> Matrix:
+def _parse_matrix(data: object, n: int, name: str) -> symmat.Matrix:
     if not isinstance(data, list) or len(data) != n:
         raise MatrixFileError(f"matrix must be a list of {n} rows", name)
     rows = []
@@ -130,7 +116,7 @@ def _parse_matrix(data: object, n: int, name: str) -> Matrix:
     return tuple(rows)
 
 
-def _check_scale(matrices: Sequence[Matrix]) -> None:
+def _check_scale(matrices: Sequence[symmat.Matrix]) -> None:
     """Reject a set whose scale D * max(1, x) has more than _MAX_SCALE_DIGITS digits."""
     limit = 10**_MAX_SCALE_DIGITS
     entries = [x for matrix in matrices for row in matrix for x in row]
@@ -150,11 +136,12 @@ def _check_scale(matrices: Sequence[Matrix]) -> None:
         )
 
 
-def parse_matrix_file(path: str | Path) -> MatrixSet:
+def parse_matrix_file(path: str | Path) -> symmat.MatrixSet:
     """Read and validate a matrix-set JSON file into an exact MatrixSet."""
     import json
 
-    _load("symmat")
+    from . import symmat
+
     try:
         with open(path, "rb") as stream:
             raw = stream.read(_MAX_FILE_BYTES + 1)
@@ -168,7 +155,8 @@ def parse_matrix_file(path: str | Path) -> MatrixSet:
     except UnicodeDecodeError as exc:
         raise MatrixFileError(f"{path} is not UTF-8 text: {exc.reason}", f"byte {exc.start}") from exc
     try:
-        data = json.loads(text)
+        # a JSON number such as "n" is capped too, before int() converts it
+        data = json.loads(text, parse_int=lambda digits: int(_check_length(digits, "integer")))
     except json.JSONDecodeError as exc:
         raise MatrixFileError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
@@ -183,6 +171,10 @@ def parse_matrix_file(path: str | Path) -> MatrixSet:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise MatrixFileError("label must be a string", "label")
+    # the label heads every report: a newline would split that line, and a
+    # lone surrogate cannot be encoded to stdout at all
+    if not label.isprintable():
+        raise MatrixFileError("label must be printable, without control characters or surrogates", "label")
     alphas_data = data.get("alpha")
     if not isinstance(alphas_data, list) or len(alphas_data) != 3:
         count = len(alphas_data) if isinstance(alphas_data, list) else alphas_data
@@ -191,16 +183,16 @@ def parse_matrix_file(path: str | Path) -> MatrixSet:
     beta = _parse_matrix(data.get("beta"), n, "beta")
     _check_scale((*alphas, beta))
     try:
-        return MatrixSet(n, alphas, beta, label=label)
-    except HermiticityError as exc:
+        return symmat.MatrixSet(n, alphas, beta, label=label)
+    except symmat.HermiticityError as exc:
         raise MatrixFileError(str(exc), exc.matrix_name) from exc
 
 
-def _matrix_to_json(matrix: Matrix) -> list[list[list[str]]]:
+def _matrix_to_json(matrix: symmat.Matrix) -> list[list[list[str]]]:
     return [[[str(x.re), str(x.im)] for x in row] for row in matrix]
 
 
-def serialize_matrix_set(mset: MatrixSet) -> str:
+def serialize_matrix_set(mset: symmat.MatrixSet) -> str:
     """Render a MatrixSet as the JSON file format, bit-exact rationals as strings."""
     import json
 
@@ -237,7 +229,7 @@ def _print_report(header: str, sections: Sequence[tuple[str, Sequence[str], bool
     return EXIT_PASS if verdict else EXIT_FAIL
 
 
-def _matrix_summary(matrix: Matrix) -> str:
+def _matrix_summary(matrix: symmat.Matrix) -> str:
     for i, row in enumerate(matrix):
         for j, value in enumerate(row):
             if value:
@@ -255,12 +247,12 @@ class _Audit(NamedTuple):
     when a canonical form exists.
     """
 
-    disp: DispersionReport
-    anti: CliffordReport
-    trace_det: TraceDetReport | None = None
-    spectrum: tuple[int, ...] | StructuralViolationError | None = None
-    canonical: CanonicalizationResult | ValueError | None = None
-    structure: StructureReport | None = None
+    disp: dispersion.DispersionReport
+    anti: clifford.CliffordReport
+    trace_det: clifford.TraceDetReport | None = None
+    spectrum: tuple[int, ...] | clifford.StructuralViolationError | None = None
+    canonical: clifford.CanonicalizationResult | ValueError | None = None
+    structure: clifford.StructureReport | None = None
 
     @property
     def spectrum_passed(self) -> bool:
@@ -291,15 +283,17 @@ class _Audit(NamedTuple):
         ]
 
 
-def _audit(mset: MatrixSet, r: int) -> _Audit:
+def _audit(mset: symmat.MatrixSet, r: int) -> _Audit:
     """Run each stage of the audit of ``mset`` at multiplicity ``r`` once.
 
     At n = 4 and r = 2 the two verdicts come from ``equivalence_audit``, and
     their disagreement is a bug, not a verdict: it raises before any report
     is printed.
     """
+    from . import clifford, dispersion
+
     if mset.n == 4 and r == 2:
-        verdict = equivalence_audit(mset)
+        verdict = clifford.equivalence_audit(mset)
         disp, anti = verdict.dispersion, verdict.anticommutation
         if not verdict.consistent:
             first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
@@ -307,19 +301,19 @@ def _audit(mset: MatrixSet, r: int) -> _Audit:
                 f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
             )
     else:
-        disp, anti = check_dispersion(mset, r), check_anticommutation(mset)
+        disp, anti = dispersion.check_dispersion(mset, r), clifford.check_anticommutation(mset)
     if mset.n != 4:
         return _Audit(disp, anti)
     try:
-        spectrum = beta_spectrum(mset)
-    except StructuralViolationError as exc:
+        spectrum = clifford.beta_spectrum(mset)
+    except clifford.StructuralViolationError as exc:
         spectrum = exc
     try:
-        canonical = canonicalize_beta(mset)
+        canonical = clifford.canonicalize_beta(mset)
     except ValueError as exc:
         canonical = exc
-    structure = None if isinstance(canonical, Exception) else check_alpha_structure(canonical)
-    return _Audit(disp, anti, check_trace_det(disp.char), spectrum, canonical, structure)
+    structure = None if isinstance(canonical, Exception) else clifford.check_alpha_structure(canonical)
+    return _Audit(disp, anti, clifford.check_trace_det(disp.char), spectrum, canonical, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +322,6 @@ def _audit(mset: MatrixSet, r: int) -> _Audit:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _load("clifford", "dispersion")
     mset = parse_matrix_file(args.file)
     r = args.multiplicity
     if not 1 <= r <= mset.n:
@@ -361,30 +354,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _load("solver")
+    from . import solver
+
     try:
-        req = DegeneracyRequirement(args.n, args.multiplicity)
+        req = solver.DegeneracyRequirement(args.n, args.multiplicity)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = solve_forced_coefficients(req)
-    if isinstance(result, ForcedCoefficientSolution):
-        for line in render_solution(result):
+    result = solver.solve_forced_coefficients(req)
+    if isinstance(result, solver.ForcedCoefficientSolution):
+        for line in solver.render_solution(result):
             print(line)
         return EXIT_PASS
-    for line in render_certificate(result):
+    for line in solver.render_certificate(result):
         print(line)
     return EXIT_INFEASIBLE
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    _load("clifford")
+    from . import symmat
+
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
     audit = _audit(mset, 2)
     values = audit.trace_det.values.items()
     defects = [*audit.anti.pairwise.values(), *audit.anti.squares.values()]
-    dirty = sum(not mat_is_zero(d) for d in defects)
+    dirty = sum(not symmat.mat_is_zero(d) for d in defects)
     steps = (
         (
             "trace",
@@ -429,7 +424,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     )
 
 
-def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
+def parse_grid_spec(spec: str, mass: float) -> list[spectrum.MomentumSample]:
     """Build momentum samples from per-axis `lin:lo:hi:count` specs.
 
     A single spec applies to all three axes; otherwise give three,
@@ -437,7 +432,8 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
     is capped before any axis is built, and p.p + m^2 must stay a finite
     float at every point.
     """
-    _load("spectrum")
+    from . import spectrum
+
     parts = spec.split(",")
     if len(parts) == 1:
         parts = parts * 3
@@ -471,7 +467,7 @@ def parse_grid_spec(spec: str, mass: float) -> list[MomentumSample]:
     if not math.isfinite(sum(max(v * v for v in axis) for axis in axes) + mass * mass):
         raise UsageError(f"grid {spec!r} with mass {mass:g}: p.p + m^2 overflows a float")
     return [
-        MomentumSample((x, y, z), mass) for x in axes[0] for y in axes[1] for z in axes[2]
+        spectrum.MomentumSample((x, y, z), mass) for x in axes[0] for y in axes[1] for z in axes[2]
     ]
 
 
@@ -501,7 +497,8 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    _load("spectrum")
+    from . import spectrum
+
     mset = parse_matrix_file(args.file)
     if not math.isfinite(args.mass) or args.mass < 0:
         raise UsageError(f"mass must be finite and nonnegative, got {args.mass:g}")
@@ -509,8 +506,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     try:
         with _replacing(out_path) as stream:
-            result = sweep(mset, grid)
-            write_csv(result.rows, stream)
+            result = spectrum.sweep(mset, grid)
+            spectrum.write_csv(result.rows, stream)
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
     except (ValueError, RuntimeError) as exc:
@@ -528,9 +525,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    _load("clifford")
+    from . import clifford
+
     try:
-        mset = catalog(args.name)
+        mset = clifford.catalog(args.name)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = serialize_matrix_set(mset)
@@ -602,4 +600,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: a failed write, as a failed --out is; stdout
+        # then points at os.devnull, so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = EXIT_USAGE
+    raise SystemExit(code)

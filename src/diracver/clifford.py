@@ -51,6 +51,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
+from . import _forward
 from .algebra import _CR_ZERO, ComplexRational, render_fraction
 from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
@@ -442,12 +443,4 @@ def equivalence_audit(mset: MatrixSet) -> EquivalenceVerdict:
     return EquivalenceVerdict(disp, anti, disp.passed == anti.passed, disp.passed and anti.passed)
 
 
-def __getattr__(name: str):
-    # dunders stay unresolved, as in ``cli``; a name of the samplers is bound on first access
-    if not (name.startswith("__") and name.endswith("__")):
-        from . import sampling
-
-        if name in sampling.__all__:
-            value = globals()[name] = getattr(sampling, name)
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), "sampling")

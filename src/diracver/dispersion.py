@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _forward
 from .algebra import MultiPoly, _derivative_name, reduce_at_dispersion
 from .symmat import CharPoly, MatrixSet, char_poly
 from .symmat import build_hamiltonian  # unused here; perfbench patches it on this module
@@ -51,12 +52,4 @@ def check_dispersion(mset: MatrixSet, r: int) -> DispersionReport:
     return DispersionReport(r, tuple(labels), tuple(residuals), cp, passed)
 
 
-def __getattr__(name: str):
-    # dunders stay unresolved, as in ``cli``; a name of the solver is bound on first access
-    if not (name.startswith("__") and name.endswith("__")):
-        from . import solver
-
-        if name in solver.__all__:
-            value = globals()[name] = getattr(solver, name)
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), "solver")

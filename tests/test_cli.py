@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diracver
-from diracver import cli, clifford
+from diracver import cli, clifford, spectrum
 from diracver.algebra import ComplexRational
 from diracver.cli import (
     MatrixFileError,
@@ -174,6 +174,37 @@ def test_parse_rejects_overlong_literal(tmp_path):
         with pytest.raises(MatrixFileError, match="^rational literal of 1001 characters exceeds 1000 ") as err:
             parse_matrix_file(path)
         assert err.value.location == "beta[1][1].im"
+
+
+def test_parse_caps_a_json_integer_at_the_literal_length(tmp_path):
+    path = tmp_path / "n.json"
+    path.write_text('{"n": 1' + "0" * 1000 + "}")
+    with pytest.raises(MatrixFileError, match="^integer literal of 1001 characters exceeds 1000$"):
+        parse_matrix_file(path)
+    path.write_text('{"n": 1' + "0" * 999 + "}")
+    with pytest.raises(MatrixFileError, match="^n must be 2, 3, or 4"):
+        parse_matrix_file(path)
+    # 5001 digits: past Python's limit of 4300 digits for converting text to an int
+    path.write_text('{"n": 1' + "0" * 5000 + "}")
+    assert_usage_error(run_cli("verify", str(path)))
+
+
+@pytest.mark.parametrize("label", ["\ud800", "two\nlines"], ids=["lone-surrogate", "newline"])
+def test_a_label_that_cannot_be_printed_is_a_parse_error(label, tmp_path):
+    payload = json.loads(serialize_matrix_set(catalog("dirac-pauli")))
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({**payload, "label": "Dirac\u2013Pauli \u03c8"}))
+    assert parse_matrix_file(path).label == "Dirac\u2013Pauli \u03c8"
+    path.write_text(json.dumps({**payload, "label": label}))
+    with pytest.raises(MatrixFileError, match="label must be printable") as err:
+        parse_matrix_file(path)
+    assert err.value.location == "label"
+    # fresh processes, each with a real stdout that a lone surrogate cannot be encoded to
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    for argv in (["verify"], ["derive"], ["spectrum", "--mass", "1", "--grid", "lin:0:0:1", "--out", str(out)]):
+        assert_usage_error(run_cli(argv[0], str(path), *argv[1:]))
+    assert out.read_text() == "kept\n"
 
 
 def test_parse_rejects_non_utf8_file(tmp_path):
@@ -394,9 +425,7 @@ def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, r
         report = honest(mset)
         return report._replace(passed=not report.passed)
 
-    # `--multiplicity 1` looks the check up on `cli`, `equivalence_audit` on `clifford`;
-    # `cli` first, so that the name it binds on first access, and gets back, is the honest one
-    monkeypatch.setattr(cli, "check_anticommutation", flipped)
+    # `cli` and `equivalence_audit` both look the check up on `clifford`
     monkeypatch.setattr(clifford, "check_anticommutation", flipped)
     path = str(request.getfixturevalue(fixture))
     for command in ("verify", "derive"):
@@ -414,6 +443,25 @@ def test_a_skipped_section_neither_passes_nor_fails_a_report(capsys):
     assert capsys.readouterr().out == "header\n\n[a]\n  x\n  result: PASS\n\n[b]\n  skipped\n\nverdict: PASS\n"
     assert cli._print_report("header", [("[a]", [], False), ("[b]", [], None)]) == 1
     assert capsys.readouterr().out.endswith("  result: FAIL\n\n[b]\n\nverdict: FAIL\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "DIRAC_PAULI"], ["solve", "--n", "4", "--multiplicity", "2"], ["catalog", "majorana"]],
+    ids=["verify", "solve", "catalog"],
+)
+def test_a_closed_stdout_is_a_failed_write(argv, dirac_pauli_file):
+    argv = [str(dirac_pauli_file) if arg == "DIRAC_PAULI" else arg for arg in argv]
+    read, write = os.pipe()
+    os.close(read)  # closed before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracver", *argv], stdout=write, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_derive_walkthrough_order(dirac_pauli_file):
@@ -500,7 +548,7 @@ def test_spectrum_opens_out_before_the_sweep(dirac_pauli_file, tmp_path, monkeyp
     def no_sweep(*args):
         raise AssertionError("sweep ran before --out was opened")
 
-    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.setattr(spectrum, "sweep", no_sweep)
     out = tmp_path / "missing" / "x.csv"
     code = main(["spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-2:2:3", "--out", str(out)])
     assert code == 3
@@ -775,7 +823,7 @@ def test_every_exported_name_resolves():
         diracver.no_such_name
 
 
-def _fresh(script, first="from diracver import cli"):
+def _fresh(script, first):
     """The JSON that ``script`` prints in a new interpreter that runs ``first`` first."""
     src = Path(diracver.__file__).parents[1]
     proc = subprocess.run(
@@ -786,53 +834,43 @@ def _fresh(script, first="from diracver import cli"):
     return json.loads(proc.stdout)
 
 
-# which of the modules that cli loads lazily are imported, as an expression for _fresh
-_LAZY_LOADED = (
-    "[m for m in ('clifford', 'dispersion', 'solver', 'spectrum', 'symmat') if f'diracver.{m}' in sys.modules]"
+
+@pytest.mark.parametrize(
+    "module, forwarded",
+    [
+        ("cli", ["clifford", "dispersion", "solver", "spectrum", "symmat"]),
+        ("dispersion", ["solver"]),
+        ("clifford", ["sampling"]),
+    ],
+    ids=["cli", "dispersion", "clifford"],
 )
-
-
-def test_load_binds_the_modules_all_and_keeps_a_bound_name():
-    added, exported, kept = _fresh(
-        "cli.sweep = 'patched'\n"
-        "before = set(vars(cli))\n"
-        "cli._load('spectrum')\n"
-        "from diracver import spectrum\n"
-        "kept = [name for name in spectrum.__all__ if getattr(cli, name) is not getattr(spectrum, name)]\n"
-        "print(json.dumps([sorted(set(vars(cli)) - before), spectrum.__all__, kept]))"
-    )
-    assert added == sorted(set(exported) - {"sweep"})
-    assert kept == ["sweep"]
-
-
-def test_a_dunder_is_not_resolved_and_loads_nothing():
-    path, loaded = _fresh(f"print(json.dumps([getattr(cli, '__path__', None), {_LAZY_LOADED}]))")
-    assert path is None and loaded == []
-
-
-def test_an_unknown_name_loads_the_lazy_modules_then_raises():
-    raised, loaded = _fresh(
+def test_a_forwarding_module_answers_the_names_of_its_modules(module, forwarded):
+    loaded = f"[m for m in {forwarded!r} if f'diracver.{{m}}' in sys.modules]"
+    path, after_dunder, raised, after_unknown, answered, bound = _fresh(
+        f"path = getattr({module}, '__path__', None)\n"
+        f"after_dunder = {loaded}\n"
         "try:\n"
-        "    cli.no_such_name\n"
+        f"    {module}.no_such_name\n"
         "except AttributeError as exc:\n"
         "    raised = str(exc)\n"
-        f"print(json.dumps([raised, {_LAZY_LOADED}]))"
+        f"after_unknown = {loaded}\n"
+        "import importlib\n"
+        "answered, bound = {}, []\n"
+        f"for source in reversed({forwarded!r}):\n"
+        "    source = importlib.import_module(f'diracver.{source}')\n"
+        f"    answered.update((name, getattr({module}, name) is getattr(source, name)) for name in source.__all__)\n"
+        f"    bound += [name for name in source.__all__ if name not in vars({module})]\n"
+        "print(json.dumps([path, after_dunder, raised, after_unknown, answered, bound]))",
+        first=f"from diracver import {module}",
     )
-    assert raised == "module 'diracver.cli' has no attribute 'no_such_name'"
-    assert loaded == ["clifford", "dispersion", "solver", "spectrum", "symmat"]
-
-
-def test_moved_names_are_still_answered_by_their_old_modules():
-    from diracver import clifford, dispersion, sampling, solver
-
-    for name in solver.__all__:
-        assert getattr(dispersion, name) is getattr(solver, name)
-    for name in sampling.__all__:
-        assert getattr(clifford, name) is getattr(sampling, name)
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        dispersion.no_such_name
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        clifford.no_such_name
+    # a dunder stays unresolved and loads nothing: the import system asks for __path__
+    assert path is None and after_dunder == []
+    # an unknown name loads every forwarded module, then raises
+    assert raised == f"module 'diracver.{module}' has no attribute 'no_such_name'"
+    assert after_unknown == forwarded
+    # each forwarded name is the object of the first module that lists it, bound on first access
+    assert answered and all(answered.values())
+    assert bound == []
 
 
 def test_the_audit_modules_load_the_solver_and_samplers_only_when_asked():

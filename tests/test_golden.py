@@ -21,17 +21,16 @@ directory, and compares it byte for byte with
 `tests/golden/expected/<case>.csv`; its stdout names that path, which is
 replaced by `OUT.csv` before the comparison.  Each case runs twice: through
 `main` in this process, and alone in a fresh `python -m diracver` process
-with numpy blocked for every command but `spectrum`.  In one process an
-earlier case may already have bound a name that a command's own loading
-misses; the fresh process shows it.  The cases sweep the catalog
-sets, the conjugate and the n = 2 Pauli triple over `lin:-2:2:5` with mass
-1, the perturbed-alpha set (flagged rows, exit 1) over the same grid, and
-dirac-pauli over the massless `lin:-1:1:3`, whose origin has E = 0.
+with numpy blocked for every command but `spectrum`.  The cases sweep the
+catalog sets, the conjugate and the n = 2 Pauli triple over `lin:-2:2:5`
+with mass 1, the perturbed-alpha set (flagged rows, exit 1) over the same
+grid, and dirac-pauli over the massless `lin:-1:1:3`, whose origin has
+E = 0.
 
 The stdout of `scripts/solve_requirements.py`, the feasibility table for
 every n <= 4 and r <= n with its `eigenvalue equation:` lines, is pinned in
 `tests/golden/expected/solve_requirements.out`.  The stdout of
-`scripts/equivalence_experiment.py` at its default seed and counts, with the
+`scripts/equivalence_experiment.py` at its fixed seed and counts, with the
 elapsed time cut from its first line, is pinned in
 `tests/golden/expected/equivalence_experiment.out`, so a change to the
 sampled sets or to a verdict shows.  `scripts/bench_diff.py` runs on two
@@ -117,8 +116,7 @@ def test_feasibility_table_script_matches_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "expected" / "solve_requirements.out").read_bytes()
 
 
-def test_equivalence_experiment_matches_golden(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["equivalence_experiment.py"])
+def test_equivalence_experiment_matches_golden(capsys):
     assert _load_script("equivalence_experiment").main() == 0
     out = re.sub(r"^(\d+ sets audited) in [0-9.]+s$", r"\1", capsys.readouterr().out, count=1, flags=re.M)
     assert out.encode("utf-8") == (GOLDEN / "expected" / "equivalence_experiment.out").read_bytes()
