@@ -873,6 +873,33 @@ def test_a_forwarding_module_answers_the_names_of_its_modules(module, forwarded)
     assert bound == []
 
 
+# which of the modules that cli forwards to are imported, as an expression for _fresh
+_CLI_LOADED = (
+    "[m for m in ('clifford', 'dispersion', 'solver', 'spectrum', 'symmat') if f'diracver.{m}' in sys.modules]"
+)
+
+
+def test_a_dunder_is_not_resolved_and_loads_nothing():
+    path, loaded = _fresh(
+        f"print(json.dumps([getattr(cli, '__path__', None), {_CLI_LOADED}]))",
+        first="from diracver import cli",
+    )
+    assert path is None and loaded == []
+
+
+def test_an_unknown_name_loads_the_lazy_modules_then_raises():
+    raised, loaded = _fresh(
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    raised = str(exc)\n"
+        f"print(json.dumps([raised, {_CLI_LOADED}]))",
+        first="from diracver import cli",
+    )
+    assert raised == "module 'diracver.cli' has no attribute 'no_such_name'"
+    assert loaded == ["clifford", "dispersion", "solver", "spectrum", "symmat"]
+
+
 def test_the_audit_modules_load_the_solver_and_samplers_only_when_asked():
     moved = "[m for m in ('solver', 'sampling') if f'diracver.{m}' in sys.modules]"
     before, after = _fresh(
