@@ -479,41 +479,44 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     path fails on entry, before the block runs, and a block that raises
     leaves the old file untouched.  A target that exists but is not a
     regular file (a pipe or a device) holds nothing to keep and is written
-    directly; a symbolic link keeps pointing at the file it names.
+    directly; a symbolic link keeps pointing at the file it names.  A failed
+    open or write is a ``UsageError``.
     """
-    if path.exists() and not path.is_file():
-        with path.open("w", encoding="utf-8", newline="") as stream:
-            yield stream
-        return
-    target = path.resolve()
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with temporary.open("w", encoding="utf-8", newline="") as stream:
-            yield stream
-        os.replace(temporary, target)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+        if path.exists() and not path.is_file():
+            with path.open("w", encoding="utf-8", newline="") as stream:
+                yield stream
+            return
+        target = path.resolve()
+        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with temporary.open("w", encoding="utf-8", newline="") as stream:
+                yield stream
+            os.replace(temporary, target)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from . import spectrum
 
     mset = parse_matrix_file(args.file)
-    if not math.isfinite(args.mass) or args.mass < 0:
-        raise UsageError(f"mass must be finite and nonnegative, got {args.mass:g}")
-    grid = parse_grid_spec(args.grid, args.mass)
+    mass = args.mass + 0.0  # -0 becomes 0
+    if not math.isfinite(mass) or mass < 0:
+        raise UsageError(f"mass must be finite and nonnegative, got {mass:g}")
+    grid = parse_grid_spec(args.grid, mass)
     out_path = Path(args.out)
     try:
         with _replacing(out_path) as stream:
             result = spectrum.sweep(mset, grid)
             spectrum.write_csv(result.rows, stream)
-    except OSError as exc:
-        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
     except (ValueError, RuntimeError) as exc:
         # an entry beyond the float range, or residuals beyond the eigensolver's bound
         raise UsageError(f"{args.file}: {exc}; no numeric sweep is possible") from exc
-    print(f"spectrum sweep: {mset.label or '(unlabeled)'} (n = {mset.n}), mass = {args.mass:g}, samples = {len(grid)}")
+    print(f"spectrum sweep: {mset.label or '(unlabeled)'} (n = {mset.n}), mass = {mass:g}, samples = {len(grid)}")
     if result.flagged:
         shown = ", ".join(str(k) for k in result.flagged[:5])
         more = "" if len(result.flagged) <= 5 else f" (+{len(result.flagged) - 5} more)"
@@ -532,11 +535,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = serialize_matrix_set(mset)
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+    if args.out is not None:
+        with _replacing(Path(args.out)) as stream:
+            stream.write(text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -37,12 +37,11 @@ conjugation.  The Gram-Schmidt step of ``canonicalize_beta`` is
 fraction-free, and ``check_alpha_structure`` reads the blocks from the
 integer M + M^dagger and the norms from integer traces.
 
-``_gram_is_identity`` checks g g^dagger = d^2 I in integers, upper
-triangle only; for a Hermitian beta it decides beta^2 = 1, and it validates
-every ``sampling.ExactUnitary``.  The exact unitaries and the samplers of
-matrix sets live in ``sampling``.  Their names are still answered here: the
-first access imports ``sampling`` and binds the name (PEP 562), so a
-command that audits a set never compiles the samplers.
+``symmat._gram_is_identity`` checks g g^dagger = d^2 I in integers; for
+a Hermitian beta it decides beta^2 = 1.  The exact unitaries and the
+samplers of matrix sets live in ``sampling``.  Their names are still
+answered here: the first access imports ``sampling`` and binds the name
+(PEP 562), so a command that audits a set never compiles the samplers.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from .symmat import (
     MatrixSet,
     _cleared,
     _gi_mat_mul,
+    _gram_is_identity,
     as_matrix,
     build_hamiltonian,  # unused here; perfbench patches it on this module
     char_poly,  # unused here; perfbench patches it on this module
@@ -232,25 +232,6 @@ def check_trace_det(cp: CharPoly) -> TraceDetReport:
     if cp.n != 4:
         raise ValueError("trace/determinant conditions apply to n = 4 sets")
     return TraceDetReport(trace_and_det(cp))
-
-
-def _gram_is_identity(g: list, d: int) -> bool:
-    """Whether g g^dagger = d^2 I for a square matrix g of Gaussian integers.
-
-    Entry (i, j) of g g^dagger is sum_k g_ik conj(g_jk).  The product is
-    Hermitian for every g, so only the upper triangle is read, and the scan
-    stops at the first defect.  For a Hermitian g this is the test g^2 = d^2 I.
-    """
-    d2 = d * d
-    for i, row in enumerate(g):
-        for j in range(i, len(g)):
-            re = im = 0
-            for (ar, ai), (br, bi) in zip(row, g[j]):
-                re += ar * br + ai * bi
-                im += ai * br - ar * bi
-            if im or re != (d2 if i == j else 0):
-                return False
-    return True
 
 
 def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:

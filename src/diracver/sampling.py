@@ -3,7 +3,7 @@
 ``ExactUnitary`` is a unitary matrix with exact entries.  Each unitary is
 cleared once, at construction, to Gaussian integers g over the lcm d of its
 denominators, and keeps that form.  Validation is the integer Gram check
-g g^dagger = d^2 I (``clifford._gram_is_identity``, upper triangle only);
+g g^dagger = d^2 I (``symmat._gram_is_identity``, upper triangle only);
 products and conjugations multiply the cleared forms and rebuild each
 result entry once.
 
@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import _CR_ONE, _CR_ZERO, ComplexRational, Scalar, _Validated, as_scalar
-from .clifford import _gram_is_identity
-from .symmat import Matrix, MatrixSet, _cleared, _exact_entries, _gi_mat_mul, _rebuilt, mat_identity
+from .symmat import Matrix, MatrixSet, _cleared, _exact_entries, _gi_mat_mul, _gram_is_identity, _rebuilt, mat_identity
 
 __all__ = [
     "ExactUnitary",

@@ -6,11 +6,12 @@ eigenvalue pattern {-E_p, -E_p, +E_p, +E_p} plus the two-dimensional
 positive-energy eigenspace.  Tolerances are split deliberately: 1e-10 for
 eigenpair residuals, 1e-9 for eigenvalue agreement, and a loud 1e-6 flag
 for broken degeneracy or broken +/- symmetry, so physics violations stand
-out far above numerical noise.  The eigenvalue residual bound is
-``1e-9 * (1 + |p|*a + m*b)``, where ``a`` and ``b`` are the largest entry
-moduli of the alphas and of beta, each raised to at least 1: a backward
-stable solver's residual grows with the size of h, and on sets with unit
-entries the bound is ``1e-9 * (1 + |p| + m)``.
+out far above numerical noise.  Both of the sweep's bounds scale with h:
+the eigenvalue residual bound is ``1e-9 * (1 + |p|*a + m*b)`` and a row is
+flagged when its defect exceeds ``1e-6 * (1 + |p|*a + m*b)``, where ``a``
+and ``b`` are the largest entry moduli of the alphas and of beta, each
+raised to at least 1: a backward stable solver's error grows with the size
+of h, and on sets with unit entries the scale is ``1 + |p| + m``.
 
 numpy is imported by the functions that compute, not at module level, so
 importing this module (and with it ``diracver`` and ``diracver.cli``) does
@@ -147,7 +148,7 @@ def _entry_norms(stack: np.ndarray) -> tuple[float, float]:
 
 
 def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
-    """Ascending, residual-checked eigenvalues at every sample in order, flagging rows beyond 1e-6."""
+    """Ascending, residual-checked eigenvalues at every sample in order, flagging rows beyond 1e-6 * scale."""
     import numpy as np
 
     grid = tuple(grid)
@@ -164,14 +165,13 @@ def sweep(mset: MatrixSet, grid: Sequence[MomentumSample]) -> SweepResult:
             h = _combine(stack, *coefficients[:, :, None, None])
             values, vectors = np.linalg.eigh(h)
             residuals = np.max(np.abs(h @ vectors - vectors * values[:, None, :]), axis=(1, 2))
-            momentum = np.sqrt(p1**2 + p2**2 + p3**2)
-            bounds = EIGENVALUE_TOLERANCE * (1.0 + momentum * alpha_norm + m * beta_norm)
-        # the bound itself is infinite when |p|*a or m*b overflows
-        failed = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bounds)))
+            scale = 1.0 + np.sqrt(p1**2 + p2**2 + p3**2) * alpha_norm + m * beta_norm
+        # the scale itself is infinite when |p|*a or m*b overflows
+        failed = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= EIGENVALUE_TOLERANCE * scale)))
         if failed.size:
             raise RuntimeError(f"eigensolver residual {residuals[failed[0]]:.3e} out of tolerance")
         rows.extend(map(SpectrumRow, chunk, map(tuple, values.tolist())))
-        flagged.extend((start + np.flatnonzero(_defects(values) > DEGENERACY_FLAG)).tolist())
+        flagged.extend((start + np.flatnonzero(_defects(values) > DEGENERACY_FLAG * scale)).tolist())
     return SweepResult(tuple(rows), tuple(flagged))
 
 

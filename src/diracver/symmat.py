@@ -22,7 +22,9 @@ k = 1..n, are exact integer divisions, checked to leave no remainder.
 Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
 input, and it is divided back out when the result is converted to
 ``MultiPoly`` values.  ``clifford`` and ``sampling`` run their own kernels
-on the same cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``).
+on the same cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``), and
+both decide g g^dagger = d^2 I with ``_gram_is_identity``: beta^2 = 1 for a
+Hermitian beta, and the validity of every ``sampling.ExactUnitary``.
 
 ``trace_and_det`` forms no further polynomial: it reads the trace and the
 determinant of each of the four matrices off the characteristic
@@ -132,6 +134,25 @@ def _rebuilt(entries: Iterable[tuple[int, int]], denom: int, n: int) -> Matrix:
     make = ComplexRational._from_ints
     flat = [make(re, im, denom) for re, im in entries]
     return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+
+
+def _gram_is_identity(g: list, d: int) -> bool:
+    """Whether g g^dagger = d^2 I for a square matrix g of Gaussian integers.
+
+    Entry (i, j) of g g^dagger is sum_k g_ik conj(g_jk).  The product is
+    Hermitian for every g, so only the upper triangle is read, and the scan
+    stops at the first defect.  For a Hermitian g this is the test g^2 = d^2 I.
+    """
+    d2 = d * d
+    for i, row in enumerate(g):
+        for j in range(i, len(g)):
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(row, g[j]):
+                re += ar * br + ai * bi
+                im += ai * br - ar * bi
+            if im or re != (d2 if i == j else 0):
+                return False
+    return True
 
 
 def mat_trace(a: Matrix) -> ComplexRational:

@@ -694,6 +694,41 @@ def test_catalog_unwritable_out(tmp_path):
     assert "cannot write" in result.stderr
 
 
+def test_an_empty_out_is_an_unwritable_path_for_both_commands(dirac_pauli_file, tmp_path):
+    # "" names the working directory, for catalog as for spectrum: nothing goes to stdout
+    env = {**os.environ, "PYTHONPATH": str(Path(diracver.__file__).parents[1])}
+    for argv in (
+        ["catalog", "majorana", "--out", ""],
+        ["spectrum", str(dirac_pauli_file), "--mass", "1", "--grid", "lin:-1:1:2", "--out", ""],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "diracver", *argv], capture_output=True, text=True, cwd=tmp_path, env=env
+        )
+        assert_usage_error(result)
+        assert result.stderr == "error: cannot write .: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [dirac_pauli_file.name]
+
+
+def test_catalog_replaces_an_existing_out(tmp_path, capsys):
+    out = tmp_path / "set.json"
+    out.write_text("old contents, longer than nothing\n")
+    assert main(["catalog", "weyl-chiral", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == serialize_matrix_set(catalog("weyl-chiral"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["set.json"]
+
+
+def test_a_negative_zero_mass_is_zero(dirac_pauli_file, tmp_path):
+    results = []
+    for mass in ("-0", "0"):
+        out = tmp_path / f"{mass}.csv"
+        result = run_cli("spectrum", str(dirac_pauli_file), "--mass", mass, "--grid", "lin:-1:1:2", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        results.append((result.stdout.replace(str(out), "OUT"), out.read_bytes()))
+    assert results[0] == results[1]
+    assert "mass = 0," in results[0][0] and b",-0," not in results[0][1]
+
+
 def test_grid_spec_parsing():
     samples = parse_grid_spec("lin:-1:1:3", 0.5)
     assert len(samples) == 27
@@ -781,46 +816,12 @@ def test_a_cold_catalog_imports_no_solver_sampler_spectrum_or_numpy():
     assert [name for name in log if name in unused] == []
 
 
-# every name the package exports, by the module that defines it
-_EXPORTS = {
-    "algebra": ["ComplexRational", "EPoly", "MultiPoly", "ReducedPair", "reduce_at_dispersion"],
-    "clifford": [
-        "CATALOG_NAMES", "CanonicalizationResult", "CliffordReport", "EquivalenceVerdict",
-        "StructureReport", "TraceDetReport", "beta_spectrum", "canonicalize_beta", "catalog",
-        "check_alpha_structure", "check_anticommutation", "check_trace_det", "equivalence_audit",
-    ],
-    "dispersion": ["DispersionReport", "check_dispersion"],
-    "sampling": ["ExactUnitary", "perturbed_set", "random_exact_unitary", "random_hermitian_set"],
-    "solver": [
-        "DegeneracyRequirement", "ForcedCoefficientSolution", "InfeasibilityCertificate",
-        "SPoly", "factorized_spectrum", "solve_forced_coefficients",
-    ],
-    "spectrum": [
-        "MomentumSample", "SpectrumRow", "SpinorBasis", "SweepResult", "eigensolve",
-        "positive_energy_spinors", "sweep",
-    ],
-    "symmat": ["CharPoly", "HermiticityError", "MatrixSet", "build_hamiltonian", "char_poly", "trace_and_det"],
-}
-
-
 def test_every_exported_name_resolves():
     package = Path(diracver.__file__).parent
     for path in sorted(package.glob("[!_]*.py")):
         module = importlib.import_module(f"diracver.{path.stem}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], path.name
-    names = [name for names in _EXPORTS.values() for name in names]
-    assert len(names) == 43
-    assert sorted(diracver.__all__) == sorted(names)
-    for module, exported in _EXPORTS.items():
-        for name in exported:
-            assert getattr(diracver, name) is getattr(importlib.import_module(f"diracver.{module}"), name)
-    assert set(names) <= set(dir(diracver))
-    namespace = {}
-    exec("from diracver import *", namespace)
-    assert sorted(key for key in namespace if key != "__builtins__") == sorted(names)
-    with pytest.raises(AttributeError):
-        diracver.no_such_name
 
 
 def _fresh(script, first):
@@ -925,9 +926,9 @@ def test_the_catalog_is_built_on_the_first_call():
 
 def test_numpy_loads_on_the_first_numeric_call():
     script = (
-        "import json, sys; import diracver; before = 'numpy' in sys.modules; "
+        "import json, sys; import diracver.spectrum; before = 'numpy' in sys.modules; "
         "from diracver.clifford import catalog; "
-        "diracver.sweep(catalog('dirac-pauli'), [diracver.MomentumSample((0.0, 0.0, 1.0), 1.0)]); "
+        "diracver.spectrum.sweep(catalog('dirac-pauli'), [diracver.spectrum.MomentumSample((0.0, 0.0, 1.0), 1.0)]); "
         "print(json.dumps([before, 'numpy' in sys.modules]))"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

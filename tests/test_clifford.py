@@ -17,7 +17,6 @@ from diracver.clifford import (
     CATALOG_NAMES,
     CanonicalizationResult,
     StructuralViolationError,
-    _gram_is_identity,
     _gram_schmidt_columns,
     beta_spectrum,
     canonicalize_beta,
@@ -32,6 +31,7 @@ from diracver.sampling import ExactUnitary, perturbed_set, random_exact_unitary,
 from diracver.symmat import (
     MatrixSet,
     _cleared,
+    _gram_is_identity,
     as_matrix,
     char_poly,
     mat_identity,

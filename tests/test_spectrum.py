@@ -427,26 +427,57 @@ def test_chunk_defects_flag_the_rows_of_the_per_row_formula():
     assert four == [DEGENERACY_FLAG, DEGENERACY_FLAG, above, 0.0]
 
 
+def flag_scale(mset, sample):
+    """1 + |p|*a + m*b, with a and b the largest entry moduli of the alphas and of beta, each at least 1."""
+    a, b = (
+        max(1.0, *(abs(complex(x.re, x.im)) for m in matrices for row in m for x in row))
+        for matrices in (mset.alphas, (mset.beta,))
+    )
+    p1, p2, p3 = sample.p
+    return 1.0 + math.sqrt(p1**2 + p2**2 + p3**2) * a + sample.m * b
+
+
 def test_sweep_flags_equal_the_per_row_formula(dirac_pauli, rng, monkeypatch):
     grid = grid_samples(-2.0, 2.0, 4, 0.5)
     sets = [perturbed_set(rng, dirac_pauli) for _ in range(3)]
     sets += [random_hermitian_set(rng, n=n) for n in (2, 3, 4)]
+    sets += [scaled(perturbed_set(rng, dirac_pauli), 3, 5)]  # a and b above 1
     for mset in sets:
         result = sweep(mset, grid)
         assert result.flagged == tuple(
-            k for k, row in enumerate(result.rows) if reference_defect(row.eigenvalues) > DEGENERACY_FLAG
+            k
+            for k, row in enumerate(result.rows)
+            if reference_defect(row.eigenvalues) > DEGENERACY_FLAG * flag_scale(mset, row.sample)
         )
         monkeypatch.setattr(spectrum, "_CHUNK", 7)  # flags of later chunks keep their grid indices
         assert sweep(mset, grid) == result
         monkeypatch.undo()
-    # h = beta = diag(0, 0, 0, d): the eigenvalues are the entries, and the defect is d itself
+    # h = beta = diag(0, 0, 0, d) at m = 1: the eigenvalues are the entries, the defect is d itself,
+    # and the scale is 1 + m*b = 2, so the threshold is 2e-6
     zero = ((ComplexRational(0),) * 4,) * 4
-    above = np.nextafter(DEGENERACY_FLAG, 1.0)
-    for d, flagged in ((Fraction(1, 10**6), ()), (Fraction(above), (0,))):
+    threshold = DEGENERACY_FLAG * 2.0
+    for d, flagged in ((Fraction(threshold), ()), (Fraction(np.nextafter(threshold, 1.0)), (0,))):
         beta = tuple(tuple(ComplexRational(d if i == j == 3 else 0) for j in range(4)) for i in range(4))
         result = sweep(MatrixSet(4, (zero, zero, zero), beta), [MomentumSample((0.0, 0.0, 0.0), 1.0)])
         assert result.rows[0].eigenvalues == (0.0, 0.0, 0.0, float(d))
         assert result.flagged == flagged
+
+
+def test_sweep_flags_scale_with_the_momentum(all_catalog_sets, dirac_pauli):
+    # rounding grows with |p|: valid sets stay unflagged far out, where an absolute 1e-6 would flag them
+    for scale in (1e3, 1e6, 1e9, 1e11):
+        grid = grid_samples(-scale, scale, 5, 1.0)
+        for mset in all_catalog_sets:
+            assert sweep(mset, grid).flagged == ()
+    # a broken alpha splits the doublets by about |p|/10, far above 1e-6 * (1 + |p|*a + m*b)
+    alpha1 = [list(row) for row in dirac_pauli.alphas[0]]
+    alpha1[0][0] += ComplexRational(Fraction(1, 10))
+    broken = MatrixSet(4, (tuple(map(tuple, alpha1)), *dirac_pauli.alphas[1:]), dirac_pauli.beta)
+    grid = grid_samples(-1e9, 1e9, 5, 1.0)
+    result = sweep(broken, grid)
+    assert len(result.flagged) > len(grid) // 2
+    row = result.rows[result.flagged[0]]
+    assert reference_defect(row.eigenvalues) > 1e3 * DEGENERACY_FLAG * flag_scale(broken, row.sample)
 
 
 def with_beta_entry(mset, value):
