@@ -6,9 +6,9 @@ be a root of multiplicity r for every momentum splits each derivative
 condition into an even and an odd part in ``E_p``, giving ``2r`` linear
 equations in the c_k.  Each equation carries one energy dimension: c_k has
 dimension n - k and s has dimension 2, so every coefficient and constant is
-a single monomial in s.  Scaling the unknowns and equations by those powers
-of s turns the system into one with rational entries, and exact
-Gauss-Jordan elimination over the rationals then either
+a single monomial in s.  The solver therefore writes the equations directly
+with rational entries, in the unknowns ``y_k = c_k / s^((n-k)/2)``, and
+exact Gauss-Jordan elimination over the rationals then either
 
 * solves them, each forced coefficient getting its power of s back from
   its dimension (:class:`ForcedCoefficientSolution`), or
@@ -16,10 +16,11 @@ Gauss-Jordan elimination over the rationals then either
   identically (:class:`InfeasibilityCertificate`), an impossibility proof
   for that (n, r) pair.
 
-Every solution is substituted back into the conditions in exact Q[s]
-arithmetic before it is returned.  No matrix set enters: this module needs
-only ``algebra``, and ``dispersion.check_dispersion`` applies the same
-even/odd reduction to the characteristic polynomial of a concrete set.
+Every solution is read back from its powers of s and substituted into the
+un-eliminated equations before it is returned.  :class:`SPoly` is only the
+value of a result: it has no arithmetic.  No matrix set enters: this module
+needs only ``algebra``, and ``dispersion.check_dispersion`` applies the
+same even/odd reduction to the characteristic polynomial of a concrete set.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class SPoly:
     """Univariate polynomial in the formal symbol s, with Fraction coefficients.
 
     s stands for the squared positive energy p1^2 + p2^2 + p3^2 + m^2.
-    Coefficients and scalar factors must be int or Fraction; a float, or an
-    int added to an SPoly, raises ``TypeError``.
+    It is the immutable value of a solver result and has no arithmetic.
+    Coefficients must be int or Fraction; a float raises ``TypeError``.
     """
 
     __slots__ = ("_c",)
@@ -71,15 +72,6 @@ class SPoly:
         self._c = tuple(c)
 
     @classmethod
-    def _make(cls, coeffs: list[Fraction]) -> "SPoly":
-        # trusted path: entries already Fractions; trailing zeros are trimmed here
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self = object.__new__(cls)
-        self._c = tuple(coeffs)
-        return self
-
-    @classmethod
     def zero(cls) -> "SPoly":
         return cls(())
 
@@ -89,7 +81,7 @@ class SPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff: int | Fraction = 1) -> "SPoly":
-        return cls._make([_ZERO] * power + [_exact(coeff)])
+        return cls((0,) * power + (coeff,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -105,33 +97,6 @@ class SPoly:
 
     def coeff(self, k: int) -> Fraction:
         return self._c[k] if 0 <= k < len(self._c) else _ZERO
-
-    def __add__(self, other: "SPoly") -> "SPoly":
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        return SPoly._make([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    def __mul__(self, other: "SPoly | int | Fraction") -> "SPoly":
-        if isinstance(other, (int, Fraction)):
-            return SPoly._make([x * other for x in self._c])
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return SPoly.zero()
-        out = [_ZERO] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in enumerate(other._c):
-                    out[i + j] += a * b
-        return SPoly._make(out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SPoly":
-        return SPoly._make([-x for x in self._c])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SPoly):
@@ -169,36 +134,6 @@ class DegeneracyRequirement(_Validated, _DegeneracyRequirementFields):
         if r > n:
             raise ValueError(f"multiplicity {r} exceeds the polynomial degree {n}")
         return super().__new__(cls, n, r)
-
-
-class _Condition(NamedTuple):
-    """One linear condition: sum_k coeffs[k]*c_k + const = 0, with provenance."""
-
-    coeffs: tuple[SPoly, ...]
-    const: SPoly
-    derivative_order: int
-    parity: str  # "even" or "odd"
-
-    @property
-    def origin(self) -> str:
-        return f"the {self.parity} part of {_derivative_name(self.derivative_order)} at E = E_p"
-
-
-def multiplicity_conditions(req: DegeneracyRequirement) -> list[_Condition]:
-    """The 2r even/odd conditions on c_0..c_{n-1} from P, P', ..., P^(r-1) at E_p.
-
-    Term k of P^(j) is perm(k, j)*E^(k-j); at E = E_p = sqrt(s) it is
-    perm(k, j)*s^((k-j)//2) in the part of the parity of k - j.
-    """
-    n, r = req.n, req.r
-    zero = SPoly.zero()
-    rows: list[_Condition] = []
-    for j in range(r):
-        for odd, parity in enumerate(("even", "odd")):
-            terms = {k: SPoly.monomial((k - j) // 2, perm(k, j)) for k in range(j + odd, n + 1, 2)}
-            coeffs = tuple(terms.get(k, zero) for k in range(n))
-            rows.append(_Condition(coeffs, terms.get(n, zero), j, parity))
-    return rows
 
 
 class Assignment(NamedTuple):
@@ -261,26 +196,25 @@ SolveResult = Union[ForcedCoefficientSolution, InfeasibilityCertificate]
 def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     """Solve the 2r multiplicity conditions for c_0..c_{n-1}, or certify failure.
 
-    Every term of a condition has one energy dimension: c_k has dimension
-    n - k and s has dimension 2.  Substituting c_k = s^((n-k)/2)*y_k and
-    dividing each condition by s to half its dimension leaves a system in
-    y with rational entries and the zero pattern of the original, so
-    Gauss-Jordan elimination over the rationals (s = 1), pivots chosen
-    lowest-index unknown first, takes the same pivots and reaches the same
-    reduced form as elimination over the rational functions of s.  Each
-    result then gets its power of s back from its dimension.  A condition
-    term that is not a single monomial of its dimension, or a nonzero
-    result of odd or negative dimension, raises ``RuntimeError``.
+    Term k of P^(j) is perm(k, j)*E^(k-j); at E = E_p = sqrt(s) it is
+    perm(k, j)*s^((k-j)//2), in the part of the parity of k - j.  Every
+    term of a condition has one energy dimension: c_k has dimension n - k
+    and s has dimension 2.  Substituting c_k = s^((n-k)/2)*y_k and dividing
+    each condition by s to half its dimension leaves a system in y with
+    rational entries: row (j, parity q) has perm(k, j) at y_k for
+    k = j+q, j+q+2, ... < n, the k = n term moves to the right-hand side
+    with its sign flipped, and its dimension is n - j - q.  It has the zero
+    pattern of the system in c, so Gauss-Jordan elimination over the
+    rationals, pivots chosen lowest-index unknown first, takes the same
+    pivots and reaches the same reduced form as elimination over the
+    rational functions of s.  Each result then gets its power of s back
+    from its dimension.  A nonzero result of odd or negative dimension, or
+    a solution that does not satisfy the un-eliminated rows when read back
+    from its powers of s, raises ``RuntimeError``.
     """
     n = req.n
-    conditions = multiplicity_conditions(req)
-    dims = [n - cond.derivative_order - (cond.parity == "odd") for cond in conditions]
-    # row i: the coefficients of y_0..y_{n-1}, then the right-hand side
-    rows = [
-        [_monomial_value(x, d - (n - k)) for k, x in enumerate(cond.coeffs)]
-        + [-_monomial_value(cond.const, d)]
-        for cond, d in zip(conditions, dims)
-    ]
+    origins, dims, system = _y_system(req)
+    rows = list(system)  # elimination replaces whole rows and never edits one
 
     pivot_row_of: dict[int, int] = {}
     consumed = [False] * len(rows)
@@ -300,7 +234,7 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
         if not consumed[i] and row[n] and not any(row[:n]):
             # 0 = rhs: a nonzero monomial in s is forced to vanish
             witness = _with_power_of_s(Fraction(abs(row[n].numerator)), dims[i])
-            return InfeasibilityCertificate(req, witness, _contradiction_narrative(conditions[i], witness))
+            return InfeasibilityCertificate(req, witness, _contradiction_narrative(origins[i], witness))
 
     free = frozenset(range(n)) - pivot_row_of.keys()
     assignments: dict[int, Assignment] = {}
@@ -312,20 +246,29 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
         )
 
     solution = ForcedCoefficientSolution(req, assignments, free)
-    residuals = _residuals(conditions, solution)
+    residuals = _residuals(origins, system, solution)
     if residuals:
         raise RuntimeError(f"internal solver error: back-substitution residuals {residuals}")
     return solution
 
 
-def _monomial_value(x: SPoly, dimension: int) -> Fraction:
-    """The coefficient of x, which must be zero or a single monomial of the given dimension."""
-    power = dimension // 2
-    if x and (dimension % 2 or dimension < 0 or x.degree != power or any(x.coeffs[:power])):
-        raise RuntimeError(
-            f"internal solver error: {x} is not a monomial of energy dimension {dimension}"
-        )
-    return x.coeff(power)
+def _y_system(req: DegeneracyRequirement) -> tuple[list[str], list[int], list[list[Fraction]]]:
+    """The 2r conditions in y: their origins, their energy dimensions, and rows of
+    the coefficients of y_0..y_{n-1} followed by the right-hand side."""
+    n = req.n
+    origins: list[str] = []
+    dims: list[int] = []
+    rows: list[list[Fraction]] = []
+    for j in range(req.r):
+        for odd, parity in enumerate(("even", "odd")):
+            row = [_ZERO] * (n + 1)
+            for k in range(j + odd, n + 1, 2):
+                row[k] = Fraction(perm(k, j))
+            row[n] = -row[n]
+            origins.append(f"the {parity} part of {_derivative_name(j)} at E = E_p")
+            dims.append(n - j - odd)
+            rows.append(row)
+    return origins, dims, rows
 
 
 def _with_power_of_s(value: Fraction, dimension: int) -> SPoly:
@@ -340,38 +283,31 @@ def _with_power_of_s(value: Fraction, dimension: int) -> SPoly:
     return SPoly.monomial(dimension // 2, value)
 
 
-def _contradiction_narrative(cond: _Condition, witness: SPoly) -> str:
+def _contradiction_narrative(origin: str, witness: SPoly) -> str:
     if witness.degree >= 1:
-        return (
-            f"{cond.origin} reduces to {render_spoly(witness)} = 0, "
-            "which forces E_p = 0 for all momenta"
-        )
-    return (
-        f"{cond.origin} reduces to {render_spoly(witness)} = 0, "
-        "and a nonzero constant cannot vanish"
-    )
+        consequence = "which forces E_p = 0 for all momenta"
+    else:
+        consequence = "and a nonzero constant cannot vanish"
+    return f"{origin} reduces to {render_spoly(witness)} = 0, {consequence}"
 
 
-def _residuals(conditions: list[_Condition], sol: ForcedCoefficientSolution) -> list[str]:
+def _residuals(origins: list[str], system: list[list[Fraction]], sol: ForcedCoefficientSolution) -> list[str]:
+    """What is left of each un-eliminated row in y once the solution, read back
+    from its powers of s, is substituted: the constant part and the part of
+    each free c_j."""
+    n = sol.requirement.n
     problems: list[str] = []
-    for cond in conditions:
-        const = cond.const
-        linear: dict[int, SPoly] = {}
-        for k, coeff in enumerate(cond.coeffs):
-            if coeff.is_zero:
-                continue
-            if k in sol.assignments:
-                a = sol.assignments[k]
-                const = const + coeff * a.constant
+    for origin, row in zip(origins, system):
+        const = -row[n]
+        linear = {j: row[j] for j in sorted(sol.free)}
+        for k, a in sol.assignments.items():
+            if row[k]:
+                const += row[k] * a.constant.coeff((n - k) // 2)
                 for j, lin in a.linear:
-                    linear[j] = linear.get(j, SPoly.zero()) + coeff * lin
-            else:
-                linear[k] = linear.get(k, SPoly.zero()) + coeff
-        if not const.is_zero:
-            problems.append(f"{cond.origin}: residual {render_spoly(const)}")
-        for j, poly in sorted(linear.items()):
-            if not poly.is_zero:
-                problems.append(f"{cond.origin}: residual ({render_spoly(poly)})*c{j}")
+                    linear[j] += row[k] * lin.coeff((j - k) // 2)
+        if const:
+            problems.append(f"{origin}: residual {const}")
+        problems.extend(f"{origin}: residual ({x})*c{j}" for j, x in linear.items() if x)
     return problems
 
 

@@ -39,7 +39,18 @@ from diracver.spectrum import (
     sweep,
 )
 from diracver.symmat import MatrixSet, as_matrix, char_poly
-from oracles import char_poly_cofactor, poly_of, random_hermitian_matrix
+from oracles import (
+    E,
+    S,
+    char_poly_cofactor,
+    constant,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_of,
+    random_hermitian_matrix,
+    spoly_to_multipoly,
+)
 
 
 @contextmanager
@@ -97,18 +108,19 @@ def test_criterion_3_factorization():
         assert factorized_spectrum(four) == "(E - E_p)^2*(E + E_p)^2"
         two = solve_forced_coefficients(DegeneracyRequirement(2, 1))
         assert factorized_spectrum(two) == "(E - E_p)*(E + E_p)"
-        # independent expansion of (E^2 - s)^r against the assignments
+        # independent expansion of (E^2 - s)^r against the assignments, in the
+        # oracles' dict arithmetic with s = p.p + m^2
         for sol, r in ((four, 2), (two, 1)):
             n = sol.requirement.n
             constants = sol.constants()
-            poly = [constants.get(k, SPoly.zero()) for k in range(n)] + [SPoly.one()]
-            expected = [SPoly.one()]
+            coefficients = [spoly_to_multipoly(constants.get(k, SPoly.zero())) for k in range(n)] + [constant(1)]
+            poly, e_power = {}, constant(1)
+            for c in coefficients:
+                poly = poly_add(poly, poly_mul(c, e_power))
+                e_power = poly_mul(e_power, E)
+            expected = constant(1)
             for _ in range(r):
-                out = [SPoly.zero()] * (len(expected) + 2)
-                for i, a in enumerate(expected):
-                    out[i] = out[i] + a * SPoly((0, -1))
-                    out[i + 2] = out[i + 2] + a
-                expected = out
+                expected = poly_mul(expected, poly_add(poly_mul(E, E), poly_neg(S)))
             assert poly == expected
 
 

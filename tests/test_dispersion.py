@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from diracver import solver
 from diracver.dispersion import check_dispersion
@@ -45,7 +43,8 @@ def solve(n, r):
 
 def _residuals(sol):
     """The residuals of the solution substituted back into its own conditions."""
-    return solver._residuals(solver.multiplicity_conditions(sol.requirement), sol)
+    origins, _, system = solver._y_system(sol.requirement)
+    return solver._residuals(origins, system, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -157,35 +156,32 @@ def test_solver_agrees_with_the_concrete_energy_oracle(n, r, e0):
             assert sum(row[k] * c[k] for k in range(n)) == row[-1]
 
 
-def test_solver_rejects_a_condition_term_of_the_wrong_dimension(monkeypatch):
-    # the coefficient of c_0 in the even part of P has dimension 0, so it is a
-    # bare number; s + 1 is not a single monomial and must not reach s = 1
-    honest = solver.multiplicity_conditions
+def test_solver_results_read_back_at_the_wrong_power_leave_residuals(monkeypatch):
+    # a result lifted one power of s too high reads back as zero at its own
+    # dimension, so the un-eliminated rows keep a constant and a c_j part
+    honest = solver._with_power_of_s
 
-    def tampered(req):
-        rows = honest(req)
-        first = rows[0]
-        return [first._replace(coeffs=(SPoly((1, 1)),) + first.coeffs[1:])] + rows[1:]
+    def one_power_too_high(value, dimension):
+        return honest(value, dimension + 2)
 
-    monkeypatch.setattr(solver, "multiplicity_conditions", tampered)
-    with pytest.raises(
-        RuntimeError, match=r"internal solver error: s \+ 1 is not a monomial of energy dimension 0"
-    ):
-        solve(2, 1)
-
-    # the constant s^2 of the even part of P for n = 4 has dimension 4; s^2 + s
-    # has the right degree but a stray lower term
-    def stray_lower_term(req):
-        rows = honest(req)
-        first = rows[0]
-        assert first.const == SPoly((0, 0, 1))
-        return [first._replace(const=SPoly((0, 1, 1)))] + rows[1:]
-
-    monkeypatch.setattr(solver, "multiplicity_conditions", stray_lower_term)
-    with pytest.raises(
-        RuntimeError, match=r"internal solver error: s\^2 \+ s is not a monomial of energy dimension 4"
-    ):
+    monkeypatch.setattr(solver, "_with_power_of_s", one_power_too_high)
+    with pytest.raises(RuntimeError) as caught:
         solve(4, 2)
+    assert str(caught.value) == (
+        "internal solver error: back-substitution residuals "
+        "['the even part of P at E = E_p: residual 1', \"the odd part of P' at E = E_p: residual 4\"]"
+    )
+    with pytest.raises(RuntimeError, match=r"^internal solver error: back-substitution residuals") as caught:
+        solve(4, 1)
+    assert "the even part of P at E = E_p: residual (1)*c2" in str(caught.value)
+
+
+def test_residuals_name_each_defect_of_a_tampered_solution():
+    sol = solve(4, 1)
+    tampered = sol._replace(assignments={**sol.assignments, 0: Assignment(SPoly((0, 0, -1)))})
+    assert _residuals(tampered) == ["the even part of P at E = E_p: residual (1)*c2"]
+    tampered = sol._replace(assignments={**sol.assignments, 1: Assignment(SPoly((0, 1)), ((3, SPoly((0, -1))),))})
+    assert _residuals(tampered) == ["the odd part of P at E = E_p: residual 1"]
 
 
 def test_solver_results_need_an_even_nonnegative_dimension():
@@ -346,6 +342,12 @@ def test_spoly_rejects_floats_and_bare_numbers():
         SPoly((0.1,))
     with pytest.raises(TypeError, match=message):
         SPoly.monomial(2, 0.1)
+    # the constructor stores Fractions with trailing zeros trimmed
+    assert SPoly((1, 2, 0)).coeffs == (Fraction(1), Fraction(2))
+    assert all(type(c) is Fraction for c in SPoly((1, 2, 0)).coeffs)
+    assert hash(SPoly((1, 2, 0))) == hash(SPoly((Fraction(1), Fraction(2))))
+    assert SPoly.monomial(2, Fraction(1, 2)) == SPoly((0, 0, Fraction(1, 2)))
+    assert SPoly.monomial(3, 0) == SPoly.zero()
     p = SPoly((1, 2))
     for operation in (
         lambda: p + 1,
@@ -357,42 +359,3 @@ def test_spoly_rejects_floats_and_bare_numbers():
     ):
         with pytest.raises(TypeError):
             operation()
-    assert p * 2 == 2 * p == SPoly((2, 4))
-    assert p * Fraction(1, 2) == SPoly((Fraction(1, 2), 1))
-
-
-# zeros are drawn often, so that sums cancel and results need trimming
-_entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-_coeff_lists = st.lists(_entries, max_size=4)
-
-
-def _padded(a, size):
-    return [Fraction(x) for x in a] + [Fraction(0)] * (size - len(a))
-
-
-def _assert_canonical(result, reference):
-    assert all(type(c) is Fraction for c in result.coeffs)
-    assert not result.coeffs or result.coeffs[-1] != 0
-    assert result == SPoly(reference)
-    assert hash(result) == hash(SPoly(reference))
-
-
-@settings(max_examples=150)
-@given(_coeff_lists, _coeff_lists, _entries)
-def test_spoly_arithmetic_matches_fraction_lists(a, b, k):
-    x, y = SPoly(a), SPoly(b)
-    size = max(len(a), len(b))
-    pa, pb = _padded(a, size), _padded(b, size)
-    _assert_canonical(x + y, [u + v for u, v in zip(pa, pb)])
-    _assert_canonical(x + -y, [u - v for u, v in zip(pa, pb)])
-    _assert_canonical(-x, [-u for u in pa])
-    product = [Fraction(0)] * (len(a) + len(b))
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            product[i + j] += Fraction(u) * Fraction(v)
-    _assert_canonical(x * y, product)
-    for scalar in (int(k), Fraction(k)):
-        scaled = [Fraction(u) * scalar for u in a]
-        _assert_canonical(x * scalar, scaled)
-        _assert_canonical(scalar * x, scaled)
-    assert x + -x == SPoly.zero()
