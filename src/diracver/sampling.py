@@ -4,25 +4,25 @@
 cleared once, at construction, to Gaussian integers g over the lcm d of its
 denominators, and keeps that form.  Validation is the integer Gram check
 g g^dagger = d^2 I (``symmat._gram_is_identity``, upper triangle only);
-products and conjugations multiply the cleared forms and rebuild each
-result entry once.
+conjugations multiply the cleared forms and rebuild each result entry once.
 
-``random_exact_unitary`` composes random phases, signed permutations and
-Pythagorean rotations; ``random_hermitian_set`` draws a generic set with
-small rational entries; ``perturbed_set`` moves a few entries of a set,
-keeping it Hermitian.  Every draw comes from the ``random.Random`` passed
-in, so a seed fixes the sample.  No command runs this module: it feeds the
-tests, the benchmark and ``scripts/equivalence_experiment.py``.
+``random_exact_unitary`` applies random phases, signed permutations and
+Pythagorean rotations as integer row operations and checks the result once;
+``random_hermitian_set`` draws a generic set with small rational entries;
+``perturbed_set`` moves a few entries of a set, keeping it Hermitian.  Every
+draw comes from the ``random.Random`` passed in, so a seed fixes the sample.
+No command runs this module: it feeds the tests, the benchmark and
+``scripts/equivalence_experiment.py``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .algebra import _CR_ONE, _CR_ZERO, ComplexRational, Scalar, _Validated, as_scalar
-from .symmat import Matrix, MatrixSet, _cleared, _exact_entries, _gi_mat_mul, _gram_is_identity, _rebuilt, mat_identity
+from .algebra import ComplexRational, _Validated
+from .symmat import Matrix, MatrixSet, _cleared, _exact_entries, _gi_mat_mul, _gram_is_identity, _rebuilt
 
 __all__ = [
     "ExactUnitary",
@@ -39,13 +39,12 @@ class _ExactUnitaryFields(NamedTuple):
 class ExactUnitary(_Validated, _ExactUnitaryFields):
     """Unitary matrix with exact entries, validated at construction.
 
-    Every construction, products and daggers included, clears the matrix
-    once to Gaussian integers g over the lcm d of its denominators and
-    checks g g^dagger = d^2 I in integers.  The cleared form is kept on the
-    instance as ``_gi``, outside the tuple of fields, so equality, hash and
-    repr ignore it.  Products and conjugations multiply cleared forms and
-    rebuild each entry of the result once.  int and Fraction entries are
-    coerced by ``as_scalar``, as in ``MatrixSet``.
+    Every construction clears the matrix once to Gaussian integers g over
+    the lcm d of its denominators and checks g g^dagger = d^2 I in
+    integers.  The cleared form is kept on the instance as ``_gi``, outside
+    the tuple of fields, so equality, hash and repr ignore it; conjugations
+    multiply it and rebuild each entry of the result once.  int and Fraction
+    entries are coerced by ``as_scalar``, as in ``MatrixSet``.
     """
 
     def __new__(cls, matrix: Matrix) -> "ExactUnitary":
@@ -63,43 +62,6 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactUnitary":
-        return cls(mat_identity(n))
-
-    @classmethod
-    def diagonal(cls, phases: Iterable[Scalar]) -> "ExactUnitary":
-        values = [as_scalar(p) for p in phases]
-        n = len(values)
-        return cls(tuple(tuple(values[i] if i == j else _CR_ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def signed_permutation(cls, perm: Sequence[int], signs: Sequence[Scalar] | None = None) -> "ExactUnitary":
-        n = len(perm)
-        values = [as_scalar(s) for s in signs] if signs else [_CR_ONE] * n
-        rows = [[_CR_ZERO] * n for _ in range(n)]
-        for col, row in enumerate(perm):
-            rows[row][col] = values[col]
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def rotation(cls, n: int, i: int, j: int, cos_part: Scalar, sin_part: Scalar) -> "ExactUnitary":
-        """Two-index rotation block [[c, s], [-conj(s), c]] with c^2 + |s|^2 = 1."""
-        c = as_scalar(cos_part)
-        s = as_scalar(sin_part)
-        rows = [list(row) for row in mat_identity(n)]
-        rows[i][i] = c
-        rows[i][j] = s
-        rows[j][i] = -s.conj()
-        rows[j][j] = c
-        return cls(tuple(tuple(r) for r in rows))
-
-    def __matmul__(self, other: "ExactUnitary") -> "ExactUnitary":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        (ga, da), (gb, db) = self._gi, other._gi
-        return ExactUnitary(_rebuilt(_gi_mat_mul(ga, gb), da * db, self.n))
 
     def conjugate_set(self, mset: MatrixSet, label: str | None = None) -> MatrixSet:
         """Apply X -> U X U^dagger to every matrix of the set.
@@ -128,17 +90,10 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
         )
 
 
-_PYTHAGOREAN = (
-    (Fraction(3, 5), Fraction(4, 5)),
-    (Fraction(5, 13), Fraction(12, 13)),
-    (Fraction(8, 17), Fraction(15, 17)),
-)
-_PHASES = (
-    ComplexRational(1),
-    ComplexRational(-1),
-    ComplexRational(0, 1),
-    ComplexRational(0, -1),
-)
+# (a, b, h) with a^2 + b^2 = h^2: the rotations by cos = a/h, sin = b/h
+_PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+# the phases 1, -1, i, -i as Gaussian integers (re, im)
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _coin(rng: random.Random) -> bool:
@@ -146,23 +101,49 @@ def _coin(rng: random.Random) -> bool:
     return rng.random() < Fraction(1, 2)
 
 
+def _times(u: tuple[int, int], row: list) -> list:
+    """The Gaussian integer u times each Gaussian integer of ``row``."""
+    p, q = u
+    return [(p * re - q * im, p * im + q * re) for re, im in row]
+
+
+def _plus(x: list, y: list) -> list:
+    """Two rows of Gaussian integers added entry by entry."""
+    return [(a + c, b + e) for (a, b), (c, e) in zip(x, y)]
+
+
 def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> ExactUnitary:
-    """Compose random exact generators: phases, signed permutations, rotations."""
-    out = ExactUnitary.identity(n)
+    """Compose ``steps`` random generators, each applied on the left: a phase
+    per row, a signed permutation, or a Pythagorean rotation of two rows.
+
+    The matrix so far is kept as Gaussian integers g over one denominator
+    d, and each generator is a row operation on g.  A rotation with
+    cos = a/h and sin = s/h (s = b or i*b) sets rows i, j to a g_i + s g_j
+    and -conj(s) g_i + a g_j, and multiplies every other row, and d, by h.
+    The result is built once, so the ``ExactUnitary`` Gram check proves it.
+    """
+    g = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    d = 1
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0:
-            gen = ExactUnitary.diagonal([rng.choice(_PHASES) for _ in range(n)])
+            g = [_times(rng.choice(_UNITS), row) for row in g]
         elif kind == 1:
             perm = rng.sample(range(n), n)
-            gen = ExactUnitary.signed_permutation(perm, [rng.choice(_PHASES) for _ in range(n)])
+            moved = g[:]
+            for row, target in zip(g, perm):
+                moved[target] = _times(rng.choice(_UNITS), row)
+            g = moved
         else:
             i, j = sorted(rng.sample(range(n), 2))
-            c, s = rng.choice(_PYTHAGOREAN)
-            sin_part: Scalar = ComplexRational(0, s) if _coin(rng) else s
-            gen = ExactUnitary.rotation(n, i, j, c, sin_part)
-        out = gen @ out
-    return out
+            a, b, h = rng.choice(_PYTHAGOREAN)
+            s = (0, b) if _coin(rng) else (b, 0)
+            gi, gj = g[i], g[j]
+            g = [_times((h, 0), row) for row in g]
+            g[i] = _plus(_times((a, 0), gi), _times(s, gj))
+            g[j] = _plus(_times((-s[0], s[1]), gi), _times((a, 0), gj))
+            d *= h
+    return ExactUnitary(_rebuilt((x for row in g for x in row), d, n))
 
 
 def _random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:

@@ -9,7 +9,9 @@ Gram-Schmidt basis of beta's eigenspaces are plain ComplexRational sums
 instead of Gaussian-integer kernels, and the alpha blocks are read off entry by entry in an explicit
 eigenbasis of beta instead of through projector traces (or, in
 ``alpha_structure_reference``, through the same traces taken over
-ComplexRational).
+ComplexRational), and the seeded unitaries are composed generator by
+generator as plain matrices instead of by row operations on Gaussian
+integers.
 
 Polynomials here have an arithmetic of their own, not the package's
 ``MultiPoly``/``EPoly``: a polynomial in (E, p1, p2, p3, m) is a plain dict
@@ -246,6 +248,36 @@ def mat_mul_reference(a: Matrix, b: Matrix) -> Matrix:
             row.append(total)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def random_exact_unitary_reference(rng: random.Random, n: int, steps: int) -> Matrix:
+    """What ``sampling.random_exact_unitary`` composes: the same draws in the
+    same order, each generator written out as a plain matrix (a diagonal of
+    phases, a signed permutation, or a rotation block [[c, s], [-conj(s), c]])
+    and multiplied in on the left by ``mat_mul_reference``."""
+    phases = (ComplexRational(1), ComplexRational(-1), ComplexRational(0, 1), ComplexRational(0, -1))
+    pythagorean = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(15, 17)))
+    identity = [[ComplexRational(int(i == j)) for j in range(n)] for i in range(n)]
+    out = identity
+    for _ in range(steps):
+        gen = [list(row) for row in identity]
+        kind = rng.randrange(3)
+        if kind == 0:
+            for k in range(n):
+                gen[k][k] = rng.choice(phases)
+        elif kind == 1:
+            perm = rng.sample(range(n), n)
+            gen = [[ComplexRational(0)] * n for _ in range(n)]
+            for col, row in enumerate(perm):
+                gen[row][col] = rng.choice(phases)
+        else:
+            i, j = sorted(rng.sample(range(n), 2))
+            c, s = rng.choice(pythagorean)
+            sin_part = ComplexRational(0, s) if rng.random() < 0.5 else ComplexRational(s)
+            gen[i][i] = gen[j][j] = ComplexRational(c)
+            gen[i][j], gen[j][i] = sin_part, -sin_part.conj()
+        out = mat_mul_reference(gen, out)
+    return tuple(tuple(row) for row in out)
 
 
 def anticommutator_reference(a: Matrix, b: Matrix) -> Matrix:

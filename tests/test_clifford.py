@@ -48,6 +48,7 @@ from oracles import (
     dagger_reference,
     gram_schmidt_reference,
     mat_mul_reference,
+    random_exact_unitary_reference,
     unit_eigenbasis,
     unitary_reference,
 )
@@ -191,6 +192,7 @@ def test_canonicalize_permuted_beta_is_exact(dirac_pauli):
     ))
     result = canonicalize_beta(shuffled)
     assert result.exact
+    assert result.description == "exact rational unitary"
     # every transform entry is 0 or a unit: a permutation of the basis
     u = result.transform_exact
     entries = {x for row in u for x in row}
@@ -531,21 +533,40 @@ def test_consequence_chain(all_catalog_sets, rng):
 # ---------------------------------------------------------------------------
 
 
+# exact literals of the unitaries the sampler composes: a real and an
+# imaginary Pythagorean rotation, and the four phases on a diagonal
+_I = ComplexRational(0, 1)
+REAL_ROTATION = ((Fraction(3, 5), 0, Fraction(4, 5), 0), (0, 1, 0, 0), (Fraction(-4, 5), 0, Fraction(3, 5), 0), (0, 0, 0, 1))
+IMAGINARY_ROTATION = ((Fraction(3, 5), _I * Fraction(4, 5)), (_I * Fraction(4, 5), Fraction(3, 5)))
+PHASES = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, _I, 0), (0, 0, 0, -_I))
+
+
 def test_exact_unitary_validation():
     with pytest.raises(ValueError):
         ExactUnitary(as_matrix([[1, 1], [0, 1]]))
-    # constructors validate U U^dagger = 1 exactly, so these must not raise
-    ExactUnitary.rotation(4, 0, 2, Fraction(3, 5), Fraction(4, 5))
-    ExactUnitary.rotation(2, 0, 1, Fraction(3, 5), ComplexRational(0, Fraction(4, 5)))
-    ExactUnitary.diagonal([1, -1, ComplexRational(0, 1), ComplexRational(0, -1)])
-    with pytest.raises(ValueError):
-        ExactUnitary.diagonal([Fraction(1, 2), 1])
+    # the constructor validates U U^dagger = 1 exactly, so these must not raise
+    for rows in (REAL_ROTATION, IMAGINARY_ROTATION, PHASES):
+        assert ExactUnitary(rows).matrix == as_matrix(rows)
+    with pytest.raises(ValueError, match="^matrix is not exactly unitary$"):
+        ExactUnitary(((Fraction(1, 2), 0), (0, 1)))
 
 
 def test_random_exact_unitaries_are_unitary(rng):
     for _ in range(10):
         u = random_exact_unitary(rng)
         assert mat_mul_reference(u.matrix, dagger_reference(u.matrix)) == mat_identity(4)
+
+
+def test_random_exact_unitary_is_checked_once(monkeypatch):
+    checks = []
+
+    def counted(g, d):
+        checks.append(d)
+        return _gram_is_identity(g, d)
+
+    monkeypatch.setattr(sampling_module, "_gram_is_identity", counted)
+    random_exact_unitary(random.Random(0), steps=60)
+    assert len(checks) == 1
 
 
 def test_malformed_unitaries_fail_with_their_own_message(monkeypatch):
@@ -558,11 +579,11 @@ def test_malformed_unitaries_fail_with_their_own_message(monkeypatch):
     # the dimensions are compared before any product (zip would truncate)
     monkeypatch.setattr(sampling_module, "_gi_mat_mul", no_product)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        ExactUnitary.identity(4) @ ExactUnitary.identity(2)
+        ExactUnitary(IMAGINARY_ROTATION).conjugate_set(catalog("dirac-pauli"))
 
 
 def test_unitaries_accept_plain_exact_entries():
-    assert ExactUnitary(((1, 0), (0, 1))) == ExactUnitary.identity(2)
+    assert ExactUnitary(((1, 0), (0, 1))) == ExactUnitary(mat_identity(2))
     rotation = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
     assert ExactUnitary(rotation).matrix == as_matrix(rotation)
     mixed = ((ComplexRational(0, 1), 0), (0, 1))
@@ -579,7 +600,7 @@ def test_unitaries_accept_plain_exact_entries():
 
 
 def test_cleared_form_is_not_a_field():
-    u = ExactUnitary.rotation(2, 0, 1, Fraction(3, 5), ComplexRational(0, Fraction(4, 5)))
+    u = ExactUnitary(IMAGINARY_ROTATION)
     v = ExactUnitary(u.matrix)
     assert ExactUnitary._fields == ("matrix",)
     assert u == v and hash(u) == hash(v)
@@ -635,16 +656,6 @@ def test_unitary_validation_matches_the_reference(rows):
             ExactUnitary(rows)
 
 
-@given(st.sampled_from((2, 3, 4)), st.randoms(use_true_random=False), st.integers(0, 60), st.integers(0, 60))
-@settings(max_examples=40, deadline=None)
-def test_unitary_products_match_the_reference(n, rng, steps_u, steps_v):
-    u = random_exact_unitary(rng, n, steps=steps_u)
-    v = random_exact_unitary(rng, n, steps=steps_v)
-    product = u @ v
-    assert product.matrix == mat_mul_reference(u.matrix, v.matrix)
-    assert _is_matrix_of_scalars(product.matrix, n)
-
-
 @given(st.sampled_from(CATALOG_NAMES), st.randoms(use_true_random=False), st.integers(10, 60), st.none() | st.text(max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_conjugate_set_matches_the_reference(name, rng, steps, label):
@@ -665,6 +676,14 @@ def test_conjugate_set_matches_the_reference_on_mixed_denominators(mset, rng, st
     got = u.conjugate_set(mset)
     assert got.alphas == tuple(conjugate_reference(u.matrix, alpha) for alpha in mset.alphas)
     assert got.beta == conjugate_reference(u.matrix, mset.beta)
+
+
+@given(st.sampled_from((2, 3, 4)), st.integers(0, 2**32), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_random_exact_unitary_matches_the_reference_sampler(n, seed, steps):
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert random_exact_unitary(rng, n, steps=steps).matrix == random_exact_unitary_reference(twin, n, steps)
+    assert rng.getstate() == twin.getstate()
 
 
 # sha256 (first 16 hex digits) of repr(matrix) and repr(rng.random()) after the

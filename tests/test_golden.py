@@ -12,7 +12,8 @@ canonical transform), the n = 2 Pauli triple, and the dirac-pauli alphas with
 beta = diag(1, 1, 1, -1) (eigenspaces of dimension 3 and 1) and with
 beta = diag(B, -B), B = [[3/5, 4i/5], [-4i/5, 3/5]] (beta^2 has real part I
 but imaginary off-diagonal entries, which only the imaginary parts of the
-integer Gram check see).  Between them
+integer Gram check see).  Each of the five sampled inputs is rebuilt from
+its sampler call and compared with its committed file.  Between them
 they reach every branch of the `verify` and `derive` reports.  The three
 `catalog` cases print each catalog set; each output equals its input file.
 
@@ -46,10 +47,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from diracver import cli
+from diracver.clifford import catalog
+from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -100,6 +104,24 @@ def test_report_matches_golden_in_a_fresh_process(case, tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     _assert_golden(case, proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"), csv)
+
+
+# the sampler call behind each sampled input, as the module docstring names it
+SAMPLED_INPUTS = {
+    "conjugate": lambda: random_exact_unitary(Random(4), steps=10).conjugate_set(catalog("dirac-pauli")),
+    "perturbed-alpha": lambda: perturbed_set(Random(3), catalog("dirac-pauli")),
+    "perturbed-beta": lambda: perturbed_set(Random(9), catalog("weyl-chiral")),
+    "random-1": lambda: random_hermitian_set(Random(1)),
+    "random-2": lambda: random_hermitian_set(Random(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_INPUTS))
+def test_sampled_input_is_rebuilt_by_its_sampler_call(name):
+    built = SAMPLED_INPUTS[name]()
+    committed = cli.parse_matrix_file(GOLDEN / "inputs" / f"{name}.json")
+    assert built.alphas == committed.alphas
+    assert built.beta == committed.beta
 
 
 def _load_script(name: str):

@@ -21,7 +21,7 @@ from diracver.spectrum import MomentumSample
 from diracver.symmat import HermiticityError, char_poly
 
 
-ROTATION = ExactUnitary.rotation(2, 0, 1, Fraction(3, 5), ComplexRational(0, Fraction(4, 5)))
+ROTATION = ExactUnitary(((Fraction(3, 5), ComplexRational(0, Fraction(4, 5))), (ComplexRational(0, Fraction(4, 5)), Fraction(3, 5))))
 
 
 def _cases():
@@ -92,8 +92,8 @@ def test_fields_are_read_only(record):
             setattr(record, name, getattr(record, name))
 
 
-def test_a_rebuilt_unitary_recomputes_its_cleared_form():
+def test_a_rebuilt_unitary_recomputes_its_cleared_form(pauli):
     u = ROTATION
     for rebuilt in (u._replace(), copy.copy(u), pickle.loads(pickle.dumps(u))):
         assert rebuilt._gi == u._gi
-        assert (rebuilt @ u).matrix == (u @ u).matrix
+        assert rebuilt.conjugate_set(pauli) == u.conjugate_set(pauli)
