@@ -10,110 +10,40 @@ a single monomial in s.  The solver therefore writes the equations directly
 with rational entries, in the unknowns ``y_k = c_k / s^((n-k)/2)``, and
 exact Gauss-Jordan elimination over the rationals then either
 
-* solves them, each forced coefficient getting its power of s back from
-  its dimension (:class:`ForcedCoefficientSolution`), or
+* solves them for the y_k (:class:`ForcedCoefficientSolution`), or
 * exhibits a nonzero monomial in s that the system forces to vanish
   identically (:class:`InfeasibilityCertificate`), an impossibility proof
   for that (n, r) pair.
 
-Every solution is read back from its powers of s and substituted into the
-un-eliminated equations before it is returned.  :class:`SPoly` is only the
-value of a result: it has no arithmetic.  No matrix set enters: this module
-needs only ``algebra``, and ``dispersion.check_dispersion`` applies the
-same even/odd reduction to the characteristic polynomial of a concrete set.
+Every result is a rational; the power of s that carries it is fixed by its
+energy dimension, which must be even and nonnegative.  Every solution is
+substituted into the un-eliminated equations in y before it is returned.
+No matrix set enters: this module needs only ``algebra``, and
+``dispersion.check_dispersion`` applies the same even/odd reduction to the
+characteristic polynomial of a concrete set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
-from .algebra import _Validated, _derivative_name, _join_terms, _power, _term_sign_body, _times_factors
+from .algebra import _Validated, _derivative_name, _join_terms, _power, _term_sign_body
 
 __all__ = [
-    "SPoly",
     "DegeneracyRequirement",
     "Assignment",
     "ForcedCoefficientSolution",
     "InfeasibilityCertificate",
     "solve_forced_coefficients",
     "factorized_spectrum",
-    "render_spoly",
     "render_solution",
     "render_certificate",
 ]
 
 
 _ZERO = Fraction(0)
-
-
-def _exact(x: object) -> Fraction:
-    """An int or Fraction as a Fraction; anything else raises ``TypeError``, as ``as_scalar`` does."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
-
-
-class SPoly:
-    """Univariate polynomial in the formal symbol s, with Fraction coefficients.
-
-    s stands for the squared positive energy p1^2 + p2^2 + p3^2 + m^2.
-    It is the immutable value of a solver result and has no arithmetic.
-    Coefficients must be int or Fraction; a float raises ``TypeError``.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Sequence[int | Fraction] = ()):
-        c = [_exact(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
-
-    @classmethod
-    def zero(cls) -> "SPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "SPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int | Fraction = 1) -> "SPoly":
-        return cls((0,) * power + (coeff,))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
-
-    @property
-    def degree(self) -> int:
-        return len(self._c) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coeff(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else _ZERO
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(self._c)
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __str__(self) -> str:
-        return render_spoly(self)
-
-    def __repr__(self) -> str:
-        return f"SPoly({render_spoly(self)!r})"
 
 
 class _DegeneracyRequirementFields(NamedTuple):
@@ -137,16 +67,13 @@ class DegeneracyRequirement(_Validated, _DegeneracyRequirementFields):
 
 
 class Assignment(NamedTuple):
-    """Value of one forced coefficient: a polynomial in s plus terms in free c_j."""
+    """Value of one forced coefficient in y: y_k = constant + sum of q*y_j over free j.
 
-    constant: SPoly
-    linear: tuple[tuple[int, SPoly], ...] = ()
+    In c this is c_k = constant*s^((n-k)/2) + sum of q*s^((j-k)/2)*c_j.
+    """
 
-    def render(self) -> str:
-        pieces = [_term_sign_body(coeff, factors) for coeff, factors in _spoly_terms(self.constant)]
-        for j, poly in self.linear:
-            pieces.extend(_times_factors(_spoly_terms(poly), [f"c{j}"]))
-        return _join_terms(pieces)
+    constant: Fraction
+    linear: tuple[tuple[int, Fraction], ...] = ()
 
 
 class ForcedCoefficientSolution(NamedTuple):
@@ -160,8 +87,8 @@ class ForcedCoefficientSolution(NamedTuple):
     def is_complete(self) -> bool:
         return not self.free
 
-    def constants(self) -> dict[int, SPoly]:
-        """Coefficient values as polynomials in s; only valid for complete solutions."""
+    def constants(self) -> dict[int, Fraction]:
+        """The values y_k = c_k / s^((n-k)/2); only valid for complete solutions."""
         if not self.is_complete:
             raise ValueError("solution has free coefficients")
         return {k: a.constant for k, a in self.assignments.items()}
@@ -169,25 +96,26 @@ class ForcedCoefficientSolution(NamedTuple):
 
 class _InfeasibilityCertificateFields(NamedTuple):
     requirement: DegeneracyRequirement
-    witness: SPoly
+    witness: Fraction
+    power: int
     narrative: str
 
 
 class InfeasibilityCertificate(_Validated, _InfeasibilityCertificateFields):
     """Proof that no matrix set of dimension n meets the multiplicity demand.
 
-    ``witness`` is a nonzero polynomial in s that the linear conditions force
-    to vanish identically.
+    The linear conditions force the nonzero monomial ``witness*s^power`` to
+    vanish identically.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls, requirement: DegeneracyRequirement, witness: SPoly, narrative: str
+        cls, requirement: DegeneracyRequirement, witness: Fraction, power: int, narrative: str
     ) -> "InfeasibilityCertificate":
-        if witness.is_zero:
-            raise ValueError("certificate witness must be a nonzero polynomial")
-        return super().__new__(cls, requirement, witness, narrative)
+        if not witness:
+            raise ValueError("certificate witness must be nonzero")
+        return super().__new__(cls, requirement, witness, power, narrative)
 
 
 SolveResult = Union[ForcedCoefficientSolution, InfeasibilityCertificate]
@@ -207,10 +135,9 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     pattern of the system in c, so Gauss-Jordan elimination over the
     rationals, pivots chosen lowest-index unknown first, takes the same
     pivots and reaches the same reduced form as elimination over the
-    rational functions of s.  Each result then gets its power of s back
-    from its dimension.  A nonzero result of odd or negative dimension, or
-    a solution that does not satisfy the un-eliminated rows when read back
-    from its powers of s, raises ``RuntimeError``.
+    rational functions of s.  The result is returned in y.  A nonzero value
+    of odd or negative dimension, or a solution that leaves a residual in
+    the un-eliminated rows, raises ``RuntimeError``.
     """
     n = req.n
     origins, dims, system = _y_system(req)
@@ -233,17 +160,21 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     for i, row in enumerate(rows):
         if not consumed[i] and row[n] and not any(row[:n]):
             # 0 = rhs: a nonzero monomial in s is forced to vanish
-            witness = _with_power_of_s(Fraction(abs(row[n].numerator)), dims[i])
-            return InfeasibilityCertificate(req, witness, _contradiction_narrative(origins[i], witness))
+            witness = Fraction(abs(row[n].numerator))
+            power = _power_of_s(witness, dims[i])
+            narrative = _contradiction_narrative(origins[i], witness, power)
+            return InfeasibilityCertificate(req, witness, power, narrative)
 
     free = frozenset(range(n)) - pivot_row_of.keys()
     assignments: dict[int, Assignment] = {}
     for col in sorted(pivot_row_of):
         row = rows[pivot_row_of[col]]
-        assignments[col] = Assignment(
-            _with_power_of_s(row[n] / row[col], n - col),
-            tuple((j, _with_power_of_s(-row[j] / row[col], j - col)) for j in sorted(free) if row[j]),
-        )
+        constant = row[n] / row[col]
+        _power_of_s(constant, n - col)
+        linear = tuple((j, -row[j] / row[col]) for j in sorted(free) if row[j])
+        for j, q in linear:
+            _power_of_s(q, j - col)
+        assignments[col] = Assignment(constant, linear)
 
     solution = ForcedCoefficientSolution(req, assignments, free)
     residuals = _residuals(origins, system, solution)
@@ -271,30 +202,30 @@ def _y_system(req: DegeneracyRequirement) -> tuple[list[str], list[int], list[li
     return origins, dims, rows
 
 
-def _with_power_of_s(value: Fraction, dimension: int) -> SPoly:
-    """value*s^(dimension/2); a nonzero value needs an even, nonnegative dimension."""
-    if not value:
-        return SPoly.zero()
-    if dimension % 2 or dimension < 0:
+def _power_of_s(value: Fraction, dimension: int) -> int:
+    """The power of s that carries value at this energy dimension: value*s^(dimension/2).
+
+    A nonzero value needs an even, nonnegative dimension.
+    """
+    if value and (dimension % 2 or dimension < 0):
         raise RuntimeError(
             f"internal solver error: {value} has energy dimension {dimension}, "
             "which is not a power of s"
         )
-    return SPoly.monomial(dimension // 2, value)
+    return dimension // 2
 
 
-def _contradiction_narrative(origin: str, witness: SPoly) -> str:
-    if witness.degree >= 1:
+def _contradiction_narrative(origin: str, witness: Fraction, power: int) -> str:
+    if power >= 1:
         consequence = "which forces E_p = 0 for all momenta"
     else:
         consequence = "and a nonzero constant cannot vanish"
-    return f"{origin} reduces to {render_spoly(witness)} = 0, {consequence}"
+    return f"{origin} reduces to {_render_monomial(witness, power)} = 0, {consequence}"
 
 
 def _residuals(origins: list[str], system: list[list[Fraction]], sol: ForcedCoefficientSolution) -> list[str]:
-    """What is left of each un-eliminated row in y once the solution, read back
-    from its powers of s, is substituted: the constant part and the part of
-    each free c_j."""
+    """What is left of each un-eliminated row in y once the solution is
+    substituted: the constant part and the part of each free y_j."""
     n = sol.requirement.n
     problems: list[str] = []
     for origin, row in zip(origins, system):
@@ -302,9 +233,9 @@ def _residuals(origins: list[str], system: list[list[Fraction]], sol: ForcedCoef
         linear = {j: row[j] for j in sorted(sol.free)}
         for k, a in sol.assignments.items():
             if row[k]:
-                const += row[k] * a.constant.coeff((n - k) // 2)
-                for j, lin in a.linear:
-                    linear[j] += row[k] * lin.coeff((j - k) // 2)
+                const += row[k] * a.constant
+                for j, q in a.linear:
+                    linear[j] += row[k] * q
         if const:
             problems.append(f"{origin}: residual {const}")
         problems.extend(f"{origin}: residual ({x})*c{j}" for j, x in linear.items() if x)
@@ -322,21 +253,15 @@ def factorized_spectrum(sol: ForcedCoefficientSolution) -> str:
         raise ValueError("incomplete solution: free coefficients remain")
     if req.n != 2 * req.r:
         raise ValueError(f"(n={req.n}, r={req.r}) does not factor as a power of (E^2 - s)")
-    constants = sol.constants()
-    coeffs = [constants.get(k, SPoly.zero()) for k in range(req.n)] + [SPoly.one()]
+    y = {**sol.constants(), req.n: 1}
 
-    # (E^2 - s)^r = sum_j C(r, j) (-s)^(r-j) E^(2j), with no odd powers of E
+    # (E^2 - s)^r = sum_j C(r, j) (-s)^(r-j) E^(2j), with no odd powers of E:
+    # the coefficient of E^(2j) is y_2j*s^(r-j)
     r = req.r
-    target = [SPoly.zero()] * (2 * r + 1)
-    for j in range(r + 1):
-        target[2 * j] = SPoly.monomial(r - j, (-1) ** (r - j) * comb(r, j))
-
-    for k, (got, want) in enumerate(zip(coeffs, target)):
-        if got != want:
-            raise ValueError(
-                f"factorization mismatch at E^{k}: got {render_spoly(got)}, "
-                f"expected {render_spoly(want)}"
-            )
+    for k in range(req.n + 1):
+        want = 0 if k % 2 else (-1) ** (r - k // 2) * comb(r, k // 2)
+        if y.get(k, 0) != want:
+            raise ValueError(f"factorization mismatch at E^{k}: got y{k} = {y.get(k, 0)}, expected {want}")
     if req.r == 1:
         return "(E - E_p)*(E + E_p)"
     return f"(E - E_p)^{req.r}*(E + E_p)^{req.r}"
@@ -347,21 +272,25 @@ def factorized_spectrum(sol: ForcedCoefficientSolution) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _spoly_terms(p: SPoly) -> list[tuple[Fraction, list[str]]]:
-    """(coefficient, factors) pairs of p, highest power of s first."""
-    return [(p.coeff(k), _power("s", k)) for k in range(p.degree, -1, -1) if p.coeff(k)]
+def _render_monomial(value: Fraction, power: int) -> str:
+    return _join_terms([_term_sign_body(value, _power("s", power))])
 
 
-def render_spoly(p: SPoly) -> str:
-    return _join_terms([_term_sign_body(coeff, factors) for coeff, factors in _spoly_terms(p)])
+def _s_term(value: Fraction, dimension: int, *factors: str) -> tuple[bool, str]:
+    """value*s^(dimension/2) times the factors, as a signed term."""
+    return _term_sign_body(value, _power("s", _power_of_s(value, dimension)) + list(factors))
 
 
 def render_solution(sol: ForcedCoefficientSolution) -> list[str]:
-    """One line per forced coefficient, highest index first, then any free ones."""
+    """One line per forced coefficient in c, highest index first, then any free ones."""
+    n = sol.requirement.n
     lines = []
-    for k in range(sol.requirement.n - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         if k in sol.assignments:
-            lines.append(f"c{k} = {sol.assignments[k].render()}")
+            a = sol.assignments[k]
+            pieces = [_s_term(a.constant, n - k)] if a.constant else []
+            pieces += [_s_term(q, j - k, f"c{j}") for j, q in a.linear]
+            lines.append(f"c{k} = {_join_terms(pieces)}")
     if sol.free:
         lines.append("free: " + ", ".join(f"c{j}" for j in sorted(sol.free)))
     return lines
@@ -371,6 +300,6 @@ def render_certificate(cert: InfeasibilityCertificate) -> list[str]:
     req = cert.requirement
     return [
         f"infeasible: n = {req.n}, multiplicity {req.r}",
-        f"forced: {render_spoly(cert.witness)} = 0 for all momenta",
+        f"forced: {_render_monomial(cert.witness, cert.power)} = 0 for all momenta",
         f"note: {cert.narrative}",
     ]

@@ -19,7 +19,9 @@ from its exponents ``(k, e1, e2, e3, e4)`` to a nonzero ComplexRational,
 and ``poly_add``, ``poly_mul`` and ``poly_neg`` are all it needs.  h(p),
 the cofactor determinants, long division and the substitution of s are
 computed in it, and a library polynomial enters a comparison only through
-``poly_of``, which reads its ``coeffs`` and ``terms()``.
+``poly_of``, which reads its ``coeffs`` and ``terms()``.  The solver's
+values y_k = c_k / s^((n-k)/2) are lifted back to coefficients here, from
+energy dimensions the caller counts (n - k for c_k).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from math import isqrt, perm
 from typing import Sequence
 
 from diracver.algebra import ComplexRational, render_fraction
-from diracver.solver import SPoly
 from diracver.symmat import Matrix, MatrixSet
 
 # a polynomial in (E, p1, p2, p3, m): exponents (k, e1, e2, e3, e4) -> nonzero coefficient
@@ -108,21 +109,21 @@ def term_degrees(poly: Poly) -> set[int]:
     return {sum(mono) for mono in poly}
 
 
-def spoly_at(p: SPoly, s: Fraction) -> Fraction:
-    """The value of ``p`` at the number ``s``, by Horner's rule."""
-    total = Fraction(0)
-    for c in reversed(p.coeffs):
-        total = total * s + c
-    return total
+def lift_at_energy(y: Fraction, dimension: int, e0: Fraction) -> Fraction:
+    """The coefficient of energy dimension ``dimension`` whose dimensionless value is ``y``,
+    at the energy E_p = e0: y*e0^dimension, as s^(dimension/2) = E_p^dimension."""
+    return y * e0**dimension
 
 
-def spoly_to_multipoly(p: SPoly) -> Poly:
-    """``p`` with s replaced by p1^2 + p2^2 + p3^2 + m^2."""
-    out: Poly = {}
-    power = constant(1)
-    for c in p.coeffs:
-        out = poly_add(out, poly_mul(power, constant(c)))
-        power = poly_mul(power, S)
+def lift_to_multipoly(y: Fraction, dimension: int) -> Poly:
+    """y*s^(dimension/2) with s replaced by p1^2 + p2^2 + p3^2 + m^2; a nonzero y needs an
+    even, nonnegative dimension."""
+    if not y:
+        return {}
+    assert dimension >= 0 and dimension % 2 == 0, f"{y} at energy dimension {dimension}"
+    out = constant(y)
+    for _ in range(dimension // 2):
+        out = poly_mul(out, S)
     return out
 
 

@@ -28,7 +28,6 @@ from diracver.sampling import perturbed_set, random_exact_unitary, random_hermit
 from diracver.solver import (
     DegeneracyRequirement,
     InfeasibilityCertificate,
-    SPoly,
     factorized_spectrum,
     solve_forced_coefficients,
 )
@@ -44,12 +43,12 @@ from oracles import (
     S,
     char_poly_cofactor,
     constant,
+    lift_to_multipoly,
     poly_add,
     poly_mul,
     poly_neg,
     poly_of,
     random_hermitian_matrix,
-    spoly_to_multipoly,
 )
 
 
@@ -77,12 +76,8 @@ def test_criterion_1_forced_coefficients():
         assert result.returncode == 0
         assert result.stdout == "c3 = 0\nc2 = -2*s\nc1 = 0\nc0 = s^2\n"
         solution = solve_forced_coefficients(DegeneracyRequirement(4, 2))
-        assert solution.constants() == {
-            3: SPoly.zero(),
-            2: SPoly((0, -2)),
-            1: SPoly.zero(),
-            0: SPoly((0, 0, 1)),
-        }
+        # y_k = c_k / s^((4-k)/2)
+        assert solution.constants() == {3: 0, 2: -2, 1: 0, 0: 1}
         assert elapsed < 1.0
 
 
@@ -91,11 +86,11 @@ def test_criterion_2_impossibility_certificates():
         start = time.perf_counter()
         two = solve_forced_coefficients(DegeneracyRequirement(2, 2))
         assert isinstance(two, InfeasibilityCertificate)
-        assert two.witness == SPoly((2,))
+        assert (two.witness, two.power) == (2, 0)
 
         three = solve_forced_coefficients(DegeneracyRequirement(3, 2))
         assert isinstance(three, InfeasibilityCertificate)
-        assert three.witness == SPoly((0, 2))
+        assert (three.witness, three.power) == (2, 1)
         assert "E_p = 0 for all momenta" in three.narrative
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
@@ -113,7 +108,7 @@ def test_criterion_3_factorization():
         for sol, r in ((four, 2), (two, 1)):
             n = sol.requirement.n
             constants = sol.constants()
-            coefficients = [spoly_to_multipoly(constants.get(k, SPoly.zero())) for k in range(n)] + [constant(1)]
+            coefficients = [lift_to_multipoly(constants[k], n - k) for k in range(n)] + [constant(1)]
             poly, e_power = {}, constant(1)
             for c in coefficients:
                 poly = poly_add(poly, poly_mul(c, e_power))

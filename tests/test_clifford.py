@@ -455,11 +455,19 @@ def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
                     continue
                 result = canonicalize_beta(mset)
                 assert (result.description, result.transform_exact) == (description, transform)
-                outcomes.add(result.exact)
+                outcomes.add(description if result.exact else "not exact")
+    # e1 <-> e3 with -1 on e4 keeps a rational unit eigenbasis for dirac-pauli's diagonal beta
+    swap = ExactUnitary(((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1)))
+    for name in CATALOG_NAMES:
+        mset = swap.conjugate_set(catalog(name))
+        dims, description, transform = canonical_form_reference(mset.beta)
+        result = canonicalize_beta(mset)
+        assert (result.description, result.transform_exact) == (description, transform)
+        outcomes.add(description if result.exact else "not exact")
     halved = MatrixSet(4, catalog("majorana").alphas, _halved(catalog("majorana").beta))
     with pytest.raises(ValueError, match="beta\\^2 differs"):
         canonicalize_beta(halved)
-    assert outcomes == {True, False, "lopsided"}
+    assert outcomes == {"identity (beta already canonical)", "exact rational unitary", "not exact", "lopsided"}
 
 
 @given(_audited_sets(dims=(4,)))

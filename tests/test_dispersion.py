@@ -10,11 +10,9 @@ from diracver.solver import (
     DegeneracyRequirement,
     ForcedCoefficientSolution,
     InfeasibilityCertificate,
-    SPoly,
     factorized_spectrum,
     render_certificate,
     render_solution,
-    render_spoly,
     solve_forced_coefficients,
 )
 from diracver.symmat import MatrixSet, char_poly, mat_identity
@@ -27,13 +25,13 @@ from oracles import (
     constant,
     evaluate,
     fraction_rank,
+    lift_at_energy,
+    lift_to_multipoly,
     multiplicity_system,
     poly_add,
     poly_mul,
     poly_neg,
     poly_of,
-    spoly_at,
-    spoly_to_multipoly,
 )
 
 
@@ -56,18 +54,15 @@ def test_four_by_four_double_root_solution():
     sol = solve(4, 2)
     assert isinstance(sol, ForcedCoefficientSolution)
     assert sol.free == frozenset()
-    constants = sol.constants()
-    assert constants[3] == SPoly.zero()
-    assert constants[2] == SPoly((0, -2))
-    assert constants[1] == SPoly.zero()
-    assert constants[0] == SPoly((0, 0, 1))
+    assert sol.constants() == {3: 0, 2: -2, 1: 0, 0: 1}
+    assert all(type(y) is Fraction for y in sol.constants().values())
     assert render_solution(sol) == ["c3 = 0", "c2 = -2*s", "c1 = 0", "c0 = s^2"]
 
 
 def test_two_by_two_double_root_infeasible():
     cert = solve(2, 2)
     assert isinstance(cert, InfeasibilityCertificate)
-    assert cert.witness == SPoly((2,))
+    assert (cert.witness, cert.power) == (2, 0)
     assert "odd part of P'" in cert.narrative
     assert render_certificate(cert)[1] == "forced: 2 = 0 for all momenta"
 
@@ -75,7 +70,7 @@ def test_two_by_two_double_root_infeasible():
 def test_three_by_three_double_root_infeasible():
     cert = solve(3, 2)
     assert isinstance(cert, InfeasibilityCertificate)
-    assert cert.witness == SPoly((0, 2))
+    assert (cert.witness, cert.power) == (2, 1)
     assert "E_p = 0 for all momenta" in cert.narrative
     assert render_certificate(cert)[1] == "forced: 2*s = 0 for all momenta"
 
@@ -83,9 +78,7 @@ def test_three_by_three_double_root_infeasible():
 def test_two_by_two_single_root_solution():
     sol = solve(2, 1)
     assert isinstance(sol, ForcedCoefficientSolution)
-    constants = sol.constants()
-    assert constants[1] == SPoly.zero()
-    assert constants[0] == SPoly((0, -1))
+    assert sol.constants() == {1: 0, 0: -1}
     assert render_solution(sol) == ["c1 = 0", "c0 = -s"]
 
 
@@ -96,8 +89,8 @@ def test_four_by_four_single_root_is_parametric():
     sol = solve(4, 1)
     assert isinstance(sol, ForcedCoefficientSolution)
     assert sol.free == frozenset({2, 3})
-    assert sol.assignments[0] == Assignment(SPoly((0, 0, -1)), ((2, SPoly((0, -1))),))
-    assert sol.assignments[1] == Assignment(SPoly.zero(), ((3, SPoly((0, -1))),))
+    assert sol.assignments[0] == Assignment(Fraction(-1), ((2, Fraction(-1)),))
+    assert sol.assignments[1] == Assignment(Fraction(0), ((3, Fraction(-1)),))
     assert render_solution(sol) == ["c1 = -s*c3", "c0 = -s^2 - s*c2", "free: c2, c3"]
     assert _residuals(sol) == []
 
@@ -105,7 +98,7 @@ def test_four_by_four_single_root_is_parametric():
 def test_one_component_theory_is_infeasible():
     cert = solve(1, 1)
     assert isinstance(cert, InfeasibilityCertificate)
-    assert cert.witness == SPoly((1,))
+    assert (cert.witness, cert.power) == (1, 0)
 
 
 def test_full_multiplicity_requirements_are_infeasible():
@@ -114,7 +107,7 @@ def test_full_multiplicity_requirements_are_infeasible():
             continue  # (2, 2) covered above
         cert = solve(n, n)
         assert isinstance(cert, InfeasibilityCertificate)
-        assert not cert.witness.is_zero
+        assert cert.witness != 0
 
 
 def test_multiplicity_above_degree_rejected():
@@ -144,57 +137,85 @@ def test_solver_agrees_with_the_concrete_energy_oracle(n, r, e0):
     result = solve(n, r)
     assert isinstance(result, ForcedCoefficientSolution) == consistent
     if isinstance(result, InfeasibilityCertificate):
-        assert spoly_at(result.witness, s0) != 0
+        assert result.witness * s0**result.power != 0
         return
+    # c_k = y_k*E_p^(n-k), and a free c_j enters y_k as q*y_j, i.e. as q*E_p^(j-k)*c_j
     for free_value in (Fraction(0), Fraction(5, 7)):
         c = {j: free_value for j in result.free}
         for k, a in result.assignments.items():
-            c[k] = spoly_at(a.constant, s0) + sum(
-                spoly_at(lin, s0) * free_value for _, lin in a.linear
+            c[k] = lift_at_energy(a.constant, n - k, Fraction(e0)) + sum(
+                lift_at_energy(q, j - k, Fraction(e0)) * free_value for j, q in a.linear
             )
         for row in system:
             assert sum(row[k] * c[k] for k in range(n)) == row[-1]
 
 
-def test_solver_results_read_back_at_the_wrong_power_leave_residuals(monkeypatch):
-    # a result lifted one power of s too high reads back as zero at its own
-    # dimension, so the un-eliminated rows keep a constant and a c_j part
-    honest = solver._with_power_of_s
+def test_solver_results_that_miss_their_rows_raise_residuals(monkeypatch):
+    # an elimination whose output is off by one in every constant leaves a
+    # constant residual in the un-eliminated rows
+    honest = solver.Assignment
 
-    def one_power_too_high(value, dimension):
-        return honest(value, dimension + 2)
+    def off_by_one(constant, linear=()):
+        return honest(constant + 1, linear)
 
-    monkeypatch.setattr(solver, "_with_power_of_s", one_power_too_high)
+    monkeypatch.setattr(solver, "Assignment", off_by_one)
     with pytest.raises(RuntimeError) as caught:
         solve(4, 2)
     assert str(caught.value) == (
         "internal solver error: back-substitution residuals "
-        "['the even part of P at E = E_p: residual 1', \"the odd part of P' at E = E_p: residual 4\"]"
+        "['the even part of P at E = E_p: residual 2', 'the odd part of P at E = E_p: residual 2', "
+        "\"the even part of P' at E = E_p: residual 4\", \"the odd part of P' at E = E_p: residual 2\"]"
     )
-    with pytest.raises(RuntimeError, match=r"^internal solver error: back-substitution residuals") as caught:
+    with pytest.raises(RuntimeError) as caught:
         solve(4, 1)
-    assert "the even part of P at E = E_p: residual (1)*c2" in str(caught.value)
+    assert str(caught.value) == (
+        "internal solver error: back-substitution residuals "
+        "['the even part of P at E = E_p: residual 1', 'the odd part of P at E = E_p: residual 1']"
+    )
 
 
 def test_residuals_name_each_defect_of_a_tampered_solution():
     sol = solve(4, 1)
-    tampered = sol._replace(assignments={**sol.assignments, 0: Assignment(SPoly((0, 0, -1)))})
+    tampered = sol._replace(assignments={**sol.assignments, 0: Assignment(Fraction(-1))})
     assert _residuals(tampered) == ["the even part of P at E = E_p: residual (1)*c2"]
-    tampered = sol._replace(assignments={**sol.assignments, 1: Assignment(SPoly((0, 1)), ((3, SPoly((0, -1))),))})
+    tampered = sol._replace(assignments={**sol.assignments, 1: Assignment(Fraction(1), ((3, Fraction(-1)),))})
     assert _residuals(tampered) == ["the odd part of P at E = E_p: residual 1"]
 
 
-def test_solver_results_need_an_even_nonnegative_dimension():
-    assert solver._with_power_of_s(Fraction(3), 4) == SPoly((0, 0, 3))
-    assert solver._with_power_of_s(Fraction(0), -1) == SPoly.zero()
+def test_solver_results_need_an_even_nonnegative_dimension(monkeypatch):
+    assert solver._power_of_s(Fraction(3), 4) == 2
+    assert solver._power_of_s(Fraction(-1, 2), 0) == 0
+    solver._power_of_s(Fraction(0), -1)  # a zero value carries no power of s
     for dimension in (1, -2):
-        with pytest.raises(RuntimeError, match="internal solver error"):
-            solver._with_power_of_s(Fraction(1), dimension)
+        with pytest.raises(
+            RuntimeError, match=f"^internal solver error: 1 has energy dimension {dimension}, which is not a power of s$"
+        ):
+            solver._power_of_s(Fraction(1), dimension)
+
+    # inside the solver: a witness read at the wrong dimension, and constants
+    # forced onto the odd rows, whose unknowns have odd dimension
+    honest = solver._y_system
+
+    def dimension_off_by_one(req):
+        origins, dims, rows = honest(req)
+        return origins, [d + 1 for d in dims], rows
+
+    monkeypatch.setattr(solver, "_y_system", dimension_off_by_one)
+    with pytest.raises(RuntimeError, match="^internal solver error: 2 has energy dimension 3, which is not a power of s$"):
+        solve(3, 2)
+
+    def unit_right_hand_sides(req):
+        origins, dims, rows = honest(req)
+        return origins, dims, [row[:-1] + [Fraction(1)] for row in rows]
+
+    monkeypatch.setattr(solver, "_y_system", unit_right_hand_sides)
+    with pytest.raises(RuntimeError, match="energy dimension 3, which is not a power of s$"):
+        solve(4, 2)
 
 
 def test_certificate_witness_nonzero_invariant():
     with pytest.raises(ValueError):
-        InfeasibilityCertificate(DegeneracyRequirement(2, 2), SPoly.zero(), "broken")
+        InfeasibilityCertificate(DegeneracyRequirement(2, 2), Fraction(0), 0, "broken")
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +235,19 @@ def test_factorization_rejects_tampered_solution():
     tampered = ForcedCoefficientSolution(
         DegeneracyRequirement(4, 2),
         {
-            3: Assignment(SPoly.zero()),
-            2: Assignment(SPoly((0, 2))),  # sign flipped
-            1: Assignment(SPoly.zero()),
-            0: Assignment(SPoly((0, 0, 1))),
+            3: Assignment(Fraction(0)),
+            2: Assignment(Fraction(2)),  # sign flipped
+            1: Assignment(Fraction(0)),
+            0: Assignment(Fraction(1)),
         },
         frozenset(),
     )
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match=r"^factorization mismatch at E\^2: got y2 = 2, expected -2$"):
         factorized_spectrum(tampered)
+    # a value at an odd power of E is a mismatch too, not an internal error
+    odd = tampered._replace(assignments={**tampered.assignments, 2: Assignment(Fraction(-2)), 1: Assignment(Fraction(1))})
+    with pytest.raises(ValueError, match=r"^factorization mismatch at E\^1: got y1 = 1, expected 0$"):
+        factorized_spectrum(odd)
 
 
 def test_factorization_rejects_incomplete_solution():
@@ -299,15 +324,15 @@ def test_check_dispersion_matches_solver_forced_coefficients(dirac_pauli, pauli,
         (perturbed_set(rng, dirac_pauli), False),
     ]:
         cp = char_poly(mset)
-        coefficients_match = all(poly_of(cp.c(k)) == spoly_to_multipoly(sol[k]) for k in range(4))
+        coefficients_match = all(poly_of(cp.c(k)) == lift_to_multipoly(sol[k], 4 - k) for k in range(4))
         assert coefficients_match == expect
         assert check_dispersion(mset, 2).passed == expect
 
     # (2, 1) forces c1 = 0 and c0 = -s; the Pauli triple has c0 = -p.p = -s + m^2
     sol2 = solve(2, 1).constants()
     cp = char_poly(pauli)
-    assert poly_of(cp.c(1)) == spoly_to_multipoly(sol2[1]) == {}
-    assert poly_of(cp.c(0)) == poly_add(spoly_to_multipoly(sol2[0]), poly_mul(MASS, MASS))
+    assert poly_of(cp.c(1)) == lift_to_multipoly(sol2[1], 1) == {}
+    assert poly_of(cp.c(0)) == poly_add(lift_to_multipoly(sol2[0], 2), poly_mul(MASS, MASS))
 
 
 def test_multiplicity_bounds_on_check(dirac_pauli):
@@ -318,44 +343,13 @@ def test_multiplicity_bounds_on_check(dirac_pauli):
 
 
 # ---------------------------------------------------------------------------
-# s-polynomials
+# the oracle's lifts
 # ---------------------------------------------------------------------------
 
 
-def test_spoly_rendering():
-    assert render_spoly(SPoly.zero()) == "0"
-    assert render_spoly(SPoly((0, -2))) == "-2*s"
-    assert render_spoly(SPoly((0, 0, 1))) == "s^2"
-    assert render_spoly(SPoly((Fraction(1, 2), -1, 1))) == "s^2 - s + 1/2"
-
-
-def test_spoly_substitution_consistency():
-    p = SPoly((3, 0, 1))  # s^2 + 3
-    assert spoly_at(p, Fraction(2)) == Fraction(7)
-    assert evaluate(spoly_to_multipoly(p), (1, 1, 1, 1)) == 19  # s = 4 -> 16 + 3
-    assert evaluate(spoly_to_multipoly(p), (1, 1, 0, 5)) == 732  # s = 27 -> 729 + 3
-
-
-def test_spoly_rejects_floats_and_bare_numbers():
-    message = "^cannot interpret 0.1 as an exact scalar$"
-    with pytest.raises(TypeError, match=message):
-        SPoly((0.1,))
-    with pytest.raises(TypeError, match=message):
-        SPoly.monomial(2, 0.1)
-    # the constructor stores Fractions with trailing zeros trimmed
-    assert SPoly((1, 2, 0)).coeffs == (Fraction(1), Fraction(2))
-    assert all(type(c) is Fraction for c in SPoly((1, 2, 0)).coeffs)
-    assert hash(SPoly((1, 2, 0))) == hash(SPoly((Fraction(1), Fraction(2))))
-    assert SPoly.monomial(2, Fraction(1, 2)) == SPoly((0, 0, Fraction(1, 2)))
-    assert SPoly.monomial(3, 0) == SPoly.zero()
-    p = SPoly((1, 2))
-    for operation in (
-        lambda: p + 1,
-        lambda: 1 + p,
-        lambda: p - 1,
-        lambda: 1 - p,
-        lambda: p * 2.5,
-        lambda: 2.5 * p,
-    ):
-        with pytest.raises(TypeError):
-            operation()
+def test_the_oracle_lifts_agree():
+    # 3*s^2 at s = 4 (E_p = 2) and at s = 27 from the point (1, 1, 0, 5)
+    assert lift_at_energy(Fraction(3), 4, Fraction(2)) == 48
+    assert evaluate(lift_to_multipoly(Fraction(3), 4), (1, 1, 1, 1)) == 48
+    assert evaluate(lift_to_multipoly(Fraction(3), 4), (1, 1, 0, 5)) == 3 * 27**2
+    assert lift_to_multipoly(Fraction(0), 3) == {}

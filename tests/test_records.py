@@ -16,7 +16,7 @@ import pytest
 from diracver.algebra import ComplexRational
 from diracver.clifford import catalog
 from diracver.sampling import ExactUnitary
-from diracver.solver import DegeneracyRequirement, SPoly, solve_forced_coefficients
+from diracver.solver import DegeneracyRequirement, solve_forced_coefficients
 from diracver.spectrum import MomentumSample
 from diracver.symmat import HermiticityError, char_poly
 
@@ -37,8 +37,8 @@ def _cases():
         (ROTATION, "matrix", ((1, 1), (0, 1)), ValueError, "matrix is not exactly unitary"),
         (DegeneracyRequirement(4, 2), "r", 5, ValueError,
          "multiplicity 5 exceeds the polynomial degree 4"),
-        (solve_forced_coefficients(DegeneracyRequirement(3, 2)), "witness", SPoly.zero(), ValueError,
-         "certificate witness must be a nonzero polynomial"),
+        (solve_forced_coefficients(DegeneracyRequirement(3, 2)), "witness", Fraction(0), ValueError,
+         "certificate witness must be nonzero"),
         (MomentumSample((0.1, 0.2, 0.3), 1.0), "m", -1.0, ValueError, "mass must be nonnegative"),
     ]
 
