@@ -4,18 +4,22 @@ Three layers, all immutable and exact:
 
 * ``ComplexRational``: a Gaussian rational ``re + im*i`` stored as an
   integer pair over a common positive denominator, so each arithmetic
-  operation needs a single gcd reduction.
+  operation needs a single gcd reduction.  Matrix entries are these.
 * ``MultiPoly``: sparse polynomial in the four real variables
-  ``(p1, p2, p3, m)`` with ``ComplexRational`` coefficients.  Zero
-  coefficients are never stored, so polynomial equality is a structural
-  comparison of canonical forms.
+  ``(p1, p2, p3, m)`` with rational coefficients, stored as nonzero
+  integers over one positive denominator that shares no factor with all of
+  them.  That form is canonical, so polynomial equality is a structural
+  comparison.
 * ``EPoly``: polynomial in the energy variable ``E`` whose coefficients
   are ``MultiPoly`` values.
 
-``MultiPoly`` and ``EPoly`` are canonical containers with a trusted
-``_make``, not a polynomial ring.  The kernels in ``symmat`` and
-``reduce_at_dispersion`` compute in Gaussian integers and hand over their
-results through ``MultiPoly._make``; the containers add value semantics, a
+Every polynomial here is real: P(E) = det(E - h(p)) of a Hermitian h(p)
+has real coefficients, and so have its derivatives and the residuals read
+off it.  ``MultiPoly`` and ``EPoly`` are canonical containers with a
+trusted ``_make``, not a polynomial ring.  The kernels in ``symmat`` and
+``reduce_at_dispersion`` compute in integers and hand over their results
+through ``MultiPoly._make`` as a term map of integers and its denominator;
+no per-term scalar is built.  The containers add value semantics, a
 validating constructor for outside input, the formal derivative in E and
 ``MultiPoly.__mul__``, which no kernel calls and the benchmark traces by
 name.
@@ -27,12 +31,12 @@ in ``(p1, p2, p3, m)``, so demanding ``Q = 0`` at that energy *for all
 momenta* is equivalent to ``A == 0`` and ``B == 0``.  Every dispersion
 check in this package bottoms out in that split.
 
-The reduction runs on Gaussian integers, in the idiom of the ``symmat``
-and ``clifford`` kernels: it clears the coefficients of the ``EPoly`` once
-over D, the lcm of their denominators, folds each ``E^k`` (k >= 2) into
-``s*E^(k-2)`` as integer sums, and rebuilds only A and B over D.  That is
-exact because reduction modulo a monic divisor with integer coefficients
-is Z[i]-linear: the remainder of D*q is D times the remainder of q.
+The reduction runs on integers: it brings the coefficients of the
+``EPoly`` to one denominator D, the lcm of their denominators, folds each
+``E^k`` (k >= 2) into ``s*E^(k-2)`` as integer sums, and hands A and B
+over D.  That is exact because reduction modulo a monic divisor with
+integer coefficients is Z-linear: the remainder of D*q is D times the
+remainder of q.
 
 Text rendering follows the grammar documented in README.md: terms in
 descending graded-lexicographic order, variable order ``(p1, p2, p3, m)``.
@@ -255,85 +259,87 @@ def _grlex_key(mono: Monomial) -> tuple[int, Monomial]:
 
 
 class MultiPoly:
-    """Sparse exact polynomial in ``(p1, p2, p3, m)``.
+    """Sparse exact polynomial in ``(p1, p2, p3, m)`` with rational coefficients.
 
-    Terms map exponent 4-tuples to nonzero ``ComplexRational``
-    coefficients; the zero polynomial has an empty term map.
+    ``_terms`` maps exponent 4-tuples to nonzero ints and ``_d > 0`` is their
+    common denominator: the coefficient of a monomial is its value over
+    ``_d``.  The gcd of ``_d`` and every value is 1, so the form is canonical;
+    the zero polynomial has an empty term map and ``_d == 1``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_d")
 
-    def __init__(self, terms: Mapping[Sequence[int], Scalar] | None = None):
-        data: dict[Monomial, ComplexRational] = {}
+    def __init__(self, terms: Mapping[Sequence[int], int | Fraction] | None = None):
+        data: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 key = tuple(mono)
                 if len(key) != 4 or any((not isinstance(e, int)) or e < 0 for e in key):
                     raise ValueError(f"bad monomial {mono!r}: need 4 nonnegative ints")
-                c = as_scalar(coeff)
-                if c:
-                    data[key] = c
-        self._terms = data
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"cannot interpret {coeff!r} as a rational coefficient")
+                if coeff:
+                    data[key] = Fraction(coeff)
+        # canonical as it stands: each prime power of d is the full power of
+        # that prime in the (reduced) denominator of some coefficient
+        d = lcm(*(c.denominator for c in data.values()))
+        self._terms = {mono: c.numerator * (d // c.denominator) for mono, c in data.items()}
+        self._d = d
 
     @classmethod
-    def _make(cls, terms: dict[Monomial, ComplexRational]) -> "MultiPoly":
-        # trusted path: terms already canonical (no zero coefficients)
+    def _make(cls, terms: dict[Monomial, int], d: int = 1) -> "MultiPoly":
+        """Trusted path: ``terms`` maps monomials to nonzero ints over the denominator ``d > 0``."""
+        g = gcd(d, *terms.values())
+        if g > 1:
+            terms = {mono: v // g for mono, v in terms.items()}
+            d //= g
         self = object.__new__(cls)
         self._terms = terms
+        self._d = d
         return self
 
     @classmethod
-    def constant(cls, value: Scalar) -> "MultiPoly":
-        c = as_scalar(value)
-        return cls._make({(0, 0, 0, 0): c} if c else {})
+    def constant(cls, value: int | Fraction) -> "MultiPoly":
+        return cls({(0, 0, 0, 0): value})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, mono: Sequence[int]) -> ComplexRational:
-        return self._terms.get(tuple(mono), _CR_ZERO)
+    def coefficient(self, mono: Sequence[int]) -> Fraction:
+        return Fraction(self._terms.get(tuple(mono), 0), self._d)
 
-    def terms(self) -> Iterator[tuple[Monomial, ComplexRational]]:
+    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lexicographic order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
+        d = self._d
+        ordered = sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return iter([(mono, Fraction(v, d)) for mono, v in ordered])
 
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            out: dict[Monomial, ComplexRational] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                    c = c1 * c2
-                    prev = out.get(mono)
-                    acc = c if prev is None else prev + c
-                    if acc:
-                        out[mono] = acc
-                    elif prev is not None:
-                        del out[mono]
-            return MultiPoly._make(out)
-        cr = _as_cr(other)
-        if cr is None:
-            return NotImplemented
-        if cr.is_zero:
-            return MultiPoly._make({})
-        return MultiPoly._make({m: c * cr for m, c in self._terms.items()})
+    def __mul__(self, other: "MultiPoly | int | Fraction") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.constant(other)
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+                out[mono] = get(mono, 0) + c1 * c2
+        return MultiPoly._make({mono: v for mono, v in out.items() if v}, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        cr = _as_cr(other)
-        if cr is None:
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self == MultiPoly.constant(cr)
+        return self._d == other._d and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._d, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -349,12 +355,14 @@ class EPoly:
     """Polynomial in the energy variable E with MultiPoly coefficients.
 
     ``coeffs[k]`` is the coefficient of ``E^k``; the leading stored
-    coefficient is nonzero and the zero polynomial stores nothing.
+    coefficient is nonzero and the zero polynomial stores nothing.  int and
+    Fraction coefficients are coerced by ``MultiPoly.constant``; other
+    scalars raise its ``TypeError``.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Sequence[MultiPoly | Scalar]):
+    def __init__(self, coeffs: Sequence[MultiPoly | int | Fraction]):
         polys = [c if isinstance(c, MultiPoly) else MultiPoly.constant(c) for c in coeffs]
         while polys and polys[-1].is_zero:
             polys.pop()
@@ -375,11 +383,10 @@ class EPoly:
         return MultiPoly._make({})
 
     def derivative(self) -> "EPoly":
-        """Formal derivative with respect to E; each k*c is built from c's integers."""
-        make = ComplexRational._from_ints
+        """Formal derivative with respect to E; k*c multiplies c's integers by k over c's denominator."""
         return EPoly(
             [
-                MultiPoly._make({mono: make(c._a * k, c._b * k, c._d) for mono, c in poly._terms.items()})
+                MultiPoly._make({mono: v * k for mono, v in poly._terms.items()}, poly._d)
                 for k, poly in enumerate(self._coeffs[1:], 1)
             ]
         )
@@ -411,35 +418,27 @@ class ReducedPair(NamedTuple):
 
 
 def reduce_at_dispersion(q: EPoly) -> ReducedPair:
-    """Remainder of q modulo E^2 - s, split as A + E*B, in Gaussian integers.
+    """Remainder of q modulo E^2 - s, split as A + E*B, in integers.
 
     s is the squared energy p1^2 + p2^2 + p3^2 + m^2.  The coefficients of
-    q are cleared once to Gaussian integers over D, the lcm of their
-    denominators.  Each term t*E^k with k >= 2 is then folded into
-    t*s*E^(k-2), from the top power down, which adds t at each of the four
-    monomial shifts of s: p1^2, p2^2, p3^2 and m^2.  Only A and B are
-    rebuilt as exact scalars, over D.  This is exact because the divisor is
-    monic with integer coefficients, so the remainder of D*q is D times the
-    remainder of q, and its coefficients are Gaussian integers.
+    q are brought once to integers over D, the lcm of their denominators.
+    Each term t*E^k with k >= 2 is then folded into t*s*E^(k-2), from the
+    top power down, which adds t at each of the four monomial shifts of s:
+    p1^2, p2^2, p3^2 and m^2.  A and B are handed over as integers over D.
+    This is exact because the divisor is monic with integer coefficients,
+    so the remainder of D*q is D times the remainder of q, and its
+    coefficients are integers.
     """
     coeffs = q.coeffs
-    denom = lcm(*(c._d for poly in coeffs for c in poly._terms.values()))
-    rem = [
-        {mono: (c._a * (denom // c._d), c._b * (denom // c._d)) for mono, c in poly._terms.items()}
-        for poly in coeffs
-    ]
+    denom = lcm(*(poly._d for poly in coeffs))
+    rem = [{mono: v * (denom // poly._d) for mono, v in poly._terms.items()} for poly in coeffs]
     for k in range(len(rem) - 1, 1, -1):
         low = rem[k - 2]
         get = low.get
-        for (e1, e2, e3, e4), (re, im) in rem[k].items():
+        for (e1, e2, e3, e4), v in rem[k].items():
             for mono in ((e1 + 2, e2, e3, e4), (e1, e2 + 2, e3, e4), (e1, e2, e3 + 2, e4), (e1, e2, e3, e4 + 2)):
-                prev = get(mono)
-                low[mono] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    make = ComplexRational._from_ints
-    even, odd = (
-        MultiPoly._make({mono: make(re, im, denom) for mono, (re, im) in part.items() if re or im})
-        for part in (rem + [{}, {}])[:2]
-    )
+                low[mono] = get(mono, 0) + v
+    even, odd = (MultiPoly._make({mono: v for mono, v in part.items() if v}, denom) for part in (rem + [{}, {}])[:2])
     return ReducedPair(even, odd)
 
 
@@ -482,23 +481,12 @@ def _monomial_factors(mono: Monomial) -> list[str]:
     return [factor for name, e in zip(VARIABLES, mono) for factor in _power(name, e)]
 
 
-def _term_sign_body(coeff: Scalar, factors: list[str]) -> tuple[bool, str]:
-    """Render coeff times the factors as (is_negative, body), any extractable sign removed."""
-    coeff = as_scalar(coeff)
-    re, im = coeff.re, coeff.im
-    if im == 0:
-        negative = re < 0
-        mag = abs(re)
-        if factors and mag == 1:
-            return negative, "*".join(factors)
-        return negative, "*".join([render_fraction(mag)] + factors)
-    if re == 0:
-        negative = im < 0
-        mag = abs(im)
-        head = "i" if mag == 1 else f"{render_fraction(mag)}*i"
-        return negative, "*".join([head] + factors)
-    # mixed complex coefficient: keep both signs inside parentheses
-    return False, "*".join([f"({render_scalar(coeff)})"] + factors)
+def _term_sign_body(coeff: Fraction, factors: list[str]) -> tuple[bool, str]:
+    """Render coeff times the factors as (is_negative, body), the sign removed."""
+    mag = abs(coeff)
+    if factors and mag == 1:
+        return coeff < 0, "*".join(factors)
+    return coeff < 0, "*".join([render_fraction(mag)] + factors)
 
 
 def _join_terms(terms: list[tuple[bool, str]]) -> str:
@@ -511,7 +499,7 @@ def _join_terms(terms: list[tuple[bool, str]]) -> str:
     return out
 
 
-def _times_factors(terms: list[tuple[Scalar, list[str]]], factors: list[str]) -> list[tuple[bool, str]]:
+def _times_factors(terms: list[tuple[Fraction, list[str]]], factors: list[str]) -> list[tuple[bool, str]]:
     """Signed terms of (sum of coeff*term_factors) times factors.
 
     A single term absorbs the factors; a longer sum is parenthesized.  With

@@ -338,7 +338,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     if mset.n == 4:
         trace_det_lines = [
-            f"{name}: trace = {render_scalar(tr)}, det = {render_scalar(det)}"
+            f"{name}: trace = {render_fraction(tr)}, det = {render_fraction(det)}"
             for name, (tr, det) in audit.trace_det.values.items()
         ]
         structure_lines = audit.alpha_lines("diagonal blocks vanish", "norm condition")
@@ -384,13 +384,13 @@ def cmd_derive(args: argparse.Namespace) -> int:
         (
             "trace",
             "the coefficient of E^3 must vanish identically, forcing every trace to zero",
-            [", ".join(f"Tr({name}) = {render_scalar(tr)}" for name, (tr, _) in values)],
+            [", ".join(f"Tr({name}) = {render_fraction(tr)}" for name, (tr, _) in values)],
             audit.trace_det.traces_vanish,
         ),
         (
             "det",
             "the pure p1^4, p2^4, p3^4, m^4 terms of the constant coefficient force unit determinants",
-            [", ".join(f"det({name}) = {render_scalar(det)}" for name, (_, det) in values)],
+            [", ".join(f"det({name}) = {render_fraction(det)}" for name, (_, det) in values)],
             audit.trace_det.dets_unit,
         ),
         (

@@ -208,11 +208,11 @@ def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
 class TraceDetReport(NamedTuple):
     """Traces and determinants of the four matrices, read off P(E)."""
 
-    values: dict[str, tuple[ComplexRational, ComplexRational]]
+    values: dict[str, tuple[Fraction, Fraction]]
 
     @property
     def traces_vanish(self) -> bool:
-        return all(tr.is_zero for tr, _ in self.values.values())
+        return all(not tr for tr, _ in self.values.values())
 
     @property
     def dets_unit(self) -> bool:

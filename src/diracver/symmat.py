@@ -13,18 +13,19 @@ parts of the power sums are summed.
 The kernels run on Gaussian integers.  A ``ComplexRational`` is stored
 as (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
 Gaussian-integer entries.  Each kernel clears the denominators of its
-inputs once and rebuilds only its results as exact scalars; no gcd is
-taken inside a product or the power sums.  The
-characteristic polynomial of a matrix whose entries have Gaussian-integer
-coefficients has Gaussian-integer coefficients itself, and so have the
-power sums, so the only divisions, Newton's k*c_(n-k) = -(...) for
-k = 1..n, are exact integer divisions, checked to leave no remainder.
-Coefficient ``c_j`` of the scaled matrix is ``D^(n-j)`` times that of the
-input, and it is divided back out when the result is converted to
-``MultiPoly`` values.  ``clifford`` and ``sampling`` run their own kernels
-on the same cleared form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``), and
-both decide g g^dagger = d^2 I with ``_gram_is_identity``: beta^2 = 1 for a
-Hermitian beta, and the validity of every ``sampling.ExactUnitary``.
+inputs once and rebuilds only its results; no gcd is taken inside a
+product or the power sums.  The characteristic polynomial of a matrix
+whose entries have Gaussian-integer coefficients has Gaussian-integer
+coefficients itself, and so have the power sums, so the only divisions,
+Newton's k*c_(n-k) = -(...) for k = 1..n, are exact integer divisions,
+checked to leave no remainder.  The power sums of a Hermitian h(p) are
+real, so coefficient ``c_j`` of the scaled matrix, ``D^(n-j)`` times that
+of the input, has integer coefficients; it is handed to ``MultiPoly`` as
+those integers over ``D^(n-j)``, and no per-term scalar is built.
+``clifford`` and ``sampling`` run their own kernels on the same cleared
+form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``), and both decide
+g g^dagger = d^2 I with ``_gram_is_identity``: beta^2 = 1 for a Hermitian
+beta, and the validity of every ``sampling.ExactUnitary``.
 
 ``trace_and_det`` forms no further polynomial: it reads the trace and the
 determinant of each of the four matrices off the characteristic
@@ -34,6 +35,7 @@ characteristic polynomial of that variable's matrix.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -390,12 +392,13 @@ def char_poly(mset: MatrixSet) -> CharPoly:
     coefficients as well.  The sum that the step c'_{n-k} = -(...)/k divides
     equals -k c'_{n-k}, so the step is an exact integer division; a
     remainder is an internal error, never rounded.  Because
-    det(E*I - D*h) = D^n det((E/D)*I - h), c'_j = D^(n-j) c_j, and each c_j
-    is rebuilt exactly as c'_j over the denominator D^(n-j).
+    det(E*I - D*h) = D^n det((E/D)*I - h), c'_j = D^(n-j) c_j.
 
     ``MatrixSet`` guarantees that h is Hermitian and that n is 2, 3 or 4, so
-    ``_hermitian_power_sums`` forms only the upper triangle of B^2 and the
-    real parts of the power sums.
+    ``_hermitian_power_sums`` forms only the upper triangle of B^2 and sums
+    the power sums from real parts only (``_gi_re_dot``).  Newton's
+    coefficients are therefore real by construction, and each c_j is handed
+    over as the real parts of the packed coefficients of c'_j, over D^(n-j).
     """
     n = mset.n
     A, denom = build_hamiltonian(mset)
@@ -406,22 +409,20 @@ def char_poly(mset: MatrixSet) -> CharPoly:
     for k in range(1, n + 1):
         coeffs[n - k] = _gi_neg_div(_gi_dot((coeffs[n - k + i], sums[i]) for i in range(1, k + 1)), k)
 
-    polys = []
-    for j, c in enumerate(coeffs):
-        scale = denom ** (n - j)
-        polys.append(
-            MultiPoly._make(
-                {
-                    (key & mask, key >> width & mask, key >> 2 * width & mask, key >> 3 * width):
-                    ComplexRational._from_ints(re, im, scale)
-                    for key, (re, im) in c.items()
-                }
-            )
+    polys = [
+        MultiPoly._make(
+            {
+                (key & mask, key >> width & mask, key >> 2 * width & mask, key >> 3 * width): re
+                for key, (re, _) in c.items()
+            },
+            denom ** (n - j),
         )
+        for j, c in enumerate(coeffs)
+    ]
     return CharPoly(n, EPoly(polys))
 
 
-def trace_and_det(cp: CharPoly) -> dict[str, tuple[ComplexRational, ComplexRational]]:
+def trace_and_det(cp: CharPoly) -> dict[str, tuple[Fraction, Fraction]]:
     """Exact (trace, determinant) of alpha1, alpha2, alpha3 and beta, keyed by name.
 
     ``cp`` is the characteristic polynomial of h(p) = sum_k X_k x_k, with

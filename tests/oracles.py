@@ -72,9 +72,13 @@ S = reduce(poly_add, (poly_mul(v, v) for v in (P1, P2, P3, MASS)))  # the square
 
 
 def poly_of(q) -> Poly:
-    """A library ``MultiPoly`` or ``EPoly`` as a dict, read through ``terms()`` and ``coeffs``."""
+    """A library ``MultiPoly`` or ``EPoly`` as a dict, read through ``terms()`` and ``coeffs``.
+
+    Each Fraction coefficient is lifted to a ComplexRational, so a comparison
+    with an oracle polynomial compares ComplexRationals on both sides.
+    """
     coeffs = (q,) if hasattr(q, "terms") else q.coeffs
-    return {(k, *mono): c for k, poly in enumerate(coeffs) for mono, c in poly.terms()}
+    return {(k, *mono): ComplexRational(c) for k, poly in enumerate(coeffs) for mono, c in poly.terms()}
 
 
 def det_cofactor(matrix: Matrix) -> ComplexRational:
@@ -217,10 +221,10 @@ def random_scalar(rng: random.Random) -> ComplexRational:
 
 
 def random_multipoly(rng: random.Random, max_terms: int = 3, max_exp: int = 2, k: int = 0) -> Poly:
-    """Up to ``max_terms`` random terms, each times E^k."""
+    """Up to ``max_terms`` random terms with real coefficients, as those of P(E), each times E^k."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[(k, *(rng.randint(0, max_exp) for _ in range(4)))] = random_scalar(rng)
+        terms[(k, *(rng.randint(0, max_exp) for _ in range(4)))] = ComplexRational(random_fraction(rng))
     return {mono: c for mono, c in terms.items() if c}
 
 

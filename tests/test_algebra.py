@@ -38,20 +38,26 @@ from oracles import (
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars = st.builds(ComplexRational, small_fractions, small_fractions)
 monomials = st.tuples(*(st.integers(0, 3) for _ in range(4)))
-polys = st.dictionaries(monomials, scalars, max_size=4).map(MultiPoly)
+polys = st.dictionaries(monomials, small_fractions, max_size=4).map(MultiPoly)
 points = st.tuples(*(scalars for _ in range(4)))
 
 
+def _real(c):
+    """The Fraction value of a real oracle coefficient."""
+    assert c.is_real
+    return c.re
+
+
 def _epoly(poly):
-    """The library EPoly of an oracle polynomial."""
+    """The library EPoly of an oracle polynomial with real coefficients."""
     top = max((k for k, *_ in poly), default=-1)
-    return EPoly([MultiPoly({tuple(mono): c for (j, *mono), c in poly.items() if j == k}) for k in range(top + 1)])
+    return EPoly([MultiPoly({tuple(mono): _real(c) for (j, *mono), c in poly.items() if j == k}) for k in range(top + 1)])
 
 
 def _multipoly(poly):
-    """The library MultiPoly of an oracle polynomial free of E."""
+    """The library MultiPoly of an oracle polynomial free of E, with real coefficients."""
     assert all(k == 0 for k, *_ in poly)
-    return MultiPoly({tuple(mono): c for (_, *mono), c in poly.items()})
+    return MultiPoly({tuple(mono): _real(c) for (_, *mono), c in poly.items()})
 
 
 # p1, p1 + m and p1 - m as library polynomials
@@ -74,6 +80,16 @@ def test_scalar_basics():
     assert -z + z == ComplexRational(0)
     with pytest.raises(ZeroDivisionError):
         z / ComplexRational(0)
+
+
+def test_scalar_powers_match_repeated_multiplication():
+    z = ComplexRational(Fraction(1, 2), Fraction(-2, 3))
+    expected = ComplexRational(1)
+    for k in range(6):
+        assert z**k == expected
+        expected = expected * z
+    with pytest.raises(ValueError, match="negative powers"):
+        z**-1
 
 
 @given(scalars)
@@ -103,9 +119,37 @@ def test_difference_of_squares():
 def test_cancellation_leaves_empty_term_map():
     # the p1*m terms of (p1 + m)(p1 - m) cancel and leave no stored zero
     assert (P1_PLUS_M * P1_MINUS_M).num_terms() == 2
-    product = X1 * ComplexRational(0)
+    product = X1 * 0
     assert product.is_zero
     assert product.num_terms() == 0
+
+
+def test_canonical_form_is_shared_across_denominators():
+    mono = (1, 0, 0, 0)
+    made, built = MultiPoly._make({mono: 2}, 4), MultiPoly({mono: Fraction(1, 2)})
+    assert made == built
+    assert hash(made) == hash(built)
+    assert made._d == built._d == 2
+    assert made.coefficient(mono) == Fraction(1, 2)
+    # the same integers over another denominator are another polynomial
+    assert MultiPoly({mono: 1}) != built
+
+
+def test_cancelled_sum_leaves_unit_denominator():
+    # (E^2 - s)/2 reduces to s/2 - s/2 = 0
+    half_s = MultiPoly({mono: Fraction(-1, 2) for mono in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))})
+    pair = reduce_at_dispersion(EPoly([half_s, 0, Fraction(1, 2)]))
+    assert pair.even_part.is_zero and pair.odd_part.is_zero
+    assert pair.even_part._d == pair.odd_part._d == 1
+    assert (X1 * 0)._d == 1
+
+
+@pytest.mark.parametrize("coeff", [ComplexRational(0, 1), ComplexRational(2), 0.5])
+def test_coefficients_other_than_int_or_fraction_are_rejected(coeff):
+    with pytest.raises(TypeError):
+        MultiPoly({(0, 0, 0, 0): coeff})
+    with pytest.raises(TypeError):
+        EPoly([1, coeff])
 
 
 @given(polys, polys, polys)
@@ -216,13 +260,13 @@ def test_reduction_reconstructs_input():
         assert all(k <= 1 for k, *_ in oracle_rem)
 
 
-# Gaussian coefficients like those of the audit-growth sets: small
+# Coefficients like those of the audit-growth sets: small
 # fractions mixed with numerators and denominators of up to 50 digits.
 wide_fractions = st.one_of(
     small_fractions,
     st.builds(Fraction, st.integers(-(10**50), 10**50), st.integers(1, 10**50)),
 )
-wide_polys = st.dictionaries(monomials, st.builds(ComplexRational, wide_fractions, wide_fractions), max_size=4)
+wide_polys = st.dictionaries(monomials, wide_fractions, max_size=4)
 # degrees 0..6 in E, and the zero EPoly
 epolys = st.lists(wide_polys.map(MultiPoly), max_size=7).map(EPoly)
 
@@ -259,7 +303,7 @@ def test_scalar_rendering():
 def test_polynomial_rendering_graded_lex():
     poly = MultiPoly({(2, 0, 0, 0): 1, (0, 0, 0, 2): -1})
     assert render_multipoly(poly) == "p1^2 - m^2"
-    assert render_multipoly(MultiPoly({(1, 0, 0, 0): 1, (0, 1, 0, 0): ComplexRational(0, -1)})) == "p1 - i*p2"
+    assert render_multipoly(MultiPoly({(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(-1, 2)})) == "p1 - 1/2*p2"
     assert render_multipoly(MultiPoly()) == "0"
     # degree sorts first, then the exponent tuple of (p1, p2, p3, m)
     mixed = MultiPoly({(1, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 3): 1})

@@ -129,7 +129,7 @@ def test_trace_det_flags_bad_beta(dirac_pauli):
     report = _trace_det(bad)
     assert not report.passed
     assert not report.traces_vanish and not report.dets_unit
-    assert report.values["beta"] == (ComplexRational(2), ComplexRational(-1))
+    assert report.values["beta"] == (Fraction(2), Fraction(-1))
 
 
 def test_diagonal_alpha_passes_trace_det_but_not_anticommutation(dirac_pauli):
@@ -137,7 +137,7 @@ def test_diagonal_alpha_passes_trace_det_but_not_anticommutation(dirac_pauli):
     variant = _with_alpha1(dirac_pauli, diag_alpha)
     report = _trace_det(variant)
     assert report.passed
-    assert report.values["alpha1"] == (ComplexRational(0), ComplexRational(1))
+    assert report.values["alpha1"] == (Fraction(0), Fraction(1))
     assert not check_anticommutation(variant).passed
 
 
