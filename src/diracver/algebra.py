@@ -137,7 +137,10 @@ class ComplexRational:
         return self._b == 0
 
     def conj(self) -> "ComplexRational":
-        return ComplexRational._from_ints(self._a, -self._b, self._d)
+        # (a, -b, d) is as reduced as (a, b, d): no gcd to take
+        out = object.__new__(ComplexRational)
+        out._a, out._b, out._d = self._a, -self._b, self._d
+        return out
 
     def __add__(self, other: Scalar) -> "ComplexRational":
         o = _as_cr(other)

@@ -6,22 +6,20 @@ every downstream check may assume it.  ``build_hamiltonian`` assembles the
 momentum-space matrix ``h(p) = alpha1*p1 + alpha2*p2 + alpha3*p3 + beta*m``
 of a set with its denominators cleared, and ``char_poly`` computes
 ``det(E*I - h)`` from the power sums ``p_k = Tr(h^k)`` and Newton's
-identities, every coefficient in one pass.  h(p) is Hermitian because the
-set is, so only the upper triangle of ``h^2`` is formed and only the real
-parts of the power sums are summed.
+identities, every coefficient in one pass.
 
 The kernels run on Gaussian integers.  A ``ComplexRational`` is stored
 as (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
 Gaussian-integer entries.  Each kernel clears the denominators of its
 inputs once and rebuilds only its results; no gcd is taken inside a
-product or the power sums.  The characteristic polynomial of a matrix
-whose entries have Gaussian-integer coefficients has Gaussian-integer
-coefficients itself, and so have the power sums, so the only divisions,
-Newton's k*c_(n-k) = -(...) for k = 1..n, are exact integer divisions,
-checked to leave no remainder.  The power sums of a Hermitian h(p) are
-real, so coefficient ``c_j`` of the scaled matrix, ``D^(n-j)`` times that
-of the input, has integer coefficients; it is handed to ``MultiPoly`` as
-those integers over ``D^(n-j)``, and no per-term scalar is built.
+product or the power sums.  h(p) is Hermitian because the set is, so its
+power sums are real: ``char_poly`` forms only the complex upper triangle
+of ``h^2`` and keeps every power sum, and every coefficient Newton's
+identities give, as plain ints, and p_4 squares each pair of its terms
+once.  The only divisions, Newton's k*c_(n-k) = -(...) for k = 1..n, are
+exact integer divisions, checked to leave no remainder.  Coefficient
+``c_j`` of the scaled matrix, ``D^(n-j)`` times that of the input, is
+handed to ``MultiPoly`` as its integers over ``D^(n-j)``.
 ``clifford`` and ``sampling`` run their own kernels on the same cleared
 form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``), and both decide
 g g^dagger = d^2 I with ``_gram_is_identity``: beta^2 = 1 for a Hermitian
@@ -262,10 +260,10 @@ class CharPoly(_Validated, _CharPolyFields):
 
 # The char_poly kernel works on polynomials with Gaussian-integer
 # coefficients, stored as dicts from a packed monomial key to an (re, im)
-# pair of ints.  A key holds the exponents of (p1, p2, p3, m) in fields of
-# n.bit_length() bits, wide enough for the exponent n of any term of the
-# power sums of an n x n h(p), so multiplying two monomials is adding their
-# keys.
+# pair of ints, or to an int where every value is real.  A key holds the
+# exponents of (p1, p2, p3, m) in fields of n.bit_length() bits, wide enough
+# for the exponent n of any term of the power sums of an n x n h(p), so
+# multiplying two monomials is adding their keys.
 
 
 def build_hamiltonian(mset: MatrixSet) -> tuple[list[list[dict]], int]:
@@ -287,20 +285,6 @@ def build_hamiltonian(mset: MatrixSet) -> tuple[list[list[dict]], int]:
     return entries, denom
 
 
-def _gi_prune(a: dict) -> dict:
-    return {key: value for key, value in a.items() if value[0] or value[1]}
-
-
-def _gi_sum(polys) -> dict:
-    acc: dict = {}
-    get = acc.get
-    for a in polys:
-        for key, (re, im) in a.items():
-            prev = get(key)
-            acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return _gi_prune(acc)
-
-
 def _gi_dot(pairs) -> dict:
     """The sum of the products a*b over the (a, b) ``pairs``."""
     acc: dict = {}
@@ -315,23 +299,11 @@ def _gi_dot(pairs) -> dict:
                 im = ar * bi + ai * br
                 prev = get(key)
                 acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return _gi_prune(acc)
+    return {key: value for key, value in acc.items() if value[0] or value[1]}
 
 
-def _gi_neg_div(a: dict, k: int) -> dict:
-    """-a/k; the division must be exact."""
-    out = {}
-    for key, (re, im) in a.items():
-        q_re, r_re = divmod(-re, k)
-        q_im, r_im = divmod(-im, k)
-        if r_re or r_im:
-            raise RuntimeError(f"internal error: Newton identity sum not divisible by {k}")
-        out[key] = (q_re, q_im)
-    return out
-
-
-def _gi_re_dot(pairs) -> dict:
-    """The real part of the sum of the products a*b over the (a, b) ``pairs``, as (re, 0) values."""
+def _re_dot(pairs) -> dict:
+    """The real part of the sum of the products a*b over the (a, b) ``pairs``, as ints."""
     acc: dict = {}
     get = acc.get
     for a, b in pairs:
@@ -339,36 +311,69 @@ def _gi_re_dot(pairs) -> dict:
             for kb, (br, bi) in b.items():
                 key = ka + kb
                 acc[key] = get(key, 0) + ar * br - ai * bi
-    return {key: (v, 0) for key, v in acc.items() if v}
+    return {key: v for key, v in acc.items() if v}
+
+
+def _int_dot(pairs) -> dict:
+    """The sum of the products a*b over the (a, b) ``pairs`` of polynomials with int coefficients."""
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        for ka, x in a.items():
+            for kb, y in b.items():
+                key = ka + kb
+                acc[key] = get(key, 0) + x * y
+    return {key: v for key, v in acc.items() if v}
+
+
+def _int_sum(weighted) -> dict:
+    """The sum of w*a over the (a, w) pairs of a polynomial with int coefficients and an int weight."""
+    acc: dict = {}
+    get = acc.get
+    for a, w in weighted:
+        for key, v in a.items():
+            acc[key] = get(key, 0) + w * v
+    return {key: v for key, v in acc.items() if v}
 
 
 def _hermitian_power_sums(A: list) -> list[dict]:
     """[None, p_1, ..., p_n] with p_k = Tr(A^k), for a Hermitian A of 2 <= n <= 4.
 
-    Every p_k is real.  A^2 is formed once and p_3 and p_4 are read off it
-    without forming A^3 or A^4.  A^2 is Hermitian too, so only its upper
-    triangle is formed, and its diagonal is real, as is A's, so p_1 and p_2
-    are the diagonal sums as they stand.  With A_ji the conjugate of A_ij,
-    p_3 = sum_i (A^2)_ii A_ii + 2 Re sum_{i<j} (A^2)_ij A_ji and
-    p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} |(A^2)_ij|^2; every product that
-    feeds a power sum accumulates only its real part.
+    Every p_k is real, a dict from packed key to nonzero int.  A^2 is formed
+    once and p_3 and p_4 are read off it.  A^2 is Hermitian too, so only its
+    upper triangle is formed, and its diagonal is real, as is A's.  With A_ji
+    the conjugate of A_ij, p_3 = sum_i (A^2)_ii A_ii + 2 Re sum_{i<j} (A^2)_ij A_ji
+    and p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} |(A^2)_ij|^2; each product that
+    feeds a power sum accumulates only its real part.  A square takes each
+    unordered pair of its terms once, x^2 = sum_t x_t^2 m_t^2 +
+    2 sum_{t<u} x_t x_u m_t m_u, and |x|^2 likewise with Re(x_t conj(x_u));
+    the weights 1, 2, 2, 4 are applied to each summed coefficient, not to
+    each product.
     """
     n = len(A)
-    sums = [None, _gi_sum(A[i][i] for i in range(n))]
-    square = [_gi_re_dot((A[i][k], A[k][i]) for k in range(n)) for i in range(n)]
-    sums.append(_gi_sum(square))
+    diag = [{key: re for key, (re, _) in A[i][i].items()} for i in range(n)]
+    square = [_re_dot((A[i][k], A[k][i]) for k in range(n)) for i in range(n)]
+    sums = [None, _int_sum((a, 1) for a in diag), _int_sum((x, 1) for x in square)]
     if n >= 3:
         upper = {(i, j): _gi_dot((A[i][k], A[k][j]) for k in range(n)) for i in range(n) for j in range(i + 1, n)}
-        # twice (A^2)_ij for i < j: it stands for itself and for its mirror below the diagonal
-        twice = {ij: {key: (2 * re, 2 * im) for key, (re, im) in x.items()} for ij, x in upper.items()}
-        sums.append(
-            _gi_re_dot([(square[i], A[i][i]) for i in range(n)] + [(x, A[j][i]) for (i, j), x in twice.items()])
-        )
+        paired = _re_dot((x, A[j][i]) for (i, j), x in upper.items())
+        sums.append(_int_sum(((_int_dot(zip(square, diag)), 1), (paired, 2))))
     if n == 4:
-        conj = {ij: {key: (re, -im) for key, (re, im) in x.items()} for ij, x in upper.items()}
-        sums.append(
-            _gi_re_dot([(square[i], square[i]) for i in range(n)] + [(x, conj[ij]) for ij, x in twice.items()])
-        )
+        diag_squares, diag_pairs, upper_squares, upper_pairs = {}, {}, {}, {}
+        dsq, dpr, usq, upr = diag_squares.get, diag_pairs.get, upper_squares.get, upper_pairs.get
+        for x in square:
+            terms = list(x.items())
+            for t, (kt, a) in enumerate(terms, 1):
+                diag_squares[kt + kt] = dsq(kt + kt, 0) + a * a
+                for ku, b in terms[t:]:
+                    diag_pairs[kt + ku] = dpr(kt + ku, 0) + a * b
+        for x in upper.values():
+            terms = list(x.items())
+            for t, (kt, (ar, ai)) in enumerate(terms, 1):
+                upper_squares[kt + kt] = usq(kt + kt, 0) + ar * ar + ai * ai
+                for ku, (br, bi) in terms[t:]:
+                    upper_pairs[kt + ku] = upr(kt + ku, 0) + ar * br + ai * bi
+        sums.append(_int_sum(((diag_squares, 1), (diag_pairs, 2), (upper_squares, 2), (upper_pairs, 4))))
     return sums
 
 
@@ -385,36 +390,32 @@ def char_poly(mset: MatrixSet) -> CharPoly:
     so the coefficient of E^(n-1) is -trace(h) and the constant term is
     (-1)^n det(h).
 
-    It runs in Gaussian integers, on B = D*h from ``build_hamiltonian``,
-    whose entries have Gaussian-integer coefficients, and so have its power
-    sums.  Each coefficient c'_j of det(E*I - B) is a polynomial in the
-    entries of B with integer coefficients, so it has Gaussian-integer
-    coefficients as well.  The sum that the step c'_{n-k} = -(...)/k divides
-    equals -k c'_{n-k}, so the step is an exact integer division; a
-    remainder is an internal error, never rounded.  Because
-    det(E*I - D*h) = D^n det((E/D)*I - h), c'_j = D^(n-j) c_j.
-
-    ``MatrixSet`` guarantees that h is Hermitian and that n is 2, 3 or 4, so
-    ``_hermitian_power_sums`` forms only the upper triangle of B^2 and sums
-    the power sums from real parts only (``_gi_re_dot``).  Newton's
-    coefficients are therefore real by construction, and each c_j is handed
-    over as the real parts of the packed coefficients of c'_j, over D^(n-j).
+    It runs on B = D*h from ``build_hamiltonian``.  Each coefficient c'_j of
+    det(E*I - B) is a polynomial with integer coefficients in the entries of
+    B, whose coefficients are Gaussian integers, and it is real, because
+    ``MatrixSet`` makes h Hermitian; so c'_j has int coefficients, as have
+    the power sums from ``_hermitian_power_sums``.  Each Newton step is one
+    integer dot product, and the sum it divides by k equals -k c'_{n-k}, so
+    the division is exact; a remainder is an internal error, never rounded.
+    Because det(E*I - D*h) = D^n det((E/D)*I - h), c'_j = D^(n-j) c_j, and
+    c_j is handed over as the ints of c'_j over D^(n-j).
     """
     n = mset.n
     A, denom = build_hamiltonian(mset)
     width = n.bit_length()
     mask = (1 << width) - 1
     sums = _hermitian_power_sums(A)
-    coeffs: list[dict] = [{}] * n + [{0: (1, 0)}]
+    coeffs: list[dict] = [{}] * n + [{0: 1}]
     for k in range(1, n + 1):
-        coeffs[n - k] = _gi_neg_div(_gi_dot((coeffs[n - k + i], sums[i]) for i in range(1, k + 1)), k)
+        c = coeffs[n - k] = {}
+        for key, v in _int_dot((coeffs[n - k + i], sums[i]) for i in range(1, k + 1)).items():
+            c[key], r = divmod(-v, k)
+            if r:
+                raise RuntimeError(f"internal error: Newton identity sum not divisible by {k}")
 
     polys = [
         MultiPoly._make(
-            {
-                (key & mask, key >> width & mask, key >> 2 * width & mask, key >> 3 * width): re
-                for key, (re, _) in c.items()
-            },
+            {(key & mask, key >> width & mask, key >> 2 * width & mask, key >> 3 * width): v for key, v in c.items()},
             denom ** (n - j),
         )
         for j, c in enumerate(coeffs)

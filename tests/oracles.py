@@ -163,6 +163,21 @@ def hamiltonian_reference(mset: MatrixSet) -> list[list[Poly]]:
     return [[reduce(poly_add, (poly_mul(v, constant(m[i][j])) for v, m in pairs)) for j in range(n)] for i in range(n)]
 
 
+def power_sums_reference(mset: MatrixSet) -> list[Poly | None]:
+    """[None, Tr(h), Tr(h^2), ..., Tr(h^n)] for the h(p) of a set, from plain matrix powers."""
+    h = hamiltonian_reference(mset)
+    n = mset.n
+    power, sums = h, [None]
+    for k in range(1, n + 1):
+        if k > 1:
+            power = [
+                [reduce(poly_add, (poly_mul(power[i][l], h[l][j]) for l in range(n))) for j in range(n)]
+                for i in range(n)
+            ]
+        sums.append(reduce(poly_add, (power[i][i] for i in range(n))))
+    return sums
+
+
 def char_poly_cofactor_pm(mset: MatrixSet) -> Poly:
     """det(E*I - h(p)) for the h(p) of a set, via cofactor expansion."""
     return _shifted_det(hamiltonian_reference(mset))

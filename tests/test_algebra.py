@@ -97,6 +97,13 @@ def test_conjugation_is_involution(z):
     assert z.conj().conj() == z
 
 
+def test_conjugate_negates_the_imaginary_part_over_the_same_denominator():
+    z = ComplexRational(Fraction(3, 10), Fraction(-7, 15))
+    w = z.conj()
+    assert (w.re, w.im) == (Fraction(3, 10), Fraction(7, 15))
+    assert (w._a, w._b, w._d) == (z._a, -z._b, z._d) == (9, 14, 30)
+
+
 @given(scalars, scalars)
 def test_scalar_division_roundtrip(z, w):
     if not w.is_zero:

@@ -31,6 +31,7 @@ from oracles import (
     poly_add,
     poly_neg,
     poly_of,
+    power_sums_reference,
     random_hermitian_matrix,
     term_degrees,
 )
@@ -220,23 +221,41 @@ def test_char_poly_of_mixed_denominator_polymatrix_matches_cofactor_oracle(mset)
 
 
 def test_newton_division_must_be_exact(dirac_pauli, monkeypatch):
-    with pytest.raises(RuntimeError, match="not divisible by 2"):
-        symmat._gi_neg_div({0: (2, 0), 1: (4, 1)}, 2)
-    with pytest.raises(RuntimeError, match="not divisible by 3"):
-        symmat._gi_neg_div({0: (1, 0)}, 3)
-    assert symmat._gi_neg_div({0: (6, -3), 5: (0, 9)}, 3) == {0: (-2, 1), 5: (0, -3)}
-
-    # a power sum off by one constant makes the k = 2 step inexact
+    # a power sum off by one constant makes its Newton step inexact
     power_sums = symmat._hermitian_power_sums
 
-    def corrupted(A):
-        sums = power_sums(A)
-        sums[2] = {**sums[2], 0: (1, 0)}
-        return sums
+    for k in (2, 3):
 
-    monkeypatch.setattr(symmat, "_hermitian_power_sums", corrupted)
-    with pytest.raises(RuntimeError, match="internal error: .* not divisible by 2"):
-        char_poly(dirac_pauli)
+        def corrupted(A, k=k):
+            sums = power_sums(A)
+            sums[k] = {**sums[k], 0: 1}
+            return sums
+
+        monkeypatch.setattr(symmat, "_hermitian_power_sums", corrupted)
+        with pytest.raises(RuntimeError, match=f"internal error: .* not divisible by {k}"):
+            char_poly(dirac_pauli)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 4),
+    steps=st.just(0) | st.integers(10, 60),
+)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+def test_power_sums_match_the_reference(rng, n, steps):
+    # a random set, or its conjugate by a 10-60-step exact unitary
+    mset = random_hermitian_set(rng, n)
+    if steps:
+        mset = random_exact_unitary(rng, n, steps=steps).conjugate_set(mset)
+    A, denom = build_hamiltonian(mset)
+    sums = symmat._hermitian_power_sums(A)
+    expected = power_sums_reference(mset)
+    assert sums[0] is None and len(sums) == n + 1
+    for k in range(1, n + 1):
+        assert all(type(v) is int for v in sums[k].values())
+        assert _unpacked({key: (v, 0) for key, v in sums[k].items()}, 1, n) == {
+            mono: c * denom**k for mono, c in expected[k].items()
+        }
 
 
 @given(
