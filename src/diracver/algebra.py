@@ -88,13 +88,17 @@ class ComplexRational:
     """Exact Gaussian rational ``re + im*i``.
 
     Stored as integers ``(a, b, d)`` with value ``(a + b*i)/d``, where
-    ``d > 0`` and ``gcd(a, b, d) == 1``.  Instances are immutable and
-    hashable; conjugation is an involution.
+    ``d > 0`` and ``gcd(a, b, d) == 1``.  ``re`` and ``im`` are ints or
+    Fractions; anything else, a float or a string too, raises ``TypeError``.
+    Instances are immutable and hashable; conjugation is an involution.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot interpret {part!r} as an exact scalar")
         re = Fraction(re)
         im = Fraction(im)
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)

@@ -286,24 +286,20 @@ class _Audit(NamedTuple):
 def _audit(mset: symmat.MatrixSet, r: int) -> _Audit:
     """Run each stage of the audit of ``mset`` at multiplicity ``r`` once.
 
-    At n = 4 and r = 2 the two verdicts come from ``equivalence_audit``, and
-    their disagreement is a bug, not a verdict: it raises before any report
-    is printed.
+    At n = 4 and r = 2 the dispersion and anticommutation verdicts must
+    agree; their disagreement is a bug, not a verdict: it raises before any
+    report is printed.
     """
     from . import clifford, dispersion
 
-    if mset.n == 4 and r == 2:
-        verdict = clifford.equivalence_audit(mset)
-        disp, anti = verdict.dispersion, verdict.anticommutation
-        if not verdict.consistent:
-            first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
-            raise RuntimeError(
-                f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
-            )
-    else:
-        disp, anti = dispersion.check_dispersion(mset, r), clifford.check_anticommutation(mset)
+    disp, anti = dispersion.check_dispersion(mset, r), clifford.check_anticommutation(mset)
     if mset.n != 4:
         return _Audit(disp, anti)
+    if r == 2 and disp.passed != anti.passed:
+        first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
+        raise RuntimeError(
+            f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
+        )
     try:
         spectrum = clifford.beta_spectrum(mset)
     except clifford.StructuralViolationError as exc:

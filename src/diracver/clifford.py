@@ -28,14 +28,14 @@ squares (the eigenbasis may otherwise need factors such as 1/sqrt(2)).
 each alpha through the projectors (1 +- beta)/2, as traces of exact
 products.
 
-The three kernels run on Gaussian integers, like ``symmat``'s: each matrix
-is cleared once to integers over the lcm of its denominators, and only
-results are rebuilt as exact scalars.  ``check_anticommutation`` sums
-AB + BA (or A^2 - 1) in integers over the upper triangle only, since these
-are Hermitian for a Hermitian set, and fills the lower triangle by
-conjugation.  The Gram-Schmidt step of ``canonicalize_beta`` is
-fraction-free, and ``check_alpha_structure`` reads the blocks from the
-integer M + M^dagger and the norms from integer traces.
+The kernels run on Gaussian integers, like ``symmat``'s: each clears every
+matrix it reads in one ``symmat._cleared`` call, to integers over their one
+common denominator D, and only results are rebuilt as exact scalars.
+``check_anticommutation`` sums AB + BA (or A^2 - 1) over D^2 in integers
+over the upper triangle only, since these are Hermitian for a Hermitian
+set, and fills the lower triangle by conjugation.  The Gram-Schmidt step of
+``canonicalize_beta`` is fraction-free, and ``check_alpha_structure`` reads
+the blocks from the integer M + M^dagger and the norms from integer traces.
 
 ``symmat._gram_is_identity`` checks g g^dagger = d^2 I in integers; for
 a Hermitian beta it decides beta^2 = 1.  The exact unitaries and the
@@ -65,7 +65,6 @@ from .symmat import (
     char_poly,  # unused here; perfbench patches it on this module
     mat_identity,
     mat_is_zero,
-    mat_trace,
     trace_and_det,
 )
 
@@ -163,18 +162,19 @@ class CliffordReport(NamedTuple):
 def check_anticommutation(mset: MatrixSet) -> CliffordReport:
     """Compute {X_i, X_j} - 2 delta_ij defects exactly.
 
-    Each matrix is cleared to Gaussian integers once; a defect
-    {A, B} = AB + BA is summed over D_A*D_B, and a square A^2 - 1 over
-    D_A^2, in integers.
+    The four matrices are cleared to Gaussian integers over their one
+    denominator D in one call; a defect {A, B} = AB + BA and a square
+    A^2 - 1 are summed in integers over D^2.
     """
-    items = [(name, *_cleared(m)) for name, m in mset.matrices()]
+    cleared, d = _cleared(*mset.alphas, mset.beta)
+    items = [(name, g) for (name, _), g in zip(mset.matrices(), cleared)]
     pairwise: dict[tuple[str, str], Matrix] = {}
-    for a, (name_a, ga, da) in enumerate(items):
-        for name_b, gb, db in items[a + 1:]:
-            pairwise[(name_a, name_b)] = _hermitian_sum(((ga, gb), (gb, ga)), da * db, 0)
-    squares = {name: _hermitian_sum(((g, g),), d * d, d * d) for name, g, d in items}
-    passed = all(mat_is_zero(d) for d in pairwise.values()) and all(
-        mat_is_zero(d) for d in squares.values()
+    for a, (name_a, ga) in enumerate(items):
+        for name_b, gb in items[a + 1:]:
+            pairwise[(name_a, name_b)] = _hermitian_sum(((ga, gb), (gb, ga)), d * d, 0)
+    squares = {name: _hermitian_sum(((g, g),), d * d, d * d) for name, g in items}
+    passed = all(mat_is_zero(m) for m in pairwise.values()) and all(
+        mat_is_zero(m) for m in squares.values()
     )
     return CliffordReport(pairwise, squares, passed)
 
@@ -240,12 +240,13 @@ def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
     As beta is Hermitian, beta^2 = beta beta^dagger, checked in integers by
     ``_gram_is_identity``.  A Hermitian involution has eigenvalues +/-1, so
     tr beta = 2k - n, with k the dimension of its +1 eigenspace: the trace
-    is an integer, and k follows from it.
+    is an integer, sum_i Re g_ii / D for beta = g/D, and k follows from it.
     """
     n = mset.n
-    if not _gram_is_identity(*_cleared(mset.beta)):
+    (g,), d = _cleared(mset.beta)
+    if not _gram_is_identity(g, d):
         raise StructuralViolationError("beta does not square to the identity")
-    k = (n + int(mat_trace(mset.beta).re)) // 2
+    k = (n + sum(g[i][i][0] for i in range(n)) // d) // 2
     return (1,) * k + (-1,) * (n - k)
 
 
@@ -321,7 +322,7 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     """
     if mset.n != 4:
         raise ValueError("canonicalization targets n = 4 sets")
-    g, d = _cleared(mset.beta)
+    (g,), d = _cleared(mset.beta)
     if not _gram_is_identity(g, d):
         raise ValueError("beta^2 differs from the identity; no canonical diagonal form exists")
 
@@ -376,18 +377,16 @@ def check_alpha_structure(canonical: CanonicalizationResult) -> StructureReport:
     Tr(P+ alpha P- alpha) = (sum_jk |alpha_jk|^2 - Tr(M^2))/4.
     """
     mset = canonical.matrix_set
-    gb, db = _cleared(mset.beta)
+    (gb, *alphas), d = _cleared(mset.beta, *mset.alphas)
     blocks = []
     norms = []
-    for alpha in mset.alphas:
-        ga, da = _cleared(alpha)
-        # M = beta alpha is gm over db*da
-        flat = list(_gi_mat_mul(gb, ga))
-        gm = [flat[i:i + 4] for i in range(0, 16, 4)]
+    for ga in alphas:
+        # M = beta alpha is gm over d^2
+        gm = _gi_mat_mul(gb, ga)
         # (M + M^dagger)_ij = M_ij + conj(M_ji) vanishes when M_ij = -conj(M_ji)
         blocks.append(all(x == (-y[0], y[1]) for row, col in zip(gm, zip(*gm)) for x, y in zip(row, col)))
         # sum_jk |alpha_jk|^2 = Tr(alpha^2), as alpha is Hermitian
-        norms.append(Fraction(_trace_re(ga) * db * db - _trace_re(gm), 4 * (da * db) ** 2))
+        norms.append(Fraction(_trace_re(ga) * d * d - _trace_re(gm), 4 * d ** 4))
     passed = all(blocks) and all(v == 2 for v in norms)
     return StructureReport(tuple(blocks), tuple(norms), passed)
 

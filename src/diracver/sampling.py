@@ -1,10 +1,11 @@
 """Exact unitaries and seeded samplers of Hermitian matrix sets.
 
 ``ExactUnitary`` is a unitary matrix with exact entries.  Each unitary is
-cleared once, at construction, to Gaussian integers g over the lcm d of its
-denominators, and keeps that form.  Validation is the integer Gram check
-g g^dagger = d^2 I (``symmat._gram_is_identity``, upper triangle only);
-conjugations multiply the cleared forms and rebuild each result entry once.
+cleared once, at construction, to Gaussian-integer rows g over the lcm d of
+its denominators (``symmat._cleared``), and keeps that form.  Validation is
+the integer Gram check g g^dagger = d^2 I (``symmat._gram_is_identity``,
+upper triangle only).  A conjugation clears the four matrices of a set in
+one call, multiplies rows and rebuilds each result entry once.
 
 ``random_exact_unitary`` applies random phases, signed permutations and
 Pythagorean rotations as integer row operations and checks the result once;
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import ComplexRational, _Validated
-from .symmat import Matrix, MatrixSet, _cleared, _exact_entries, _gi_mat_mul, _gram_is_identity, _rebuilt
+from .symmat import Matrix, MatrixSet, _cleared, _gi_mat_mul, _gram_is_identity, _rebuilt, as_matrix
 
 __all__ = [
     "ExactUnitary",
@@ -43,16 +44,16 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
     the lcm d of its denominators and checks g g^dagger = d^2 I in
     integers.  The cleared form is kept on the instance as ``_gi``, outside
     the tuple of fields, so equality, hash and repr ignore it; conjugations
-    multiply it and rebuild each entry of the result once.  int and Fraction
-    entries are coerced by ``as_scalar``, as in ``MatrixSet``.
+    multiply it and rebuild each entry of the result once.  The matrix goes
+    through ``as_matrix``, as in ``MatrixSet``.
     """
 
     def __new__(cls, matrix: Matrix) -> "ExactUnitary":
         n = len(matrix)
         if not n or any(len(row) != n for row in matrix):
             raise ValueError("unitary must be square and nonempty")
-        matrix = _exact_entries(matrix)
-        g, d = _cleared(matrix)
+        matrix = as_matrix(matrix)
+        (g,), d = _cleared(matrix)
         if not _gram_is_identity(g, d):
             raise ValueError("matrix is not exactly unitary")
         self = super().__new__(cls, matrix)
@@ -66,26 +67,22 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
     def conjugate_set(self, mset: MatrixSet, label: str | None = None) -> MatrixSet:
         """Apply X -> U X U^dagger to every matrix of the set.
 
-        With U = g/d and X = x/d_x in Gaussian integers, U X U^dagger is
-        g (x g^dagger) over d^2 d_x.  Every entry is computed, not only the
-        upper triangle, so the Hermiticity check of the new set is real.
+        With U = g/d and the set's matrices X = x/D in Gaussian integers over
+        their one denominator D, U X U^dagger is g (x g^dagger) over d^2 D.
+        Every entry is computed, not only the upper triangle, so the
+        Hermiticity check of the new set is real.
         """
         if self.n != mset.n:
             raise ValueError("dimension mismatch")
-        n = self.n
         g, d = self._gi
         g_dag = [[(re, -im) for re, im in col] for col in zip(*g)]
-
-        def conj(m: Matrix) -> Matrix:
-            x, dx = _cleared(m)
-            flat = list(_gi_mat_mul(x, g_dag))
-            xg_dag = [flat[i:i + n] for i in range(0, n * n, n)]
-            return _rebuilt(_gi_mat_mul(g, xg_dag), d * d * dx, n)
-
+        xs, dx = _cleared(*mset.alphas, mset.beta)
+        denom = d * d * dx
+        *alphas, beta = (_rebuilt(_gi_mat_mul(g, _gi_mat_mul(x, g_dag)), denom) for x in xs)
         return MatrixSet(
             mset.n,
-            tuple(conj(a) for a in mset.alphas),
-            conj(mset.beta),
+            alphas,
+            beta,
             label=label if label is not None else f"{mset.label} (conjugated)",
         )
 
@@ -143,7 +140,7 @@ def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> Exac
             g[i] = _plus(_times((a, 0), gi), _times(s, gj))
             g[j] = _plus(_times((-s[0], s[1]), gi), _times((a, 0), gj))
             d *= h
-    return ExactUnitary(_rebuilt((x for row in g for x in row), d, n))
+    return ExactUnitary(_rebuilt(g, d))
 
 
 def _random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:
@@ -191,10 +188,9 @@ def perturbed_set(
             delta = delta * rng.choice((1, -1))
             target[i][j] = target[i][j] + delta
             target[j][i] = target[j][i] + delta.conj()
-    frozen = [tuple(tuple(row) for row in m) for m in matrices]
     return MatrixSet(
         n,
-        (frozen[0], frozen[1], frozen[2]),
-        frozen[3],
+        matrices[:3],
+        matrices[3],
         label=label if label is not None else f"{base.label} (perturbed)",
     )

@@ -10,20 +10,20 @@ identities, every coefficient in one pass.
 
 The kernels run on Gaussian integers.  A ``ComplexRational`` is stored
 as (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
-Gaussian-integer entries.  Each kernel clears the denominators of its
-inputs once and rebuilds only its results; no gcd is taken inside a
-product or the power sums.  h(p) is Hermitian because the set is, so its
-power sums are real: ``char_poly`` forms only the complex upper triangle
-of ``h^2`` and keeps every power sum, and every coefficient Newton's
-identities give, as plain ints, and p_4 squares each pair of its terms
-once.  The only divisions, Newton's k*c_(n-k) = -(...) for k = 1..n, are
-exact integer divisions, checked to leave no remainder.  Coefficient
-``c_j`` of the scaled matrix, ``D^(n-j)`` times that of the input, is
-handed to ``MultiPoly`` as its integers over ``D^(n-j)``.
-``clifford`` and ``sampling`` run their own kernels on the same cleared
-form (``_cleared``, ``_gi_mat_mul``, ``_rebuilt``), and both decide
-g g^dagger = d^2 I with ``_gram_is_identity``: beta^2 = 1 for a Hermitian
-beta, and the validity of every ``sampling.ExactUnitary``.
+Gaussian-integer entries.  Every kernel, here and in ``clifford`` and
+``sampling``, gets its integers from ``_cleared(*matrices)``: the rows of
+all its matrices over their one denominator D.  ``_gi_mat_mul`` multiplies
+rows into rows and ``_rebuilt(rows, denom)`` is the one way back out, so
+no gcd is taken inside a product or the power sums.  h(p) is Hermitian
+because the set is, so its power sums are real: ``char_poly`` forms only
+the complex upper triangle of ``h^2`` and keeps every power sum, and every
+coefficient Newton's identities give, as plain ints, and p_4 squares each
+pair of its terms once.  The only divisions, Newton's k*c_(n-k) = -(...)
+for k = 1..n, are exact integer divisions, checked to leave no remainder.
+Coefficient ``c_j`` of the scaled matrix, ``D^(n-j)`` times that of the
+input, is handed to ``MultiPoly`` as its integers over ``D^(n-j)``.
+``_gram_is_identity`` decides g g^dagger = d^2 I: beta^2 = 1 for a
+Hermitian beta, and the validity of every ``sampling.ExactUnitary``.
 
 ``trace_and_det`` forms no further polynomial: it reads the trace and the
 determinant of each of the four matrices off the characteristic
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (
     _CR_ONE,
@@ -84,56 +84,60 @@ class UnsupportedDimensionError(ValueError):
 
 
 def as_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Coerce nested int/Fraction/ComplexRational rows into a square Matrix."""
-    out = tuple(tuple(as_scalar(v) for v in row) for row in rows)
-    n = len(out)
-    if n == 0 or any(len(row) != n for row in out):
+    """Coerce nested int/Fraction/ComplexRational rows into a square Matrix.
+
+    A tuple of row tuples of ``ComplexRational`` entries is returned as it
+    is; any other rows are copied, so no caller's list ends up in a result.
+    """
+    exact = type(rows) is tuple and all(type(row) is tuple for row in rows)
+    if not (exact and all(type(x) is ComplexRational for row in rows for x in row)):
+        rows = tuple(tuple(as_scalar(v) for v in row) for row in rows)
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square and nonempty")
-    return out
-
-
-def _exact_entries(matrix: Sequence[Sequence[Scalar]]) -> Matrix:
-    """``matrix`` itself when every entry is a ComplexRational, else ``as_matrix(matrix)``."""
-    for row in matrix:
-        for x in row:
-            if type(x) is not ComplexRational:
-                return as_matrix(matrix)
-    return matrix
+    return rows
 
 
 def mat_identity(n: int) -> Matrix:
     return tuple(tuple(_CR_ONE if i == j else _CR_ZERO for j in range(n)) for i in range(n))
 
 
-def _gaussian(x: ComplexRational, denom: int) -> tuple[int, int]:
-    """denom * x as a Gaussian integer (re, im); denom must be a multiple of x's denominator."""
-    k = denom // x._d
-    return x._a * k, x._b * k
+def _cleared(*matrices: Matrix) -> tuple[list[list[list[tuple[int, int]]]], int]:
+    """The rows of each of ``matrices`` as Gaussian integers (re, im) over their one common denominator D, and D."""
+    denom = lcm(*(x._d for matrix in matrices for row in matrix for x in row))
+    out = []
+    for matrix in matrices:
+        rows = []
+        for row in matrix:
+            entries = []
+            for x in row:
+                k = denom // x._d
+                entries.append((x._a * k, x._b * k))
+            rows.append(entries)
+        out.append(rows)
+    return out, denom
 
 
-def _cleared(a: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
-    """The entries of ``a`` as Gaussian integers over their common denominator."""
-    denom = lcm(*(x._d for row in a for x in row))
-    return [[_gaussian(x, denom) for x in row] for row in a], denom
-
-
-def _gi_mat_mul(ga: list, gb: list) -> Iterator[tuple[int, int]]:
-    """The entries of the product of two square Gaussian-integer matrices, row by row."""
+def _gi_mat_mul(ga: list, gb: list) -> list[list[tuple[int, int]]]:
+    """The rows of the product of two square Gaussian-integer matrices."""
     cols = list(zip(*gb))
+    out = []
     for row in ga:
+        entries = []
         for col in cols:
             re = im = 0
             for (ar, ai), (br, bi) in zip(row, col):
                 re += ar * br - ai * bi
                 im += ar * bi + ai * br
-            yield re, im
+            entries.append((re, im))
+        out.append(entries)
+    return out
 
 
-def _rebuilt(entries: Iterable[tuple[int, int]], denom: int, n: int) -> Matrix:
-    """The n x n matrix of Gaussian-integer ``entries`` (row by row) over ``denom``."""
+def _rebuilt(rows: list, denom: int) -> Matrix:
+    """The matrix of the Gaussian-integer ``rows`` over ``denom``."""
     make = ComplexRational._from_ints
-    flat = [make(re, im, denom) for re, im in entries]
-    return tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+    return tuple([tuple([make(re, im, denom) for re, im in row]) for row in rows])
 
 
 def _gram_is_identity(g: list, d: int) -> bool:
@@ -188,7 +192,7 @@ class _MatrixSetFields(NamedTuple):
 class MatrixSet(_Validated, _MatrixSetFields):
     """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
 
-    int and Fraction entries are coerced by ``as_scalar``; other entries raise its ``TypeError``.
+    Each matrix goes through ``as_matrix``, which coerces its entries and copies list rows.
     """
 
     def __new__(cls, n: int, alphas: Sequence[Matrix], beta: Matrix, label: str = "") -> "MatrixSet":
@@ -200,7 +204,7 @@ class MatrixSet(_Validated, _MatrixSetFields):
         for name, matrix in zip(_NAMES, (*alphas, beta)):
             if len(matrix) != n or any(len(row) != n for row in matrix):
                 raise ValueError(f"{name} is not {n}x{n}")
-            matrix = _exact_entries(matrix)
+            matrix = as_matrix(matrix)
             bad = hermiticity_defect(matrix)
             if bad is not None:
                 raise HermiticityError(name, bad)
@@ -274,14 +278,10 @@ def build_hamiltonian(mset: MatrixSet) -> tuple[list[list[dict]], int]:
     entry (i, j) of alpha1, alpha2, alpha3 and beta; zeros are left out.
     """
     n = mset.n
-    matrices = (*mset.alphas, mset.beta)
-    denom = lcm(*(x._d for matrix in matrices for row in matrix for x in row))
+    matrices, denom = _cleared(*mset.alphas, mset.beta)
     width = n.bit_length()
-    pairs = tuple((1 << k * width, matrix) for k, matrix in enumerate(matrices))
-    entries = [
-        [{key: _gaussian(matrix[i][j], denom) for key, matrix in pairs if matrix[i][j]} for j in range(n)]
-        for i in range(n)
-    ]
+    pairs = tuple((1 << k * width, g) for k, g in enumerate(matrices))
+    entries = [[{key: g[i][j] for key, g in pairs if g[i][j] != (0, 0)} for j in range(n)] for i in range(n)]
     return entries, denom
 
 

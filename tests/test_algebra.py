@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from diracver.algebra import (
     render_multipoly,
     render_scalar,
 )
+from diracver.clifford import catalog
+from diracver.sampling import perturbed_set
 from oracles import (
     MASS,
     P1,
@@ -80,6 +83,21 @@ def test_scalar_basics():
     assert -z + z == ComplexRational(0)
     with pytest.raises(ZeroDivisionError):
         z / ComplexRational(0)
+
+
+@pytest.mark.parametrize("part", [0.1, "1/3", 1j, None], ids=["float", "string", "complex", "None"])
+def test_complex_rationals_take_only_ints_and_fractions(part):
+    # Fraction() would turn 0.1 into 3602879701896397/36028797018963968 and parse "1/3"
+    message = f"^cannot interpret {re.escape(repr(part))} as an exact scalar$"
+    for args in ((part,), (0, part), (part, 1)):
+        with pytest.raises(TypeError, match=message):
+            ComplexRational(*args)
+    # bool is an int, as in MultiPoly and as_scalar
+    assert ComplexRational(True, Fraction(1, 3)) == ComplexRational(1, Fraction(1, 3))
+    # a float magnitude raises on a diagonal entry and on an off-diagonal one alike
+    for seed in range(6):
+        with pytest.raises(TypeError):
+            perturbed_set(random.Random(seed), catalog("dirac-pauli"), entries=2, magnitude=0.1)
 
 
 def test_scalar_powers_match_repeated_multiplication():

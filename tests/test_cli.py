@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diracver
-from diracver import cli, clifford, spectrum
+from diracver import cli, clifford, dispersion, spectrum
 from diracver.algebra import ComplexRational
 from diracver.cli import (
     MatrixFileError,
@@ -425,7 +425,7 @@ def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, r
         report = honest(mset)
         return report._replace(passed=not report.passed)
 
-    # `cli` and `equivalence_audit` both look the check up on `clifford`
+    # `cli` looks the check up on `clifford`
     monkeypatch.setattr(clifford, "check_anticommutation", flipped)
     path = str(request.getfixturevalue(fixture))
     for command in ("verify", "derive"):
@@ -435,6 +435,29 @@ def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, r
         assert capsys.readouterr().out == ""
     # other multiplicities have no anticommutation counterpart to agree with
     assert main(["verify", path, "--multiplicity", "1"]) in (0, 1)
+
+
+def test_verify_and_derive_run_each_check_once_and_no_equivalence_audit(dirac_pauli_file, monkeypatch, capsys):
+    calls = []
+
+    def counted(name, check):
+        def run(*args):
+            calls.append(name)
+            return check(*args)
+
+        return run
+
+    def no_audit(mset):
+        raise AssertionError("equivalence_audit was called")
+
+    monkeypatch.setattr(dispersion, "check_dispersion", counted("dispersion", dispersion.check_dispersion))
+    monkeypatch.setattr(clifford, "check_anticommutation", counted("anticommutation", clifford.check_anticommutation))
+    monkeypatch.setattr(clifford, "equivalence_audit", no_audit)
+    for command in ("verify", "derive"):
+        assert main([command, str(dirac_pauli_file)]) == 0
+        assert calls == ["dispersion", "anticommutation"]
+        calls.clear()
+    capsys.readouterr()
 
 
 def test_a_skipped_section_neither_passes_nor_fails_a_report(capsys):

@@ -162,10 +162,11 @@ def test_gram_check_sees_an_imaginary_defect():
     # beta = diag(B, -B) with B = [[3/5, 4i/5], [-4i/5, 3/5]]: beta^2 has real part I
     # and off-diagonal entries +-24i/25, so only the imaginary parts show the defect
     mset = parse_matrix_file(Path(__file__).resolve().parent / "golden" / "inputs" / "beta-imaginary-square.json")
-    g, d = _cleared(mset.beta)
+    (g,), d = _cleared(mset.beta)
     assert d == 5 and g[0][:2] == [(3, 0), (0, 4)]
     assert not _gram_is_identity(g, d)
-    assert _gram_is_identity(*_cleared(_CANONICAL))
+    (g,), d = _cleared(_CANONICAL)
+    assert _gram_is_identity(g, d)
     with pytest.raises(StructuralViolationError, match="^beta does not square to the identity$"):
         beta_spectrum(mset)
 
@@ -377,7 +378,7 @@ def test_gram_schmidt_matches_the_reference_basis(mset, factor):
     first = mset.alphas[0]
     deficient = tuple(row[:-1] + (row[0] * factor,) for row in first)
     for _, matrix in (*mset.matrices(), ("deficient", deficient)):
-        g, d = _cleared(matrix)
+        (g,), d = _cleared(matrix)
         basis = _gram_schmidt_columns(g)
         expected = gram_schmidt_reference(matrix)
         assert [tuple(ComplexRational._from_ints(re, im, s * d) for re, im in w) for w, s, _ in basis] == expected

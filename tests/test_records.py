@@ -18,7 +18,7 @@ from diracver.clifford import catalog
 from diracver.sampling import ExactUnitary
 from diracver.solver import DegeneracyRequirement, solve_forced_coefficients
 from diracver.spectrum import MomentumSample
-from diracver.symmat import HermiticityError, char_poly
+from diracver.symmat import HermiticityError, MatrixSet, char_poly, hermiticity_defect
 
 
 ROTATION = ExactUnitary(((Fraction(3, 5), ComplexRational(0, Fraction(4, 5))), (ComplexRational(0, Fraction(4, 5)), Fraction(3, 5))))
@@ -90,6 +90,25 @@ def test_fields_are_read_only(record):
     for name in type(record)._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+
+
+def test_list_rows_are_copied_out_of_the_callers_reach():
+    dirac_pauli = catalog("dirac-pauli")
+    alphas = tuple([list(row) for row in alpha] for alpha in dirac_pauli.alphas)
+    beta = [list(row) for row in dirac_pauli.beta]
+    rotation = [list(row) for row in ROTATION.matrix]
+    mset, u = MatrixSet(4, alphas, beta), ExactUnitary(rotation)
+    for value, from_tuples, stored in (
+        (mset, MatrixSet(4, dirac_pauli.alphas, dirac_pauli.beta), (*mset.alphas, mset.beta)),
+        (u, ROTATION, (u.matrix,)),
+    ):
+        assert all(type(m) is tuple and all(type(row) is tuple for row in m) for m in stored)
+        assert value == from_tuples and hash(value) == hash(from_tuples)
+    alphas[0][0][0] = beta[0][1] = ComplexRational(0, 1)
+    rotation[0][0] = ComplexRational(0)
+    assert hermiticity_defect(mset.beta) is None and hermiticity_defect(mset.alphas[0]) is None
+    assert (*mset.alphas, mset.beta) == (*dirac_pauli.alphas, dirac_pauli.beta)
+    assert u.matrix == ROTATION.matrix
 
 
 def test_a_rebuilt_unitary_recomputes_its_cleared_form(pauli):

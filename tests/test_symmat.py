@@ -97,8 +97,19 @@ def _unpacked(entry, denom, n):
 
 def _kernel_product(a, b):
     """a*b as clifford forms its products: cleared, multiplied in Gaussian integers, rebuilt."""
-    (ga, da), (gb, db) = symmat._cleared(a), symmat._cleared(b)
-    return symmat._rebuilt(symmat._gi_mat_mul(ga, gb), da * db, len(a))
+    (ga, gb), d = symmat._cleared(a, b)
+    return symmat._rebuilt(symmat._gi_mat_mul(ga, gb), d * d)
+
+
+def test_cleared_brings_every_matrix_to_one_denominator():
+    half = as_matrix([[Fraction(1, 2), I / 3], [-I / 3, 0]])
+    sign = as_matrix([[1, 0], [0, -1]])
+    (gh, gs), d = symmat._cleared(half, sign)
+    assert d == 6
+    assert gh == [[(3, 0), (0, 2)], [(0, -2), (0, 0)]]
+    assert gs == [[(6, 0), (0, 0)], [(0, 0), (-6, 0)]]
+    assert symmat._rebuilt(gh, d) == half and symmat._rebuilt(gs, d) == sign
+    assert symmat._rebuilt(symmat._gi_mat_mul(gh, gs), d * d) == mat_mul_reference(half, sign)
 
 
 def test_hermiticity_enforced_at_construction(dirac_pauli):
