@@ -28,9 +28,9 @@ squares (the eigenbasis may otherwise need factors such as 1/sqrt(2)).
 each alpha through the projectors (1 +- beta)/2, as traces of exact
 products.
 
-The kernels run on Gaussian integers, like ``symmat``'s: each clears every
-matrix it reads in one ``symmat._cleared`` call, to integers over their one
-common denominator D, and only results are rebuilt as exact scalars.
+The kernels run on Gaussian integers, like ``symmat``'s: each reads the
+rows over one common denominator D that the ``MatrixSet`` keeps, and only
+results are rebuilt as exact scalars.
 ``check_anticommutation`` sums AB + BA (or A^2 - 1) over D^2 in integers
 over the upper triangle only, since these are Hermitian for a Hermitian
 set, and fills the lower triangle by conjugation.  The Gram-Schmidt step of
@@ -57,7 +57,6 @@ from .symmat import (
     CharPoly,
     Matrix,
     MatrixSet,
-    _cleared,
     _gi_mat_mul,
     _gram_is_identity,
     as_matrix,
@@ -162,11 +161,11 @@ class CliffordReport(NamedTuple):
 def check_anticommutation(mset: MatrixSet) -> CliffordReport:
     """Compute {X_i, X_j} - 2 delta_ij defects exactly.
 
-    The four matrices are cleared to Gaussian integers over their one
-    denominator D in one call; a defect {A, B} = AB + BA and a square
+    The four matrices are read as the set keeps them, Gaussian integers
+    over their one denominator D; a defect {A, B} = AB + BA and a square
     A^2 - 1 are summed in integers over D^2.
     """
-    cleared, d = _cleared(*mset.alphas, mset.beta)
+    cleared, d = mset._gi
     items = [(name, g) for (name, _), g in zip(mset.matrices(), cleared)]
     pairwise: dict[tuple[str, str], Matrix] = {}
     for a, (name_a, ga) in enumerate(items):
@@ -243,7 +242,7 @@ def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
     is an integer, sum_i Re g_ii / D for beta = g/D, and k follows from it.
     """
     n = mset.n
-    (g,), d = _cleared(mset.beta)
+    (*_, g), d = mset._gi
     if not _gram_is_identity(g, d):
         raise StructuralViolationError("beta does not square to the identity")
     k = (n + sum(g[i][i][0] for i in range(n)) // d) // 2
@@ -322,7 +321,7 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     """
     if mset.n != 4:
         raise ValueError("canonicalization targets n = 4 sets")
-    (g,), d = _cleared(mset.beta)
+    (*_, g), d = mset._gi
     if not _gram_is_identity(g, d):
         raise ValueError("beta^2 differs from the identity; no canonical diagonal form exists")
 
@@ -377,7 +376,7 @@ def check_alpha_structure(canonical: CanonicalizationResult) -> StructureReport:
     Tr(P+ alpha P- alpha) = (sum_jk |alpha_jk|^2 - Tr(M^2))/4.
     """
     mset = canonical.matrix_set
-    (gb, *alphas), d = _cleared(mset.beta, *mset.alphas)
+    (*alphas, gb), d = mset._gi
     blocks = []
     norms = []
     for ga in alphas:

@@ -4,8 +4,8 @@
 cleared once, at construction, to Gaussian-integer rows g over the lcm d of
 its denominators (``symmat._cleared``), and keeps that form.  Validation is
 the integer Gram check g g^dagger = d^2 I (``symmat._gram_is_identity``,
-upper triangle only).  A conjugation clears the four matrices of a set in
-one call, multiplies rows and rebuilds each result entry once.
+upper triangle only).  A conjugation multiplies the cleared rows that the
+``MatrixSet`` keeps and rebuilds each result entry once.
 
 ``random_exact_unitary`` applies random phases, signed permutations and
 Pythagorean rotations as integer row operations and checks the result once;
@@ -76,7 +76,7 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
             raise ValueError("dimension mismatch")
         g, d = self._gi
         g_dag = [[(re, -im) for re, im in col] for col in zip(*g)]
-        xs, dx = _cleared(*mset.alphas, mset.beta)
+        xs, dx = mset._gi
         denom = d * d * dx
         *alphas, beta = (_rebuilt(_gi_mat_mul(g, _gi_mat_mul(x, g_dag)), denom) for x in xs)
         return MatrixSet(

@@ -8,15 +8,16 @@ of a set with its denominators cleared, and ``char_poly`` computes
 ``det(E*I - h)`` from the power sums ``p_k = Tr(h^k)`` and Newton's
 identities, every coefficient in one pass.
 
-The kernels run on Gaussian integers.  A ``ComplexRational`` is stored
-as (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
-Gaussian-integer entries.  Every kernel, here and in ``clifford`` and
-``sampling``, gets its integers from ``_cleared(*matrices)``: the rows of
-all its matrices over their one denominator D.  ``_gi_mat_mul`` multiplies
-rows into rows and ``_rebuilt(rows, denom)`` is the one way back out, so
-no gcd is taken inside a product or the power sums.  h(p) is Hermitian
-because the set is, so its power sums are real: ``char_poly`` forms only
-the complex upper triangle of ``h^2`` and keeps every power sum, and every
+The kernels run on Gaussian integers.  A ``ComplexRational`` is stored as
+(a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
+Gaussian-integer entries.  ``_cleared(*matrices)`` gives the rows of any
+number of matrices over their one denominator D.  A ``MatrixSet`` is
+cleared once, at construction, and keeps those rows; every kernel, here and
+in ``clifford`` and ``sampling``, reads them.  ``_gi_mat_mul`` multiplies
+rows into rows and ``_rebuilt(rows, denom)`` is the one way back out, so no
+gcd is taken inside a product or the power sums.  h(p) is Hermitian because
+the set is, so its power sums are real: ``char_poly`` forms only the
+complex upper triangle of ``h^2`` and keeps every power sum, and every
 coefficient Newton's identities give, as plain ints, and p_4 squares each
 pair of its terms once.  The only divisions, Newton's k*c_(n-k) = -(...)
 for k = 1..n, are exact integer divisions, checked to leave no remainder.
@@ -59,7 +60,6 @@ __all__ = [
     "mat_identity",
     "mat_trace",
     "mat_is_zero",
-    "hermiticity_defect",
     "build_hamiltonian",
     "char_poly",
     "trace_and_det",
@@ -159,22 +159,22 @@ def _gram_is_identity(g: list, d: int) -> bool:
     return True
 
 
+def _hermitian_defect(g: list) -> tuple[int, int] | None:
+    """The first (i, j), i <= j in row-major order, with g_ij != conj(g_ji), or None."""
+    for i, row in enumerate(g):
+        for j in range(i, len(g)):
+            re, im = g[j][i]
+            if row[j] != (re, -im):
+                return (i, j)
+    return None
+
+
 def mat_trace(a: Matrix) -> ComplexRational:
     return sum((a[i][i] for i in range(len(a))), _CR_ZERO)
 
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero for row in a for x in row)
-
-
-def hermiticity_defect(a: Matrix) -> tuple[int, int] | None:
-    """First index pair (row-major, 0-based) violating Hermiticity, or None."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i, n):
-            if a[i][j] != a[j][i].conj():
-                return (i, j)
-    return None
 
 
 # the monomials p1, p2, p3 and m, and the names of the matrices they multiply in h(p)
@@ -192,7 +192,10 @@ class _MatrixSetFields(NamedTuple):
 class MatrixSet(_Validated, _MatrixSetFields):
     """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
 
-    Each matrix goes through ``as_matrix``, which coerces its entries and copies list rows.
+    Each matrix goes through ``as_matrix``, which coerces its entries and
+    copies list rows.  The four are cleared once, and Hermiticity is checked
+    on their Gaussian-integer rows over one denominator D; the kernels share
+    those rows, kept as ``_gi = (rows, D)`` as ``ExactUnitary`` keeps its own.
     """
 
     def __new__(cls, n: int, alphas: Sequence[Matrix], beta: Matrix, label: str = "") -> "MatrixSet":
@@ -204,12 +207,15 @@ class MatrixSet(_Validated, _MatrixSetFields):
         for name, matrix in zip(_NAMES, (*alphas, beta)):
             if len(matrix) != n or any(len(row) != n for row in matrix):
                 raise ValueError(f"{name} is not {n}x{n}")
-            matrix = as_matrix(matrix)
-            bad = hermiticity_defect(matrix)
+            exact.append(as_matrix(matrix))
+        rows, denom = _cleared(*exact)
+        for name, g in zip(_NAMES, rows):
+            bad = _hermitian_defect(g)
             if bad is not None:
                 raise HermiticityError(name, bad)
-            exact.append(matrix)
-        return super().__new__(cls, n, tuple(exact[:3]), exact[3], label)
+        self = super().__new__(cls, n, tuple(exact[:3]), exact[3], label)
+        self._gi = (rows, denom)
+        return self
 
     def matrices(self) -> Iterator[tuple[str, Matrix]]:
         return zip(_NAMES, (*self.alphas, self.beta))
@@ -278,7 +284,7 @@ def build_hamiltonian(mset: MatrixSet) -> tuple[list[list[dict]], int]:
     entry (i, j) of alpha1, alpha2, alpha3 and beta; zeros are left out.
     """
     n = mset.n
-    matrices, denom = _cleared(*mset.alphas, mset.beta)
+    matrices, denom = mset._gi
     width = n.bit_length()
     pairs = tuple((1 << k * width, g) for k, g in enumerate(matrices))
     entries = [[{key: g[i][j] for key, g in pairs if g[i][j] != (0, 0)} for j in range(n)] for i in range(n)]

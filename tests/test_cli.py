@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diracver
-from diracver import cli, clifford, dispersion, spectrum
+from diracver import cli, clifford, dispersion, sampling, spectrum, symmat
 from diracver.algebra import ComplexRational
 from diracver.cli import (
     MatrixFileError,
@@ -28,7 +28,7 @@ from diracver.cli import (
 )
 from diracver.clifford import CATALOG_NAMES, catalog
 from diracver.sampling import perturbed_set
-from diracver.symmat import MatrixSet
+from diracver.symmat import HermiticityError, MatrixSet
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -342,6 +342,15 @@ def _raw_entries(mset):
 
 @pytest.mark.parametrize("path", sorted(GOLDEN_INPUTS.glob("*.json")), ids=lambda path: path.stem)
 def test_parsed_golden_inputs_equal_fraction_built_sets(path):
+    if path.stem == "not-hermitian":  # both ways of building it reject the same pair
+        with pytest.raises(HermiticityError) as err:
+            _fraction_built(json.loads(path.read_text()))
+        with pytest.raises(MatrixFileError) as parsed:
+            parse_matrix_file(path)
+        assert str(parsed.value) == f"{err.value} (at {err.value.matrix_name})" == (
+            "alpha2 is not Hermitian at entries (0,3)/(3,0) (at alpha2)"
+        )
+        return
     mset = parse_matrix_file(path)
     reference = _fraction_built(json.loads(path.read_text()))
     assert mset == reference
@@ -458,6 +467,35 @@ def test_verify_and_derive_run_each_check_once_and_no_equivalence_audit(dirac_pa
         assert calls == ["dispersion", "anticommutation"]
         calls.clear()
     capsys.readouterr()
+
+
+def test_a_set_is_cleared_once_from_parsing_to_the_last_audit_stage(dirac_pauli_file, monkeypatch):
+    calls = []
+    cleared = symmat._cleared
+
+    def counted(*matrices):
+        calls.append(len(matrices))
+        return cleared(*matrices)
+
+    for module in (symmat, clifford, sampling):
+        monkeypatch.setattr(module, "_cleared", counted, raising=False)
+    audit = cli._audit(parse_matrix_file(dirac_pauli_file), 2)
+    assert audit.structure.passed
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("name", ["dirac-pauli", "weyl-chiral", "conjugate", "perturbed"])
+def test_an_audit_leaves_the_kept_rows_as_they_were(name):
+    if name == "perturbed":
+        mset = perturbed_set(random.Random(5), catalog("weyl-chiral"), entries=3)
+    elif name in CATALOG_NAMES:
+        mset = catalog(name)
+    else:
+        mset = parse_matrix_file(GOLDEN_INPUTS / f"{name}.json")
+    rows, denom = mset._gi
+    cli._audit(mset, 2)
+    assert mset._gi == symmat._cleared(*mset.alphas, mset.beta)
+    assert mset._gi[0] is rows and mset._gi[1] == denom
 
 
 def test_a_skipped_section_neither_passes_nor_fails_a_report(capsys):

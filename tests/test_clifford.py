@@ -616,6 +616,16 @@ def test_cleared_form_is_not_a_field():
     assert repr(u) == f"ExactUnitary(matrix={u.matrix!r})"
 
 
+def test_a_sets_cleared_form_is_not_a_field():
+    mset = catalog("majorana")
+    other = MatrixSet(4, [[list(row) for row in m] for m in mset.alphas], mset.beta, label="majorana")
+    assert MatrixSet._fields == ("n", "alphas", "beta", "label")
+    assert other._gi == mset._gi == _cleared(*mset.alphas, mset.beta) and other._gi is not mset._gi
+    assert repr(mset) == f"MatrixSet(n=4, alphas={mset.alphas!r}, beta={mset.beta!r}, label='majorana')"
+    other._gi = ([], 1)  # another kept form, the same fields
+    assert other == mset and hash(other) == hash(mset) and repr(other) == repr(mset)
+
+
 _RAGGED = ("empty", "short row", "long row", "extra row", "missing row")
 
 

@@ -14,7 +14,10 @@ beta = diag(B, -B), B = [[3/5, 4i/5], [-4i/5, 3/5]] (beta^2 has real part I
 but imaginary off-diagonal entries, which only the imaginary parts of the
 integer Gram check see).  Each of the five sampled inputs is rebuilt from
 its sampler call and compared with its committed file.  Between them
-they reach every branch of the `verify` and `derive` reports.  The three
+they reach every branch of the `verify` and `derive` reports.  One more
+input, the dirac-pauli set with i at both (0,3) and (3,0) of alpha2
+(symmetric, not Hermitian), pins the error and exit code 3 of a set
+rejected at construction.  The three
 `catalog` cases print each catalog set; each output equals its input file.
 
 A `spectrum` case also writes its CSV, `--out` under the test's temporary

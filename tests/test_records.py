@@ -18,7 +18,7 @@ from diracver.clifford import catalog
 from diracver.sampling import ExactUnitary
 from diracver.solver import DegeneracyRequirement, solve_forced_coefficients
 from diracver.spectrum import MomentumSample
-from diracver.symmat import HermiticityError, MatrixSet, char_poly, hermiticity_defect
+from diracver.symmat import HermiticityError, MatrixSet, _cleared, char_poly
 
 
 ROTATION = ExactUnitary(((Fraction(3, 5), ComplexRational(0, Fraction(4, 5))), (ComplexRational(0, Fraction(4, 5)), Fraction(3, 5))))
@@ -106,9 +106,16 @@ def test_list_rows_are_copied_out_of_the_callers_reach():
         assert value == from_tuples and hash(value) == hash(from_tuples)
     alphas[0][0][0] = beta[0][1] = ComplexRational(0, 1)
     rotation[0][0] = ComplexRational(0)
-    assert hermiticity_defect(mset.beta) is None and hermiticity_defect(mset.alphas[0]) is None
     assert (*mset.alphas, mset.beta) == (*dirac_pauli.alphas, dirac_pauli.beta)
     assert u.matrix == ROTATION.matrix
+
+
+def test_a_rebuilt_set_recomputes_its_cleared_form():
+    mset = catalog("weyl-chiral")
+    for rebuilt in (mset._replace(), copy.copy(mset), pickle.loads(pickle.dumps(mset))):
+        assert rebuilt._gi == _cleared(*mset.alphas, mset.beta)
+    moved = mset._replace(beta=catalog("dirac-pauli").beta)
+    assert moved._gi == _cleared(*mset.alphas, catalog("dirac-pauli").beta)
 
 
 def test_a_rebuilt_unitary_recomputes_its_cleared_form(pauli):

@@ -121,6 +121,51 @@ def test_hermiticity_enforced_at_construction(dirac_pauli):
     assert err.value.index == (0, 2)
 
 
+def _broken(matrix, entries):
+    rows = [list(row) for row in matrix]
+    for (i, j), value in entries.items():
+        rows[i][j] = value
+    return rows
+
+
+def test_hermiticity_is_checked_on_imaginary_parts_too(dirac_pauli):
+    alphas = dirac_pauli.alphas
+    # an imaginary diagonal entry: (k, k) is its own mirror
+    with pytest.raises(HermiticityError) as err:
+        MatrixSet(4, alphas, _broken(dirac_pauli.beta, {(2, 2): ComplexRational(-1, Fraction(1, 3))}))
+    assert (err.value.matrix_name, err.value.index) == ("beta", (2, 2))
+    # i at both (0, 1) and (1, 0): symmetric, and not Hermitian
+    with pytest.raises(HermiticityError) as err:
+        MatrixSet(4, (alphas[0], _broken(alphas[1], {(0, 1): I, (1, 0): I}), alphas[2]), dirac_pauli.beta)
+    assert (err.value.matrix_name, err.value.index) == ("alpha2", (0, 1))
+    # the first failing pair in row-major order over the upper triangle
+    with pytest.raises(HermiticityError) as err:
+        MatrixSet(4, (_broken(alphas[0], {(3, 3): I, (1, 3): 1}),) + alphas[1:], dirac_pauli.beta)
+    assert err.value.index == (1, 3)
+
+
+def test_a_hermitian_pair_over_its_own_denominator_is_hermitian(dirac_pauli):
+    third = ComplexRational(Fraction(1, 3), Fraction(-2, 7))
+    alpha3 = _broken(dirac_pauli.alphas[2], {(0, 1): third, (1, 0): third.conj()})
+    mset = MatrixSet(4, dirac_pauli.alphas[:2] + (alpha3,), dirac_pauli.beta)
+    rows, denom = mset._gi
+    assert denom == 21 and rows[2][0][1] == (7, -6) and rows[2][1][0] == (7, 6)
+    assert mset.alphas[2][0][1] == third
+
+
+def test_a_ragged_or_inexact_matrix_is_reported_before_any_hermiticity_defect(dirac_pauli):
+    # every matrix is coerced and shape-checked before the four are cleared and checked
+    alpha1 = _broken(dirac_pauli.alphas[0], {(0, 1): 5})
+    ragged = [list(row) for row in dirac_pauli.beta[:3]] + [[0, 0, 0]]
+    with pytest.raises(ValueError, match="^beta is not 4x4$"):
+        MatrixSet(4, (alpha1,) + dirac_pauli.alphas[1:], ragged)
+    inexact = _broken(dirac_pauli.beta, {(0, 0): 1.0})
+    with pytest.raises(TypeError, match=r"^cannot interpret 1\.0 as an exact scalar$"):
+        MatrixSet(4, (alpha1,) + dirac_pauli.alphas[1:], inexact)
+    with pytest.raises(HermiticityError, match=r"^alpha1 is not Hermitian at entries \(0,1\)/\(1,0\)$"):
+        MatrixSet(4, (alpha1,) + dirac_pauli.alphas[1:], dirac_pauli.beta)
+
+
 def test_matrix_sets_accept_plain_exact_entries():
     zero = ((0, 0), (0, 0))
     ones = ((1, 0), (0, 1))
