@@ -75,6 +75,8 @@ class _Validated:
 
     namedtuple's own ``_make``, which ``_replace`` calls, would build the
     tuple directly and skip the checks; this one goes through ``__new__``.
+    ``copy.copy`` and pickle rebuild from the fields alone, so a cache kept
+    on the instance (``_gi``, ``_complex_stack``) is recomputed, not carried.
     """
 
     __slots__ = ()
@@ -82,6 +84,9 @@ class _Validated:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class ComplexRational:

@@ -9,7 +9,8 @@ upper triangle only).  A conjugation multiplies the cleared rows that the
 
 ``random_exact_unitary`` applies random phases, signed permutations and
 Pythagorean rotations as integer row operations and checks the result once;
-``random_hermitian_set`` draws a generic set with small rational entries;
+``random_hermitian_set`` draws a generic set with small rational entries,
+as Gaussian integers over 2, and builds each Hermitian entry once;
 ``perturbed_set`` moves a few entries of a set, keeping it Hermitian.  Every
 draw comes from the ``random.Random`` passed in, so a seed fixes the sample.
 No command runs this module: it feeds the tests, the benchmark and
@@ -144,16 +145,22 @@ def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> Exac
 
 
 def _random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:
-    def entry() -> ComplexRational:
-        return ComplexRational(
-            Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
-            Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
-        )
+    """The Hermitian part (r + r^dagger)/2 of a random matrix r.
 
-    raw = [[entry() for _ in range(n)] for _ in range(n)]
-    half = Fraction(1, 2)
+    Each raw entry is drawn row by row, its real part and then its
+    imaginary part, each as randint(-2, 2) over choice((1, 2)), and kept as
+    integers (a, b) over 2.  Entry (i, j) is then
+    (a_ij + a_ji + (b_ij - b_ji) i)/4, built once.
+    """
+
+    def halves() -> int:
+        return rng.randint(-2, 2) * (2 // rng.choice((1, 2)))
+
+    raw = [[(halves(), halves()) for _ in range(n)] for _ in range(n)]
+    make = ComplexRational._from_ints
     return tuple(
-        tuple((raw[i][j] + raw[j][i].conj()) * half for j in range(n)) for i in range(n)
+        tuple(make(a + c, b - e, 4) for (a, b), (c, e) in zip(row, col))
+        for row, col in zip(raw, zip(*raw))
     )
 
 

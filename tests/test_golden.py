@@ -17,7 +17,8 @@ its sampler call and compared with its committed file.  Between them
 they reach every branch of the `verify` and `derive` reports.  One more
 input, the dirac-pauli set with i at both (0,3) and (3,0) of alpha2
 (symmetric, not Hermitian), pins the error and exit code 3 of a set
-rejected at construction.  The three
+rejected at construction, and `solve --multiplicity two` pins argparse's
+usage error, which `cli._Parser.error` raises as exit code 3.  The three
 `catalog` cases print each catalog set; each output equals its input file.
 
 A `spectrum` case also writes its CSV, `--out` under the test's temporary

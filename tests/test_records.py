@@ -4,18 +4,20 @@ Each record is a ``NamedTuple``.  A validated type is a subclass of its
 fields whose ``__new__`` runs the checks.  namedtuple's own ``_make``, which
 ``_replace`` calls, would build the tuple directly and skip them, so each
 type takes a ``_make`` that goes through ``__new__`` from one private base;
-``copy.copy`` and pickle rebuild through ``__new__``.
+``copy.copy`` and pickle rebuild through ``__new__`` from the fields alone.
 """
 
 import copy
 import pickle
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from diracver import sampling, symmat
 from diracver.algebra import ComplexRational
 from diracver.clifford import catalog
-from diracver.sampling import ExactUnitary
+from diracver.sampling import ExactUnitary, random_hermitian_set
 from diracver.solver import DegeneracyRequirement, solve_forced_coefficients
 from diracver.spectrum import MomentumSample
 from diracver.symmat import HermiticityError, MatrixSet, _cleared, char_poly
@@ -123,3 +125,30 @@ def test_a_rebuilt_unitary_recomputes_its_cleared_form(pauli):
     for rebuilt in (u._replace(), copy.copy(u), pickle.loads(pickle.dumps(u))):
         assert rebuilt._gi == u._gi
         assert rebuilt.conjugate_set(pauli) == u.conjugate_set(pauli)
+
+
+@pytest.mark.parametrize("value", [catalog("weyl-chiral"), ROTATION], ids=["MatrixSet", "ExactUnitary"])
+def test_a_copy_or_a_pickle_clears_once_and_keeps_what_it_cleared(value, monkeypatch):
+    calls = []
+
+    def counting(*matrices):
+        calls.append(matrices)
+        return _cleared(*matrices)
+
+    monkeypatch.setattr(symmat, "_cleared", counting)
+    monkeypatch.setattr(sampling, "_cleared", counting)
+    for rebuild in (copy.copy, lambda v: pickle.loads(pickle.dumps(v))):
+        calls.clear()
+        rebuilt = rebuild(value)
+        assert len(calls) == 1
+        # the fresh cleared form is kept, not overwritten by the original's
+        assert rebuilt == value and rebuilt._gi == value._gi and rebuilt._gi is not value._gi
+
+
+def test_a_pickle_carries_neither_the_cleared_rows_nor_the_float_stack():
+    mset = random_hermitian_set(Random(31))
+    mset._complex_stack
+    data = pickle.dumps(mset)
+    assert b"_gi" not in data and b"_complex_stack" not in data and b"numpy" not in data
+    for rebuilt in (pickle.loads(data), copy.copy(mset)):
+        assert rebuilt == mset and "_complex_stack" not in vars(rebuilt)

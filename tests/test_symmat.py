@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -249,6 +250,18 @@ def test_char_poly_matches_cofactor_oracle(n, rng):
             mono = tuple(int(i == k) for i in range(4))
             assert ComplexRational(cp.c(n - 1).coefficient(mono)) == -mat_trace(matrix)
             assert ComplexRational(cp.c(0).coefficient(tuple(n * e for e in mono))) == det_cofactor(matrix) * (-1) ** n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_hermitian_set_matches_the_reference_sampler(n):
+    # the reference adds and halves ComplexRationals from the same draws
+    for seed in range(300, 500):
+        rng, twin = Random(seed), Random(seed)
+        got = random_hermitian_set(rng, n)
+        alphas = [random_hermitian_matrix(twin, n) for _ in range(3)]
+        want = MatrixSet(n, alphas, random_hermitian_matrix(twin, n), label="random")
+        assert got == want and got._gi == want._gi, seed
+        assert rng.getstate() == twin.getstate(), seed
 
 
 # Examples that run char_poly and a cofactor oracle on sets of up to 4x4 are not
