@@ -17,13 +17,13 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from . import _forward
 from .algebra import ComplexRational, render_epoly, render_fraction, render_multipoly, render_scalar
 
 if TYPE_CHECKING:
-    from . import clifford, dispersion, spectrum, symmat
+    from . import clifford, spectrum, symmat
 
 # Each command imports the modules it runs and calls through them, so a cold
 # command compiles only those (README "Library layout").  This forwarder
@@ -237,79 +237,20 @@ def _matrix_summary(matrix: symmat.Matrix) -> str:
     return "0"
 
 
-class _Audit(NamedTuple):
-    """One audit of a set at a multiplicity, each stage run once.
-
-    ``disp`` and ``anti`` are the two verdicts that the equivalence ties
-    together at n = 4 and multiplicity 2.  The structural stages run only
-    for n = 4 and are None otherwise.  A stage that raised keeps its
-    exception in place of its result; the alpha structure is checked only
-    when a canonical form exists.
-    """
-
-    disp: dispersion.DispersionReport
-    anti: clifford.CliffordReport
-    trace_det: clifford.TraceDetReport | None = None
-    spectrum: tuple[int, ...] | clifford.StructuralViolationError | None = None
-    canonical: clifford.CanonicalizationResult | ValueError | None = None
-    structure: clifford.StructureReport | None = None
-
-    @property
-    def spectrum_passed(self) -> bool:
-        return self.spectrum == (1, 1, -1, -1)
-
-    @property
-    def structure_passed(self) -> bool:
-        return self.structure is not None and self.structure.passed
-
-    def spectrum_line(self) -> str:
-        if isinstance(self.spectrum, Exception):
-            return f"violation: {self.spectrum}"
-        return "eigenvalues: " + ", ".join(f"{v:+d}" for v in self.spectrum)
-
-    def canonical_line(self) -> str:
-        if isinstance(self.canonical, Exception):
-            return f"violation: {self.canonical}"
-        return f"transform: {self.canonical.description}"
-
-    def alpha_lines(self, blocks: str, norm: str) -> list[str]:
-        """One line per alpha; empty without a canonical form."""
-        if self.structure is None:
-            return []
-        pairs = zip(self.structure.alpha_blocks, self.structure.norm_values)
-        return [
-            f"alpha{k}: {blocks} = {'yes' if ok else 'no'}, {norm} = {render_fraction(value)}"
-            for k, (ok, value) in enumerate(pairs, start=1)
-        ]
-
-
-def _audit(mset: symmat.MatrixSet, r: int) -> _Audit:
-    """Run each stage of the audit of ``mset`` at multiplicity ``r`` once.
-
-    At n = 4 and r = 2 the dispersion and anticommutation verdicts must
-    agree; their disagreement is a bug, not a verdict: it raises before any
-    report is printed.
-    """
-    from . import clifford, dispersion
-
-    disp, anti = dispersion.check_dispersion(mset, r), clifford.check_anticommutation(mset)
-    if mset.n != 4:
-        return _Audit(disp, anti)
-    if r == 2 and disp.passed != anti.passed:
-        first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
-        raise RuntimeError(
-            f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
-        )
-    try:
-        spectrum = clifford.beta_spectrum(mset)
-    except clifford.StructuralViolationError as exc:
-        spectrum = exc
-    try:
-        canonical = clifford.canonicalize_beta(mset)
-    except ValueError as exc:
-        canonical = exc
-    structure = None if isinstance(canonical, Exception) else clifford.check_alpha_structure(canonical)
-    return _Audit(disp, anti, clifford.check_trace_det(disp.char), spectrum, canonical, structure)
+def _structure_lines(audit: clifford.Audit, blocks: str, norm: str) -> tuple[str, str, list[str]]:
+    """The beta-spectrum line, the canonical-form line, and one line per alpha (none without a canonical form)."""
+    if isinstance(audit.spectrum, Exception):
+        spectrum = f"violation: {audit.spectrum}"
+    else:
+        spectrum = "eigenvalues: " + ", ".join(f"{v:+d}" for v in audit.spectrum)
+    if isinstance(audit.canonical, Exception):
+        return spectrum, f"violation: {audit.canonical}", []
+    pairs = zip(audit.structure.alpha_blocks, audit.structure.norm_values)
+    alphas = [
+        f"alpha{k}: {blocks} = {'yes' if ok else 'no'}, {norm} = {render_fraction(value)}"
+        for k, (ok, value) in enumerate(pairs, start=1)
+    ]
+    return spectrum, f"transform: {audit.canonical.description}", alphas
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +259,14 @@ def _audit(mset: symmat.MatrixSet, r: int) -> _Audit:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import clifford
+
     mset = parse_matrix_file(args.file)
     r = args.multiplicity
     if not 1 <= r <= mset.n:
         raise UsageError(f"multiplicity {r} outside 1..{mset.n}")
-    audit = _audit(mset, r)
-    disp, anti = audit.disp, audit.anti
+    audit = clifford.audit(mset, r)
+    disp, anti = audit.dispersion, audit.anticommutation
     disp_lines = [f"characteristic polynomial: {render_epoly(disp.char.poly)}"]
     disp_lines += [f"{label}: {render_multipoly(res)}" for label, res in zip(disp.labels, disp.residuals)]
     anti_lines = [f"{{{a},{b}}}: {_matrix_summary(d)}" for (a, b), d in anti.pairwise.items()]
@@ -337,11 +280,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{name}: trace = {render_fraction(tr)}, det = {render_fraction(det)}"
             for name, (tr, det) in audit.trace_det.values.items()
         ]
-        structure_lines = audit.alpha_lines("diagonal blocks vanish", "norm condition")
+        spectrum_line, canonical_line, alphas = _structure_lines(audit, "diagonal blocks vanish", "norm condition")
         sections += [
             ("[trace-det]", trace_det_lines, audit.trace_det.passed),
-            ("[beta-spectrum]", [audit.spectrum_line()], audit.spectrum_passed),
-            ("[alpha-structure]", [audit.canonical_line(), *structure_lines], audit.structure_passed),
+            ("[beta-spectrum]", [spectrum_line], audit.spectrum_passed),
+            ("[alpha-structure]", [canonical_line, *alphas], audit.structure_passed),
         ]
     else:
         skipped = ("[trace-det]", "[beta-spectrum]", "[alpha-structure]")
@@ -367,14 +310,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    from . import symmat
+    from . import clifford, symmat
 
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
         raise UsageError("derive walks the four-component argument; the file must have n = 4")
-    audit = _audit(mset, 2)
+    audit = clifford.audit(mset, 2)
     values = audit.trace_det.values.items()
-    defects = [*audit.anti.pairwise.values(), *audit.anti.squares.values()]
+    spectrum_line, canonical_line, alphas = _structure_lines(audit, "blocks vanish", "norm")
+    defects = [*audit.anticommutation.pairwise.values(), *audit.anticommutation.squares.values()]
     dirty = sum(not symmat.mat_is_zero(d) for d in defects)
     steps = (
         (
@@ -392,26 +336,26 @@ def cmd_derive(args: argparse.Namespace) -> int:
         (
             "beta-spectrum",
             "beta must square to the identity with eigenvalues +1, +1, -1, -1",
-            [audit.spectrum_line()],
+            [spectrum_line],
             audit.spectrum_passed,
         ),
         (
             "canonical-form",
             "a unitary change of basis brings beta to diag(+1, +1, -1, -1)",
-            [audit.canonical_line()],
+            [canonical_line],
             not isinstance(audit.canonical, Exception),
         ),
         (
             "alpha-structure",
             "in the canonical basis each alpha keeps only its off-diagonal 2x2 block, with squared norm 2",
-            audit.alpha_lines("blocks vanish", "norm") or ["skipped: no canonical form"],
+            alphas or ["skipped: no canonical form"],
             audit.structure_passed,
         ),
         (
             "anticommutators",
             "the matrices pairwise anticommute and square to the identity",
             [f"{len(defects)} relations checked, {len(defects) - dirty} clean, {dirty} with nonzero defects"],
-            audit.anti.passed,
+            audit.anticommutation.passed,
         ),
     )
     return _print_report(

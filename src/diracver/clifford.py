@@ -9,16 +9,16 @@ relations
     beta^2 = 1,
 
 and this module makes both directions of that equivalence executable:
-``check_anticommutation`` computes every defect matrix exactly, while
-``equivalence_audit`` runs it side by side with the dispersion check.
-The structural consequences are audited too: zero traces, unit
-determinants, the {+1, +1, -1, -1} spectrum of beta, and the vanishing
-diagonal blocks of each alpha relative to the eigenspaces of beta.  The
-traces and determinants need no product of matrices: ``check_trace_det``
-takes them from P(E) = det(E - h(p)), the polynomial the dispersion demand
-constrains.  The coefficient of E^3 carries the traces, and the pure
-p1^4, p2^4, p3^4 and m^4 terms of the constant coefficient carry the
-determinants.
+``check_anticommutation`` computes every defect matrix exactly, and
+``audit`` runs it once beside the dispersion check, raises if the two
+verdicts disagree, and then audits the structural consequences: zero
+traces, unit determinants, the {+1, +1, -1, -1} spectrum of beta, and the
+vanishing diagonal blocks of each alpha relative to the eigenspaces of
+beta.  The traces and determinants need no product of matrices:
+``check_trace_det`` takes them from P(E) = det(E - h(p)), the polynomial
+the dispersion demand constrains.  The coefficient of E^3 carries the
+traces, and the pure p1^4, p2^4, p3^4 and m^4 terms of the constant
+coefficient carry the determinants.
 
 Every verdict here is exact; nothing in this module is a float.
 ``canonicalize_beta`` proves the (2, 2) eigenspaces of beta with an exact
@@ -73,6 +73,7 @@ __all__ = [
     "TraceDetReport",
     "StructureReport",
     "CanonicalizationResult",
+    "Audit",
     "EquivalenceVerdict",
     "StructuralViolationError",
     "catalog",
@@ -81,6 +82,7 @@ __all__ = [
     "beta_spectrum",
     "canonicalize_beta",
     "check_alpha_structure",
+    "audit",
     "equivalence_audit",
 ]
 
@@ -400,6 +402,59 @@ def _trace_re(g: list) -> int:
 # ---------------------------------------------------------------------------
 
 
+class Audit(NamedTuple):
+    """One audit of a set at a multiplicity, each stage run once, in report order.
+
+    ``dispersion`` and ``anticommutation`` are the two verdicts that the
+    equivalence ties together at n = 4 and multiplicity 2.  The structural
+    stages run only for n = 4 and are None otherwise.  A stage that raised
+    keeps its exception in place of its result; the alpha structure is
+    checked only when a canonical form exists.
+    """
+
+    dispersion: DispersionReport
+    anticommutation: CliffordReport
+    trace_det: TraceDetReport | None = None
+    spectrum: tuple[int, ...] | StructuralViolationError | None = None
+    canonical: CanonicalizationResult | ValueError | None = None
+    structure: StructureReport | None = None
+
+    @property
+    def spectrum_passed(self) -> bool:
+        return self.spectrum == (1, 1, -1, -1)
+
+    @property
+    def structure_passed(self) -> bool:
+        return self.structure is not None and self.structure.passed
+
+
+def audit(mset: MatrixSet, r: int = 2) -> Audit:
+    """Run each stage of the audit of ``mset`` at multiplicity ``r`` once.
+
+    At n = 4 and r = 2 the dispersion and anticommutation verdicts must
+    agree; their disagreement is a bug, not a verdict: it raises before any
+    later stage runs.
+    """
+    disp, anti = check_dispersion(mset, r), check_anticommutation(mset)
+    if mset.n != 4:
+        return Audit(disp, anti)
+    if r == 2 and disp.passed != anti.passed:
+        first, second = ("passed", "failed") if disp.passed else ("failed", "passed")
+        raise RuntimeError(
+            f"internal error: the multiplicity-2 dispersion check {first} but the anticommutation check {second}"
+        )
+    try:
+        spectrum = beta_spectrum(mset)
+    except StructuralViolationError as exc:
+        spectrum = exc
+    try:
+        canonical = canonicalize_beta(mset)
+    except ValueError as exc:
+        canonical = exc
+    structure = None if isinstance(canonical, Exception) else check_alpha_structure(canonical)
+    return Audit(disp, anti, check_trace_det(disp.char), spectrum, canonical, structure)
+
+
 class EquivalenceVerdict(NamedTuple):
     """Side-by-side dispersion and anticommutation verdicts.
 
@@ -414,7 +469,11 @@ class EquivalenceVerdict(NamedTuple):
 
 
 def equivalence_audit(mset: MatrixSet) -> EquivalenceVerdict:
-    """Run the multiplicity-2 dispersion check and the Clifford check together."""
+    """Run the multiplicity-2 dispersion check and the Clifford check together.
+
+    Kept only for perfbench, whose audit operation calls and spans it by
+    name, until ROADMAP step 6a moves that operation to :func:`audit`.
+    """
     if mset.n != 4:
         raise ValueError("equivalence audit applies to n = 4 sets")
     disp = check_dispersion(mset, 2)

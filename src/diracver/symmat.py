@@ -58,7 +58,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "as_matrix",
     "mat_identity",
-    "mat_trace",
     "mat_is_zero",
     "build_hamiltonian",
     "char_poly",
@@ -167,10 +166,6 @@ def _hermitian_defect(g: list) -> tuple[int, int] | None:
             if row[j] != (re, -im):
                 return (i, j)
     return None
-
-
-def mat_trace(a: Matrix) -> ComplexRational:
-    return sum((a[i][i] for i in range(len(a))), _CR_ZERO)
 
 
 def mat_is_zero(a: Matrix) -> bool:

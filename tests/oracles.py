@@ -326,6 +326,11 @@ def conjugate_reference(u: Matrix, x: Matrix) -> Matrix:
     return mat_mul_reference(u, mat_mul_reference(x, dagger_reference(u)))
 
 
+def trace_reference(matrix: Matrix) -> ComplexRational:
+    """The sum of the diagonal entries, as plain ComplexRational additions."""
+    return sum((matrix[i][i] for i in range(len(matrix))), ComplexRational(0))
+
+
 def abs2(x: ComplexRational) -> Fraction:
     """|x|^2, an exact nonnegative rational."""
     return (x.conj() * x).re

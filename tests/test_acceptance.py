@@ -22,7 +22,7 @@ from diracver.clifford import (
     check_alpha_structure,
     check_anticommutation,
     check_trace_det,
-    equivalence_audit,
+    audit,
 )
 from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
 from diracver.solver import (
@@ -136,8 +136,9 @@ def test_criterion_4_equivalence_theorem():
 
         discrepancies = []
         for k, mset in enumerate(sets):
-            verdict = equivalence_audit(mset)
-            if not verdict.consistent:
+            # `audit` raises on a disagreement; this check does not rely on that guard
+            record = audit(mset, 2)
+            if record.dispersion.passed != record.anticommutation.passed:
                 discrepancies.append((k, mset.label))
         elapsed = time.perf_counter() - start
         assert discrepancies == []

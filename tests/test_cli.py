@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diracver
-from diracver import cli, clifford, dispersion, sampling, spectrum, symmat
+from diracver import cli, clifford, sampling, spectrum, symmat
 from diracver.algebra import ComplexRational
 from diracver.cli import (
     MatrixFileError,
@@ -31,6 +32,7 @@ from diracver.sampling import perturbed_set
 from diracver.symmat import HermiticityError, MatrixSet
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(*args):
@@ -434,12 +436,17 @@ def test_verify_fails_loudly_when_the_two_verdicts_disagree(fixture, verdicts, r
         report = honest(mset)
         return report._replace(passed=not report.passed)
 
-    # `cli` looks the check up on `clifford`
+    # `audit` looks the check up on `clifford`
     monkeypatch.setattr(clifford, "check_anticommutation", flipped)
     path = str(request.getfixturevalue(fixture))
-    for command in ("verify", "derive"):
+    runs = (
+        lambda: main(["verify", path]),
+        lambda: main(["derive", path]),
+        lambda: clifford.audit(parse_matrix_file(path), 2),
+    )
+    for run in runs:
         with pytest.raises(RuntimeError) as err:
-            main([command, path])
+            run()
         assert str(err.value) == f"internal error: the multiplicity-2 dispersion check {verdicts}"
         assert capsys.readouterr().out == ""
     # other multiplicities have no anticommutation counterpart to agree with
@@ -459,13 +466,16 @@ def test_verify_and_derive_run_each_check_once_and_no_equivalence_audit(dirac_pa
     def no_audit(mset):
         raise AssertionError("equivalence_audit was called")
 
-    monkeypatch.setattr(dispersion, "check_dispersion", counted("dispersion", dispersion.check_dispersion))
+    monkeypatch.setattr(clifford, "check_dispersion", counted("dispersion", clifford.check_dispersion))
     monkeypatch.setattr(clifford, "check_anticommutation", counted("anticommutation", clifford.check_anticommutation))
     monkeypatch.setattr(clifford, "equivalence_audit", no_audit)
     for command in ("verify", "derive"):
         assert main([command, str(dirac_pauli_file)]) == 0
         assert calls == ["dispersion", "anticommutation"]
         calls.clear()
+    # the equivalence experiment audits its 203 sets the same way
+    assert runpy.run_path(str(SCRIPTS / "equivalence_experiment.py"))["main"]() == 0
+    assert calls == ["dispersion", "anticommutation"] * 203
     capsys.readouterr()
 
 
@@ -479,8 +489,8 @@ def test_a_set_is_cleared_once_from_parsing_to_the_last_audit_stage(dirac_pauli_
 
     for module in (symmat, clifford, sampling):
         monkeypatch.setattr(module, "_cleared", counted, raising=False)
-    audit = cli._audit(parse_matrix_file(dirac_pauli_file), 2)
-    assert audit.structure.passed
+    record = clifford.audit(parse_matrix_file(dirac_pauli_file), 2)
+    assert record.structure.passed
     assert calls == [4]
 
 
@@ -493,7 +503,7 @@ def test_an_audit_leaves_the_kept_rows_as_they_were(name):
     else:
         mset = parse_matrix_file(GOLDEN_INPUTS / f"{name}.json")
     rows, denom = mset._gi
-    cli._audit(mset, 2)
+    clifford.audit(mset, 2)
     assert mset._gi == symmat._cleared(*mset.alphas, mset.beta)
     assert mset._gi[0] is rows and mset._gi[1] == denom
 

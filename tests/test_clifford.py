@@ -18,6 +18,7 @@ from diracver.clifford import (
     CanonicalizationResult,
     StructuralViolationError,
     _gram_schmidt_columns,
+    audit,
     beta_spectrum,
     canonicalize_beta,
     catalog,
@@ -36,7 +37,6 @@ from diracver.symmat import (
     char_poly,
     mat_identity,
     mat_is_zero,
-    mat_trace,
 )
 from oracles import (
     abs2,
@@ -49,6 +49,7 @@ from oracles import (
     gram_schmidt_reference,
     mat_mul_reference,
     random_exact_unitary_reference,
+    trace_reference,
     unit_eigenbasis,
     unitary_reference,
 )
@@ -434,7 +435,7 @@ def test_canonicalize_beta_matches_the_reference_basis(mset):
 def test_beta_square_check_matches_the_reference(mset):
     if mat_mul_reference(mset.beta, mset.beta) == mat_identity(mset.n):
         plus = beta_spectrum(mset).count(1)
-        assert 2 * plus - mset.n == mat_trace(mset.beta)
+        assert 2 * plus - mset.n == trace_reference(mset.beta)
     else:
         with pytest.raises(StructuralViolationError, match="^beta does not square to the identity$"):
             beta_spectrum(mset)
@@ -488,25 +489,26 @@ def test_alpha_structure_matches_the_reference_traces(mset):
 # ---------------------------------------------------------------------------
 
 
+def _agreed_verdict(mset):
+    """The verdict that both sides of the equivalence give to ``mset``, asserted equal."""
+    record = audit(mset, 2)
+    assert record.dispersion.passed == record.anticommutation.passed
+    return record.dispersion.passed
+
+
 def test_equivalence_on_standard_and_conjugates(all_catalog_sets, rng):
     for mset in all_catalog_sets:
-        verdict = equivalence_audit(mset)
-        assert verdict.passed and verdict.consistent
-        conjugated = random_exact_unitary(rng).conjugate_set(mset)
-        verdict = equivalence_audit(conjugated)
-        assert verdict.passed and verdict.consistent
+        assert _agreed_verdict(mset)
+        assert _agreed_verdict(random_exact_unitary(rng).conjugate_set(mset))
 
 
 def test_equivalence_on_generic_and_perturbed_sets(dirac_pauli, rng):
     failures = 0
     for _ in range(20):
-        verdict = equivalence_audit(random_hermitian_set(rng))
-        assert verdict.consistent
-        failures += not verdict.passed
+        failures += not _agreed_verdict(random_hermitian_set(rng))
     assert failures == 20  # generic sets violate both sides
     for _ in range(12):
-        verdict = equivalence_audit(perturbed_set(rng, catalog(rng.choice(CATALOG_NAMES))))
-        assert verdict.consistent
+        _agreed_verdict(perturbed_set(rng, catalog(rng.choice(CATALOG_NAMES))))
 
 
 @given(st.sampled_from(CATALOG_NAMES), st.integers(0, 2**32 - 1), st.integers(1, 30))
@@ -514,9 +516,20 @@ def test_equivalence_on_generic_and_perturbed_sets(dirac_pauli, rng):
 def test_equivalence_theorem_under_exact_unitaries(name, seed, steps):
     rng = random.Random(seed)
     conjugate = random_exact_unitary(rng, steps=steps).conjugate_set(catalog(name))
-    verdict = equivalence_audit(conjugate)
-    assert verdict.consistent and verdict.passed
-    assert equivalence_audit(perturbed_set(rng, conjugate)).consistent
+    record = audit(conjugate, 2)
+    assert record.dispersion.passed and record.anticommutation.passed
+    # and every structural consequence of the relations holds
+    assert record.trace_det.passed and record.spectrum_passed and record.structure_passed
+    _agreed_verdict(perturbed_set(rng, conjugate))
+
+
+def test_equivalence_audit_gives_the_two_verdicts_of_the_audit(rng):
+    conjugate = random_exact_unitary(rng).conjugate_set(catalog("weyl-chiral"))
+    for mset in (catalog("majorana"), conjugate, perturbed_set(rng, conjugate), random_hermitian_set(rng)):
+        verdict, record = equivalence_audit(mset), audit(mset, 2)
+        assert (verdict.dispersion, verdict.anticommutation) == (record.dispersion, record.anticommutation)
+        assert verdict.passed == (record.dispersion.passed and record.anticommutation.passed)
+        assert verdict.consistent
 
 
 def test_dispersion_pass_forces_even_char_poly(all_catalog_sets, rng):

@@ -20,7 +20,6 @@ from diracver.symmat import (
     build_hamiltonian,
     char_poly,
     mat_identity,
-    mat_trace,
     trace_and_det,
 )
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     power_sums_reference,
     random_hermitian_matrix,
     term_degrees,
+    trace_reference,
 )
 
 I = ComplexRational(0, 1)
@@ -248,7 +248,7 @@ def test_char_poly_matches_cofactor_oracle(n, rng):
         # byproducts: [x_k] c_{n-1} = -Tr(X_k) and [x_k^n] c_0 = (-1)^n det(X_k)
         for k, matrix in enumerate(matrices):
             mono = tuple(int(i == k) for i in range(4))
-            assert ComplexRational(cp.c(n - 1).coefficient(mono)) == -mat_trace(matrix)
+            assert ComplexRational(cp.c(n - 1).coefficient(mono)) == -trace_reference(matrix)
             assert ComplexRational(cp.c(0).coefficient(tuple(n * e for e in mono))) == det_cofactor(matrix) * (-1) ** n
 
 
