@@ -229,12 +229,14 @@ def _print_report(header: str, sections: Sequence[tuple[str, Sequence[str], bool
     return EXIT_PASS if verdict else EXIT_FAIL
 
 
-def _matrix_summary(matrix: symmat.Matrix) -> str:
-    for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            if value:
-                return f"nonzero, first at ({i + 1},{j + 1}): {render_scalar(value)}"
-    return "0"
+def _defect_line(pair: tuple[str, str], entry: clifford.Defect) -> str:
+    """One relation of the anticommutation section: ``{a,b}`` or ``a^2 - 1``, then its first defect."""
+    a, b = pair
+    relation = f"{a}^2 - 1" if a == b else f"{{{a},{b}}}"
+    if entry is None:
+        return f"{relation}: 0"
+    i, j, value = entry
+    return f"{relation}: nonzero, first at ({i + 1},{j + 1}): {render_scalar(value)}"
 
 
 def _structure_lines(audit: clifford.Audit, blocks: str, norm: str) -> tuple[str, str, list[str]]:
@@ -269,11 +271,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     disp, anti = audit.dispersion, audit.anticommutation
     disp_lines = [f"characteristic polynomial: {render_epoly(disp.char.poly)}"]
     disp_lines += [f"{label}: {render_multipoly(res)}" for label, res in zip(disp.labels, disp.residuals)]
-    anti_lines = [f"{{{a},{b}}}: {_matrix_summary(d)}" for (a, b), d in anti.pairwise.items()]
-    anti_lines += [f"{name}^2 - 1: {_matrix_summary(d)}" for name, d in anti.squares.items()]
     sections = [
-        (f"[dispersion] multiplicity {r}", disp_lines, disp.passed),
-        ("[anticommutation]", anti_lines, anti.passed),
+        (f"[dispersion] multiplicity {disp.multiplicity}", disp_lines, disp.passed),
+        ("[anticommutation]", [_defect_line(*item) for item in anti.defects.items()], anti.passed),
     ]
     if mset.n == 4:
         trace_det_lines = [
@@ -310,7 +310,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    from . import clifford, symmat
+    from . import clifford
 
     mset = parse_matrix_file(args.file)
     if mset.n != 4:
@@ -318,8 +318,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
     audit = clifford.audit(mset, 2)
     values = audit.trace_det.values.items()
     spectrum_line, canonical_line, alphas = _structure_lines(audit, "blocks vanish", "norm")
-    defects = [*audit.anticommutation.pairwise.values(), *audit.anticommutation.squares.values()]
-    dirty = sum(not symmat.mat_is_zero(d) for d in defects)
+    defects = audit.anticommutation.defects.values()
+    dirty = sum(entry is not None for entry in defects)
     steps = (
         (
             "trace",

@@ -9,9 +9,9 @@ relations
     beta^2 = 1,
 
 and this module makes both directions of that equivalence executable:
-``check_anticommutation`` computes every defect matrix exactly, and
-``audit`` runs it once beside the dispersion check, raises if the two
-verdicts disagree, and then audits the structural consequences: zero
+``check_anticommutation`` finds the first nonzero entry of every defect
+exactly, and ``audit`` runs it once beside the dispersion check, raises if
+the two verdicts disagree, and then audits the structural consequences: zero
 traces, unit determinants, the {+1, +1, -1, -1} spectrum of beta, and the
 vanishing diagonal blocks of each alpha relative to the eigenspaces of
 beta.  The traces and determinants need no product of matrices:
@@ -31,11 +31,11 @@ products.
 The kernels run on Gaussian integers, like ``symmat``'s: each reads the
 rows over one common denominator D that the ``MatrixSet`` keeps, and only
 results are rebuilt as exact scalars.
-``check_anticommutation`` sums AB + BA (or A^2 - 1) over D^2 in integers
-over the upper triangle only, since these are Hermitian for a Hermitian
-set, and fills the lower triangle by conjugation.  The Gram-Schmidt step of
-``canonicalize_beta`` is fraction-free, and ``check_alpha_structure`` reads
-the blocks from the integer M + M^dagger and the norms from integer traces.
+``check_anticommutation`` sums each entry of AB + BA (or A^2 - 1) over D^2
+in integers, up to the first nonzero entry of the upper triangle, row by
+row.  The Gram-Schmidt step of ``canonicalize_beta`` is fraction-free, and
+``check_alpha_structure`` reads the blocks from the integer M + M^dagger
+and the norms from integer traces.
 
 ``symmat._gram_is_identity`` checks g g^dagger = d^2 I in integers; for
 a Hermitian beta it decides beta^2 = 1.  The exact unitaries and the
@@ -51,7 +51,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from . import _forward
-from .algebra import _CR_ZERO, ComplexRational, render_fraction
+from .algebra import ComplexRational, render_fraction
 from .dispersion import DispersionReport, check_dispersion
 from .symmat import (
     CharPoly,
@@ -63,7 +63,6 @@ from .symmat import (
     build_hamiltonian,  # unused here; perfbench patches it on this module
     char_poly,  # unused here; perfbench patches it on this module
     mat_identity,
-    mat_is_zero,
     trace_and_det,
 )
 
@@ -152,44 +151,47 @@ def catalog(name: str) -> MatrixSet:
 # ---------------------------------------------------------------------------
 
 
-class CliffordReport(NamedTuple):
-    """Exact defect matrices for all pairwise anticommutators and squares."""
+# the first nonzero entry (i, j, value) of a relation's defect, 0-based, or None
+Defect = tuple[int, int, ComplexRational] | None
 
-    pairwise: dict[tuple[str, str], Matrix]
-    squares: dict[str, Matrix]
+
+class CliffordReport(NamedTuple):
+    """The first defect of each relation, in report order: {A, B} keyed (A, B), then A^2 - 1 keyed (A, A)."""
+
+    defects: dict[tuple[str, str], Defect]
     passed: bool
 
 
 def check_anticommutation(mset: MatrixSet) -> CliffordReport:
-    """Compute {X_i, X_j} - 2 delta_ij defects exactly.
+    """Find the first nonzero entry of each {X_i, X_j} - 2 delta_ij defect exactly.
 
     The four matrices are read as the set keeps them, Gaussian integers
-    over their one denominator D; a defect {A, B} = AB + BA and a square
-    A^2 - 1 are summed in integers over D^2.
+    over their one denominator D; an entry of a defect {A, B} = AB + BA or
+    of a square A^2 - 1 is summed in integers over D^2, and a relation is
+    scanned only up to its first nonzero entry.
     """
     cleared, d = mset._gi
     items = [(name, g) for (name, _), g in zip(mset.matrices(), cleared)]
-    pairwise: dict[tuple[str, str], Matrix] = {}
+    defects: dict[tuple[str, str], Defect] = {}
     for a, (name_a, ga) in enumerate(items):
         for name_b, gb in items[a + 1:]:
-            pairwise[(name_a, name_b)] = _hermitian_sum(((ga, gb), (gb, ga)), d * d, 0)
-    squares = {name: _hermitian_sum(((g, g),), d * d, d * d) for name, g in items}
-    passed = all(mat_is_zero(m) for m in pairwise.values()) and all(
-        mat_is_zero(m) for m in squares.values()
-    )
-    return CliffordReport(pairwise, squares, passed)
+            defects[(name_a, name_b)] = _first_defect(((ga, gb), (gb, ga)), d * d, 0)
+    for name, g in items:
+        defects[(name, name)] = _first_defect(((g, g),), d * d, d * d)
+    return CliffordReport(defects, all(entry is None for entry in defects.values()))
 
 
-def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
-    """(sum of x*y over the Gaussian-integer ``products`` - shift*I) / denom.
+def _first_defect(products, denom: int, shift: int) -> Defect:
+    """The first nonzero entry, in row-major order, of (sum of x*y over ``products`` - shift*I) / denom.
 
-    The sum must be Hermitian, as anticommutators and squares of Hermitian
-    matrices are: only its upper triangle is computed, each entry is
-    rebuilt once and its mirror is its conjugate.  Zero entries share one
-    zero.
+    ``products`` are pairs of Gaussian-integer matrices.  The sum must be
+    Hermitian, as anticommutators and squares of Hermitian matrices are, so
+    its first nonzero entry lies on or above the diagonal: a nonzero entry
+    below it has a nonzero mirror above it, which comes earlier in
+    row-major order.  Only the upper triangle is scanned, one entry at a
+    time, and only the entry returned is rebuilt as an exact scalar.
     """
     n = len(products[0][0])
-    rows = [[_CR_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             re = -shift if i == j else 0
@@ -200,10 +202,8 @@ def _hermitian_sum(products, denom: int, shift: int) -> Matrix:
                     re += xr * yr - xi * yi
                     im += xr * yi + xi * yr
             if re or im:
-                rows[i][j] = ComplexRational._from_ints(re, im, denom)
-                if i != j:
-                    rows[j][i] = rows[i][j].conj()
-    return tuple(tuple(row) for row in rows)
+                return i, j, ComplexRational._from_ints(re, im, denom)
+    return None
 
 
 class TraceDetReport(NamedTuple):

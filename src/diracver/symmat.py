@@ -58,7 +58,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "as_matrix",
     "mat_identity",
-    "mat_is_zero",
     "build_hamiltonian",
     "char_poly",
     "trace_and_det",
@@ -166,10 +165,6 @@ def _hermitian_defect(g: list) -> tuple[int, int] | None:
             if row[j] != (re, -im):
                 return (i, j)
     return None
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero for row in a for x in row)
 
 
 # the monomials p1, p2, p3 and m, and the names of the matrices they multiply in h(p)

@@ -306,6 +306,15 @@ def anticommutator_reference(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(row_ab, row_ba)) for row_ab, row_ba in zip(ab, ba))
 
 
+def first_nonzero_reference(matrix: Matrix) -> tuple[int, int, ComplexRational] | None:
+    """The first nonzero entry (i, j, value) in row-major order, 0-based, or None for a zero matrix."""
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            if not value.is_zero:
+                return i, j, value
+    return None
+
+
 def dagger_reference(a: Matrix) -> Matrix:
     n = len(a)
     return tuple(tuple(a[j][i].conj() for j in range(n)) for i in range(n))

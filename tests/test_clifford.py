@@ -36,7 +36,6 @@ from diracver.symmat import (
     as_matrix,
     char_poly,
     mat_identity,
-    mat_is_zero,
 )
 from oracles import (
     abs2,
@@ -46,6 +45,7 @@ from oracles import (
     canonical_form_reference,
     conjugate_reference,
     dagger_reference,
+    first_nonzero_reference,
     gram_schmidt_reference,
     mat_mul_reference,
     random_exact_unitary_reference,
@@ -72,20 +72,20 @@ def test_catalog_sets_satisfy_the_relations(all_catalog_sets):
     for mset in all_catalog_sets:
         report = check_anticommutation(mset)
         assert report.passed, mset.label
-        assert len(report.pairwise) == 6
-        assert len(report.squares) == 4
+        assert len(report.defects) == 10
+        assert all(entry is None for entry in report.defects.values())
 
 
 def test_pauli_triple_in_squares_only_mode(pauli):
     report = check_anticommutation(pauli)
     alphas = ("alpha1", "alpha2", "alpha3")
-    alpha_pairs = [pair for pair in report.pairwise if "beta" not in pair]
+    alpha_pairs = [pair for pair in report.defects if "beta" not in pair and pair[0] != pair[1]]
     assert alpha_pairs == [("alpha1", "alpha2"), ("alpha1", "alpha3"), ("alpha2", "alpha3")]
-    assert all(mat_is_zero(report.pairwise[pair]) for pair in alpha_pairs)
-    assert all(mat_is_zero(report.squares[name]) for name in alphas)
+    assert all(report.defects[pair] is None for pair in alpha_pairs)
+    assert all(report.defects[(name, name)] is None for name in alphas)
     # the zero beta: beta^2 - 1 = -1 != 0
     assert not report.passed
-    assert not mat_is_zero(report.squares["beta"])
+    assert report.defects[("beta", "beta")] is not None
 
 
 def test_perturbed_entry_breaks_alpha_square(dirac_pauli):
@@ -96,7 +96,19 @@ def test_perturbed_entry_breaks_alpha_square(dirac_pauli):
     broken = _with_alpha1(dirac_pauli, as_matrix(rows))
     report = check_anticommutation(broken)
     assert not report.passed
-    assert not mat_is_zero(report.squares["alpha1"])
+    assert report.defects[("alpha1", "alpha1")] is not None
+
+
+def test_a_relation_stops_at_its_first_defect(monkeypatch, dirac_pauli):
+    # every relation of random-1 fails at (1,1): one exact scalar each, and none for a set that passes
+    random_1 = parse_matrix_file(Path(__file__).resolve().parent / "golden" / "inputs" / "random-1.json")
+    built = []
+    from_ints = ComplexRational._from_ints.__func__
+    monkeypatch.setattr(ComplexRational, "_from_ints", classmethod(lambda cls, *args: built.append(args) or from_ints(cls, *args)))
+    assert check_anticommutation(dirac_pauli).passed and built == []
+    report = check_anticommutation(random_1)
+    assert [entry[:2] for entry in report.defects.values()] == [(0, 0)] * 10
+    assert len(built) == 10
 
 
 def test_anticommutation_preserved_under_exact_conjugation(all_catalog_sets, rng):
@@ -355,21 +367,22 @@ def test_anticommutators_match_the_reference_products(mset):
     report = check_anticommutation(mset)
     items = list(mset.matrices())
     identity = mat_identity(mset.n)
-    pairwise = {
+    defects = {
         (name_a, name_b): anticommutator_reference(a, b)
         for k, (name_a, a) in enumerate(items)
         for name_b, b in items[k + 1:]
     }
-    squares = {
-        name: tuple(tuple(x - y for x, y in zip(row, unit)) for row, unit in zip(mat_mul_reference(m, m), identity))
-        for name, m in items
-    }
-    assert list(report.pairwise) == list(pairwise)
-    assert list(report.squares) == list(squares)
-    assert report.pairwise == pairwise
-    assert report.squares == squares
-    assert all(_is_matrix_of_scalars(d, mset.n) for d in (*report.pairwise.values(), *report.squares.values()))
-    assert report.passed == all(mat_is_zero(d) for d in (*pairwise.values(), *squares.values()))
+    for name, m in items:
+        square = mat_mul_reference(m, m)
+        defects[(name, name)] = tuple(tuple(x - y for x, y in zip(row, unit)) for row, unit in zip(square, identity))
+    expected = {pair: first_nonzero_reference(d) for pair, d in defects.items()}
+    assert list(report.defects) == list(expected)
+    assert report.defects == expected
+    for entry in report.defects.values():
+        if entry is not None:
+            i, j, value = entry
+            assert i <= j and type(value) is ComplexRational
+    assert report.passed == all(entry is None for entry in expected.values())
 
 
 @given(_audited_sets(), _mixed_scalars)
