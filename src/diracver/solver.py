@@ -7,17 +7,19 @@ condition into an even and an odd part in ``E_p``, giving ``2r`` linear
 equations in the c_k.  Each equation carries one energy dimension: c_k has
 dimension n - k and s has dimension 2, so every coefficient and constant is
 a single monomial in s.  The solver therefore writes the equations directly
-with rational entries, in the unknowns ``y_k = c_k / s^((n-k)/2)``, and
-exact Gauss-Jordan elimination over the rationals then either
+with integer entries, in the unknowns ``y_k = c_k / s^((n-k)/2)``, and
+fraction-free Gauss-Jordan elimination over the integers then either
 
 * solves them for the y_k (:class:`ForcedCoefficientSolution`), or
 * exhibits a nonzero monomial in s that the system forces to vanish
   identically (:class:`InfeasibilityCertificate`), an impossibility proof
-  for that (n, r) pair.
+  for that (n, r) pair, with the integer multipliers of the equations
+  that combine to it.
 
 Every result is a rational; the power of s that carries it is fixed by its
-energy dimension, which must be even and nonnegative.  Every solution is
-substituted into the un-eliminated equations in y before it is returned.
+energy dimension, which must be even and nonnegative.  Both outcomes are
+checked on the un-eliminated equations before they are returned: a solution
+by substitution, a certificate by the Fredholm alternative.
 No matrix set enters: this module needs only ``algebra``, and
 ``dispersion.check_dispersion`` applies the same even/odd reduction to the
 characteristic polynomial of a concrete set.
@@ -26,7 +28,7 @@ characteristic polynomial of a concrete set.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, gcd, lcm, perm
 from typing import NamedTuple, Union
 
 from .algebra import _Validated, _derivative_name, _join_terms, _power, _term_sign_body
@@ -41,9 +43,6 @@ __all__ = [
     "render_solution",
     "render_certificate",
 ]
-
-
-_ZERO = Fraction(0)
 
 
 class _DegeneracyRequirementFields(NamedTuple):
@@ -99,23 +98,28 @@ class _InfeasibilityCertificateFields(NamedTuple):
     witness: Fraction
     power: int
     narrative: str
+    multipliers: tuple[tuple[str, int], ...]
 
 
 class InfeasibilityCertificate(_Validated, _InfeasibilityCertificateFields):
     """Proof that no matrix set of dimension n meets the multiplicity demand.
 
     The linear conditions force the nonzero monomial ``witness*s^power`` to
-    vanish identically.
+    vanish identically: it is, up to sign, the sum of each named condition
+    times its nonzero integer multiplier.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls, requirement: DegeneracyRequirement, witness: Fraction, power: int, narrative: str
+        cls, requirement: DegeneracyRequirement, witness: Fraction, power: int, narrative: str,
+        multipliers: tuple[tuple[str, int], ...],
     ) -> "InfeasibilityCertificate":
         if not witness:
             raise ValueError("certificate witness must be nonzero")
-        return super().__new__(cls, requirement, witness, power, narrative)
+        if not multipliers or not all(coefficient for _, coefficient in multipliers):
+            raise ValueError("certificate multipliers must be nonempty and nonzero")
+        return super().__new__(cls, requirement, witness, power, narrative, multipliers)
 
 
 SolveResult = Union[ForcedCoefficientSolution, InfeasibilityCertificate]
@@ -129,49 +133,57 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     term of a condition has one energy dimension: c_k has dimension n - k
     and s has dimension 2.  Substituting c_k = s^((n-k)/2)*y_k and dividing
     each condition by s to half its dimension leaves a system in y with
-    rational entries: row (j, parity q) has perm(k, j) at y_k for
+    integer entries: row (j, parity q) has perm(k, j) at y_k for
     k = j+q, j+q+2, ... < n, the k = n term moves to the right-hand side
     with its sign flipped, and its dimension is n - j - q.  It has the zero
-    pattern of the system in c, so Gauss-Jordan elimination over the
-    rationals, pivots chosen lowest-index unknown first, takes the same
-    pivots and reaches the same reduced form as elimination over the
-    rational functions of s.  The result is returned in y.  A nonzero value
-    of odd or negative dimension, or a solution that leaves a residual in
-    the un-eliminated rows, raises ``RuntimeError``.
+    pattern of the system in c, so Gauss-Jordan elimination, pivots chosen
+    lowest-index unknown first, takes the same pivots and reaches the same
+    reduced form as elimination over the rational functions of s.  It is
+    fraction-free (Bareiss): a row becomes pivot[col]*row - row[col]*pivot
+    divided by its content, a multiple of the row over the rationals, and
+    carries its multipliers over the un-eliminated rows as extra columns.
+    The result is returned in y.  A nonzero value of odd or negative
+    dimension, a certificate whose multipliers fail their check, or a
+    solution that leaves a residual in the un-eliminated rows, raises
+    ``RuntimeError``.
     """
     n = req.n
     origins, dims, system = _y_system(req)
-    rows = list(system)  # elimination replaces whole rows and never edits one
+    m = len(system)
+    # row i = sum of multiplier k times un-eliminated row k; it starts as row i itself
+    rows = [row + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(system)]
 
     pivot_row_of: dict[int, int] = {}
-    consumed = [False] * len(rows)
     for col in range(n):
-        pivot_idx = next((i for i, row in enumerate(rows) if not consumed[i] and row[col]), None)
+        pivot_idx = next((i for i, row in enumerate(rows) if row[col] and i not in pivot_row_of.values()), None)
         if pivot_idx is None:
             continue
-        consumed[pivot_idx] = True
         pivot_row_of[col] = pivot_idx
         pivot = rows[pivot_idx]
+        p = pivot[col]
         for i, row in enumerate(rows):
-            if i != pivot_idx and row[col]:
-                factor = row[col] / pivot[col]
-                rows[i] = [a - factor * b if b else a for a, b in zip(row, pivot)]
+            f = row[col]
+            if f and i != pivot_idx:
+                row = [p * a - f * b for a, b in zip(row, pivot)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
 
     for i, row in enumerate(rows):
-        if not consumed[i] and row[n] and not any(row[:n]):
+        if row[n] and not any(row[:n]):
             # 0 = rhs: a nonzero monomial in s is forced to vanish
-            witness = Fraction(abs(row[n].numerator))
-            power = _power_of_s(witness, dims[i])
+            power = _certified_power(system, dims, row)
+            witness = Fraction(abs(row[n]))
+            multipliers = tuple((origins[k], x) for k, x in enumerate(row[n + 1 :]) if x)
             narrative = _contradiction_narrative(origins[i], witness, power)
-            return InfeasibilityCertificate(req, witness, power, narrative)
+            return InfeasibilityCertificate(req, witness, power, narrative, multipliers)
 
     free = frozenset(range(n)) - pivot_row_of.keys()
     assignments: dict[int, Assignment] = {}
-    for col in sorted(pivot_row_of):
-        row = rows[pivot_row_of[col]]
-        constant = row[n] / row[col]
+    for col, i in pivot_row_of.items():
+        row = rows[i]
+        constant = Fraction(row[n], row[col])
         _power_of_s(constant, n - col)
-        linear = tuple((j, -row[j] / row[col]) for j in sorted(free) if row[j])
+        linear = tuple((j, Fraction(-row[j], row[col])) for j in sorted(free) if row[j])
         for j, q in linear:
             _power_of_s(q, j - col)
         assignments[col] = Assignment(constant, linear)
@@ -183,23 +195,45 @@ def solve_forced_coefficients(req: DegeneracyRequirement) -> SolveResult:
     return solution
 
 
-def _y_system(req: DegeneracyRequirement) -> tuple[list[str], list[int], list[list[Fraction]]]:
+def _y_system(req: DegeneracyRequirement) -> tuple[list[str], list[int], list[list[int]]]:
     """The 2r conditions in y: their origins, their energy dimensions, and rows of
-    the coefficients of y_0..y_{n-1} followed by the right-hand side."""
+    the integer coefficients of y_0..y_{n-1} followed by the right-hand side."""
     n = req.n
     origins: list[str] = []
     dims: list[int] = []
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for j in range(req.r):
         for odd, parity in enumerate(("even", "odd")):
-            row = [_ZERO] * (n + 1)
+            row = [0] * (n + 1)
             for k in range(j + odd, n + 1, 2):
-                row[k] = Fraction(perm(k, j))
+                row[k] = perm(k, j)
             row[n] = -row[n]
             origins.append(f"the {parity} part of {_derivative_name(j)} at E = E_p")
             dims.append(n - j - odd)
             rows.append(row)
     return origins, dims, rows
+
+
+def _certified_power(system: list[list[int]], dims: list[int], row: list[int]) -> int:
+    """The power of s that a row reduced to 0 = rhs forces to vanish.
+
+    Its multipliers, the columns after the right-hand side, must give the row
+    from the un-eliminated rows (0 at every unknown, the same right-hand
+    side) and combine rows of one energy dimension, which fixes the power.
+    """
+    n = len(system[0]) - 1
+    used = [(k, x) for k, x in enumerate(row[n + 1 :]) if x]
+    for col in range(n + 1):
+        total = sum(x * system[k][col] for k, x in used)
+        if total != row[col]:
+            where = "the right-hand side" if col == n else f"y{col}"
+            raise RuntimeError(
+                f"internal solver error: the certificate's multipliers give {total} at {where}, not {row[col]}"
+            )
+    dimensions = sorted({dims[k] for k, _ in used})
+    if len(dimensions) > 1:
+        raise RuntimeError(f"internal solver error: the certificate combines energy dimensions {dimensions}")
+    return _power_of_s(abs(row[n]), dimensions[0])
 
 
 def _power_of_s(value: Fraction, dimension: int) -> int:
@@ -223,22 +257,29 @@ def _contradiction_narrative(origin: str, witness: Fraction, power: int) -> str:
     return f"{origin} reduces to {_render_monomial(witness, power)} = 0, {consequence}"
 
 
-def _residuals(origins: list[str], system: list[list[Fraction]], sol: ForcedCoefficientSolution) -> list[str]:
+def _residuals(origins: list[str], system: list[list[int]], sol: ForcedCoefficientSolution) -> list[str]:
     """What is left of each un-eliminated row in y once the solution is
-    substituted: the constant part and the part of each free y_j."""
+    substituted: the constant part and the part of each free y_j.  The sums
+    run in integers, scaled by the lcm of the solution's denominators."""
     n = sol.requirement.n
+    scale = lcm(*(x.denominator for a in sol.assignments.values() for x in (a.constant, *(q for _, q in a.linear))))
+    scaled = [
+        (k, a.constant.numerator * (scale // a.constant.denominator),
+         [(j, q.numerator * (scale // q.denominator)) for j, q in a.linear])
+        for k, a in sol.assignments.items()
+    ]
     problems: list[str] = []
     for origin, row in zip(origins, system):
-        const = -row[n]
-        linear = {j: row[j] for j in sorted(sol.free)}
-        for k, a in sol.assignments.items():
+        const = -row[n] * scale
+        linear = {j: row[j] * scale for j in sorted(sol.free)}
+        for k, c, terms in scaled:
             if row[k]:
-                const += row[k] * a.constant
-                for j, q in a.linear:
+                const += row[k] * c
+                for j, q in terms:
                     linear[j] += row[k] * q
         if const:
-            problems.append(f"{origin}: residual {const}")
-        problems.extend(f"{origin}: residual ({x})*c{j}" for j, x in linear.items() if x)
+            problems.append(f"{origin}: residual {Fraction(const, scale)}")
+        problems.extend(f"{origin}: residual ({Fraction(x, scale)})*c{j}" for j, x in linear.items() if x)
     return problems
 
 

@@ -206,7 +206,7 @@ def test_solver_results_need_an_even_nonnegative_dimension(monkeypatch):
 
     def unit_right_hand_sides(req):
         origins, dims, rows = honest(req)
-        return origins, dims, [row[:-1] + [Fraction(1)] for row in rows]
+        return origins, dims, [row[:-1] + [1] for row in rows]
 
     monkeypatch.setattr(solver, "_y_system", unit_right_hand_sides)
     with pytest.raises(RuntimeError, match="energy dimension 3, which is not a power of s$"):
@@ -215,7 +215,79 @@ def test_solver_results_need_an_even_nonnegative_dimension(monkeypatch):
 
 def test_certificate_witness_nonzero_invariant():
     with pytest.raises(ValueError):
-        InfeasibilityCertificate(DegeneracyRequirement(2, 2), Fraction(0), 0, "broken")
+        InfeasibilityCertificate(DegeneracyRequirement(2, 2), Fraction(0), 0, "broken", (("the odd part of P' at E = E_p", 1),))
+
+
+# each infeasible pair and the combination of its conditions that certifies it
+CERTIFIED_COMBINATIONS = {
+    (1, 1): (("the odd part of P at E = E_p", 1),),
+    (2, 2): (("the odd part of P' at E = E_p", 1),),
+    (3, 2): (("the odd part of P at E = E_p", -1), ("the even part of P' at E = E_p", 1)),
+    (3, 3): (("the odd part of P at E = E_p", -1), ("the even part of P' at E = E_p", 1)),
+    (4, 3): (("the odd part of P' at E = E_p", -1), ("the even part of P'' at E = E_p", 1)),
+    (4, 4): (("the odd part of P' at E = E_p", -1), ("the even part of P'' at E = E_p", 1)),
+}
+
+
+def _condition_parts(n, r, e0):
+    """The even part and the odd part over E_p of each P^(j)(E_p) = 0 at E_p = e0, keyed by
+    the name the solver gives it, as rows [coefficients of c_0..c_{n-1} | right-hand side].
+
+    Both are rebuilt from the oracle's conditions at +e0 and -e0, not from the solver's rows.
+    """
+    system = multiplicity_system(n, r, e0)
+    parts = {}
+    for j in range(r):
+        plus, minus = system[2 * j], system[2 * j + 1]
+        derivative = "P" + "'" * j
+        parts[f"the even part of {derivative} at E = E_p"] = [(a + b) / 2 for a, b in zip(plus, minus)]
+        parts[f"the odd part of {derivative} at E = E_p"] = [(a - b) / (2 * e0) for a, b in zip(plus, minus)]
+    return parts
+
+
+@pytest.mark.parametrize("e0", [Fraction(2), Fraction(3)])
+@pytest.mark.parametrize("n, r", sorted(CERTIFIED_COMBINATIONS))
+def test_certificate_multipliers_cancel_every_coefficient_in_the_oracle_conditions(n, r, e0):
+    cert = solve(n, r)
+    assert isinstance(cert, InfeasibilityCertificate)
+    assert cert.multipliers == CERTIFIED_COMBINATIONS[n, r]
+    parts = _condition_parts(n, r, e0)
+    combined = [sum(x * parts[origin][col] for origin, x in cert.multipliers) for col in range(n + 1)]
+    # each part reads coefficients*c - rhs, so the combination is free of every c_k and equals -rhs
+    assert combined[:n] == [0] * n
+    assert -combined[n] == cert.witness * (e0 * e0) ** cert.power
+
+
+def _witness_row(cert):
+    """The solver's rows for the certificate's pair and the row its multipliers give:
+    zero at every unknown, then the right-hand side, then one multiplier per row."""
+    origins, dims, system = solver._y_system(cert.requirement)
+    multipliers = dict(cert.multipliers)
+    lam = [multipliers.get(origin, 0) for origin in origins]
+    n = cert.requirement.n
+    rhs = sum(x * row[n] for x, row in zip(lam, system))
+    return system, dims, [0] * n + [rhs] + lam
+
+
+@pytest.mark.parametrize("n, r", sorted(CERTIFIED_COMBINATIONS))
+def test_a_tampered_certificate_fails_its_check(n, r):
+    cert = solve(n, r)
+    system, dims, row = _witness_row(cert)
+    assert solver._certified_power(system, dims, row) == cert.power
+    last = max(k for k, x in enumerate(row[n + 1 :]) if x)
+    flipped = row[: n + 1 + last] + [-row[n + 1 + last]] + row[n + 2 + last :]
+    with pytest.raises(RuntimeError, match="^internal solver error: the certificate's multipliers give ") as caught:
+        solver._certified_power(system, dims, flipped)
+    if len(cert.multipliers) == 1:
+        # a lone condition leaves no unknown to cancel: only its right-hand side shows the flip
+        assert str(caught.value).endswith(f"at the right-hand side, not {row[n]}")
+        return
+    mixed = list(dims)
+    mixed[last] += 2
+    with pytest.raises(
+        RuntimeError, match=r"^internal solver error: the certificate combines energy dimensions \[\d+, \d+\]$"
+    ):
+        solver._certified_power(system, mixed, row)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ def _cases():
     dirac_pauli = catalog("dirac-pauli")
     beta = [list(row) for row in dirac_pauli.beta]
     beta[0][1] = ComplexRational(1)
+    certificate = solve_forced_coefficients(DegeneracyRequirement(3, 2))
+    (first, _), second = certificate.multipliers
     return [
         (dirac_pauli, "beta", tuple(map(tuple, beta)), HermiticityError,
          "beta is not Hermitian at entries (0,1)/(1,0)"),
@@ -39,15 +41,21 @@ def _cases():
         (ROTATION, "matrix", ((1, 1), (0, 1)), ValueError, "matrix is not exactly unitary"),
         (DegeneracyRequirement(4, 2), "r", 5, ValueError,
          "multiplicity 5 exceeds the polynomial degree 4"),
-        (solve_forced_coefficients(DegeneracyRequirement(3, 2)), "witness", Fraction(0), ValueError,
-         "certificate witness must be nonzero"),
+        (certificate, "witness", Fraction(0), ValueError, "certificate witness must be nonzero"),
+        (certificate, "multipliers", ((first, 0), second), ValueError, "certificate multipliers must be nonempty and nonzero"),
+        (certificate, "multipliers", (), ValueError, "certificate multipliers must be nonempty and nonzero"),
         (MomentumSample((0.1, 0.2, 0.3), 1.0), "m", -1.0, ValueError, "mass must be nonnegative"),
     ]
 
 
 CASES = _cases()
-RECORDS = [case[0] for case in CASES]
+RECORDS = list({id(case[0]): case[0] for case in CASES}.values())
 IDS = [type(record).__name__ for record in RECORDS]
+# a record's first case is named by its type, each later one by its type, field and place
+CASE_IDS = []
+for record, field, *_ in CASES:
+    name = type(record).__name__
+    CASE_IDS.append(f"{name}-{field}-{len(CASE_IDS)}" if name in CASE_IDS else name)
 
 
 def _raised(build):
@@ -56,7 +64,7 @@ def _raised(build):
     return type(err.value), str(err.value)
 
 
-@pytest.mark.parametrize("record, field, bad, error, message", CASES, ids=IDS)
+@pytest.mark.parametrize("record, field, bad, error, message", CASES, ids=CASE_IDS)
 def test_every_way_of_building_a_record_validates(record, field, bad, error, message):
     cls = type(record)
     values = tuple(bad if name == field else value for name, value in zip(cls._fields, record))
