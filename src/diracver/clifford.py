@@ -21,8 +21,9 @@ traces, and the pure p1^4, p2^4, p3^4 and m^4 terms of the constant
 coefficient carry the determinants.
 
 Every verdict here is exact; nothing in this module is a float.
-``canonicalize_beta`` proves the (2, 2) eigenspaces of beta with an exact
-orthogonal basis, unit-normalised when its column norms are rational
+``canonicalize_beta`` reads the eigenspace dimensions of beta off its
+trace, once beta^2 = 1 is proved, and builds an exact orthogonal basis of
+the (2, 2) eigenspaces, unit-normalised when its column norms are rational
 squares (the eigenbasis may otherwise need factors such as 1/sqrt(2)).
 ``check_alpha_structure`` needs no basis at all: it reads the blocks of
 each alpha through the projectors (1 +- beta)/2, as traces of exact
@@ -33,9 +34,10 @@ rows over one common denominator D that the ``MatrixSet`` keeps, and only
 results are rebuilt as exact scalars.
 ``check_anticommutation`` sums each entry of AB + BA (or A^2 - 1) over D^2
 in integers, up to the first nonzero entry of the upper triangle, row by
-row.  The Gram-Schmidt step of ``canonicalize_beta`` is fraction-free, and
-``check_alpha_structure`` reads the blocks from the integer M + M^dagger
-and the norms from integer traces.
+row, from entries of the squares A^2 that the relations share.  The
+Gram-Schmidt step of ``canonicalize_beta`` is fraction-free and stops at
+the rank that tr beta fixes, and ``check_alpha_structure`` reads the
+blocks from the integer M + M^dagger and the norms from integer traces.
 
 ``symmat._gram_is_identity`` checks g g^dagger = d^2 I in integers; for
 a Hermitian beta it decides beta^2 = 1.  The exact unitaries and the
@@ -47,8 +49,9 @@ answered here: the first access imports ``sampling`` and binds the name
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import _forward
 from .algebra import ComplexRational, render_fraction
@@ -59,6 +62,7 @@ from .symmat import (
     MatrixSet,
     _gi_mat_mul,
     _gram_is_identity,
+    _row_dot,
     as_matrix,
     build_hamiltonian,  # unused here; perfbench patches it on this module
     char_poly,  # unused here; perfbench patches it on this module
@@ -162,48 +166,62 @@ class CliffordReport(NamedTuple):
     passed: bool
 
 
+# the ten relations in report order, as indices into (alpha1, alpha2, alpha3, beta):
+# the six pairs {X, Y}, then the four squares X^2
+_RELATIONS = tuple((x, y) for x in range(4) for y in range(x + 1, 4)) + tuple((x, x) for x in range(4))
+
+
 def check_anticommutation(mset: MatrixSet) -> CliffordReport:
     """Find the first nonzero entry of each {X_i, X_j} - 2 delta_ij defect exactly.
 
-    The four matrices are read as the set keeps them, Gaussian integers
-    over their one denominator D; an entry of a defect {A, B} = AB + BA or
-    of a square A^2 - 1 is summed in integers over D^2, and a relation is
-    scanned only up to its first nonzero entry.
+    Every entry is summed in integers over D^2 from the rows the set keeps.
+    A defect of a Hermitian set is Hermitian, so its first nonzero entry in
+    row-major order lies on or above the diagonal: only the upper triangle
+    is scanned, up to the first nonzero entry, the only one rebuilt as an
+    exact scalar.  As X is Hermitian, (X^2)_ij = sum_k X_ik conj(X_jk); an
+    entry off the diagonal is computed when first needed and shared by the
+    four relations of X.  A diagonal entry of {X, Y} is
+    2 Re sum_k X_ik conj(Y_ik), and one above it the polarised square
+    ((X + Y)^2)_ij - (X^2)_ij - (Y^2)_ij, each row of X + Y built once.
     """
     cleared, d = mset._gi
-    items = [(name, g) for (name, _), g in zip(mset.matrices(), cleared)]
+    n, d2 = mset.n, d * d
+    names = [name for name, _ in mset.matrices()]
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    squares: list[dict] = [{} for _ in cleared]
     defects: dict[tuple[str, str], Defect] = {}
-    for a, (name_a, ga) in enumerate(items):
-        for name_b, gb in items[a + 1:]:
-            defects[(name_a, name_b)] = _first_defect(((ga, gb), (gb, ga)), d * d, 0)
-    for name, g in items:
-        defects[(name, name)] = _first_defect(((g, g),), d * d, d * d)
+    for x, y in _RELATIONS:
+        gx, gy = cleared[x], cleared[y]
+        summed: dict[int, list] = {}
+        for i, j in cells:
+            if i == j:
+                if x == y:
+                    re, im = sum(ar * ar + ai * ai for ar, ai in gx[i]) - d2, 0
+                else:
+                    re, im = 2 * sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(gx[i], gy[i])), 0
+            elif x == y:
+                re, im = _square_entry(squares[x], gx, i, j)
+            else:
+                for k in (i, j):
+                    if k not in summed:
+                        summed[k] = [(ar + br, ai + bi) for (ar, ai), (br, bi) in zip(gx[k], gy[k])]
+                re, im = _row_dot(summed[i], summed[j])
+                (xr, xi), (yr, yi) = _square_entry(squares[x], gx, i, j), _square_entry(squares[y], gy, i, j)
+                re, im = re - xr - yr, im - xi - yi
+            if re or im:
+                defects[names[x], names[y]] = (i, j, ComplexRational._from_ints(re, im, d2))
+                break
+        else:
+            defects[names[x], names[y]] = None
     return CliffordReport(defects, all(entry is None for entry in defects.values()))
 
 
-def _first_defect(products, denom: int, shift: int) -> Defect:
-    """The first nonzero entry, in row-major order, of (sum of x*y over ``products`` - shift*I) / denom.
-
-    ``products`` are pairs of Gaussian-integer matrices.  The sum must be
-    Hermitian, as anticommutators and squares of Hermitian matrices are, so
-    its first nonzero entry lies on or above the diagonal: a nonzero entry
-    below it has a nonzero mirror above it, which comes earlier in
-    row-major order.  Only the upper triangle is scanned, one entry at a
-    time, and only the entry returned is rebuilt as an exact scalar.
-    """
-    n = len(products[0][0])
-    for i in range(n):
-        for j in range(i, n):
-            re = -shift if i == j else 0
-            im = 0
-            for x, y in products:
-                for (xr, xi), row in zip(x[i], y):
-                    yr, yi = row[j]
-                    re += xr * yr - xi * yi
-                    im += xr * yi + xi * yr
-            if re or im:
-                return i, j, ComplexRational._from_ints(re, im, denom)
-    return None
+def _square_entry(cache: dict, g: list, i: int, j: int) -> tuple[int, int]:
+    """Entry (i, j) of g g^dagger, computed once and kept in ``cache``."""
+    entry = cache.get((i, j))
+    if entry is None:
+        entry = cache[i, j] = _row_dot(g[i], g[j])
+    return entry
 
 
 class TraceDetReport(NamedTuple):
@@ -235,19 +253,30 @@ def check_trace_det(cp: CharPoly) -> TraceDetReport:
     return TraceDetReport(trace_and_det(cp))
 
 
-def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
-    """Eigenvalue multiset of beta, once beta^2 = 1 is checked.
+def _involution_trace(mset: MatrixSet) -> int | None:
+    """tr beta, once beta^2 = 1 is checked, or None when beta^2 != 1.
 
     As beta is Hermitian, beta^2 = beta beta^dagger, checked in integers by
     ``_gram_is_identity``.  A Hermitian involution has eigenvalues +/-1, so
     tr beta = 2k - n, with k the dimension of its +1 eigenspace: the trace
-    is an integer, sum_i Re g_ii / D for beta = g/D, and k follows from it.
+    is an integer, sum_i Re g_ii / D for beta = g/D.
     """
-    n = mset.n
     (*_, g), d = mset._gi
     if not _gram_is_identity(g, d):
+        return None
+    return sum(row[i][0] for i, row in enumerate(g)) // d
+
+
+def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
+    """Eigenvalue multiset of beta, once beta^2 = 1 is checked.
+
+    The dimension k of the +1 eigenspace follows from tr beta = 2k - n.
+    """
+    n = mset.n
+    trace = _involution_trace(mset)
+    if trace is None:
         raise StructuralViolationError("beta does not square to the identity")
-    k = (n + sum(g[i][i][0] for i in range(n)) // d) // 2
+    k = (n + trace) // 2
     return (1,) * k + (-1,) * (n - k)
 
 
@@ -256,15 +285,16 @@ def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _gram_schmidt_columns(g: list) -> list[tuple[list[tuple[int, int]], int, int]]:
+def _gram_schmidt_columns(g: list) -> Iterator[tuple[list[tuple[int, int]], int, int]]:
     """Orthogonal (not normalized) basis of the column space of a Gaussian-integer matrix.
 
-    Exact, deterministic and fraction-free.  Each basis vector v is returned
+    Exact, deterministic and fraction-free.  Each basis vector v is yielded
     as (w, s, N): Gaussian integers w over the positive integer s, so
     v = w/s, and N = <w, w>.  Columns are taken in index order, and column w
     (over s) minus its projection onto a basis vector u = w_u/s_u is
     (N_u w - <w_u, w> w_u) over s N_u.  Dependent columns project to zero
-    and are dropped, which doubles as the exact rank test.
+    and are dropped.  A column is read and projected only when the next
+    vector is asked for, so a caller that knows the rank stops there.
     """
     n = len(g)
     basis: list[tuple[list[tuple[int, int]], int, int]] = []
@@ -285,7 +315,7 @@ def _gram_schmidt_columns(g: list) -> list[tuple[list[tuple[int, int]], int, int
                 s *= norm
         if any(re or im for re, im in w):
             basis.append((w, s, sum(re * re + im * im for re, im in w)))
-    return basis
+            yield basis[-1]
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -318,30 +348,37 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
     """Prove that beta has eigenspaces of dimensions (2, 2) and build their basis.
 
     Requires beta^2 = 1; eigenspace dimensions other than (2, 2) are a
-    structural violation.  Projector columns are orthogonalized in index
-    order, so the basis is reproducible.
+    structural violation.  They are read off tr beta = 2k - 4, as in
+    ``beta_spectrum``, so each projector (1 +- beta)/2 has rank 2 and only
+    its first two Gram-Schmidt vectors are formed.  Projector columns are
+    orthogonalized in index order, so the basis is reproducible.
     """
     if mset.n != 4:
         raise ValueError("canonicalization targets n = 4 sets")
-    (*_, g), d = mset._gi
-    if not _gram_is_identity(g, d):
+    trace = _involution_trace(mset)
+    if trace is None:
         raise ValueError("beta^2 differs from the identity; no canonical diagonal form exists")
+    plus = (4 + trace) // 2
+    if plus != 2:
+        raise StructuralViolationError(f"beta eigenspace dimensions ({plus}, {4 - plus}) differ from (2, 2)")
 
     # 2d (1 +- beta)/2 = d*1 +- g: the projectors in Gaussian integers over 2d
-    plus, minus = (
-        _gram_schmidt_columns([
+    (*_, g), d = mset._gi
+    basis = []
+    for sign in (1, -1):
+        projector = [
             [(sign * re + (d if i == j else 0), sign * im) for j, (re, im) in enumerate(row)]
             for i, row in enumerate(g)
-        ])
-        for sign in (1, -1)
-    )
-    if (len(plus), len(minus)) != (2, 2):
-        raise StructuralViolationError(
-            f"beta eigenspace dimensions ({len(plus)}, {len(minus)}) differ from (2, 2)"
-        )
+        ]
+        vectors = list(islice(_gram_schmidt_columns(projector), 2))
+        if len(vectors) != 2:
+            raise RuntimeError(
+                f"internal error: a projector of rank 2 gave {len(vectors)} Gram-Schmidt vector(s)"
+            )
+        basis += vectors
 
     # each column is w / (2 d s), of squared norm N / (2 d s)^2
-    columns = [(w, 2 * d * s, Fraction(norm, (2 * d * s) ** 2)) for w, s, norm in plus + minus]
+    columns = [(w, 2 * d * s, Fraction(norm, (2 * d * s) ** 2)) for w, s, norm in basis]
     roots = [_exact_sqrt(norm) for _, _, norm in columns]
     if any(root is None for root in roots):
         shown = ", ".join(render_fraction(norm) for _, _, norm in columns)

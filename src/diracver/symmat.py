@@ -11,15 +11,18 @@ identities, every coefficient in one pass.
 The kernels run on Gaussian integers.  A ``ComplexRational`` is stored as
 (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
 Gaussian-integer entries.  ``_cleared(*matrices)`` gives the rows of any
-number of matrices over their one denominator D.  A ``MatrixSet`` is
+number of matrices over their one denominator D, every zero entry one
+shared pair.  A ``MatrixSet`` is
 cleared once, at construction, and keeps those rows; every kernel, here and
 in ``clifford`` and ``sampling``, reads them.  ``_gi_mat_mul`` multiplies
 rows into rows and ``_rebuilt(rows, denom)`` is the one way back out, so no
 gcd is taken inside a product or the power sums.  h(p) is Hermitian because
-the set is, so its power sums are real: ``char_poly`` forms only the
-complex upper triangle of ``h^2`` and keeps every power sum, and every
-coefficient Newton's identities give, as plain ints, and p_4 squares each
-pair of its terms once.  The only divisions, Newton's k*c_(n-k) = -(...)
+the set is, so its power sums are real, and it is linear in (p1, p2, p3, m),
+so each entry of h^2 has at most ten monomials: ``char_poly`` forms the
+diagonal and the upper triangle of ``h^2`` per entry into ten slots, one
+per pair of matrices, from the nonzero terms of h alone, keeps every power
+sum, and every coefficient Newton's identities give, as plain ints, and p_4
+squares each pair of its terms once.  The only divisions, Newton's k*c_(n-k) = -(...)
 for k = 1..n, are exact integer divisions, checked to leave no remainder.
 Coefficient ``c_j`` of the scaled matrix, ``D^(n-j)`` times that of the
 input, is handed to ``MultiPoly`` as its integers over ``D^(n-j)``.
@@ -100,8 +103,14 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(_CR_ONE if i == j else _CR_ZERO for j in range(n)) for i in range(n))
 
 
+_GI_ZERO = (0, 0)
+
+
 def _cleared(*matrices: Matrix) -> tuple[list[list[list[tuple[int, int]]]], int]:
-    """The rows of each of ``matrices`` as Gaussian integers (re, im) over their one common denominator D, and D."""
+    """The rows of each of ``matrices`` as Gaussian integers (re, im) over their one common denominator D, and D.
+
+    Every zero entry is the one shared pair ``_GI_ZERO``.
+    """
     denom = lcm(*(x._d for matrix in matrices for row in matrix for x in row))
     out = []
     for matrix in matrices:
@@ -109,8 +118,11 @@ def _cleared(*matrices: Matrix) -> tuple[list[list[list[tuple[int, int]]]], int]
         for row in matrix:
             entries = []
             for x in row:
-                k = denom // x._d
-                entries.append((x._a * k, x._b * k))
+                if x._a or x._b:
+                    k = denom // x._d
+                    entries.append((x._a * k, x._b * k))
+                else:
+                    entries.append(_GI_ZERO)
             rows.append(entries)
         out.append(rows)
     return out, denom
@@ -148,13 +160,19 @@ def _gram_is_identity(g: list, d: int) -> bool:
     d2 = d * d
     for i, row in enumerate(g):
         for j in range(i, len(g)):
-            re = im = 0
-            for (ar, ai), (br, bi) in zip(row, g[j]):
-                re += ar * br + ai * bi
-                im += ai * br - ar * bi
+            re, im = _row_dot(row, g[j])
             if im or re != (d2 if i == j else 0):
                 return False
     return True
+
+
+def _row_dot(a: list, b: list) -> tuple[int, int]:
+    """sum_k a_k conj(b_k) for two rows of Gaussian integers: entry (i, j) of g g^dagger for rows i and j of g."""
+    re = im = 0
+    for (ar, ai), (br, bi) in zip(a, b):
+        re += ar * br + ai * bi
+        im += ai * br - ar * bi
+    return re, im
 
 
 def _hermitian_defect(g: list) -> tuple[int, int] | None:
@@ -281,23 +299,6 @@ def build_hamiltonian(mset: MatrixSet) -> tuple[list[list[dict]], int]:
     return entries, denom
 
 
-def _gi_dot(pairs) -> dict:
-    """The sum of the products a*b over the (a, b) ``pairs``."""
-    acc: dict = {}
-    get = acc.get
-    for a, b in pairs:
-        if not a or not b:
-            continue
-        for ka, (ar, ai) in a.items():
-            for kb, (br, bi) in b.items():
-                key = ka + kb
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                prev = get(key)
-                acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return {key: value for key, value in acc.items() if value[0] or value[1]}
-
-
 def _re_dot(pairs) -> dict:
     """The real part of the sum of the products a*b over the (a, b) ``pairs``, as ints."""
     acc: dict = {}
@@ -332,13 +333,22 @@ def _int_sum(weighted) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
+# the ten pairs t <= u of the matrices of h(p), one slot each; _SLOT[t][u] == _SLOT[u][t]
+_PAIRS = tuple((t, u) for t in range(4) for u in range(t, 4))
+_SLOT = tuple(tuple(_PAIRS.index((min(t, u), max(t, u))) for u in range(4)) for t in range(4))
+
+
 def _hermitian_power_sums(A: list) -> list[dict]:
     """[None, p_1, ..., p_n] with p_k = Tr(A^k), for a Hermitian A of 2 <= n <= 4.
 
-    Every p_k is real, a dict from packed key to nonzero int.  A^2 is formed
-    once and p_3 and p_4 are read off it.  A^2 is Hermitian too, so only its
-    upper triangle is formed, and its diagonal is real, as is A's.  With A_ji
-    the conjugate of A_ij, p_3 = sum_i (A^2)_ii A_ii + 2 Re sum_{i<j} (A^2)_ij A_ji
+    Every p_k is real, a dict from packed key to nonzero int.  A = sum_t
+    x_t X_t is linear in (p1, p2, p3, m), so an entry of A^2 has ten
+    monomials x_t x_u, t <= u, summed into ten slots from the nonzero terms
+    of A.  A^2 is Hermitian too, so only its diagonal and upper triangle are
+    formed, (A^2)_ij = sum_k A_ik conj(A_jk).  The diagonal sum_k |A_ik|^2
+    is real: each pair t < u of the terms of A_ik is taken once, and its
+    slot doubled.  p_3 and p_4 read the slots as packed-key dicts.  With
+    A_ji the conjugate of A_ij, p_3 = sum_i (A^2)_ii A_ii + 2 Re sum_{i<j} (A^2)_ij A_ji
     and p_4 = sum_i (A^2)_ii^2 + 2 sum_{i<j} |(A^2)_ij|^2; each product that
     feeds a power sum accumulates only its real part.  A square takes each
     unordered pair of its terms once, x^2 = sum_t x_t^2 m_t^2 +
@@ -347,11 +357,37 @@ def _hermitian_power_sums(A: list) -> list[dict]:
     each product.
     """
     n = len(A)
+    width = n.bit_length()
+    keys = [(1 << t * width) + (1 << u * width) for t, u in _PAIRS]
+    # the nonzero terms of each entry as (t, re, im), t indexing p1, p2, p3, m
+    index = {1 << t * width: t for t in range(4)}
+    nonzero = [[[(index[key], re, im) for key, (re, im) in entry.items()] for entry in row] for row in A]
+    square = []
+    for row in nonzero:
+        same, cross = [0] * 10, [0] * 10
+        for entry in row:
+            for a, (t, ar, ai) in enumerate(entry, 1):
+                slots = _SLOT[t]
+                same[slots[t]] += ar * ar + ai * ai
+                for u, br, bi in entry[a:]:
+                    cross[slots[u]] += ar * br + ai * bi
+        total = [v + 2 * w for v, w in zip(same, cross)]
+        square.append({keys[s]: v for s, v in enumerate(total) if v})
     diag = [{key: re for key, (re, _) in A[i][i].items()} for i in range(n)]
-    square = [_re_dot((A[i][k], A[k][i]) for k in range(n)) for i in range(n)]
     sums = [None, _int_sum((a, 1) for a in diag), _int_sum((x, 1) for x in square)]
     if n >= 3:
-        upper = {(i, j): _gi_dot((A[i][k], A[k][j]) for k in range(n)) for i in range(n) for j in range(i + 1, n)}
+        upper = {}
+        for i, row in enumerate(nonzero):
+            for j in range(i + 1, n):
+                re, im = [0] * 10, [0] * 10
+                for left, right in zip(row, nonzero[j]):
+                    for t, ar, ai in left:
+                        slots = _SLOT[t]
+                        for u, br, bi in right:
+                            s = slots[u]
+                            re[s] += ar * br + ai * bi
+                            im[s] += ai * br - ar * bi
+                upper[i, j] = {keys[s]: (r, m) for s, (r, m) in enumerate(zip(re, im)) if r or m}
         paired = _re_dot((x, A[j][i]) for (i, j), x in upper.items())
         sums.append(_int_sum(((_int_dot(zip(square, diag)), 1), (paired, 2))))
     if n == 4:

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracver.clifford as clifford_module
 import diracver.sampling as sampling_module
 from diracver.algebra import ComplexRational
 from diracver.cli import parse_matrix_file
@@ -361,10 +363,8 @@ def _is_matrix_of_scalars(matrix, n):
     )
 
 
-@given(_audited_sets())
-@settings(max_examples=80, deadline=None)
-def test_anticommutators_match_the_reference_products(mset):
-    report = check_anticommutation(mset)
+def _reference_defects(mset):
+    """The first nonzero entry of each relation's defect, in report order, from reference products."""
     items = list(mset.matrices())
     identity = mat_identity(mset.n)
     defects = {
@@ -375,7 +375,33 @@ def test_anticommutators_match_the_reference_products(mset):
     for name, m in items:
         square = mat_mul_reference(m, m)
         defects[(name, name)] = tuple(tuple(x - y for x, y in zip(row, unit)) for row, unit in zip(square, identity))
-    expected = {pair: first_nonzero_reference(d) for pair, d in defects.items()}
+    return {pair: first_nonzero_reference(d) for pair, d in defects.items()}
+
+
+def test_off_diagonal_defects_match_the_reference_products(all_catalog_sets):
+    # one off-diagonal Hermitian pair of entries of one matrix moved: the defects of the
+    # relations of that matrix start above the diagonal, where X^2 and Y^2 both count
+    delta = ComplexRational(Fraction(1, 3), Fraction(-2, 5))
+    reached = 0
+    for base in all_catalog_sets:
+        for k in range(4):
+            for i, j in ((0, 1), (0, 3), (1, 2)):
+                rows = [list(row) for row in (*base.alphas, base.beta)[k]]
+                rows[i][j], rows[j][i] = rows[i][j] + delta, rows[j][i] + delta.conj()
+                matrices = [*base.alphas, base.beta]
+                matrices[k] = as_matrix(rows)
+                mset = MatrixSet(4, matrices[:3], matrices[3])
+                report = check_anticommutation(mset)
+                assert report.defects == _reference_defects(mset)
+                reached += sum(1 for d in report.defects.values() if d is not None and d[0] != d[1])
+    assert reached
+
+
+@given(_audited_sets())
+@settings(max_examples=80, deadline=None)
+def test_anticommutators_match_the_reference_products(mset):
+    report = check_anticommutation(mset)
+    expected = _reference_defects(mset)
     assert list(report.defects) == list(expected)
     assert report.defects == expected
     for entry in report.defects.values():
@@ -393,12 +419,41 @@ def test_gram_schmidt_matches_the_reference_basis(mset, factor):
     deficient = tuple(row[:-1] + (row[0] * factor,) for row in first)
     for _, matrix in (*mset.matrices(), ("deficient", deficient)):
         (g,), d = _cleared(matrix)
-        basis = _gram_schmidt_columns(g)
+        basis = list(_gram_schmidt_columns(g))
         expected = gram_schmidt_reference(matrix)
         assert [tuple(ComplexRational._from_ints(re, im, s * d) for re, im in w) for w, s, _ in basis] == expected
         assert [Fraction(norm, (s * d) ** 2) for _, s, norm in basis] == [
             sum((abs2(x) for x in v), Fraction(0)) for v in expected
         ]
+
+
+class _GuardedRow(list):
+    """A row whose entries from column 2 on raise when read."""
+
+    def __getitem__(self, j):
+        if j >= 2:
+            raise AssertionError(f"column {j} was read")
+        return super().__getitem__(j)
+
+
+def test_gram_schmidt_reads_no_column_past_the_vectors_taken(majorana):
+    # the projector 2d (1 + beta)/2 of majorana's beta, whose first two columns are independent
+    (*_, g), d = majorana._gi
+    projector = [[(re + (d if i == j else 0), im) for j, (re, im) in enumerate(row)] for i, row in enumerate(g)]
+    expected = list(_gram_schmidt_columns(projector))
+    assert len(expected) == 2
+    guarded = [_GuardedRow(row) for row in projector]
+    assert list(islice(_gram_schmidt_columns(guarded), 2)) == expected
+    with pytest.raises(AssertionError, match="column 2 was read"):
+        list(_gram_schmidt_columns(guarded))
+
+
+def test_a_projector_short_of_its_rank_fails_loudly(dirac_pauli, monkeypatch):
+    # tr beta = 0 fixes each projector's rank at 2; a Gram-Schmidt that stops at one vector is a bug
+    gram_schmidt = clifford_module._gram_schmidt_columns
+    monkeypatch.setattr(clifford_module, "_gram_schmidt_columns", lambda g: islice(gram_schmidt(g), 1))
+    with pytest.raises(RuntimeError, match="^internal error: a projector of rank 2 gave 1 Gram-Schmidt vector"):
+        canonicalize_beta(dirac_pauli)
 
 
 _SIGNATURES = [
@@ -465,7 +520,7 @@ def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
                 dims, description, transform = canonical_form_reference(mset.beta)
                 if dims != (2, 2):
                     outcomes.add("lopsided")
-                    with pytest.raises(StructuralViolationError):
+                    with pytest.raises(StructuralViolationError, match=re.escape(f"dimensions {dims} differ")):
                         canonicalize_beta(mset)
                     continue
                 result = canonicalize_beta(mset)

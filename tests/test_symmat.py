@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from diracver.algebra import ComplexRational, EPoly, MultiPoly, render_epoly
+from diracver.cli import parse_matrix_file
 from diracver.clifford import CATALOG_NAMES, catalog
-from diracver.sampling import random_exact_unitary, random_hermitian_set
+from diracver.sampling import perturbed_set, random_exact_unitary, random_hermitian_set
 from diracver import symmat
 from diracver.symmat import (
     CharPoly,
@@ -38,6 +40,7 @@ from oracles import (
 )
 
 I = ComplexRational(0, 1)
+_GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 mixed_fractions = st.builds(
     Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7, 12, 35, 1001))
@@ -305,17 +308,35 @@ def test_newton_division_must_be_exact(dirac_pauli, monkeypatch):
             char_poly(dirac_pauli)
 
 
-@given(
-    rng=st.randoms(use_true_random=False),
-    n=st.integers(2, 4),
-    steps=st.just(0) | st.integers(10, 60),
-)
-@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
-def test_power_sums_match_the_reference(rng, n, steps):
-    # a random set, or its conjugate by a 10-60-step exact unitary
-    mset = random_hermitian_set(rng, n)
-    if steps:
-        mset = random_exact_unitary(rng, n, steps=steps).conjugate_set(mset)
+@st.composite
+def _power_sum_sets(draw):
+    """A dense random set of n = 2..4 or its 10-60-step conjugate, a catalog set or the Pauli
+    triple, a perturbed catalog set, or a sparse mixed-denominator set of n = 2..4; one time
+    in three with an alpha, or beta, set to zero, so that whole terms of h(p) go missing."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("random", "conjugate", "catalog", "perturbed", "sparse")))
+    if kind == "catalog":
+        name = draw(st.sampled_from((*CATALOG_NAMES, "pauli")))
+        mset = parse_matrix_file(_GOLDEN_INPUTS / "pauli.json") if name == "pauli" else catalog(name)
+    elif kind == "perturbed":
+        mset = perturbed_set(rng, catalog(draw(st.sampled_from(CATALOG_NAMES))), entries=draw(st.integers(1, 3)))
+    elif kind == "sparse":
+        mset = draw(mixed_denominator_sets())
+    else:
+        mset = random_hermitian_set(rng, draw(st.integers(2, 4)))
+        if kind == "conjugate":
+            mset = random_exact_unitary(rng, mset.n, steps=draw(st.integers(10, 60))).conjugate_set(mset)
+    if draw(st.integers(0, 2)) == 0:
+        matrices = [*mset.alphas, mset.beta]
+        matrices[draw(st.integers(0, 3))] = _zero(mset.n)
+        mset = MatrixSet(mset.n, matrices[:3], matrices[3])
+    return mset
+
+
+@given(_power_sum_sets())
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+def test_power_sums_match_the_reference(mset):
+    n = mset.n
     A, denom = build_hamiltonian(mset)
     sums = symmat._hermitian_power_sums(A)
     expected = power_sums_reference(mset)
