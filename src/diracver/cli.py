@@ -541,6 +541,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
+    # a label that the output encoding cannot show is printed escaped, never as a traceback
+    sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = main()
         sys.stdout.flush()

@@ -34,10 +34,13 @@ rows over one common denominator D that the ``MatrixSet`` keeps, and only
 results are rebuilt as exact scalars.
 ``check_anticommutation`` sums each entry of AB + BA (or A^2 - 1) over D^2
 in integers, up to the first nonzero entry of the upper triangle, row by
-row, from entries of the squares A^2 that the relations share.  The
-Gram-Schmidt step of ``canonicalize_beta`` is fraction-free and stops at
-the rank that tr beta fixes, and ``check_alpha_structure`` reads the
-blocks from the integer M + M^dagger and the norms from integer traces.
+row, from entries of the squares A^2 that the relations share.
+``canonicalize_beta`` runs no Gram-Schmidt: it reads each eigenspace's
+orthogonal pair and its norms off the integer projector q = 2D P = D +- g,
+its own Gram matrix as P = (1 +- beta)/2 = P^2 = P^dagger, and the pair's
+Gram determinant is the principal minor q_aa q_bb - |q_ab|^2 over (2D)^2.
+``check_alpha_structure`` reads the blocks from the integer M + M^dagger
+and the norms from integer traces.
 
 ``symmat._gram_is_identity`` checks g g^dagger = d^2 I in integers; for
 a Hermitian beta it decides beta^2 = 1.  The exact unitaries and the
@@ -49,9 +52,8 @@ answered here: the first access imports ``sampling`` and binds the name
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import _forward
 from .algebra import ComplexRational, render_fraction
@@ -285,37 +287,24 @@ def beta_spectrum(mset: MatrixSet) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _gram_schmidt_columns(g: list) -> Iterator[tuple[list[tuple[int, int]], int, int]]:
-    """Orthogonal (not normalized) basis of the column space of a Gaussian-integer matrix.
+def _projector_pair(q: list) -> tuple[int, int, int]:
+    """The columns (a, b) that Gram-Schmidt keeps from q = 2d P, and their minor.
 
-    Exact, deterministic and fraction-free.  Each basis vector v is yielded
-    as (w, s, N): Gaussian integers w over the positive integer s, so
-    v = w/s, and N = <w, w>.  Columns are taken in index order, and column w
-    (over s) minus its projection onto a basis vector u = w_u/s_u is
-    (N_u w - <w_u, w> w_u) over s N_u.  Dependent columns project to zero
-    and are dropped.  A column is read and projected only when the next
-    vector is asked for, so a caller that knows the rank stops there.
+    P is a rank-2 projector, so q^dagger q = 2d q and <col_j, col_k> = 2d q_jk:
+    a is the first column with q_aa != 0, and b the first later one whose
+    minor q_aa q_bb - |q_ab|^2, the pair's Gram determinant over (2d)^2, is
+    nonzero.
     """
-    n = len(g)
-    basis: list[tuple[list[tuple[int, int]], int, int]] = []
-    for j in range(n):
-        w = [g[i][j] for i in range(n)]
-        s = 1
-        for u, _, norm in basis:
-            # <u, w> = sum conj(u_i) w_i
-            cr = ci = 0
-            for (ur, ui), (wr, wi) in zip(u, w):
-                cr += ur * wr + ui * wi
-                ci += ur * wi - ui * wr
-            if cr or ci:
-                w = [
-                    (norm * wr - cr * ur + ci * ui, norm * wi - cr * ui - ci * ur)
-                    for (ur, ui), (wr, wi) in zip(u, w)
-                ]
-                s *= norm
-        if any(re or im for re, im in w):
-            basis.append((w, s, sum(re * re + im * im for re, im in w)))
-            yield basis[-1]
+    for a in range(4):
+        qaa = q[a][a][0]
+        if qaa:
+            for b in range(a + 1, 4):
+                qr, qi = q[a][b]
+                minor = qaa * q[b][b][0] - qr * qr - qi * qi
+                if minor:
+                    return a, b, minor
+            break
+    raise RuntimeError("internal error: a projector of rank 2 has fewer than two independent columns")
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -335,7 +324,8 @@ class CanonicalizationResult(NamedTuple):
     ``exact`` records that the basis normalises over Q; then
     ``transform_exact`` is the unitary U with U^dagger beta U =
     diag(+1, +1, -1, -1).  Otherwise it is None and ``description`` gives
-    the squared column norms of the orthogonal basis.
+    the squared column norms of the orthogonal basis, read off the
+    projectors P = (1 +- beta)/2, each its own Gram matrix.
     """
 
     exact: bool
@@ -349,9 +339,11 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
 
     Requires beta^2 = 1; eigenspace dimensions other than (2, 2) are a
     structural violation.  They are read off tr beta = 2k - 4, as in
-    ``beta_spectrum``, so each projector (1 +- beta)/2 has rank 2 and only
-    its first two Gram-Schmidt vectors are formed.  Projector columns are
-    orthogonalized in index order, so the basis is reproducible.
+    ``beta_spectrum``, so each projector P = (1 +- beta)/2 has rank 2.  As
+    P is its own Gram matrix, the pair that Gram-Schmidt would give, column
+    a and column b less its projection on a, is read off it, with squared
+    norms P_aa and (P_aa P_bb - |P_ab|^2)/P_aa (see ``_projector_pair``);
+    the columns are formed only when every norm is a rational square.
     """
     if mset.n != 4:
         raise ValueError("canonicalization targets n = 4 sets")
@@ -364,32 +356,34 @@ def canonicalize_beta(mset: MatrixSet) -> CanonicalizationResult:
 
     # 2d (1 +- beta)/2 = d*1 +- g: the projectors in Gaussian integers over 2d
     (*_, g), d = mset._gi
-    basis = []
+    two_d = 2 * d
+    pairs, norms = [], []
     for sign in (1, -1):
-        projector = [
+        q = [
             [(sign * re + (d if i == j else 0), sign * im) for j, (re, im) in enumerate(row)]
             for i, row in enumerate(g)
         ]
-        vectors = list(islice(_gram_schmidt_columns(projector), 2))
-        if len(vectors) != 2:
-            raise RuntimeError(
-                f"internal error: a projector of rank 2 gave {len(vectors)} Gram-Schmidt vector(s)"
-            )
-        basis += vectors
-
-    # each column is w / (2 d s), of squared norm N / (2 d s)^2
-    columns = [(w, 2 * d * s, Fraction(norm, (2 * d * s) ** 2)) for w, s, norm in basis]
-    roots = [_exact_sqrt(norm) for _, _, norm in columns]
+        a, b, minor = _projector_pair(q)
+        pairs.append((q, a, b))
+        # |col_a|^2 = 2d q_aa, and col_b less its projection on col_a has |.|^2 = 2d minor / q_aa
+        norms += [Fraction(q[a][a][0], two_d), Fraction(minor, two_d * q[a][a][0])]
+    roots = [_exact_sqrt(norm) for norm in norms]
     if any(root is None for root in roots):
-        shown = ", ".join(render_fraction(norm) for _, _, norm in columns)
+        shown = ", ".join(render_fraction(norm) for norm in norms)
         description = f"orthogonal basis with squared column norms {shown} (not unit-normalisable over Q)"
         return CanonicalizationResult(False, mset, None, description)
 
-    # w / (denom * p/q) = w q / (denom p)
-    unit_cols = [
-        [ComplexRational._from_ints(re * q, im * q, denom * p) for re, im in w]
-        for (w, denom, _), (p, q) in zip(columns, (root.as_integer_ratio() for root in roots))
-    ]
+    # the columns col_a / 2d and (q_aa col_b - q_ab col_a) / (2d q_aa), each over its root p/r
+    unit_cols = []
+    for (q, a, b), first, second in zip(pairs, roots[::2], roots[1::2]):
+        qaa, (sr, si) = q[a][a][0], q[a][b]
+        projected = [
+            (qaa * xr - sr * yr + si * yi, qaa * xi - sr * yi - si * yr)
+            for (xr, xi), (yr, yi) in ((row[b], row[a]) for row in q)
+        ]
+        for w, denom, root in (([row[a] for row in q], two_d, first), (projected, two_d * qaa, second)):
+            p, r = root.as_integer_ratio()
+            unit_cols.append([ComplexRational._from_ints(re * r, im * r, denom * p) for re, im in w])
     transform = tuple(tuple(unit_cols[j][i] for j in range(4)) for i in range(4))
     canonical = transform == mat_identity(4)
     description = "identity (beta already canonical)" if canonical else "exact rational unitary"

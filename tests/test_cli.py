@@ -535,6 +535,25 @@ def test_a_closed_stdout_is_a_failed_write(argv, dirac_pauli_file):
     assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
+def test_a_label_the_output_encoding_cannot_show_is_escaped(tmp_path):
+    path = tmp_path / "cafe.json"
+    data = json.loads(serialize_matrix_set(catalog("dirac-pauli")))
+    path.write_text(json.dumps({**data, "label": "caf\u00e9"}, ensure_ascii=False), encoding="utf-8")
+    spectrum = ["spectrum", str(path), "--mass", "1", "--grid", "lin:0:0:1", "--out", str(tmp_path / "s.csv")]
+    for argv, header in (
+        (["verify", str(path)], "matrix set: caf{} (n = 4)"),
+        (spectrum, "spectrum sweep: caf{} (n = 4), mass = 1, samples = 1"),
+    ):
+        for encoding, shown in (("ascii", "\\xe9"), ("utf-8", "\u00e9")):
+            env = {**os.environ, "PYTHONIOENCODING": encoding}
+            proc = subprocess.run(
+                [sys.executable, "-m", "diracver", *argv], capture_output=True, env=env, text=True, encoding="utf-8"
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout.splitlines()[0] == header.format(shown)
+
+
 def test_derive_walkthrough_order(dirac_pauli_file):
     result = run_cli("derive", str(dirac_pauli_file))
     assert result.returncode == 0

@@ -3,7 +3,6 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from diracver.clifford import (
     CATALOG_NAMES,
     CanonicalizationResult,
     StructuralViolationError,
-    _gram_schmidt_columns,
+    _projector_pair,
     audit,
     beta_spectrum,
     canonicalize_beta,
@@ -411,49 +410,13 @@ def test_anticommutators_match_the_reference_products(mset):
     assert report.passed == all(entry is None for entry in expected.values())
 
 
-@given(_audited_sets(), _mixed_scalars)
-@settings(max_examples=60, deadline=None)
-def test_gram_schmidt_matches_the_reference_basis(mset, factor):
-    # the four matrices, and the first with its last column made a multiple of its first
-    first = mset.alphas[0]
-    deficient = tuple(row[:-1] + (row[0] * factor,) for row in first)
-    for _, matrix in (*mset.matrices(), ("deficient", deficient)):
-        (g,), d = _cleared(matrix)
-        basis = list(_gram_schmidt_columns(g))
-        expected = gram_schmidt_reference(matrix)
-        assert [tuple(ComplexRational._from_ints(re, im, s * d) for re, im in w) for w, s, _ in basis] == expected
-        assert [Fraction(norm, (s * d) ** 2) for _, s, norm in basis] == [
-            sum((abs2(x) for x in v), Fraction(0)) for v in expected
-        ]
-
-
-class _GuardedRow(list):
-    """A row whose entries from column 2 on raise when read."""
-
-    def __getitem__(self, j):
-        if j >= 2:
-            raise AssertionError(f"column {j} was read")
-        return super().__getitem__(j)
-
-
-def test_gram_schmidt_reads_no_column_past_the_vectors_taken(majorana):
-    # the projector 2d (1 + beta)/2 of majorana's beta, whose first two columns are independent
-    (*_, g), d = majorana._gi
-    projector = [[(re + (d if i == j else 0), im) for j, (re, im) in enumerate(row)] for i, row in enumerate(g)]
-    expected = list(_gram_schmidt_columns(projector))
-    assert len(expected) == 2
-    guarded = [_GuardedRow(row) for row in projector]
-    assert list(islice(_gram_schmidt_columns(guarded), 2)) == expected
-    with pytest.raises(AssertionError, match="column 2 was read"):
-        list(_gram_schmidt_columns(guarded))
-
-
-def test_a_projector_short_of_its_rank_fails_loudly(dirac_pauli, monkeypatch):
-    # tr beta = 0 fixes each projector's rank at 2; a Gram-Schmidt that stops at one vector is a bug
-    gram_schmidt = clifford_module._gram_schmidt_columns
-    monkeypatch.setattr(clifford_module, "_gram_schmidt_columns", lambda g: islice(gram_schmidt(g), 1))
-    with pytest.raises(RuntimeError, match="^internal error: a projector of rank 2 gave 1 Gram-Schmidt vector"):
-        canonicalize_beta(dirac_pauli)
+def test_a_projector_short_of_its_rank_fails_loudly(monkeypatch):
+    # beta-trace-two's eigenspaces are (3, 1); a trace read as 0 leaves the -1 projector one column short
+    mset = parse_matrix_file(Path(__file__).resolve().parent / "golden" / "inputs" / "beta-trace-two.json")
+    assert beta_spectrum(mset) == (1, 1, 1, -1)
+    monkeypatch.setattr(clifford_module, "_involution_trace", lambda _: 0)
+    with pytest.raises(RuntimeError, match="^internal error: a projector of rank 2 has fewer than two independent"):
+        canonicalize_beta(mset)
 
 
 _SIGNATURES = [
@@ -509,6 +472,73 @@ def test_beta_square_check_matches_the_reference(mset):
             beta_spectrum(mset)
 
 
+def _projector(beta, sign):
+    """P = (1 +- beta)/2 in exact scalars."""
+    return [[((1 if i == j else 0) + sign * beta[i][j]) * Fraction(1, 2) for j in range(4)] for i in range(4)]
+
+
+def _reference_pair(p):
+    """The columns (a, b) whose Gram-Schmidt vectors the reference keeps first from p."""
+    # the rank of the first k + 1 columns, the others zeroed
+    ranks = [
+        len(gram_schmidt_reference([[x if j <= k else ComplexRational(0) for j, x in enumerate(row)] for row in p]))
+        for k in range(4)
+    ]
+    return ranks.index(1), ranks.index(2)
+
+
+@given(st.sampled_from(CATALOG_NAMES), st.randoms(use_true_random=False), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_projector_pair_matches_the_reference_basis(name, rng, steps):
+    # the catalog's beta is involutive with (2, 2) eigenspaces, and so is every conjugate
+    mset = random_exact_unitary(rng, steps=steps).conjugate_set(catalog(name))
+    (*_, g), d = mset._gi
+    for sign in (1, -1):
+        q = [
+            [(sign * re + (d if i == j else 0), sign * im) for j, (re, im) in enumerate(row)]
+            for i, row in enumerate(g)
+        ]
+        p = _projector(mset.beta, sign)
+        a, b, minor = _projector_pair(q)
+        assert (a, b) == _reference_pair(p)
+        # the minor is (2d)^2 times the pair's Gram determinant P_aa P_bb - |P_ab|^2
+        assert Fraction(minor, (2 * d) ** 2) == (p[a][a] * p[b][b]).re - abs2(p[a][b])
+        expected = [sum((abs2(x) for x in v), Fraction(0)) for v in gram_schmidt_reference(p)]
+        assert [Fraction(q[a][a][0], 2 * d), Fraction(minor, 2 * d * q[a][a][0])] == expected
+
+
+def _projector_cases(beta):
+    """The cases that reading each projector P = (1 +- beta)/2 meets, told by the reference Gram-Schmidt:
+    a first independent column a past the first, a dependent column skipped before b, and q_ab (2d P_ab)
+    zero, nonzero or not real."""
+    cases = set()
+    for sign in (1, -1):
+        p = _projector(beta, sign)
+        a, b = _reference_pair(p)
+        cases.add("q_ab = 0" if p[a][b].is_zero else "q_ab != 0")
+        if p[a][b].im:
+            cases.add("q_ab not real")
+        if a > 0:
+            cases.add("a > 0")
+        if b > a + 1:
+            cases.add("b > a + 1")
+    return cases
+
+
+def _outcomes(result):
+    cases = _projector_cases(result.matrix_set.beta)
+    exact = {"exact, q_ab not real"} if result.exact and "q_ab not real" in cases else set()
+    return {result.description if result.exact else "not exact", *cases, *exact}
+
+
+def _rotation(i, j):
+    """The exact unitary with 3/5 on the diagonal of the (i, j) plane and 4i/5 across it."""
+    rows = [[ComplexRational(1 if r == k else 0) for k in range(4)] for r in range(4)]
+    rows[i][i] = rows[j][j] = ComplexRational(Fraction(3, 5))
+    rows[i][j] = rows[j][i] = ComplexRational(0, Fraction(4, 5))
+    return ExactUnitary(rows)
+
+
 def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
     # every branch, on fixed seeds: exact and not, lopsided, not involutive
     outcomes = set()
@@ -525,19 +555,26 @@ def test_canonicalize_beta_matches_the_reference_on_seeded_conjugates():
                     continue
                 result = canonicalize_beta(mset)
                 assert (result.description, result.transform_exact) == (description, transform)
-                outcomes.add(description if result.exact else "not exact")
+                outcomes |= _outcomes(result)
     # e1 <-> e3 with -1 on e4 keeps a rational unit eigenbasis for dirac-pauli's diagonal beta
     swap = ExactUnitary(((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1)))
-    for name in CATALOG_NAMES:
-        mset = swap.conjugate_set(catalog(name))
+    # and so do two rotations by 3/5, 4i/5, where the -1 projector's q_ab is imaginary
+    tilted = _rotation(2, 3).conjugate_set(_rotation(0, 2).conjugate_set(catalog("dirac-pauli")))
+    for mset in (*(swap.conjugate_set(catalog(name)) for name in CATALOG_NAMES), tilted):
         dims, description, transform = canonical_form_reference(mset.beta)
         result = canonicalize_beta(mset)
         assert (result.description, result.transform_exact) == (description, transform)
-        outcomes.add(description if result.exact else "not exact")
+        outcomes |= _outcomes(result)
     halved = MatrixSet(4, catalog("majorana").alphas, _halved(catalog("majorana").beta))
     with pytest.raises(ValueError, match="beta\\^2 differs"):
         canonicalize_beta(halved)
-    assert outcomes == {"identity (beta already canonical)", "exact rational unitary", "not exact", "lopsided"}
+    assert outcomes == {
+        "identity (beta already canonical)",
+        "exact rational unitary",
+        "not exact",
+        "lopsided",
+        *("a > 0", "b > a + 1", "q_ab = 0", "q_ab != 0", "q_ab not real", "exact, q_ab not real"),
+    }
 
 
 @given(_audited_sets(dims=(4,)))
