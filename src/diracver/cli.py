@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import re
@@ -541,6 +542,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
+    if sys.stdout is None:
+        # fd 1 was closed before the interpreter started, so Python set no stdout
+        print(f"error: cannot write stdout: {os.strerror(errno.EBADF)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     # a label that the output encoding cannot show is printed escaped, never as a traceback
     sys.stdout.reconfigure(errors="backslashreplace")
     try:

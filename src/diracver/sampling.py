@@ -8,7 +8,9 @@ upper triangle only).  A conjugation multiplies the cleared rows that the
 ``MatrixSet`` keeps and rebuilds each result entry once.
 
 ``random_exact_unitary`` applies random phases, signed permutations and
-Pythagorean rotations as integer row operations and checks the result once;
+Pythagorean rotations as integer row operations (a phase keeps a row, negates
+its parts or swaps them; a rotation mixes two rows and scales each other row
+once) and checks the result once;
 ``random_hermitian_set`` draws a generic set with small rational entries,
 as Gaussian integers over 2, and builds each Hermitian entry once;
 ``perturbed_set`` moves a few entries of a set, keeping it Hermitian.  Every
@@ -90,8 +92,15 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
 
 # (a, b, h) with a^2 + b^2 = h^2: the rotations by cos = a/h, sin = b/h
 _PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
-# the phases 1, -1, i, -i as Gaussian integers (re, im)
-_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# the phases 1, -1, i, -i as row operations on Gaussian integers (re, im),
+# which negate or swap the parts: i (re + i im) = -im + i re; rng.choice
+# draws from this order, so reordering it moves every seeded unitary
+_PHASES = (
+    lambda row: row,
+    lambda row: [(-re, -im) for re, im in row],
+    lambda row: [(-im, re) for re, im in row],
+    lambda row: [(im, -re) for re, im in row],
+)
 
 
 def _coin(rng: random.Random) -> bool:
@@ -99,47 +108,44 @@ def _coin(rng: random.Random) -> bool:
     return rng.random() < Fraction(1, 2)
 
 
-def _times(u: tuple[int, int], row: list) -> list:
-    """The Gaussian integer u times each Gaussian integer of ``row``."""
-    p, q = u
-    return [(p * re - q * im, p * im + q * re) for re, im in row]
-
-
-def _plus(x: list, y: list) -> list:
-    """Two rows of Gaussian integers added entry by entry."""
-    return [(a + c, b + e) for (a, b), (c, e) in zip(x, y)]
-
-
 def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> ExactUnitary:
     """Compose ``steps`` random generators, each applied on the left: a phase
     per row, a signed permutation, or a Pythagorean rotation of two rows.
 
     The matrix so far is kept as Gaussian integers g over one denominator
-    d, and each generator is a row operation on g.  A rotation with
-    cos = a/h and sin = s/h (s = b or i*b) sets rows i, j to a g_i + s g_j
-    and -conj(s) g_i + a g_j, and multiplies every other row, and d, by h.
-    The result is built once, so the ``ExactUnitary`` Gram check proves it.
+    d, and each generator is a row operation on g.  A phase of 1 keeps a
+    row, -1 negates its parts and +-i swaps them, negating one.  A rotation
+    with cos = a/h and sin = s/h (s = b or i*b) forms rows i, j once from
+    the old rows, as a g_i + s g_j and -conj(s) g_i + a g_j, and multiplies
+    every other row, and d, by h.  The result is built once, so the
+    ``ExactUnitary`` Gram check proves it.
     """
     g = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     d = 1
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0:
-            g = [_times(rng.choice(_UNITS), row) for row in g]
+            g = [rng.choice(_PHASES)(row) for row in g]
         elif kind == 1:
             perm = rng.sample(range(n), n)
             moved = g[:]
             for row, target in zip(g, perm):
-                moved[target] = _times(rng.choice(_UNITS), row)
+                moved[target] = rng.choice(_PHASES)(row)
             g = moved
         else:
             i, j = sorted(rng.sample(range(n), 2))
             a, b, h = rng.choice(_PYTHAGOREAN)
-            s = (0, b) if _coin(rng) else (b, 0)
-            gi, gj = g[i], g[j]
-            g = [_times((h, 0), row) for row in g]
-            g[i] = _plus(_times((a, 0), gi), _times(s, gj))
-            g[j] = _plus(_times((-s[0], s[1]), gi), _times((a, 0), gj))
+            pairs = list(zip(g[i], g[j]))
+            if _coin(rng):  # s = i*b, so -conj(s) = i*b
+                row_i = [(a * xi - b * yj, a * yi + b * xj) for (xi, yi), (xj, yj) in pairs]
+                row_j = [(a * xj - b * yi, a * yj + b * xi) for (xi, yi), (xj, yj) in pairs]
+            else:  # s = b, so -conj(s) = -b
+                row_i = [(a * xi + b * xj, a * yi + b * yj) for (xi, yi), (xj, yj) in pairs]
+                row_j = [(a * xj - b * xi, a * yj - b * yi) for (xi, yi), (xj, yj) in pairs]
+            g = [
+                row_i if k == i else row_j if k == j else [(h * re, h * im) for re, im in row]
+                for k, row in enumerate(g)
+            ]
             d *= h
     return ExactUnitary(_rebuilt(g, d))
 

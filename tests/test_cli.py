@@ -516,11 +516,15 @@ def test_a_skipped_section_neither_passes_nor_fails_a_report(capsys):
     assert capsys.readouterr().out.endswith("  result: FAIL\n\n[b]\n\nverdict: FAIL\n")
 
 
-@pytest.mark.parametrize(
+# commands that write their result to stdout, one per kind of output
+_WRITING_STDOUT = pytest.mark.parametrize(
     "argv",
     [["verify", "DIRAC_PAULI"], ["solve", "--n", "4", "--multiplicity", "2"], ["catalog", "majorana"]],
     ids=["verify", "solve", "catalog"],
 )
+
+
+@_WRITING_STDOUT
 def test_a_closed_stdout_is_a_failed_write(argv, dirac_pauli_file):
     argv = [str(dirac_pauli_file) if arg == "DIRAC_PAULI" else arg for arg in argv]
     read, write = os.pipe()
@@ -533,6 +537,17 @@ def test_a_closed_stdout_is_a_failed_write(argv, dirac_pauli_file):
         os.close(write)
     assert proc.returncode == 3
     assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+@_WRITING_STDOUT
+def test_a_stdout_closed_at_start_is_a_failed_write(argv, dirac_pauli_file):
+    argv = [str(dirac_pauli_file) if arg == "DIRAC_PAULI" else arg for arg in argv]
+    # fd 1 closed in the child before exec, as `>&-` does: Python starts with sys.stdout None
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracver", *argv], stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
 
 
 def test_a_label_the_output_encoding_cannot_show_is_escaped(tmp_path):

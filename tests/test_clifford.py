@@ -825,21 +825,38 @@ def test_random_exact_unitary_matches_the_reference_sampler(n, seed, steps):
 
 # sha256 (first 16 hex digits) of repr(matrix) and repr(rng.random()) after the
 # draw, for seeds 0-7: pins every matrix the samplers, the benchmark pools and
-# scripts/equivalence_experiment.py build, and the rng stream that follows.
-@pytest.mark.parametrize("n, steps, digest", [
-    (2, 5, "8b60739902bdcf8b"),
-    (3, 20, "f763857e930d6168"),
-    (4, 1, "0d678468b02d5dfe"),
-    (4, 3, "dd851664b4e723fd"),
-    (4, 10, "2f7229c78b1ecf76"),
-    (4, 30, "17e5e98d6b47ebd4"),
-    (4, 60, "4ed1f87dae0ac793"),
-])
-def test_random_exact_unitary_values_are_pinned(n, steps, digest):
+# scripts/equivalence_experiment.py build, and the rng stream that follows.  A
+# conjugated case draws one unitary per catalog set, in catalog order, and reads
+# repr of the conjugated set instead, as the audit-growth pool conjugates at
+# 10, 30 and 60 steps.
+_PINNED_UNITARIES = [
+    (2, 5, "8b60739902bdcf8b", False),
+    (3, 20, "f763857e930d6168", False),
+    (4, 1, "0d678468b02d5dfe", False),
+    (4, 3, "dd851664b4e723fd", False),
+    (4, 10, "2f7229c78b1ecf76", False),
+    (4, 30, "17e5e98d6b47ebd4", False),
+    (4, 60, "4ed1f87dae0ac793", False),
+    (4, 10, "0d305e1508315e4c", True),
+    (4, 30, "f36c2cce8d71a433", True),
+    (4, 60, "a7c2807b5aefe958", True),
+]
+
+
+@pytest.mark.parametrize(
+    "n, steps, digest, conjugated",
+    _PINNED_UNITARIES,
+    ids=[f"{n}-{steps}-{digest}" + "-conjugated" * conjugated for n, steps, digest, conjugated in _PINNED_UNITARIES],
+)
+def test_random_exact_unitary_values_are_pinned(n, steps, digest, conjugated):
     h = hashlib.sha256()
     for seed in range(8):
         rng = random.Random(seed)
-        h.update(repr(random_exact_unitary(rng, n, steps=steps).matrix).encode())
+        if conjugated:
+            for name in CATALOG_NAMES:
+                h.update(repr(random_exact_unitary(rng, n, steps=steps).conjugate_set(catalog(name))).encode())
+        else:
+            h.update(repr(random_exact_unitary(rng, n, steps=steps).matrix).encode())
         h.update(repr(rng.random()).encode())
     assert h.hexdigest()[:16] == digest
 
