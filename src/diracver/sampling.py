@@ -1,16 +1,18 @@
 """Exact unitaries and seeded samplers of Hermitian matrix sets.
 
-``ExactUnitary`` is a unitary matrix with exact entries.  Each unitary is
-cleared once, at construction, to Gaussian-integer rows g over the lcm d of
-its denominators (``symmat._cleared``), and keeps that form.  Validation is
+``ExactUnitary`` is a unitary matrix with exact entries, kept with its
+Gaussian-integer rows g over the lcm d of its denominators.  Validation is
 the integer Gram check g g^dagger = d^2 I (``symmat._gram_is_identity``,
-upper triangle only).  A conjugation multiplies the cleared rows that the
-``MatrixSet`` keeps and rebuilds each result entry once.
+upper triangle only).  A conjugation multiplies the rows that the unitary
+and the ``MatrixSet`` keep.  ``random_exact_unitary`` and ``conjugate_set``
+hand the rows they computed, divided by their content (``_reduced``), to
+the record's ``_checked``, the same check that ``__new__`` runs after
+``symmat._cleared``, so no result is cleared a second time.
 
 ``random_exact_unitary`` applies random phases, signed permutations and
 Pythagorean rotations as integer row operations (a phase keeps a row, negates
 its parts or swaps them; a rotation mixes two rows and scales each other row
-once) and checks the result once;
+once) and checks the result once, on the rows it computed;
 ``random_hermitian_set`` draws a generic set with small rational entries,
 as Gaussian integers over 2, and builds each Hermitian entry once;
 ``perturbed_set`` moves a few entries of a set, keeping it Hermitian.  Every
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import ComplexRational, _Validated
-from .symmat import Matrix, MatrixSet, _cleared, _gi_mat_mul, _gram_is_identity, _rebuilt, as_matrix
+from .symmat import _GI_ZERO, Matrix, MatrixSet, _cleared, _gi_mat_mul, _gram_is_identity, _rebuilt, as_matrix
 
 __all__ = [
     "ExactUnitary",
@@ -43,12 +46,11 @@ class _ExactUnitaryFields(NamedTuple):
 class ExactUnitary(_Validated, _ExactUnitaryFields):
     """Unitary matrix with exact entries, validated at construction.
 
-    Every construction clears the matrix once to Gaussian integers g over
-    the lcm d of its denominators and checks g g^dagger = d^2 I in
-    integers.  The cleared form is kept on the instance as ``_gi``, outside
-    the tuple of fields, so equality, hash and repr ignore it; conjugations
-    multiply it and rebuild each entry of the result once.  The matrix goes
-    through ``as_matrix``, as in ``MatrixSet``.
+    The matrix goes through ``as_matrix``, as in ``MatrixSet``, and is
+    cleared once to Gaussian integers g over the lcm d of its denominators;
+    ``_checked`` then checks g g^dagger = d^2 I in integers and keeps g and
+    d as ``_gi``, outside the tuple of fields, so equality, hash and repr
+    ignore them.
     """
 
     def __new__(cls, matrix: Matrix) -> "ExactUnitary":
@@ -57,6 +59,11 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
             raise ValueError("unitary must be square and nonempty")
         matrix = as_matrix(matrix)
         (g,), d = _cleared(matrix)
+        return cls._checked(matrix, g, d)
+
+    @classmethod
+    def _checked(cls, matrix: Matrix, g: list, d: int) -> "ExactUnitary":
+        """The unitary ``matrix`` whose rows ``_cleared`` gives as ``g`` over ``d``, once they pass the Gram check."""
         if not _gram_is_identity(g, d):
             raise ValueError("matrix is not exactly unitary")
         self = super().__new__(cls, matrix)
@@ -80,14 +87,26 @@ class ExactUnitary(_Validated, _ExactUnitaryFields):
         g, d = self._gi
         g_dag = [[(re, -im) for re, im in col] for col in zip(*g)]
         xs, dx = mset._gi
-        denom = d * d * dx
-        *alphas, beta = (_rebuilt(_gi_mat_mul(g, _gi_mat_mul(x, g_dag)), denom) for x in xs)
-        return MatrixSet(
-            mset.n,
-            alphas,
-            beta,
-            label=label if label is not None else f"{mset.label} (conjugated)",
-        )
+        rows, denom = _reduced([_gi_mat_mul(g, _gi_mat_mul(x, g_dag)) for x in xs], d * d * dx)
+        label = label if label is not None else f"{mset.label} (conjugated)"
+        return MatrixSet._checked(mset.n, [_rebuilt(x, denom) for x in rows], rows, denom, label)
+
+
+def _reduced(matrices: list, denom: int) -> tuple[list, int]:
+    """Gaussian-integer ``matrices`` over ``denom`` divided by their content c, and denom / c.
+
+    c is the gcd of ``denom`` and every part, so denom / c is the lcm of the
+    entries' reduced denominators: the rows returned are what
+    ``symmat._cleared`` gives for the entries, every zero the shared ``_GI_ZERO``.
+    """
+    c = denom
+    for rows in matrices:
+        for row in rows:
+            for re, im in row:
+                c = gcd(c, re, im)
+    return [
+        [[(re // c, im // c) if re or im else _GI_ZERO for re, im in row] for row in rows] for rows in matrices
+    ], denom // c
 
 
 # (a, b, h) with a^2 + b^2 = h^2: the rotations by cos = a/h, sin = b/h
@@ -104,8 +123,11 @@ _PHASES = (
 
 
 def _coin(rng: random.Random) -> bool:
-    """A fair coin flip, drawn as rng.random() < 1/2 so that seeded samples keep their values."""
-    return rng.random() < Fraction(1, 2)
+    """A fair coin flip, rng.random() < 1/2, so that seeded samples keep their values.
+
+    random() is k / 2^53 for an integer k, so doubling it is exact.
+    """
+    return rng.random() * 2 < 1
 
 
 def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> ExactUnitary:
@@ -117,8 +139,8 @@ def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> Exac
     row, -1 negates its parts and +-i swaps them, negating one.  A rotation
     with cos = a/h and sin = s/h (s = b or i*b) forms rows i, j once from
     the old rows, as a g_i + s g_j and -conj(s) g_i + a g_j, and multiplies
-    every other row, and d, by h.  The result is built once, so the
-    ``ExactUnitary`` Gram check proves it.
+    every other row, and d, by h.  The result is built once from g, reduced
+    by its content, so the one ``ExactUnitary`` Gram check proves it.
     """
     g = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     d = 1
@@ -147,7 +169,8 @@ def random_exact_unitary(rng: random.Random, n: int = 4, steps: int = 3) -> Exac
                 for k, row in enumerate(g)
             ]
             d *= h
-    return ExactUnitary(_rebuilt(g, d))
+    (g,), d = _reduced([g], d)
+    return ExactUnitary._checked(_rebuilt(g, d), g, d)
 
 
 def _random_hermitian_matrix(rng: random.Random, n: int) -> Matrix:

@@ -75,18 +75,18 @@ class _MomentumSampleFields(NamedTuple):
 
 
 class MomentumSample(_Validated, _MomentumSampleFields):
-    """A concrete momentum vector and nonnegative mass."""
+    """A concrete momentum vector and nonnegative mass (NaN is not one)."""
 
     __slots__ = ()
 
     def __new__(cls, p: tuple[float, float, float], m: float) -> "MomentumSample":
-        if m < 0:
+        if not m >= 0:
             raise ValueError("mass must be nonnegative")
         return super().__new__(cls, p, m)
 
     @property
     def energy(self) -> float:
-        """The positive free-particle energy sqrt(p.p + m^2)."""
+        """The positive free-particle energy sqrt(p.p + m^2); ``OverflowError`` past the float range."""
         return math.sqrt(self.p[0] ** 2 + self.p[1] ** 2 + self.p[2] ** 2 + self.m**2)
 
     @property
@@ -190,12 +190,18 @@ def positive_energy_spinors(mset: MatrixSet, sample: MomentumSample) -> SpinorBa
     of modulus above 1e-12 is rotated to be real and positive (exactly its
     modulus), so outputs are reproducible, and each residual
     ``|h u - E_p u|`` is checked against ``RESIDUAL_TOLERANCE * scale``.
+    An E_p that is not a positive finite float (0, NaN, or beyond the float
+    range) raises ``ValueError``.
     """
     import numpy as np
 
-    energy, scale = sample.energy, sample.scale
-    if energy <= 0.0:
-        raise ValueError("E_p = 0: the positive-energy eigenspace is undefined")
+    try:
+        energy = sample.energy
+    except OverflowError:
+        energy = math.inf
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"E_p = {energy:g}: the positive-energy eigenspace is undefined")
+    scale = sample.scale
     h = hamiltonian_at(mset, sample)
     values, vectors = np.linalg.eigh(h)
     select = [k for k, v in enumerate(values.tolist()) if abs(v - energy) <= 1e-7 * scale]

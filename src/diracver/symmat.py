@@ -12,11 +12,12 @@ The kernels run on Gaussian integers.  A ``ComplexRational`` is stored as
 (a + b*i)/d, so a matrix times D, the lcm of its entries' d, has
 Gaussian-integer entries.  ``_cleared(*matrices)`` gives the rows of any
 number of matrices over their one denominator D, every zero entry one
-shared pair.  A ``MatrixSet`` is
-cleared once, at construction, and keeps those rows; every kernel, here and
-in ``clifford`` and ``sampling``, reads them.  ``_gi_mat_mul`` multiplies
-rows into rows and ``_rebuilt(rows, denom)`` is the one way back out, so no
-gcd is taken inside a product or the power sums.  h(p) is Hermitian because
+shared pair.  A ``MatrixSet`` keeps those rows: it is cleared once, at
+construction, or, as a conjugate, ``sampling`` hands it the rows it
+computed, in the same form; every kernel, here and in ``clifford`` and
+``sampling``, reads them.  ``_gi_mat_mul`` multiplies rows into rows and
+``_rebuilt(rows, denom)`` is the one way back out, so no gcd is taken
+inside a product or the power sums.  h(p) is Hermitian because
 the set is, so its power sums are real, and it is linear in (p1, p2, p3, m),
 so each entry of h^2 has at most ten monomials: ``char_poly`` forms the
 diagonal and the upper triangle of ``h^2`` per entry into ten slots, one
@@ -201,9 +202,11 @@ class MatrixSet(_Validated, _MatrixSetFields):
     """A candidate (alpha1, alpha2, alpha3, beta) quadruple of Hermitian matrices.
 
     Each matrix goes through ``as_matrix``, which coerces its entries and
-    copies list rows.  The four are cleared once, and Hermiticity is checked
-    on their Gaussian-integer rows over one denominator D; the kernels share
-    those rows, kept as ``_gi = (rows, D)`` as ``ExactUnitary`` keeps its own.
+    copies list rows.  The four are cleared once, and ``_checked`` checks
+    Hermiticity on their Gaussian-integer rows over one denominator D; the
+    kernels share those rows, kept as ``_gi = (rows, D)`` as
+    ``ExactUnitary`` keeps its own.  ``sampling`` builds a conjugated set
+    from the rows it computed, rebuilt once, through the same ``_checked``.
     """
 
     def __new__(cls, n: int, alphas: Sequence[Matrix], beta: Matrix, label: str = "") -> "MatrixSet":
@@ -216,12 +219,16 @@ class MatrixSet(_Validated, _MatrixSetFields):
             if len(matrix) != n or any(len(row) != n for row in matrix):
                 raise ValueError(f"{name} is not {n}x{n}")
             exact.append(as_matrix(matrix))
-        rows, denom = _cleared(*exact)
+        return cls._checked(n, exact, *_cleared(*exact), label)
+
+    @classmethod
+    def _checked(cls, n: int, matrices: Sequence[Matrix], rows: list, denom: int, label: str) -> "MatrixSet":
+        """The set of the four ``matrices`` once their ``_cleared`` rows, ``rows`` over ``denom``, pass the check."""
         for name, g in zip(_NAMES, rows):
             bad = _hermitian_defect(g)
             if bad is not None:
                 raise HermiticityError(name, bad)
-        self = super().__new__(cls, n, tuple(exact[:3]), exact[3], label)
+        self = super().__new__(cls, n, tuple(matrices[:3]), matrices[3], label)
         self._gi = (rows, denom)
         return self
 

@@ -31,6 +31,8 @@ from diracver.clifford import (
 from diracver.dispersion import check_dispersion
 from diracver.sampling import ExactUnitary, perturbed_set, random_exact_unitary, random_hermitian_set
 from diracver.symmat import (
+    _GI_ZERO,
+    HermiticityError,
     MatrixSet,
     _cleared,
     _gram_is_identity,
@@ -806,6 +808,12 @@ def test_conjugate_set_matches_the_reference(name, rng, steps, label):
     assert all(_is_matrix_of_scalars(m, 4) for _, m in got.matrices())
 
 
+def _assert_kept_rows_are_cleared(rows, denom, *matrices):
+    """The rows a record keeps over ``denom`` are ``_cleared`` of its matrices, every zero the shared ``_GI_ZERO``."""
+    assert (rows, denom) == _cleared(*matrices)
+    assert all(entry is _GI_ZERO for g in rows for row in g for entry in row if entry == (0, 0))
+
+
 @given(_audited_sets(), st.randoms(use_true_random=False), st.integers(0, 60))
 @settings(max_examples=40, deadline=None)
 def test_conjugate_set_matches_the_reference_on_mixed_denominators(mset, rng, steps):
@@ -813,14 +821,51 @@ def test_conjugate_set_matches_the_reference_on_mixed_denominators(mset, rng, st
     got = u.conjugate_set(mset)
     assert got.alphas == tuple(conjugate_reference(u.matrix, alpha) for alpha in mset.alphas)
     assert got.beta == conjugate_reference(u.matrix, mset.beta)
+    _assert_kept_rows_are_cleared(*got._gi, *got.alphas, got.beta)
 
 
 @given(st.sampled_from((2, 3, 4)), st.integers(0, 2**32), st.integers(0, 60))
 @settings(max_examples=60, deadline=None)
 def test_random_exact_unitary_matches_the_reference_sampler(n, seed, steps):
     rng, twin = random.Random(seed), random.Random(seed)
-    assert random_exact_unitary(rng, n, steps=steps).matrix == random_exact_unitary_reference(twin, n, steps)
+    u = random_exact_unitary(rng, n, steps=steps)
+    assert u.matrix == random_exact_unitary_reference(twin, n, steps)
     assert rng.getstate() == twin.getstate()
+    g, d = u._gi
+    _assert_kept_rows_are_cleared([g], d, u.matrix)
+
+
+@pytest.mark.parametrize("record", ["MatrixSet", "ExactUnitary"])
+def test_rows_sharing_a_content_with_their_denominator_are_kept_reduced(record, monkeypatch):
+    if record == "MatrixSet":
+        # the identity kept as 65 I over 65, so the conjugate's rows are 65^2 x over 65^2 D
+        mset = catalog("majorana")
+        u = ExactUnitary(mat_identity(4))
+        u._gi = ([[(65 * (i == j), 0) for j in range(4)] for i in range(4)], 65)
+        got = u.conjugate_set(mset, mset.label)
+        assert got == mset and got._gi == mset._gi
+        _assert_kept_rows_are_cleared(*got._gi, *got.alphas, got.beta)
+    else:
+        # a rotation by cos = 65/65, sin = 0 multiplies every row, and d, by 5 * 13
+        monkeypatch.setattr(sampling_module, "_PYTHAGOREAN", ((65, 0, 65),))
+        got = random_exact_unitary(random.Random(0), 4, steps=30)
+        g, d = got._gi
+        assert d == 1 and unitary_reference(got.matrix)
+        _assert_kept_rows_are_cleared([g], d, got.matrix)
+
+
+def test_the_row_path_keeps_each_records_check(monkeypatch):
+    # non-Hermitian rows: i at both (0, 1) and (1, 0) of alpha2, conjugated by the identity
+    base = catalog("dirac-pauli")
+    mset = MatrixSet(4, base.alphas, base.beta)
+    rows, denom = mset._gi
+    rows[1][0][1] = rows[1][1][0] = (0, denom)
+    with pytest.raises(HermiticityError, match=r"^alpha2 is not Hermitian at entries \(0,1\)/\(1,0\)$"):
+        ExactUnitary(mat_identity(4)).conjugate_set(mset)
+    # non-unitary rows: a rotation by (1, 1, 1), where 1^2 + 1^2 != 1^2
+    monkeypatch.setattr(sampling_module, "_PYTHAGOREAN", ((1, 1, 1),))
+    with pytest.raises(ValueError, match="^matrix is not exactly unitary$"):
+        random_exact_unitary(random.Random(0), 4, steps=30)
 
 
 # sha256 (first 16 hex digits) of repr(matrix) and repr(rng.random()) after the

@@ -195,6 +195,71 @@ def test_bench_diff_flags_worse_changes_and_prints_traced_layers(capsys, tmp_pat
     assert lines[8].split() == ["cli.import_s", "0.2", "->", "0.1", "-50.0%", "(lower", "is", "better)"]
 
 
+def test_bench_pairs_marks_each_metric_from_canned_pairs(capsys, tmp_path, monkeypatch):
+    bench_pairs = _load_script("bench_pairs")
+    # (parent, change) of each of 10 pairs: setup_s lower in every pair; items_per_s 30% lower;
+    # op_p50_ms 5% higher; op_p90_ms spread wider than its bound; solve_table_ms tied; peak_rss_mb +12%
+    pairs = {
+        "setup_s": [(0.058 + k / 1e4, 0.052 + k / 1e4) for k in range(10)],
+        "items_per_s": [(100.0 + k, 70.0 + k) for k in range(10)],
+        "op_p50_ms": [(1.0 + k / 100, 1.05 + k / 100) for k in range(10)],
+        "op_p90_ms": [(1.0 + k % 2, 1.1 + k % 2) for k in range(10)],
+        "solve_table_ms": [(0.8, 0.8)] * 10,
+        "peak_rss_mb": [(40.0, 44.8)] * 10,
+    }
+    canned = {side: [{name: values[k][i] for name, values in pairs.items()} for k in range(10)]
+              for i, side in enumerate(("parent", "change"))}
+    lines = bench_pairs.summarise(canned["parent"], canned["change"])
+    assert [line.split(":")[0] for line in lines[::2]] == [
+        f"{metric['name']} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%})"
+        for metric in bench_pairs.SPEC["end_to_end"]
+    ]
+    verdicts = {line.split()[0]: line.rsplit(": ", 1)[1] for line in lines[::2]}
+    assert verdicts == {"setup_s": "gain", "items_per_s": "worse", "op_p50_ms": "within bound",
+                        "op_p90_ms": "unresolved", "solve_table_ms": "within bound", "peak_rss_mb": "worse"}
+    assert lines[1].startswith("  median 0.05845 -> 0.05245 (-10.3%), parent quartile distance 0.00055,")
+    assert "change wins 10 of 10; pairs: 0.058 -> 0.052, 0.0581 -> 0.0521," in lines[1]
+    assert "change wins 0 of 10" in lines[3] and "change wins 0 of 10" in lines[9]
+
+    # each run's last line is its result; a failed run is named and ends the script with 1
+    good = {"correct": True, "attempted": 5, "failed": 0, "metrics": {"setup_s": {"value": 0.05, "unit": "s"}}}
+    assert bench_pairs.read_result("report\n" + json.dumps(good) + "\n", 0) == {"setup_s": 0.05}
+    for stdout, code, reason in (
+        (json.dumps(good), 2, "exited 2"),
+        ("", 0, "printed no result"),
+        ("not json", 0, "printed no result"),
+        (json.dumps({**good, "correct": False}), 0, "reported correct: false"),
+        (json.dumps({**good, "failed": 1}), 0, "reported 1 failed operations of 5"),
+    ):
+        with pytest.raises(bench_pairs.RunError, match=f"^{reason}$"):
+            bench_pairs.read_result(stdout, code)
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+    runs = []
+
+    def canned_run(checkout, workload, seed, seconds):
+        runs.append((checkout.name, seed))
+        if len(runs) == 4:
+            raise bench_pairs.RunError("reported correct: false")
+        return canned[checkout.name][seed - 1]
+
+    monkeypatch.setattr(bench_pairs, "_run", canned_run)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "audit-growth", "--seeds", "1-3"]
+    assert bench_pairs.main(argv) == 1
+    assert runs == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: the parent run of audit-growth, seed 2, reported correct: false"
+    )
+    runs.clear()
+    monkeypatch.setattr(bench_pairs, "_run", lambda checkout, workload, seed, seconds: canned[checkout.name][seed - 1])
+    assert bench_pairs.main(argv[:-1] + ["1-10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "audit-growth: 10 pairs, seeds 1-10, 30 s each" and out[1:] == lines
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv[:-1] + ["7-7"])
+
+
 def test_each_mutant_snippet_occurs_once_and_each_target_exists():
     mutants = _load_script("mutants")
     table = json.loads(mutants.TABLE.read_text(encoding="utf-8"))

@@ -41,8 +41,9 @@ def test_eigensolve_massless_345(dirac_pauli):
 
 
 def test_negative_mass_rejected():
-    with pytest.raises(ValueError):
-        MomentumSample((0.0, 0.0, 0.0), -1.0)
+    for mass in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^mass must be nonnegative$"):
+            MomentumSample((0.0, 0.0, 0.0), mass)
 
 
 def test_spinors_at_rest_span_upper_components(dirac_pauli):
@@ -101,8 +102,18 @@ def test_each_spinor_residual_is_checked(dirac_pauli, monkeypatch):
 
 
 def test_spinors_undefined_at_zero_energy(dirac_pauli):
-    with pytest.raises(ValueError, match="E_p = 0"):
+    with pytest.raises(ValueError, match="^E_p = 0: the positive-energy eigenspace is undefined$"):
         positive_energy_spinors(dirac_pauli, MomentumSample((0.0, 0.0, 0.0), 0.0))
+    # E_p must be a positive finite float: a square beyond the float range, a sum that
+    # overflows, and a NaN or infinite component are each a ValueError, not an OverflowError
+    for p, shown in (
+        ((1e200, 1e200, 0.0), "inf"),
+        ((1e154, 1e154, 1e154), "inf"),
+        ((math.nan, 0.0, 0.0), "nan"),
+        ((math.inf, 0.0, 0.0), "inf"),
+    ):
+        with pytest.raises(ValueError, match=f"^E_p = {shown}: the positive-energy eigenspace is undefined$"):
+            positive_energy_spinors(dirac_pauli, MomentumSample(p, 1.0))
 
 
 def test_spinors_report_wrong_eigenspace_dimension(dirac_pauli, rng):
