@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Run alternating parent/change pairs of the benchmark and summarise them.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--seconds N]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds A-B
 
 PARENT and CHANGE are two checkouts of the repository.  Pair k runs
 ``perfbench/run.py --workload W --seed A+k --seconds N --trace 0`` once in
-each checkout, the parent first in even pairs and the change first in odd
-ones.  Before each run the checkout's ``src/**/__pycache__`` directories are
+each checkout, N being BENCHMARK.json's ``run_seconds``, the parent first
+in even pairs and the change first in odd ones.  Before each run the checkout's ``src/**/__pycache__`` directories are
 deleted and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so every run compiles
 the package, as the benchmark's own runs do.  Each run's progress goes to
 stderr.
@@ -20,8 +20,8 @@ of every pair, both medians, the parent's quartile distance, how many pairs
 the change wins (ties count for neither side) and the relative change of
 the medians against the metric's bound, and marks the metric:
 
-* ``gain`` when the change wins at least 9 pairs in 10 and the medians
-  differ by more than the parent's quartile distance;
+* ``gain`` when the change wins at least 9 pairs in 10 and its median is
+  better than the parent's by more than the parent's quartile distance;
 * ``worse`` when the change's median is worse than the parent's by more
   than the bound;
 * ``unresolved`` when the quartile distance of either side exceeds the
@@ -64,11 +64,11 @@ def read_result(stdout: str, returncode: int) -> dict[str, float]:
     return metrics
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def _run(checkout: Path, workload: str, seed: int) -> dict[str, float]:
     for cache in list((checkout / "src").rglob("__pycache__")):
         shutil.rmtree(cache)
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     return read_result(done.stdout, done.returncode)
@@ -91,7 +91,7 @@ def summarise(parent: list[dict[str, float]], change: list[dict[str, float]]) ->
         median_old, median_new = statistics.median(old), statistics.median(new)
         spread = _quartile_distance(old)
         relative = (median_new - median_old) / median_old if median_old else None
-        if wins >= 0.9 * len(old) and abs(median_new - median_old) > spread:
+        if wins >= 0.9 * len(old) and sign * (median_new - median_old) > spread:
             verdict = "gain"
         elif relative is not None and -sign * relative > bound:
             verdict = "worse"
@@ -127,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=_seeds, required=True, help="an inclusive range A-B, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     args = parser.parse_args(argv)
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
@@ -138,13 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     for k, seed in enumerate(seeds):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             try:
-                metrics = _run(getattr(args, side), args.workload, seed, args.seconds)
+                metrics = _run(getattr(args, side), args.workload, seed)
             except RunError as exc:
                 print(f"error: the {side} run of {args.workload}, seed {seed}, {exc}", file=sys.stderr)
                 return 1
             results[side].append(metrics)
             print(f"pair {k + 1} of {len(seeds)}, seed {seed}, {side}: {metrics}", file=sys.stderr)
-    print(f"{args.workload}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, {args.seconds:g} s each")
+    print(f"{args.workload}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, {SPEC['run_seconds']:g} s each")
     print("\n".join(summarise(results["parent"], results["change"])))
     return 0
 

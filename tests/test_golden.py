@@ -220,6 +220,13 @@ def test_bench_pairs_marks_each_metric_from_canned_pairs(capsys, tmp_path, monke
     assert lines[1].startswith("  median 0.05845 -> 0.05245 (-10.3%), parent quartile distance 0.00055,")
     assert "change wins 10 of 10; pairs: 0.058 -> 0.052, 0.0581 -> 0.0521," in lines[1]
     assert "change wins 0 of 10" in lines[3] and "change wins 0 of 10" in lines[9]
+    # winning 9 pairs in 10 is no gain when the median moves the worse way
+    parent = [{"setup_s": v} for v in [10.0] * 5 + [1.0] * 5]
+    change = [{"setup_s": v} for v in [9.0] * 5 + [0.0] * 4 + [50.0]]
+    monkeypatch.setitem(bench_pairs.SPEC, "end_to_end", bench_pairs.SPEC["end_to_end"][:1])
+    mixed = bench_pairs.summarise(parent, change)
+    assert mixed[0].endswith(": worse") and "(+63.6%)" in mixed[1] and "change wins 9 of 10" in mixed[1]
+    monkeypatch.undo()
 
     # each run's last line is its result; a failed run is named and ends the script with 1
     good = {"correct": True, "attempted": 5, "failed": 0, "metrics": {"setup_s": {"value": 0.05, "unit": "s"}}}
@@ -238,7 +245,7 @@ def test_bench_pairs_marks_each_metric_from_canned_pairs(capsys, tmp_path, monke
         (tmp_path / side / "perfbench" / "run.py").touch()
     runs = []
 
-    def canned_run(checkout, workload, seed, seconds):
+    def canned_run(checkout, workload, seed):
         runs.append((checkout.name, seed))
         if len(runs) == 4:
             raise bench_pairs.RunError("reported correct: false")
@@ -252,7 +259,7 @@ def test_bench_pairs_marks_each_metric_from_canned_pairs(capsys, tmp_path, monke
         "error: the parent run of audit-growth, seed 2, reported correct: false"
     )
     runs.clear()
-    monkeypatch.setattr(bench_pairs, "_run", lambda checkout, workload, seed, seconds: canned[checkout.name][seed - 1])
+    monkeypatch.setattr(bench_pairs, "_run", lambda checkout, workload, seed: canned[checkout.name][seed - 1])
     assert bench_pairs.main(argv[:-1] + ["1-10"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "audit-growth: 10 pairs, seeds 1-10, 30 s each" and out[1:] == lines
